@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import corevec as vec
 from . import kernel as k
 from .constants import (
     MAX_HYPERBOLIC_SIDE,
@@ -44,134 +43,22 @@ from .errors import (
     InfeasibleGeometryError,
     InfeasibleInputError,
 )
-from .kernel import Geometry, HPoint, SpherePoint
+from .kernel import Geometry, HPoint
 from .trig import clamped_acos
-
-EuclidPoint = tuple[float, float]
 
 # Feet are accepted as lying on a side up to this residual.
 _SIDE_EPS = 1e-7
-
-
-def _eu_dist(p: EuclidPoint, q: EuclidPoint) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def _eu_mid(p: EuclidPoint, q: EuclidPoint) -> EuclidPoint:
-    return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-
-
-def _eu_angle(v: EuclidPoint, p: EuclidPoint, q: EuclidPoint) -> float:
-    ax, ay = p[0] - v[0], p[1] - v[1]
-    bx, by = q[0] - v[0], q[1] - v[1]
-    return abs(math.atan2(ax * by - ay * bx, ax * bx + ay * by))
-
-
-def _eu_line_intersect(
-    p1: EuclidPoint, p2: EuclidPoint, q1: EuclidPoint, q2: EuclidPoint
-) -> EuclidPoint | None:
-    du = (p2[0] - p1[0], p2[1] - p1[1])
-    dv = (q2[0] - q1[0], q2[1] - q1[1])
-    den = du[0] * dv[1] - du[1] * dv[0]
-    if abs(den) <= 1e-14 * (_eu_dist(p1, p2) * _eu_dist(q1, q2) + 1e-300):
-        return None
-    t = ((q1[0] - p1[0]) * dv[1] - (q1[1] - p1[1]) * dv[0]) / den
-    return (p1[0] + t * du[0], p1[1] + t * du[1])
-
-
-def _dist(geometry: Geometry, p, q) -> float:
-    if geometry is Geometry.HYPERBOLIC:
-        return k.hdist(p, q)
-    if geometry is Geometry.SPHERICAL:
-        return k.sphere_dist(p, q)
-    return _eu_dist(p, q)
-
-
-def _mid(geometry: Geometry, p, q):
-    if geometry is Geometry.HYPERBOLIC:
-        return k.midpoint(p, q)
-    if geometry is Geometry.SPHERICAL:
-        return k.sphere_midpoint(p, q)
-    return _eu_mid(p, q)
-
-
-def _angle(geometry: Geometry, v, p, q) -> float:
-    if geometry is Geometry.HYPERBOLIC:
-        return k.angle_at(v, p, q)
-    if geometry is Geometry.SPHERICAL:
-        return k.sphere_angle_at(v, p, q)
-    return _eu_angle(v, p, q)
 
 
 def stretch_ratio(geometry: Geometry, numerator: float, denominator: float) -> float:
     """The length ratio th(num)/th(den) used by the ratio-sum relation."""
     if not (numerator > 0.0 and denominator > 0.0):
         raise DomainError("ratio lengths must be positive")
-    if geometry is Geometry.HYPERBOLIC:
-        return math.tanh(numerator) / math.tanh(denominator)
     if geometry is Geometry.SPHERICAL:
         if max(numerator, denominator) >= MAX_SPHERICAL_SIDE:
             raise DomainError("spherical ratio lengths must stay below pi/2")
-        return math.tan(numerator) / math.tan(denominator)
-    return numerator / denominator
-
-
-def _between_residual(geometry: Geometry, s1, m, s2) -> float:
-    return _dist(geometry, s1, m) + _dist(geometry, m, s2) - _dist(geometry, s1, s2)
-
-
-def _on_side_residual(geometry: Geometry, p, s1, s2) -> float:
-    if geometry is Geometry.HYPERBOLIC:
-        return k.geodesic_residual(k.geodesic_through(s1, s2), p)
-    if geometry is Geometry.SPHERICAL:
-        return k.sphere_geodesic_residual(k.sphere_geodesic(s1, s2), p)
-    ux, uy = s2[0] - s1[0], s2[1] - s1[1]
-    wx, wy = p[0] - s1[0], p[1] - s1[1]
-    return abs(ux * wy - uy * wx) / math.hypot(ux, uy)
-
-
-def _line_meet_segment(geometry: Geometry, p1, p2, s1, s2):
-    """Meet of line(p1, p2) with line(s1, s2), the candidate on [s1, s2]."""
-    if geometry is Geometry.HYPERBOLIC:
-        x = k.intersect_geodesics(k.geodesic_through(p1, p2), k.geodesic_through(s1, s2))
-        if x is None:
-            raise GeometryError("cevian does not reach the opposite side")
-        return x
-    if geometry is Geometry.SPHERICAL:
-        a, b = k.sphere_intersections(
-            k.sphere_geodesic(p1, p2), k.sphere_geodesic(s1, s2)
-        )
-        if _between_residual(geometry, s1, a, s2) <= _between_residual(
-            geometry, s1, b, s2
-        ):
-            return a
-        return b
-    x = _eu_line_intersect(p1, p2, s1, s2)
-    if x is None:
-        raise GeometryError("cevian does not reach the opposite side")
-    return x
-
-
-def _orientation_values(geometry: Geometry, tri: "Triangle", o):
-    """Per side: signed positions of o and of the opposite vertex."""
-    pairs = ((tri.b, tri.c, tri.a), (tri.c, tri.a, tri.b), (tri.a, tri.b, tri.c))
-    out = []
-    for s1, s2, opposite in pairs:
-        if geometry is Geometry.HYPERBOLIC:
-            n = vec.mnormalize_space(vec.mcross(s1.v, s2.v))
-            out.append((vec.minner(o.v, n), vec.minner(opposite.v, n)))
-        elif geometry is Geometry.SPHERICAL:
-            n = vec.snormalize(vec.scross(s1.v, s2.v))
-            out.append((vec.sdot(o.v, n), vec.sdot(opposite.v, n)))
-        else:
-            ux, uy = s2[0] - s1[0], s2[1] - s1[1]
-            out.append(
-                (
-                    ux * (o[1] - s1[1]) - uy * (o[0] - s1[0]),
-                    ux * (opposite[1] - s1[1]) - uy * (opposite[0] - s1[0]),
-                )
-            )
-    return out
+    th = geometry.model.t_K
+    return th(numerator) / th(denominator)
 
 
 @dataclass(frozen=True)
@@ -184,36 +71,22 @@ class Triangle:
     c: object
 
     def __post_init__(self) -> None:
-        if self.geometry is Geometry.HYPERBOLIC:
-            expected: type | tuple = HPoint
-        elif self.geometry is Geometry.SPHERICAL:
-            expected = SpherePoint
-        else:
-            expected = tuple
+        model = self.geometry.model
         for v in (self.a, self.b, self.c):
-            if not isinstance(v, expected):
+            if not isinstance(v, model.point_type):
                 raise DomainError(f"vertex type does not match {self.geometry.value}: {v!r}")
-        sides = self.side_lengths()
-        limit = {
-            Geometry.HYPERBOLIC: MAX_HYPERBOLIC_SIDE,
-            Geometry.SPHERICAL: MAX_SPHERICAL_SIDE,
-            Geometry.EUCLIDEAN: math.inf,
-        }[self.geometry]
-        for s in sides:
+        for s in self.side_lengths():
             if s <= 1e-10:
                 raise DegenerateInputError("coincident vertices")
-            if s > limit:
-                raise DomainError(f"side {s} above the working range {limit}")
-        if _on_side_residual(self.geometry, self.c, self.a, self.b) <= 1e-12:
+            if s > model.side_limit:
+                raise DomainError(f"side {s} above the working range {model.side_limit}")
+        if model.on_side_residual(self.c, self.a, self.b) <= 1e-12:
             raise DegenerateInputError("collinear vertices")
 
     def side_lengths(self) -> tuple[float, float, float]:
         """(|BC|, |CA|, |AB|), each opposite the same-named vertex."""
-        return (
-            _dist(self.geometry, self.b, self.c),
-            _dist(self.geometry, self.c, self.a),
-            _dist(self.geometry, self.a, self.b),
-        )
+        dist = self.geometry.model.dist
+        return (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -255,23 +128,26 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     vertex is degenerate, an exterior point is out of scope.
     """
     geometry = tri.geometry
-    for s_o, s_v in _orientation_values(geometry, tri, o):
+    model = geometry.model
+    sides = ((tri.b, tri.c, tri.a), (tri.c, tri.a, tri.b), (tri.a, tri.b, tri.c))
+    for s1, s2, opposite in sides:
+        s_o, s_v = model.side_values(s1, s2, o, opposite)
         if abs(s_o) <= 1e-12:
             raise DegenerateInputError("interior point lies on a side or vertex")
         if s_o * s_v < 0.0:
             raise DomainError("point outside the triangle is out of scope")
-    d = _line_meet_segment(geometry, tri.a, o, tri.b, tri.c)
-    e = _line_meet_segment(geometry, tri.b, o, tri.c, tri.a)
-    f = _line_meet_segment(geometry, tri.c, o, tri.a, tri.b)
+    d = model.line_meet(tri.a, o, tri.b, tri.c)
+    e = model.line_meet(tri.b, o, tri.c, tri.a)
+    f = model.line_meet(tri.c, o, tri.a, tri.b)
     for foot, (s1, s2) in ((d, (tri.b, tri.c)), (e, (tri.c, tri.a)), (f, (tri.a, tri.b))):
-        if _between_residual(geometry, s1, foot, s2) > _SIDE_EPS:
+        if model.between_residual(s1, foot, s2) > _SIDE_EPS:
             raise GeometryError("computed foot left its side segment")
-    ao = _dist(geometry, tri.a, o)
-    bo = _dist(geometry, tri.b, o)
-    co = _dist(geometry, tri.c, o)
-    od = _dist(geometry, o, d)
-    oe = _dist(geometry, o, e)
-    of = _dist(geometry, o, f)
+    ao = model.dist(tri.a, o)
+    bo = model.dist(tri.b, o)
+    co = model.dist(tri.c, o)
+    od = model.dist(o, d)
+    oe = model.dist(o, e)
+    of = model.dist(o, f)
     return CevianFrame(
         tri=tri,
         o=o,
@@ -287,9 +163,9 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
         alpha=stretch_ratio(geometry, ao, od),
         beta=stretch_ratio(geometry, bo, oe),
         gamma=stretch_ratio(geometry, co, of),
-        p=_angle(geometry, o, tri.b, f),
-        q=_angle(geometry, o, tri.a, f),
-        r=_angle(geometry, o, tri.b, d),
+        p=model.angle(o, tri.b, f),
+        q=model.angle(o, tri.a, f),
+        r=model.angle(o, tri.b, d),
     )
 
 
@@ -329,7 +205,7 @@ def pqr_system(frame: CevianFrame) -> PqrSystem:
     geometry = frame.tri.geometry
     if geometry is Geometry.EUCLIDEAN:
         raise DomainError("the sine-weighted system applies to curved geometries")
-    th = math.tanh if geometry is Geometry.HYPERBOLIC else math.tan
+    th = geometry.model.t_K
     big_p = math.sin(frame.p) / th(frame.ao)
     big_q = math.sin(frame.q) / th(frame.bo)
     big_r = math.sin(frame.r) / th(frame.co)
@@ -542,50 +418,41 @@ def projection_oracle(frame: CevianFrame) -> ProjectionOracle:
 
 
 def ceva_product(tri: Triangle, d, e, f, require_concurrent: bool = True) -> float:
-    """th(DB)/th(DC) * th(EC)/th(EA) * th(FA)/th(FB) ... no: the sinh form.
+    """Product sh(DB)/sh(DC) * sh(EC)/sh(EA) * sh(FA)/sh(FB) of the feet.
 
-    Product sh(DB)/sh(DC) * sh(EC)/sh(EA) * sh(FA)/sh(FB) with sh = sinh,
-    sin, or the identity per geometry.  The feet must lie on their side
-    segments; with ``require_concurrent`` the three cevians must meet in
-    one point, verified by pairwise intersection agreement.
+    sh is sinh, sin, or the identity per geometry.  The feet must lie on
+    their side segments; with ``require_concurrent`` the three cevians
+    must meet in one point, verified by pairwise intersection agreement.
     """
-    geometry = tri.geometry
+    model = tri.geometry.model
     for foot, (s1, s2) in ((d, (tri.b, tri.c)), (e, (tri.c, tri.a)), (f, (tri.a, tri.b))):
-        if _on_side_residual(geometry, foot, s1, s2) > _SIDE_EPS:
+        if model.on_side_residual(foot, s1, s2) > _SIDE_EPS:
             raise DomainError("a foot does not lie on its side line")
-        if _between_residual(geometry, s1, foot, s2) > _SIDE_EPS:
+        if model.between_residual(s1, foot, s2) > _SIDE_EPS:
             raise DomainError("a foot lies outside its side segment")
+    dist = model.dist
     if require_concurrent:
         meets = (
-            _line_meet_segment(geometry, tri.a, d, tri.b, e),
-            _line_meet_segment(geometry, tri.b, e, tri.c, f),
-            _line_meet_segment(geometry, tri.c, f, tri.a, d),
+            model.line_meet(tri.a, d, tri.b, e),
+            model.line_meet(tri.b, e, tri.c, f),
+            model.line_meet(tri.c, f, tri.a, d),
         )
         spread = max(
-            _dist(geometry, meets[0], meets[1]),
-            _dist(geometry, meets[1], meets[2]),
-            _dist(geometry, meets[2], meets[0]),
+            dist(meets[0], meets[1]),
+            dist(meets[1], meets[2]),
+            dist(meets[2], meets[0]),
         )
         if spread > TOL_ID:
             raise DomainError(f"cevians are not concurrent (spread {spread:.3e})")
-    if geometry is Geometry.HYPERBOLIC:
-        sh = math.sinh
-    elif geometry is Geometry.SPHERICAL:
-        sh = math.sin
-    else:
-        sh = lambda x: x  # noqa: E731
+    sh = model.s_K
     return (
-        sh(_dist(geometry, d, tri.b))
-        / sh(_dist(geometry, d, tri.c))
-        * sh(_dist(geometry, e, tri.c))
-        / sh(_dist(geometry, e, tri.a))
-        * sh(_dist(geometry, f, tri.a))
-        / sh(_dist(geometry, f, tri.b))
+        sh(dist(d, tri.b))
+        / sh(dist(d, tri.c))
+        * sh(dist(e, tri.c))
+        / sh(dist(e, tri.a))
+        * sh(dist(f, tri.a))
+        / sh(dist(f, tri.b))
     )
-
-
-def _concurrency_meet(geometry: Geometry, tri: Triangle, d, e):
-    return _line_meet_segment(geometry, tri.a, d, tri.b, e)
 
 
 def equilateral_triangle(side: float, geometry: Geometry) -> Triangle:
@@ -596,36 +463,14 @@ def equilateral_triangle(side: float, geometry: Geometry) -> Triangle:
         if side > MAX_HYPERBOLIC_SIDE:
             raise DomainError(f"side above working range: {side}")
         radius = math.asinh(math.sqrt((2.0 / 3.0) * (math.cosh(side) - 1.0)))
-        verts = [
-            k.point_along(
-                k.ORIGIN, k.tangent_direction(k.ORIGIN, 2.0 * math.pi * i / 3.0), radius
-            )
-            for i in range(3)
-        ]
     elif geometry is Geometry.SPHERICAL:
         if side >= MAX_SPHERICAL_SIDE:
             raise DomainError(f"spherical side must stay below pi/2: {side}")
         radius = math.asin(math.sqrt((2.0 / 3.0) * (1.0 - math.cos(side))))
-        e1, e2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-        verts = []
-        for i in range(3):
-            theta = 2.0 * math.pi * i / 3.0
-            u = (
-                math.cos(theta) * e1[0] + math.sin(theta) * e2[0],
-                math.cos(theta) * e1[1] + math.sin(theta) * e2[1],
-                math.cos(theta) * e1[2] + math.sin(theta) * e2[2],
-            )
-            verts.append(k.sphere_point_along(k.NORTH_POLE, u, radius))
     else:
         radius = side / math.sqrt(3.0)
-        verts = [
-            (
-                radius * math.cos(2.0 * math.pi * i / 3.0),
-                radius * math.sin(2.0 * math.pi * i / 3.0),
-            )
-            for i in range(3)
-        ]
-    return Triangle(geometry, *verts)
+    polar = geometry.model.polar
+    return Triangle(geometry, *(polar(2.0 * math.pi * i / 3.0, radius) for i in range(3)))
 
 
 @dataclass(frozen=True)
@@ -648,15 +493,16 @@ class LambertReport:
 def lambert_median_report(side: float, geometry: Geometry) -> LambertReport:
     """Build the equilateral triangle, cut its medians, and measure."""
     tri = equilateral_triangle(side, geometry)
-    d = _mid(geometry, tri.b, tri.c)
-    e = _mid(geometry, tri.c, tri.a)
-    f = _mid(geometry, tri.a, tri.b)
-    o = _line_meet_segment(geometry, tri.a, d, tri.b, e)
-    median_residual = _on_side_residual(geometry, o, tri.c, f)
+    model = geometry.model
+    d = model.mid(tri.b, tri.c)
+    e = model.mid(tri.c, tri.a)
+    f = model.mid(tri.a, tri.b)
+    o = model.line_meet(tri.a, d, tri.b, e)
+    median_residual = model.on_side_residual(o, tri.c, f)
     return LambertReport(
         geometry=geometry,
         side=side,
-        alpha=stretch_ratio(geometry, _dist(geometry, tri.a, o), _dist(geometry, o, d)),
-        ad_over_od=_dist(geometry, tri.a, d) / _dist(geometry, o, d),
+        alpha=stretch_ratio(geometry, model.dist(tri.a, o), model.dist(o, d)),
+        ad_over_od=model.dist(tri.a, d) / model.dist(o, d),
         median_residual=median_residual,
     )

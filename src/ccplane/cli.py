@@ -14,7 +14,13 @@ from . import kernel as k
 from .cevians import RatioSumInput, construct_from_ratios
 from .errors import GeometryError
 from .kernel import Geometry
-from .lexell import BaseConfig, foliation, lexell_locus, locus_residuals
+from .lexell import (
+    MAX_APEX_HEIGHT,
+    BaseConfig,
+    foliation,
+    lexell_locus,
+    locus_residuals,
+)
 from .render import (
     ideal_endpoints,
     scene_for_construction,
@@ -42,11 +48,47 @@ def _parse_geometry(value: str) -> Geometry:
         raise argparse.ArgumentTypeError(f"unknown geometry: {value!r}")
 
 
-def _parse_areas(value: str) -> tuple[float, ...]:
+def _parse_finite(value: str) -> float:
     try:
-        areas = tuple(float(part) for part in value.split(",") if part.strip())
+        x = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad area list: {value!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {value!r}")
+    return x
+
+
+def _parse_tolerance(value: str) -> float:
+    x = _parse_finite(value)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive: {value!r}")
+    return x
+
+
+def _parse_apex_height(value: str) -> float:
+    y = _parse_finite(value)
+    if abs(y) > MAX_APEX_HEIGHT:
+        raise argparse.ArgumentTypeError(
+            f"apex height outside [-{MAX_APEX_HEIGHT}, {MAX_APEX_HEIGHT}]: {value!r}"
+        )
+    return y
+
+
+def _count_at_least(minimum: int):
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {value!r}")
+        return n
+
+    return parse
+
+
+def _parse_areas(value: str) -> tuple[float, ...]:
+    areas = tuple(_parse_finite(part) for part in value.split(",") if part.strip())
     if not areas:
         raise argparse.ArgumentTypeError("area list is empty")
     return areas
@@ -56,10 +98,7 @@ def _parse_disk_point(value: str) -> tuple[float, float]:
     parts = value.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected U,W disk coordinates: {value!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad disk coordinates: {value!r}")
+    return (_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
 def _emit(document: str, path: str | None) -> None:
@@ -207,7 +246,7 @@ def _cmd_render(args, parser) -> int:
 
 
 def _add_apex_flags(sub) -> None:
-    sub.add_argument("--apex-y", type=float, default=None,
+    sub.add_argument("--apex-y", type=_parse_apex_height, default=None,
                      help="apex height on the perpendicular axis (model units)")
     sub.add_argument("--apex", type=_parse_disk_point, default=None,
                      help="apex as U,W disk coordinates")
@@ -225,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("theorem", choices=THEOREMS)
     p_verify.add_argument("--geometry", type=_parse_geometry,
                           default=Geometry.HYPERBOLIC)
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=_count_at_least(1), default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=_parse_tolerance, default=None)
     p_verify.add_argument("--json", metavar="PATH", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -235,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "construct", help="rebuild a cevian frame from six lengths"
     )
     p_construct.add_argument(
-        "lengths", type=float, nargs=6, metavar="LENGTH",
+        "lengths", type=_parse_finite, nargs=6, metavar="LENGTH",
         help="the six cevian segment lengths AO BO CO OD OE OF",
     )
     p_construct.add_argument("--json", metavar="PATH", default=None)
@@ -245,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lexell = subs.add_parser(
         "lexell", help="constant-area locus over a symmetric base"
     )
-    p_lexell.add_argument("x", type=float, help="base half-distance")
+    p_lexell.add_argument("x", type=_parse_finite, help="base half-distance")
     p_lexell.add_argument("--geometry", type=_parse_geometry,
                           default=Geometry.HYPERBOLIC)
     _add_apex_flags(p_lexell)
-    p_lexell.add_argument("--samples", type=int, default=20)
+    p_lexell.add_argument("--samples", type=_count_at_least(2), default=20)
     p_lexell.add_argument("--foliate", type=_parse_areas, default=None,
                           metavar="AREAS", help="comma-separated target areas")
     p_lexell.add_argument("--json", metavar="PATH", default=None)
@@ -259,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = subs.add_parser("render", help="write a disk figure as SVG")
     p_render.add_argument("figure", choices=("frame", "locus", "foliation"))
     p_render.add_argument("--seed", type=int, default=0)
-    p_render.add_argument("--x", type=float, default=0.8, help="base half-distance")
+    p_render.add_argument("--x", type=_parse_finite, default=0.8,
+                          help="base half-distance")
     _add_apex_flags(p_render)
     p_render.add_argument("--foliate", type=_parse_areas, default=None,
                           metavar="AREAS")

@@ -9,6 +9,11 @@ ordinary Euclidean 3-space with the same vocabulary.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.
+
+Each Geometry member carries a PlaneModel (``geometry.model``) that
+offers the same operations in all three planes, so code written once
+against it runs unchanged on the hyperbolic plane, the sphere and the
+euclidean plane.
 """
 
 from __future__ import annotations
@@ -18,11 +23,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import corevec as vec
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_ID, TOL_POINT
+from .constants import (
+    MAX_HYPERBOLIC_SIDE,
+    MAX_SPHERICAL_SIDE,
+    TOL_CLAMP,
+    TOL_ID,
+    TOL_POINT,
+)
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
     DomainError,
+    GeometryError,
     InvalidPointError,
     OutOfModelError,
 )
@@ -37,6 +49,11 @@ class Geometry(str, Enum):
     HYPERBOLIC = "hyperbolic"
     SPHERICAL = "spherical"
     EUCLIDEAN = "euclidean"
+
+    @property
+    def model(self) -> PlaneModel:
+        """The operations of this plane, behind one interface."""
+        return _MODELS[self]
 
 
 @dataclass(frozen=True)
@@ -383,3 +400,180 @@ def sphere_intersections(g1: Geodesic, g2: Geodesic) -> tuple[SpherePoint, Spher
         raise DegenerateInputError("identical great circles")
     x = vec.snormalize(c)
     return SpherePoint(x), SpherePoint((-x[0], -x[1], -x[2]))
+
+
+class PlaneModel:
+    """Operations of one constant-curvature plane, behind one interface.
+
+    Points are HPoint on the hyperboloid, SpherePoint on the sphere and
+    (x, y) tuples in the euclidean plane; ``point_type`` is that type.
+
+    - ``dist(p, q)``, ``angle(v, p, q)`` (at v), ``mid(p, q)``.
+    - ``polar(theta, r)``: the point at distance r from the base point
+      (ORIGIN, NORTH_POLE or (0, 0)) in direction theta.
+    - ``coords(p)`` and ``project(v)``: ambient coordinates of a point,
+      and the point on the ray through v (central projection).
+    - ``line_meet(p1, p2, s1, s2)``: where line p1 p2 meets line s1 s2;
+      on the sphere, the one of the antipodal pair on [s1, s2].
+    - ``side_values(s1, s2, o, w)``: signed positions of o and w
+      against the oriented line s1 s2.
+    - ``on_side_residual(p, s1, s2)``: zero exactly when p is on s1 s2.
+    - ``s_K``/``t_K``: sinh/sin/identity and tanh/tan/identity, with
+      ``t_K_inv`` the inverse of ``t_K``.
+    - ``side_limit``: the longest side a triangle may have.
+    """
+
+    def coords(self, p) -> Vec3:
+        return p.v
+
+    def between_residual(self, s1, m, s2) -> float:
+        """|s1 m| + |m s2| - |s1 s2|: zero exactly when m lies on [s1, s2]."""
+        return self.dist(s1, m) + self.dist(m, s2) - self.dist(s1, s2)
+
+
+# The methods below call the kernel functions by their module names at
+# call time, so code that wraps those functions also sees these calls.
+
+
+class HyperboloidModel(PlaneModel):
+    point_type = HPoint
+    side_limit = MAX_HYPERBOLIC_SIDE
+    s_K = staticmethod(math.sinh)
+    t_K = staticmethod(math.tanh)
+    t_K_inv = staticmethod(math.atanh)
+
+    def dist(self, p: HPoint, q: HPoint) -> float:
+        return hdist(p, q)
+
+    def angle(self, v: HPoint, p: HPoint, q: HPoint) -> float:
+        return angle_at(v, p, q)
+
+    def mid(self, p: HPoint, q: HPoint) -> HPoint:
+        return midpoint(p, q)
+
+    def polar(self, theta: float, r: float) -> HPoint:
+        return point_along(ORIGIN, tangent_direction(ORIGIN, theta), r)
+
+    def project(self, v: Vec3) -> HPoint:
+        return normalize_to_hyperboloid(v)
+
+    def line_meet(self, p1: HPoint, p2: HPoint, s1: HPoint, s2: HPoint) -> HPoint:
+        x = intersect_geodesics(geodesic_through(p1, p2), geodesic_through(s1, s2))
+        if x is None:
+            raise GeometryError("cevian does not reach the opposite side")
+        return x
+
+    def side_values(self, s1: HPoint, s2: HPoint, o: HPoint, w: HPoint):
+        n = vec.mnormalize_space(vec.mcross(s1.v, s2.v))
+        return vec.minner(o.v, n), vec.minner(w.v, n)
+
+    def on_side_residual(self, p: HPoint, s1: HPoint, s2: HPoint) -> float:
+        return geodesic_residual(geodesic_through(s1, s2), p)
+
+
+class SphereModel(PlaneModel):
+    point_type = SpherePoint
+    side_limit = MAX_SPHERICAL_SIDE
+    s_K = staticmethod(math.sin)
+    t_K = staticmethod(math.tan)
+    t_K_inv = staticmethod(math.atan)
+
+    def dist(self, p: SpherePoint, q: SpherePoint) -> float:
+        return sphere_dist(p, q)
+
+    def angle(self, v: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
+        return sphere_angle_at(v, p, q)
+
+    def mid(self, p: SpherePoint, q: SpherePoint) -> SpherePoint:
+        return sphere_midpoint(p, q)
+
+    def polar(self, theta: float, r: float) -> SpherePoint:
+        return sphere_point_along(NORTH_POLE, (math.cos(theta), math.sin(theta), 0.0), r)
+
+    def project(self, v: Vec3) -> SpherePoint:
+        # ``x ** 2`` and ``x * x`` can differ in the last bit; the squares
+        # are kept so that sampled streams stay as they were.
+        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+        return SpherePoint((v[0] / n, v[1] / n, v[2] / n))
+
+    def line_meet(
+        self, p1: SpherePoint, p2: SpherePoint, s1: SpherePoint, s2: SpherePoint
+    ) -> SpherePoint:
+        a, b = sphere_intersections(sphere_geodesic(p1, p2), sphere_geodesic(s1, s2))
+        if self.between_residual(s1, a, s2) <= self.between_residual(s1, b, s2):
+            return a
+        return b
+
+    def side_values(
+        self, s1: SpherePoint, s2: SpherePoint, o: SpherePoint, w: SpherePoint
+    ):
+        n = vec.snormalize(vec.scross(s1.v, s2.v))
+        return vec.sdot(o.v, n), vec.sdot(w.v, n)
+
+    def on_side_residual(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> float:
+        return sphere_geodesic_residual(sphere_geodesic(s1, s2), p)
+
+
+EuclidPoint = tuple[float, float]
+
+
+def _identity(x: float) -> float:
+    return x
+
+
+class EuclideanModel(PlaneModel):
+    point_type = tuple
+    side_limit = math.inf
+    s_K = t_K = t_K_inv = staticmethod(_identity)
+
+    def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
+        return math.hypot(p[0] - q[0], p[1] - q[1])
+
+    def angle(self, v: EuclidPoint, p: EuclidPoint, q: EuclidPoint) -> float:
+        ax, ay = p[0] - v[0], p[1] - v[1]
+        bx, by = q[0] - v[0], q[1] - v[1]
+        return abs(math.atan2(ax * by - ay * bx, ax * bx + ay * by))
+
+    def mid(self, p: EuclidPoint, q: EuclidPoint) -> EuclidPoint:
+        return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+
+    def polar(self, theta: float, r: float) -> EuclidPoint:
+        return (r * math.cos(theta), r * math.sin(theta))
+
+    def coords(self, p: EuclidPoint) -> EuclidPoint:
+        return p
+
+    def project(self, v: EuclidPoint) -> EuclidPoint:
+        return v
+
+    def line_meet(
+        self, p1: EuclidPoint, p2: EuclidPoint, s1: EuclidPoint, s2: EuclidPoint
+    ) -> EuclidPoint:
+        du = (p2[0] - p1[0], p2[1] - p1[1])
+        dv = (s2[0] - s1[0], s2[1] - s1[1])
+        den = du[0] * dv[1] - du[1] * dv[0]
+        if abs(den) <= 1e-14 * (self.dist(p1, p2) * self.dist(s1, s2) + 1e-300):
+            raise GeometryError("cevian does not reach the opposite side")
+        t = ((s1[0] - p1[0]) * dv[1] - (s1[1] - p1[1]) * dv[0]) / den
+        return (p1[0] + t * du[0], p1[1] + t * du[1])
+
+    def side_values(
+        self, s1: EuclidPoint, s2: EuclidPoint, o: EuclidPoint, w: EuclidPoint
+    ):
+        ux, uy = s2[0] - s1[0], s2[1] - s1[1]
+        return (
+            ux * (o[1] - s1[1]) - uy * (o[0] - s1[0]),
+            ux * (w[1] - s1[1]) - uy * (w[0] - s1[0]),
+        )
+
+    def on_side_residual(self, p: EuclidPoint, s1: EuclidPoint, s2: EuclidPoint) -> float:
+        ux, uy = s2[0] - s1[0], s2[1] - s1[1]
+        wx, wy = p[0] - s1[0], p[1] - s1[1]
+        return abs(ux * wy - uy * wx) / math.hypot(ux, uy)
+
+
+_MODELS = {
+    Geometry.HYPERBOLIC: HyperboloidModel(),
+    Geometry.SPHERICAL: SphereModel(),
+    Geometry.EUCLIDEAN: EuclideanModel(),
+}

@@ -10,18 +10,30 @@ from __future__ import annotations
 import math
 import random
 
-from . import kernel as k
-from .cevians import Triangle
-from .kernel import Geometry, HPoint
+from .cevians import Triangle, cevian_frame
+from .errors import GeometryError, InfeasibleGeometryError
+from .kernel import Geometry
 
 # Rejection thresholds keeping sampled triangles numerically honest.
 _MIN_SIDE = 0.05
 _MIN_ANGLE = 0.15
 
+# Triangles drawn before the sampler gives up.  About one in four is
+# kept on the hyperbolic plane, so a working stream never comes close.
+MAX_TRIANGLE_ATTEMPTS = 1000
+
 # Radius of the sampling disk around the base point.
 _HYP_RADIUS = 3.0
 _SPH_RADIUS = 0.6
 _EUC_RADIUS = 3.0
+
+# Area-uniform distance from the base point for a uniform draw u: the
+# disk area grows like cosh r - 1, 1 - cos r and r^2 respectively.
+_DISK_RADIUS = {
+    Geometry.HYPERBOLIC: lambda u: math.acosh(1.0 + u * (math.cosh(_HYP_RADIUS) - 1.0)),
+    Geometry.SPHERICAL: lambda u: math.acos(1.0 - u * (1.0 - math.cos(_SPH_RADIUS))),
+    Geometry.EUCLIDEAN: lambda u: _EUC_RADIUS * math.sqrt(u),
+}
 
 
 def substream(label: str, seed: int, index: int = 0) -> random.Random:
@@ -29,57 +41,43 @@ def substream(label: str, seed: int, index: int = 0) -> random.Random:
     return random.Random(f"{label}:{seed}:{index}")
 
 
-def _hyp_disk_point(rng: random.Random) -> HPoint:
-    # Area-uniform in the hyperbolic disk: cosh(r) is uniform.
-    r = math.acosh(1.0 + rng.random() * (math.cosh(_HYP_RADIUS) - 1.0))
+def _disk_point(geometry: Geometry, rng: random.Random):
+    r = _DISK_RADIUS[geometry](rng.random())
     theta = rng.random() * 2.0 * math.pi
-    return k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, theta), r)
+    return geometry.model.polar(theta, r)
 
 
-def _sph_cap_point(rng: random.Random):
-    # Area-uniform in the polar cap: cos(colatitude) is uniform.
-    c = 1.0 - rng.random() * (1.0 - math.cos(_SPH_RADIUS))
-    colat = math.acos(c)
-    theta = rng.random() * 2.0 * math.pi
-    u = (math.cos(theta), math.sin(theta), 0.0)
-    return k.sphere_point_along(k.NORTH_POLE, u, colat)
-
-
-def _euc_disk_point(rng: random.Random) -> tuple[float, float]:
-    r = _EUC_RADIUS * math.sqrt(rng.random())
-    theta = rng.random() * 2.0 * math.pi
-    return (r * math.cos(theta), r * math.sin(theta))
-
-
-def _angles_ok(geometry: Geometry, tri: Triangle) -> bool:
-    from .cevians import _angle  # local import avoids a cycle at module load
-
+def _angles_ok(tri: Triangle) -> bool:
+    angle = tri.geometry.model.angle
     corners = (
         (tri.a, tri.b, tri.c),
         (tri.b, tri.c, tri.a),
         (tri.c, tri.a, tri.b),
     )
-    return all(_angle(geometry, v, p, q) >= _MIN_ANGLE for v, p, q in corners)
+    return all(angle(v, p, q) >= _MIN_ANGLE for v, p, q in corners)
 
 
 def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
-    """Random nondegenerate triangle, rejection-sampled for fat corners."""
-    picker = {
-        Geometry.HYPERBOLIC: _hyp_disk_point,
-        Geometry.SPHERICAL: _sph_cap_point,
-        Geometry.EUCLIDEAN: _euc_disk_point,
-    }[geometry]
-    while True:
-        verts = (picker(rng), picker(rng), picker(rng))
+    """Random nondegenerate triangle, rejection-sampled for fat corners.
+
+    Raises InfeasibleGeometryError after MAX_TRIANGLE_ATTEMPTS rejected
+    draws; errors other than GeometryError propagate at once.
+    """
+    for _ in range(MAX_TRIANGLE_ATTEMPTS):
+        verts = (_disk_point(geometry, rng), _disk_point(geometry, rng),
+                 _disk_point(geometry, rng))
         try:
             tri = Triangle(geometry, *verts)
-        except Exception:
+        except GeometryError:
             continue
         if min(tri.side_lengths()) < _MIN_SIDE:
             continue
-        if not _angles_ok(geometry, tri):
+        if not _angles_ok(tri):
             continue
         return tri
+    raise InfeasibleGeometryError(
+        f"no acceptable {geometry.value} triangle in {MAX_TRIANGLE_ATTEMPTS} attempts"
+    )
 
 
 def sample_interior_point(tri: Triangle, rng: random.Random):
@@ -93,23 +91,14 @@ def sample_interior_point(tri: Triangle, rng: random.Random):
     w = [0.1 + 0.9 * rng.random() for _ in range(3)]
     s = sum(w)
     w = [x / s for x in w]
-    if tri.geometry is Geometry.EUCLIDEAN:
-        return (
-            w[0] * tri.a[0] + w[1] * tri.b[0] + w[2] * tri.c[0],
-            w[0] * tri.a[1] + w[1] * tri.b[1] + w[2] * tri.c[1],
-        )
-    combo = tuple(
-        w[0] * tri.a.v[i] + w[1] * tri.b.v[i] + w[2] * tri.c.v[i] for i in range(3)
+    model = tri.geometry.model
+    a, b, c = model.coords(tri.a), model.coords(tri.b), model.coords(tri.c)
+    return model.project(
+        tuple(w[0] * a[i] + w[1] * b[i] + w[2] * c[i] for i in range(len(a)))
     )
-    if tri.geometry is Geometry.HYPERBOLIC:
-        return k.normalize_to_hyperboloid(combo)
-    n = math.sqrt(combo[0] ** 2 + combo[1] ** 2 + combo[2] ** 2)
-    return k.SpherePoint((combo[0] / n, combo[1] / n, combo[2] / n))
 
 
 def sample_frame(geometry: Geometry, rng: random.Random):
     """Random cevian frame: a sampled triangle with an interior point."""
-    from .cevians import cevian_frame
-
     tri = sample_triangle(geometry, rng)
     return cevian_frame(tri, sample_interior_point(tri, rng))

@@ -45,10 +45,10 @@ def clamped_acosh(x: float) -> float:
 def _check_hypotenuse(b: float, geometry: Geometry) -> None:
     if not b > 0.0:
         raise DomainError(f"hypotenuse must be positive: {b}")
-    if geometry is Geometry.HYPERBOLIC and b > MAX_HYPERBOLIC_SIDE:
-        raise DomainError(f"hypotenuse above working range: {b}")
     if geometry is Geometry.SPHERICAL and b >= MAX_SPHERICAL_SIDE:
         raise DomainError(f"spherical hypotenuse must stay below pi/2: {b}")
+    if b > geometry.model.side_limit:
+        raise DomainError(f"hypotenuse above working range: {b}")
 
 
 def cathetus_from_hypotenuse(b: float, alpha: float, geometry: Geometry) -> float:
@@ -56,12 +56,8 @@ def cathetus_from_hypotenuse(b: float, alpha: float, geometry: Geometry) -> floa
     _check_hypotenuse(b, geometry)
     if not 0.0 < alpha < math.pi / 2:
         raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
-    c = math.cos(alpha)
-    if geometry is Geometry.HYPERBOLIC:
-        return math.atanh(c * math.tanh(b))
-    if geometry is Geometry.SPHERICAL:
-        return math.atan(c * math.tan(b))
-    return c * b
+    model = geometry.model
+    return model.t_K_inv(math.cos(alpha) * model.t_K(b))
 
 
 @dataclass(frozen=True)
@@ -109,36 +105,23 @@ def build_right_triangle(
     _check_hypotenuse(b, geometry)
     if not 0.0 < alpha < math.pi / 2:
         raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
+    if geometry is Geometry.EUCLIDEAN:
+        return RightTriangleConfig(
+            geometry, alpha, b, b * math.cos(alpha), b * math.sin(alpha)
+        )
+    model = geometry.model
+    ray_point = model.polar(alpha, b)
+    baseline_point = model.polar(0.0, 1.0)
     if geometry is Geometry.HYPERBOLIC:
         apex = k.ORIGIN
-        e1 = k.tangent_direction(apex, 0.0)
-        baseline = k.geodesic_through(apex, k.point_along(apex, e1, 1.0))
-        ray_point = k.point_along(apex, k.tangent_direction(apex, alpha), b)
+        baseline = k.geodesic_through(apex, baseline_point)
         foot = k.foot_of_perpendicular(ray_point, baseline)
-        return RightTriangleConfig(
-            geometry, alpha, b, k.hdist(apex, foot), k.hdist(foot, ray_point)
-        )
-    if geometry is Geometry.SPHERICAL:
+    else:
         apex = k.NORTH_POLE
-        e1 = (1.0, 0.0, 0.0)
-        e2 = (0.0, 1.0, 0.0)
-        baseline = k.sphere_geodesic(apex, k.sphere_point_along(apex, e1, 1.0))
-        u = (
-            math.cos(alpha) * e1[0] + math.sin(alpha) * e2[0],
-            math.cos(alpha) * e1[1] + math.sin(alpha) * e2[1],
-            math.cos(alpha) * e1[2] + math.sin(alpha) * e2[2],
-        )
-        ray_point = k.sphere_point_along(apex, u, b)
+        baseline = k.sphere_geodesic(apex, baseline_point)
         foot = k.sphere_foot(ray_point, baseline)
-        return RightTriangleConfig(
-            geometry,
-            alpha,
-            b,
-            k.sphere_dist(apex, foot),
-            k.sphere_dist(foot, ray_point),
-        )
     return RightTriangleConfig(
-        geometry, alpha, b, b * math.cos(alpha), b * math.sin(alpha)
+        geometry, alpha, b, model.dist(apex, foot), model.dist(foot, ray_point)
     )
 
 
@@ -155,10 +138,8 @@ def menelaus_ratio(total: float, diff: float, geometry: Geometry) -> float:
     if geometry is Geometry.SPHERICAL:
         if total >= math.pi:
             raise DomainError(f"spherical sum must stay below pi: {total}")
-        return math.sin(total) / math.sin(diff)
-    if geometry is Geometry.HYPERBOLIC:
-        return math.sinh(total) / math.sinh(diff)
-    return total / diff
+    sh = geometry.model.s_K
+    return sh(total) / sh(diff)
 
 
 def menelaus_rhs(alpha: float) -> float:

@@ -1,6 +1,7 @@
 """Cevian frames, the ratio-sum relation, converse construction, medians."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from ccplane.cevians import (
     stretch_ratio,
     unit_sum_residual,
 )
+from ccplane import sampling
 from ccplane.errors import (
     DegenerateInputError,
     DomainError,
+    GeometryError,
     InfeasibleGeometryError,
     InfeasibleInputError,
 )
@@ -39,7 +42,14 @@ from ccplane.kernel import (
     reflect_across,
     tangent_direction,
 )
-from ccplane.sampling import sample_frame, sample_interior_point, sample_triangle, substream
+from ccplane.sampling import (
+    MAX_TRIANGLE_ATTEMPTS,
+    sample_frame,
+    sample_interior_point,
+    sample_triangle,
+    substream,
+)
+from ccplane.trig import menelaus_ratio
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
@@ -287,12 +297,11 @@ class TestConverseConstruction:
 
 
 def _equilateral_frame(side: float, geometry: Geometry = HYP) -> CevianFrame:
-    from ccplane.cevians import _line_meet_segment, _mid
-
+    model = geometry.model
     tri = equilateral_triangle(side, geometry)
-    d = _mid(geometry, tri.b, tri.c)
-    e = _mid(geometry, tri.c, tri.a)
-    o = _line_meet_segment(geometry, tri.a, d, tri.b, e)
+    d = model.mid(tri.b, tri.c)
+    e = model.mid(tri.c, tri.a)
+    o = model.line_meet(tri.a, d, tri.b, e)
     return cevian_frame(tri, o)
 
 
@@ -307,12 +316,11 @@ class TestCevaProduct:
 
     @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
     def test_medians_give_exactly_one(self, geometry):
-        from ccplane.cevians import _mid
-
+        mid = geometry.model.mid
         tri = sample_triangle(geometry, substream("ceva-med", 2, 0))
-        d = _mid(geometry, tri.b, tri.c)
-        e = _mid(geometry, tri.c, tri.a)
-        f = _mid(geometry, tri.a, tri.b)
+        d = mid(tri.b, tri.c)
+        e = mid(tri.c, tri.a)
+        f = mid(tri.a, tri.b)
         assert ceva_product(tri, d, e, f) == pytest.approx(1.0, abs=1e-13)
 
     def test_perturbed_foot_breaks_concurrency(self):
@@ -417,3 +425,86 @@ class TestSampling:
         for i in range(25):
             tri = sample_triangle(geometry, substream("floors", 6, i))
             assert min(tri.side_lengths()) >= 0.05
+
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_degenerate_stream_gives_up(self, geometry):
+        # Every draw is the same point, so every triangle is degenerate.
+        class Stuck(random.Random):
+            def random(self):
+                return 0.5
+
+        reason = f"{geometry.value}.*{MAX_TRIANGLE_ATTEMPTS}"
+        with pytest.raises(GeometryError, match=reason):
+            sample_triangle(geometry, Stuck(0))
+
+    @pytest.mark.parametrize("where", ["picker", "triangle"])
+    def test_non_geometry_errors_propagate(self, monkeypatch, where):
+        def broken(*args):
+            raise ZeroDivisionError(where)
+
+        if where == "picker":
+            monkeypatch.setattr(type(HYP.model), "polar", broken)
+        else:
+            monkeypatch.setattr(sampling, "Triangle", broken)
+        with pytest.raises(ZeroDivisionError, match=where):
+            sample_triangle(HYP, substream("bug", 1, 0))
+
+
+def _frame_in(geometry: Geometry, plane_frame: CevianFrame, eps: float) -> CevianFrame:
+    """The plane frame scaled by eps and laid out by the exponential map
+    at the base point of the given geometry."""
+    polar = geometry.model.polar
+
+    def lay(p):
+        return polar(math.atan2(p[1], p[0]), eps * math.hypot(p[0], p[1]))
+
+    tri = plane_frame.tri
+    return cevian_frame(Triangle(geometry, lay(tri.a), lay(tri.b), lay(tri.c)),
+                        lay(plane_frame.o))
+
+
+class TestSmallFigureLimit:
+    """Shrunk figures on the hyperboloid and the sphere obey the euclidean
+    laws up to O(eps^2): the curvature enters through sinh/sin and
+    tanh/tan, whose relative gap to the identity is x^2/6 and x^2/3."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.floats(0.0, 2.0 * math.pi),
+        spread=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        radii=st.tuples(*[st.floats(0.4, 1.0)] * 3),
+        weights=st.tuples(*[st.floats(0.1, 1.0)] * 3),
+    )
+    def test_cevian_ratios_converge(self, start, spread, radii, weights):
+        angles = (start, start + 2.0 * math.pi / 3.0 + spread[0],
+                  start + 4.0 * math.pi / 3.0 + spread[1])
+        verts = [EUC.model.polar(t, r) for t, r in zip(angles, radii)]
+        s = sum(weights)
+        o = tuple(sum(w * v[i] for w, v in zip(weights, verts)) / s for i in range(2))
+        plane = cevian_frame(Triangle(EUC, *verts), o)
+        flat = (plane.alpha, plane.beta, plane.gamma)
+
+        def gap(geometry, eps):
+            fr = _frame_in(geometry, plane, eps)
+            curved = (fr.alpha, fr.beta, fr.gamma)
+            return max(abs(x - y) / y for x, y in zip(curved, flat))
+
+        for geometry in (HYP, SPH):
+            coarse, fine = gap(geometry, 0.05), gap(geometry, 0.025)
+            # Halving eps quarters an O(eps^2) gap; 1e-12 is rounding.
+            assert fine <= 0.3 * coarse + 1e-12
+            # Cevians here are at most 2 eps long, so the tanh/tan gap
+            # alone reaches (2 eps)^2 / 3.
+            assert coarse <= 2.0 * 0.05 ** 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(total=st.floats(0.2, 2.0), share=st.floats(0.05, 0.95))
+    def test_menelaus_ratio_converges(self, total, share):
+        diff = share * total
+        flat = menelaus_ratio(total, diff, EUC)
+        assert flat == total / diff
+        for geometry in (HYP, SPH):
+            for eps in (0.1, 0.01):
+                got = menelaus_ratio(eps * total, eps * diff, geometry)
+                # |s_K(x)/x - 1| <= x^2/6 (to leading order) for both sinh and sin.
+                assert abs(got - flat) / flat <= (eps * total) ** 2 / 5.0

@@ -10,6 +10,7 @@ import pytest
 
 from ccplane import kernel as k
 from ccplane.cevians import cevian_frame, equilateral_triangle
+from ccplane.cli import main
 from ccplane.kernel import Geometry
 from ccplane.lexell import apex_area_formula
 
@@ -200,3 +201,29 @@ class TestRenderCommand:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "ceva", "--trials", "0"], "--trials"),
+        (["lexell", "0.8", "--apex-y", "1.0", "--samples", "1"], "--samples"),
+        (["verify", "ceva", "--tolerance", "nan"], "--tolerance"),
+        (["verify", "ceva", "--tolerance", "inf"], "--tolerance"),
+        (["verify", "ceva", "--tolerance", "0"], "--tolerance"),
+        (["verify", "ceva", "--tolerance", "-0.5"], "--tolerance"),
+        (["lexell", "0.8", "--apex-y", "1e6"], "--apex-y"),
+        (["lexell", "0.8", "--apex-y", "-41"], "--apex-y"),
+        (["lexell", "0.8", "--apex-y", "nan"], "--apex-y"),
+        (["lexell", "nan", "--apex-y", "1.0"], "x"),
+        (["render", "locus", "--x", "inf", "--apex-y", "1.0", "--svg", "x.svg"], "--x"),
+        (["lexell", "0.8", "--apex", "nan,0.2"], "--apex"),
+        (["construct", "0.5", "0.5", "0.5", "0.2", "0.2", "nan"], "LENGTH"),
+        (["lexell", "0.8", "--foliate", "0.3,inf"], "--foliate"),
+    ],
+)
+def test_bad_values_are_usage_errors(argv, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err

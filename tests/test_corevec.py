@@ -1,34 +1,9 @@
-import importlib
 import math
-import os
 import random
 
 import pytest
 
-from ccplane import _corevec_py as py
-from ccplane import corevec
-
-
-def _has_compiled():
-    try:
-        importlib.import_module("ccplane._corevec")
-        return True
-    except ImportError:
-        return False
-
-
-def test_backend_reports_a_known_name():
-    assert corevec.BACKEND in ("compiled", "python")
-
-
-def test_selected_backend_matches_availability():
-    forced = os.environ.get("CCPLANE_BACKEND", "").strip().lower()
-    if forced == "python":
-        assert corevec.BACKEND == "python"
-    elif _has_compiled():
-        assert corevec.BACKEND == "compiled"
-    else:
-        assert corevec.BACKEND == "python"
+from ccplane import corevec as vec
 
 
 def _random_hyperboloid(rng):
@@ -37,50 +12,17 @@ def _random_hyperboloid(rng):
     return (math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2)
 
 
-def _random_sphere(rng):
-    while True:
-        v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        n = math.sqrt(sum(c * c for c in v))
-        if n > 1e-6:
-            return (v[0] / n, v[1] / n, v[2] / n)
-
-
-@pytest.mark.skipif(not _has_compiled(), reason="compiled backend not built")
-def test_compiled_and_python_backends_agree():
-    cy = importlib.import_module("ccplane._corevec")
-    rng = random.Random(20240817)
-    for _ in range(300):
-        p = _random_hyperboloid(rng)
-        q = _random_hyperboloid(rng)
-        assert cy.minner(p, q) == pytest.approx(py.minner(p, q), rel=1e-14, abs=1e-14)
-        assert cy.mdist(p, q) == pytest.approx(py.mdist(p, q), rel=1e-13, abs=1e-14)
-        for a, b in zip(cy.mcross(p, q), py.mcross(p, q)):
-            assert a == pytest.approx(b, rel=1e-13, abs=1e-14)
-        for a, b in zip(cy.mmid(p, q), py.mmid(p, q)):
-            assert a == pytest.approx(b, rel=1e-13, abs=1e-14)
-        if py.mdist(p, q) > 1e-8:
-            n = py.mtangent(p, q)
-            for a, b in zip(cy.mtangent(p, q), n):
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-            t = rng.uniform(-3, 3)
-            for a, b in zip(cy.mgeo_point(p, n, t), py.mgeo_point(p, n, t)):
-                assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
-        s = _random_sphere(rng)
-        u = _random_sphere(rng)
-        assert cy.sdist(s, u) == pytest.approx(py.sdist(s, u), rel=1e-13, abs=1e-14)
-
-
-def test_python_backend_invariants():
+def test_kernel_invariants():
     rng = random.Random(7)
     for _ in range(200):
         p = _random_hyperboloid(rng)
         q = _random_hyperboloid(rng)
-        assert abs(py.minner(p, p) + 1.0) <= 1e-12
-        c = py.mcross(p, q)
-        assert abs(py.minner(c, p)) <= 1e-12
-        assert abs(py.minner(c, q)) <= 1e-12
-        m = py.mmid(p, q)
-        assert abs(py.mdist(p, m) - py.mdist(m, q)) <= 1e-12
+        assert abs(vec.minner(p, p) + 1.0) <= 1e-12
+        c = vec.mcross(p, q)
+        assert abs(vec.minner(c, p)) <= 1e-12
+        assert abs(vec.minner(c, q)) <= 1e-12
+        m = vec.mmid(p, q)
+        assert abs(vec.mdist(p, m) - vec.mdist(m, q)) <= 1e-12
 
 
 def test_mdist_small_separation_accuracy():
@@ -88,4 +30,4 @@ def test_mdist_small_separation_accuracy():
     p = (1.0, 0.0, 0.0)
     for d in (1e-4, 1e-6, 1e-8):
         q = (math.cosh(d), math.sinh(d), 0.0)
-        assert py.mdist(p, q) == pytest.approx(d, rel=1e-10)
+        assert vec.mdist(p, q) == pytest.approx(d, rel=1e-10)
