@@ -12,6 +12,7 @@ import sys
 
 from . import kernel as k
 from .cevians import RatioSumInput, construct_from_ratios
+from .constants import TOL_AREA
 from .errors import GeometryError
 from .kernel import Geometry
 from .lexell import (
@@ -207,7 +208,7 @@ def _cmd_lexell(args, parser) -> int:
         parser.error("need an apex: --apex-y or --apex (or --foliate)")
     apex = _lexell_apex(args)
     locus = lexell_locus(base, apex)
-    residuals = locus_residuals(locus, samples=args.samples)
+    residuals = locus_residuals(locus, samples=args.samples, chords=0)
     angle_lo, angle_hi = _axis_angles(locus.carrier.axis)
     record = {
         "half_distance": args.x,
@@ -222,7 +223,7 @@ def _cmd_lexell(args, parser) -> int:
     _emit(json_document(record), args.json)
     if args.svg is not None:
         _write_svg(scene_to_svg(scene_for_locus(locus, apex)), args.svg)
-    return 0
+    return 0 if residuals.area_spread <= TOL_AREA else 1
 
 
 def _cmd_render(args, parser) -> int:

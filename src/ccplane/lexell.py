@@ -25,18 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import corevec as vec
 from . import kernel as k
 from .cevians import Triangle
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID, TOL_POINT
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_ID, TOL_POINT
 from .errors import (
     DegenerateInputError,
     DomainError,
     GeometryError,
     InfeasibleAreaError,
 )
-from .kernel import Geodesic, Geometry, HPoint
+from .kernel import Geodesic, Geometry, HPoint, Vec3
 from .sampling import substream
 from .trig import clamped_acos
 
@@ -62,6 +63,12 @@ class Hypercycle:
         if self.axis.geometry is not Geometry.HYPERBOLIC:
             raise DomainError("hypercycles live in the hyperbolic plane")
 
+    @cached_property
+    def _axis_frame(self) -> tuple[Vec3, Vec3]:
+        """Foot g0 of the model origin on the axis, and the axis tangent there."""
+        g0 = k.foot_of_perpendicular(k.ORIGIN, self.axis).v
+        return g0, vec.mcross(g0, self.axis.normal)
+
 
 def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
     """How far p misses the curve, as |sinh(dist) - sinh(offset)|."""
@@ -75,14 +82,19 @@ def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
     cosh(offset) * gamma(s) + sinh(offset) * n, which stays at signed
     distance ``offset`` for every s.
     """
-    g0 = k.foot_of_perpendicular(k.ORIGIN, hc.axis)
+    g0, u0 = hc._axis_frame
     n = hc.axis.normal
-    u0 = vec.mcross(g0.v, n)
-    gs = tuple(
-        math.cosh(s) * g0.v[i] + math.sinh(s) * u0[i] for i in range(3)
-    )
+    gs = tuple(math.cosh(s) * g0[i] + math.sinh(s) * u0[i] for i in range(3))
     co, so = math.cosh(hc.offset), math.sinh(hc.offset)
     return HPoint(tuple(co * gs[i] + so * n[i] for i in range(3)))
+
+
+def hypercycle_samples(hc: Hypercycle, n: int) -> list[HPoint]:
+    """n points at evenly spaced axis positions from -SAMPLE_RANGE to SAMPLE_RANGE."""
+    if n < 2:
+        raise DomainError("need at least two sample points")
+    step = 2.0 * SAMPLE_RANGE / (n - 1)
+    return [hypercycle_point(hc, -SAMPLE_RANGE + i * step) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -238,9 +250,10 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     """Constant-area hypercycle pair through the apex p over the base.
 
     The axis passes through the midpoints of PA and P'B, where P' is
-    the mirror of P across the base's perpendicular bisector; the
-    mirror hypercycle is checked to contain A and B, and the carrier is
-    probed for area constancy and for the midpoint-line property.
+    the mirror of P across the base's perpendicular bisector.  Only O(1)
+    conditions are checked (P off the base line, distinct midpoints, A
+    and B on the mirror, P on the carrier); area constancy is the theorem
+    itself, and ``locus_residuals`` alone samples and measures it.
     """
     if k.geodesic_residual(base.base_line(), p) <= 1e-9:
         raise DegenerateInputError("apex lies on the base line")
@@ -271,17 +284,9 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     band = TOL_ID * (1.0 + p.v[0])
     if hypercycle_residual(carrier, p) > band:
         raise GeometryError("apex misses its own carrier hypercycle")
-    locus = AreaLocus(
+    return AreaLocus(
         base=base, carrier=carrier, mirror=mirror, area=_deficit(p, base.a, base.b)
     )
-    probe = locus_residuals(locus, samples=20, chords=0)
-    if probe.area_spread > TOL_AREA:
-        raise GeometryError(f"sampled areas spread {probe.area_spread:.3e} on the locus")
-    # The midline residual is an inner product against the axis normal,
-    # whose components grow with the leaf's depth; scale its noise floor.
-    if probe.midline_residual > TOL_ID * (1.0 + abs(axis.normal[0])):
-        raise GeometryError("sampled midpoints leave the locus axis")
-    return locus
 
 
 @dataclass(frozen=True)
@@ -294,21 +299,12 @@ class LocusResiduals:
     subarc_residual: float
 
 
-def _carrier_samples(locus: AreaLocus, samples: int) -> list[HPoint]:
-    if samples < 2:
-        raise DomainError("need at least two sample points")
-    step = 2.0 * SAMPLE_RANGE / (samples - 1)
-    return [
-        hypercycle_point(locus.carrier, -SAMPLE_RANGE + i * step) for i in range(samples)
-    ]
-
-
 def locus_residuals(
     locus: AreaLocus, samples: int = 20, chords: int = 100, seed: int = 0
 ) -> LocusResiduals:
     """Probe the locus: area spread, mirror membership, midpoint line,
     and (for ``chords`` > 0) the equal-subarc property."""
-    pts = _carrier_samples(locus, samples)
+    pts = hypercycle_samples(locus.carrier, samples)
     areas = [_deficit(z, locus.base.a, locus.base.b) for z in pts]
     midline = 0.0
     for z in pts:
@@ -401,7 +397,7 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
         if not leaves[i].carrier.offset > leaves[i - 1].carrier.offset:
             raise GeometryError("leaf offsets fail to grow with area")
     for i, leaf in enumerate(leaves):
-        for z in _carrier_samples(leaf, 50):
+        for z in hypercycle_samples(leaf.carrier, 50):
             for j, other in enumerate(leaves):
                 if i != j and hypercycle_residual(other.carrier, z) <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")

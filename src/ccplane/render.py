@@ -10,21 +10,29 @@ shared with the validation rule applies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import kernel as k
 from .cevians import CevianFrame, ConstructionResult
 from .errors import DomainError, GeometryError
 from .kernel import Geodesic, Geometry, HPoint
-from .lexell import AreaLocus, BaseConfig, Hypercycle, hypercycle_point
+from .lexell import (
+    SAMPLE_RANGE,
+    AreaLocus,
+    BaseConfig,
+    Hypercycle,
+    hypercycle_point,
+    hypercycle_samples,
+)
 
 # Interior coordinates may poke out of the unit circle by rounding only.
 _DISK_SLACK = 1e-9
 # Orthogonality of arc circles against the boundary: |c|^2 = r^2 + 1.
 _ORTHO_TOL = 1e-6
-_CHORD_EPS = 1e-9
+# Rounding of |c|^2 - r^2 - 1 stays below this times (1 + r^2).
+_ORTHO_NOISE = 8.0 * sys.float_info.epsilon
 HYPERCYCLE_SEGMENTS = 64
-HYPERCYCLE_SPAN = 3.0
 
 XY = tuple[float, float]
 
@@ -118,47 +126,33 @@ def ideal_endpoints(g: Geodesic) -> tuple[XY, XY]:
     return ((fx + hx, fy + hy), (fx - hx, fy - hy))
 
 
-def _arc_center(u: XY, v: XY) -> tuple[XY, float]:
-    dot = u[0] * v[0] + u[1] * v[1]
-    denom = 1.0 + dot
-    c = ((u[0] + v[0]) / denom, (u[1] + v[1]) / denom)
-    r = math.sqrt((1.0 - dot) / denom)
-    return c, r
+def _arc_or_chord(g: Geodesic, start: XY, end: XY, style: str) -> SceneArc | SceneChord:
+    # The geodesic's circle has center (n1, n2)/n0 and radius 1/|n0|,
+    # so |c|^2 - r^2 = <n, n>/n0^2 = 1 up to rounding.  It strays from
+    # a straight line by at most |n0|/2 inside the disk; below the
+    # drawing resolution the straight chord is drawn instead.
+    n0, n1, n2 = g.normal
+    if abs(n0) <= _DRAW_RESOLUTION:
+        return SceneChord(start[0], start[1], end[0], end[1], style=style)
+    return SceneArc(
+        start[0], start[1], end[0], end[1], n1 / n0, n2 / n0, 1.0 / abs(n0), style=style
+    )
 
 
 def arc_for_geodesic(g: Geodesic, style: str = "side") -> SceneArc | SceneChord:
     """Full geodesic as a boundary-to-boundary arc or diameter."""
     u, v = ideal_endpoints(g)
-    if abs(g.normal[0]) <= _CHORD_EPS:
-        return SceneChord(u[0], u[1], v[0], v[1], style=style)
-    c, r = _arc_center(u, v)
-    return SceneArc(u[0], u[1], v[0], v[1], c[0], c[1], r, style=style)
+    return _arc_or_chord(g, u, v, style)
 
 
 def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | SceneChord:
     """Geodesic segment between two points as an arc or chord."""
-    g = k.geodesic_through(p, q)
-    dp, dq = disk_xy(p), disk_xy(q)
-    if abs(g.normal[0]) <= _CHORD_EPS:
-        return SceneChord(dp[0], dp[1], dq[0], dq[1], style=style)
-    u, v = ideal_endpoints(g)
-    c, r = _arc_center(u, v)
-    return SceneArc(dp[0], dp[1], dq[0], dq[1], c[0], c[1], r, style=style)
+    return _arc_or_chord(k.geodesic_through(p, q), disk_xy(p), disk_xy(q), style)
 
 
-def polyline_for_hypercycle(
-    hc: Hypercycle,
-    span: float = HYPERCYCLE_SPAN,
-    segments: int = HYPERCYCLE_SEGMENTS,
-    style: str = "carrier",
-) -> ScenePolyline:
+def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
     """Hypercycle sampled at evenly spaced axis arclengths."""
-    if segments < 2:
-        raise DomainError("need at least two segments")
-    step = 2.0 * span / segments
-    pts = tuple(
-        disk_xy(hypercycle_point(hc, -span + i * step)) for i in range(segments + 1)
-    )
+    pts = tuple(disk_xy(z) for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1))
     return ScenePolyline(pts, style=style)
 
 
@@ -218,7 +212,7 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     base_line = arc_for_geodesic(locus.base.base_line(), style="base")
     axis = arc_for_geodesic(locus.carrier.axis, style="axis")
     elements = (base_line, axis)
-    label_s = 0.85 * HYPERCYCLE_SPAN
+    label_s = 0.85 * SAMPLE_RANGE
     return RenderScene(
         points=(
             _point(locus.base.a, "A"),
@@ -277,8 +271,10 @@ def validate_scene(scene: RenderScene) -> None:
     for arc in scene.arcs:
         _check_inside(arc.x1, arc.y1, "arc endpoint")
         _check_inside(arc.x2, arc.y2, "arc endpoint")
+        # cx, cy and r are quotients of a normal that is unit only up to
+        # rounding; for near-diameters that noise outgrows _ORTHO_TOL.
         ortho = abs(arc.cx * arc.cx + arc.cy * arc.cy - (arc.r * arc.r + 1.0))
-        if ortho > _ORTHO_TOL:
+        if ortho > _ORTHO_TOL + _ORTHO_NOISE * (1.0 + arc.r * arc.r):
             raise GeometryError(f"arc circle not orthogonal to the boundary: {ortho}")
         for ex, ey in ((arc.x1, arc.y1), (arc.x2, arc.y2)):
             gap = abs(math.hypot(ex - arc.cx, ey - arc.cy) - arc.r)
@@ -297,6 +293,9 @@ def validate_scene(scene: RenderScene) -> None:
 _SVG_SIZE = 1000.0
 _SVG_CENTER = 500.0
 _SVG_RADIUS = 480.0
+# Smallest disk length the SVG output resolves: coordinates are written
+# with four decimals in a viewBox where the disk radius is _SVG_RADIUS.
+_DRAW_RESOLUTION = 1e-4 / _SVG_RADIUS
 
 _CSS = """\
 .boundary { fill: none; stroke: #333; stroke-width: 2; }

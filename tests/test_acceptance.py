@@ -7,11 +7,14 @@ lines as they happen).
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ccplane
 from ccplane import kernel as k
 from ccplane.cevians import (
     RatioSumInput,
@@ -312,8 +315,12 @@ def test_criterion_11_ideal_two_vertex():
 
 def test_criterion_12_cli_determinism():
     def run(*args):
+        # The child runs the source tree this test imported, installed or not.
+        src = str(Path(ccplane.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
-            [sys.executable, "-m", "ccplane", *args], capture_output=True, text=True
+            [sys.executable, "-m", "ccplane", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     first = run("verify", "euler-ratio", "--trials", "200", "--seed", "42")

@@ -2,22 +2,31 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import ccplane
+from ccplane import cli
 from ccplane import kernel as k
 from ccplane.cevians import cevian_frame, equilateral_triangle
 from ccplane.cli import main
+from ccplane.constants import TOL_AREA
 from ccplane.kernel import Geometry
-from ccplane.lexell import apex_area_formula
+from ccplane.lexell import LocusResiduals, apex_area_formula
 
 
 def run_cli(*args):
+    # The child runs the source tree this test imported, installed or not.
+    src = str(Path(ccplane.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "ccplane", *args], capture_output=True, text=True
+        [sys.executable, "-m", "ccplane", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -137,6 +146,18 @@ class TestLexellCommand:
         right = json.loads(run_cli("lexell", "0.8", "--apex=0.1,0.4").stdout)
         assert left["offset"] == pytest.approx(right["offset"], abs=1e-11)
         assert left["area"] == pytest.approx(right["area"], abs=1e-11)
+
+    def test_area_spread_over_the_gate_exits_one(self, monkeypatch, capsys):
+        calls = []
+
+        def spread(locus, **kwargs):
+            calls.append(kwargs)
+            return LocusResiduals(2.0 * TOL_AREA, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "locus_residuals", spread)
+        assert main(["lexell", "0.8", "--apex-y", "1.0"]) == 1
+        assert json.loads(capsys.readouterr().out)["area_spread"] == 2.0 * TOL_AREA
+        assert calls == [{"samples": 20, "chords": 0}]
 
     def test_degenerate_apex_exits_one(self):
         out = run_cli("lexell", "0.8", "--apex", "0.3,0.0")

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccplane import kernel as k
 from ccplane.cevians import Triangle
+from ccplane.corevec import mcross
 from ccplane.errors import (
     DegenerateInputError,
     DomainError,
@@ -17,7 +19,9 @@ from ccplane.kernel import (
     Geodesic,
     Geometry,
     angle_at,
+    foot_of_perpendicular,
     geodesic_residual,
+    geodesic_through,
     point_along,
     reflect_across,
     tangent_direction,
@@ -35,6 +39,7 @@ from ccplane.lexell import (
     foliation,
     hypercycle_point,
     hypercycle_residual,
+    hypercycle_samples,
     ideal_limit_area,
     lexell_locus,
     locus_residuals,
@@ -258,6 +263,38 @@ class TestHypercycle:
     def test_spherical_axis_rejected(self):
         with pytest.raises(DomainError):
             Hypercycle(Geodesic((0.0, 0.0, 1.0), Geometry.SPHERICAL), 0.5)
+
+    def test_cached_axis_frame_is_bit_identical(self, monkeypatch):
+        # The foot of the origin on the axis is found once per hypercycle;
+        # every later point must equal, bit for bit, the formula that
+        # finds it again on each call.
+        def no_second_foot(*args):
+            raise AssertionError("axis foot recomputed")
+
+        far = point_along(ORIGIN, tangent_direction(ORIGIN, 0.4), 1.7)
+        axes = (
+            Geodesic((0.0, 0.0, 1.0)),
+            geodesic_through(far, point_along(far, tangent_direction(far, 2.0), 1.1)),
+        )
+        for axis in axes:
+            g0 = foot_of_perpendicular(ORIGIN, axis).v
+            u0 = mcross(g0, axis.normal)
+            for offset in (-1.3, 0.0, 0.45, 2.0):
+                hc = Hypercycle(axis, offset)
+                hypercycle_point(hc, 0.0)
+                co, so = math.cosh(offset), math.sinh(offset)
+                with monkeypatch.context() as m:
+                    m.setattr(k, "foot_of_perpendicular", no_second_foot)
+                    for s in (-3.0, -0.7, 0.0, 1.1, 3.0):
+                        ch, sh = math.cosh(s), math.sinh(s)
+                        gs = [ch * g0[i] + sh * u0[i] for i in range(3)]
+                        want = tuple(co * gs[i] + so * axis.normal[i] for i in range(3))
+                        assert hypercycle_point(hc, s).v == want
+
+    def test_too_few_samples_rejected(self):
+        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.6)
+        with pytest.raises(DomainError):
+            hypercycle_samples(hc, 1)
 
 
 class TestBaseConfig:
