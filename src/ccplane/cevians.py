@@ -75,7 +75,12 @@ class Triangle:
         for v in (self.a, self.b, self.c):
             if not isinstance(v, model.point_type):
                 raise DomainError(f"vertex type does not match {self.geometry.value}: {v!r}")
-        for s in self.side_lengths():
+        dist = model.dist
+        # Measured once: the sampler's side floor and the between-checks of
+        # cevian_frame and ceva_product read these same values.
+        sides = (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
+        object.__setattr__(self, "_sides", sides)
+        for s in sides:
             if s <= 1e-10:
                 raise DegenerateInputError("coincident vertices")
             if s > model.side_limit:
@@ -85,8 +90,7 @@ class Triangle:
 
     def side_lengths(self) -> tuple[float, float, float]:
         """(|BC|, |CA|, |AB|), each opposite the same-named vertex."""
-        dist = self.geometry.model.dist
-        return (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
+        return self._sides
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,9 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     d = model.line_meet(tri.a, o, tri.b, tri.c)
     e = model.line_meet(tri.b, o, tri.c, tri.a)
     f = model.line_meet(tri.c, o, tri.a, tri.b)
-    for foot, (s1, s2) in ((d, (tri.b, tri.c)), (e, (tri.c, tri.a)), (f, (tri.a, tri.b))):
-        if model.between_residual(s1, foot, s2) > _SIDE_EPS:
+    legs = ((d, tri.b, tri.c), (e, tri.c, tri.a), (f, tri.a, tri.b))
+    for (foot, s1, s2), side in zip(legs, tri.side_lengths()):
+        if model.dist(s1, foot) + model.dist(foot, s2) - side > _SIDE_EPS:
             raise GeometryError("computed foot left its side segment")
     ao = model.dist(tri.a, o)
     bo = model.dist(tri.b, o)
@@ -425,12 +430,19 @@ def ceva_product(tri: Triangle, d, e, f, require_concurrent: bool = True) -> flo
     must meet in one point, verified by pairwise intersection agreement.
     """
     model = tri.geometry.model
-    for foot, (s1, s2) in ((d, (tri.b, tri.c)), (e, (tri.c, tri.a)), (f, (tri.a, tri.b))):
+    dist = model.dist
+    # |s1 foot| and |foot s2| of each foot serve the between-check and the
+    # product alike (dist is symmetric to the last bit).
+    legs = []
+    for (foot, s1, s2), side in zip(
+        ((d, tri.b, tri.c), (e, tri.c, tri.a), (f, tri.a, tri.b)), tri.side_lengths()
+    ):
         if model.on_side_residual(foot, s1, s2) > _SIDE_EPS:
             raise DomainError("a foot does not lie on its side line")
-        if model.between_residual(s1, foot, s2) > _SIDE_EPS:
+        near, far = dist(s1, foot), dist(foot, s2)
+        if near + far - side > _SIDE_EPS:
             raise DomainError("a foot lies outside its side segment")
-    dist = model.dist
+        legs.append((near, far))
     if require_concurrent:
         meets = (
             model.line_meet(tri.a, d, tri.b, e),
@@ -445,14 +457,8 @@ def ceva_product(tri: Triangle, d, e, f, require_concurrent: bool = True) -> flo
         if spread > TOL_ID:
             raise DomainError(f"cevians are not concurrent (spread {spread:.3e})")
     sh = model.s_K
-    return (
-        sh(dist(d, tri.b))
-        / sh(dist(d, tri.c))
-        * sh(dist(e, tri.c))
-        / sh(dist(e, tri.a))
-        * sh(dist(f, tri.a))
-        / sh(dist(f, tri.b))
-    )
+    (db, dc), (ec, ea), (fa, fb) = legs
+    return sh(db) / sh(dc) * sh(ec) / sh(ea) * sh(fa) / sh(fb)
 
 
 def equilateral_triangle(side: float, geometry: Geometry) -> Triangle:

@@ -301,7 +301,11 @@ def tangent_basis(base: HPoint) -> tuple[Vec3, Vec3]:
 
 def tangent_direction(base: HPoint, theta: float) -> Vec3:
     """Unit tangent at base making angle theta with the first basis leg."""
-    e1, e2 = tangent_basis(base)
+    return _turn(tangent_basis(base), theta)
+
+
+def _turn(basis: tuple[Vec3, Vec3], theta: float) -> Vec3:
+    e1, e2 = basis
     c = math.cos(theta)
     s = math.sin(theta)
     return (
@@ -309,6 +313,9 @@ def tangent_direction(base: HPoint, theta: float) -> Vec3:
         c * e1[1] + s * e2[1],
         c * e1[2] + s * e2[2],
     )
+
+
+_ORIGIN_BASIS = tangent_basis(ORIGIN)
 
 
 def radial_project(base: HPoint, p: HPoint) -> TangentPoint:
@@ -418,17 +425,51 @@ class PlaneModel:
     - ``side_values(s1, s2, o, w)``: signed positions of o and w
       against the oriented line s1 s2.
     - ``on_side_residual(p, s1, s2)``: zero exactly when p is on s1 s2.
+    - ``corner_cosines(polar)``: the law of cosines on three vertices
+      given as ``polar`` arguments, with no point built.
     - ``s_K``/``t_K``: sinh/sin/identity and tanh/tan/identity, with
-      ``t_K_inv`` the inverse of ``t_K``.
+      ``t_K_inv`` the inverse of ``t_K``; ``kappa`` is the curvature.
     - ``side_limit``: the longest side a triangle may have.
     """
 
     def coords(self, p) -> Vec3:
         return p.v
 
-    def between_residual(self, s1, m, s2) -> float:
-        """|s1 m| + |m s2| - |s1 s2|: zero exactly when m lies on [s1, s2]."""
-        return self.dist(s1, m) + self.dist(m, s2) - self.dist(s1, s2)
+    def corner_cosines(
+        self, polar: list[tuple[float, float]]
+    ) -> tuple[float, float, float] | None:
+        """Cosines of the corners at the three (theta, r) vertices, in order.
+
+        The law of cosines of M^2_kappa, written in X(d) = (1 - C(d))/kappa:
+        cosh d - 1, 1 - cos d and d^2/2 in the three planes.  Between
+        vertices i and j (dr = r_i - r_j, dt = theta_i - theta_j),
+
+            X = 2 s_K(dr/2)^2 + 2 s_K(r_i) s_K(r_j) sin(dt/2)^2,
+
+        a sum of nonnegative terms, so no side is lost to cancellation.
+        With s_K(d)^2 = X (2 - kappa X), the corner facing side a has
+        cosine (X_b + X_c - kappa X_b X_c - X_a) / (s_K(b) s_K(c)).
+        Returns None when a side vanishes.
+        """
+        (t1, r1), (t2, r2), (t3, r3) = polar
+        s_K, kappa = self.s_K, self.kappa
+        k1, k2, k3 = s_K(r1), s_K(r2), s_K(r3)
+        h, w = s_K(0.5 * (r2 - r3)), math.sin(0.5 * (t2 - t3))
+        xa = 2.0 * (h * h + k2 * k3 * (w * w))
+        h, w = s_K(0.5 * (r3 - r1)), math.sin(0.5 * (t3 - t1))
+        xb = 2.0 * (h * h + k3 * k1 * (w * w))
+        h, w = s_K(0.5 * (r1 - r2)), math.sin(0.5 * (t1 - t2))
+        xc = 2.0 * (h * h + k1 * k2 * (w * w))
+        pa, pb, pc = xa * (2.0 - kappa * xa), xb * (2.0 - kappa * xb), xc * (2.0 - kappa * xc)
+        if not (pa > 0.0 and pb > 0.0 and pc > 0.0):
+            return None
+        sa, sb, sc = math.sqrt(pa), math.sqrt(pb), math.sqrt(pc)
+        # Dividing twice: a product of two tiny sides could round to zero.
+        return (
+            (xb + xc - kappa * xb * xc - xa) / sb / sc,
+            (xc + xa - kappa * xc * xa - xb) / sc / sa,
+            (xa + xb - kappa * xa * xb - xc) / sa / sb,
+        )
 
 
 # The methods below call the kernel functions by their module names at
@@ -437,6 +478,7 @@ class PlaneModel:
 
 class HyperboloidModel(PlaneModel):
     point_type = HPoint
+    kappa = -1.0
     side_limit = MAX_HYPERBOLIC_SIDE
     s_K = staticmethod(math.sinh)
     t_K = staticmethod(math.tanh)
@@ -452,7 +494,7 @@ class HyperboloidModel(PlaneModel):
         return midpoint(p, q)
 
     def polar(self, theta: float, r: float) -> HPoint:
-        return point_along(ORIGIN, tangent_direction(ORIGIN, theta), r)
+        return point_along(ORIGIN, _turn(_ORIGIN_BASIS, theta), r)
 
     def project(self, v: Vec3) -> HPoint:
         return normalize_to_hyperboloid(v)
@@ -473,6 +515,7 @@ class HyperboloidModel(PlaneModel):
 
 class SphereModel(PlaneModel):
     point_type = SpherePoint
+    kappa = 1.0
     side_limit = MAX_SPHERICAL_SIDE
     s_K = staticmethod(math.sin)
     t_K = staticmethod(math.tan)
@@ -500,7 +543,11 @@ class SphereModel(PlaneModel):
         self, p1: SpherePoint, p2: SpherePoint, s1: SpherePoint, s2: SpherePoint
     ) -> SpherePoint:
         a, b = sphere_intersections(sphere_geodesic(p1, p2), sphere_geodesic(s1, s2))
-        if self.between_residual(s1, a, s2) <= self.between_residual(s1, b, s2):
+        # Of the antipodal pair, a is the one nearer the arc [s1, s2] when
+        # |s1 a| + |a s2| <= pi, which holds exactly when a . (s1 + s2) >= 0,
+        # since cos x + cos y = 2 cos((x + y)/2) cos((x - y)/2).  Ties go to a.
+        u, v, x = s1.v, s2.v, a.v
+        if x[0] * (u[0] + v[0]) + x[1] * (u[1] + v[1]) + x[2] * (u[2] + v[2]) >= 0.0:
             return a
         return b
 
@@ -523,6 +570,7 @@ def _identity(x: float) -> float:
 
 class EuclideanModel(PlaneModel):
     point_type = tuple
+    kappa = 0.0
     side_limit = math.inf
     s_K = t_K = t_K_inv = staticmethod(_identity)
 

@@ -18,6 +18,15 @@ from .kernel import Geometry
 _MIN_SIDE = 0.05
 _MIN_ANGLE = 0.15
 
+# First-order rounding bound on |corner_cosines - cos(angle)| for draws
+# from the disks below with every side at least _MIN_SIDE: 2.6e-11 on the
+# hyperboloid (angle_at works on coordinates up to cosh 3 in size),
+# 4.3e-13 on the sphere and 8.9e-13 in the plane.  The derivation is in
+# CHANGES.md; the margin is the largest bound, rounded up.
+_PRETEST_MARGIN = 3e-11
+_THIN_COS = math.cos(_MIN_ANGLE) + _PRETEST_MARGIN
+_FAT_COS = math.cos(_MIN_ANGLE) - _PRETEST_MARGIN
+
 # Triangles drawn before the sampler gives up.  About one in four is
 # kept on the hyperbolic plane, so a working stream never comes close.
 MAX_TRIANGLE_ATTEMPTS = 1000
@@ -41,10 +50,9 @@ def substream(label: str, seed: int, index: int = 0) -> random.Random:
     return random.Random(f"{label}:{seed}:{index}")
 
 
-def _disk_point(geometry: Geometry, rng: random.Random):
-    r = _DISK_RADIUS[geometry](rng.random())
-    theta = rng.random() * 2.0 * math.pi
-    return geometry.model.polar(theta, r)
+def _polar_draw(radius, rng: random.Random) -> tuple[float, float]:
+    r = radius(rng.random())
+    return rng.random() * 2.0 * math.pi, r
 
 
 def _angles_ok(tri: Triangle) -> bool:
@@ -60,19 +68,39 @@ def _angles_ok(tri: Triangle) -> bool:
 def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
     """Random nondegenerate triangle, rejection-sampled for fat corners.
 
+    Each draw takes its three vertices in polar coordinates around the
+    base point and first runs the model's law of cosines on them
+    (``corner_cosines``), with no point built.  A corner thinner than
+    _MIN_ANGLE by more than _PRETEST_MARGIN (in cosine) rejects the draw
+    at once; when every corner is fatter by that margin, the exact angle
+    test is skipped.  Inside the margin, or when the pre-test is
+    undefined (coincident vertices), the exact ``angle`` test decides.
+    The margin bounds the gap between the two cosines, so every draw is
+    kept or rejected exactly as the exact test alone would decide.  Kept
+    draws are still built as a validated Triangle and pass the side floor.
+
     Raises InfeasibleGeometryError after MAX_TRIANGLE_ATTEMPTS rejected
     draws; errors other than GeometryError propagate at once.
     """
+    model = geometry.model
+    radius = _DISK_RADIUS[geometry]
     for _ in range(MAX_TRIANGLE_ATTEMPTS):
-        verts = (_disk_point(geometry, rng), _disk_point(geometry, rng),
-                 _disk_point(geometry, rng))
+        polar = [_polar_draw(radius, rng), _polar_draw(radius, rng),
+                 _polar_draw(radius, rng)]
+        cosines = model.corner_cosines(polar)
+        exact = True
+        if cosines is not None:
+            thinnest = max(cosines)
+            if thinnest > _THIN_COS:
+                continue
+            exact = thinnest >= _FAT_COS
         try:
-            tri = Triangle(geometry, *verts)
+            tri = Triangle(geometry, *(model.polar(t, r) for t, r in polar))
         except GeometryError:
             continue
         if min(tri.side_lengths()) < _MIN_SIDE:
             continue
-        if not _angles_ok(tri):
+        if exact and not _angles_ok(tri):
             continue
         return tri
     raise InfeasibleGeometryError(

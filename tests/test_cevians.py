@@ -33,6 +33,7 @@ from ccplane.errors import (
 from ccplane.kernel import (
     ORIGIN,
     Geometry,
+    SpherePoint,
     angle_at,
     foot_of_perpendicular,
     geodesic_residual,
@@ -40,6 +41,9 @@ from ccplane.kernel import (
     hdist,
     point_along,
     reflect_across,
+    sphere_dist,
+    sphere_geodesic,
+    sphere_intersections,
     tangent_direction,
 )
 from ccplane.sampling import (
@@ -339,6 +343,32 @@ class TestCevaProduct:
         with pytest.raises(DomainError):
             ceva_product(fr.tri, fr.o, fr.e, fr.f)
 
+    def test_sphere_meet_picks_the_antipode_on_the_segment(self):
+        # Against the rule the sign test replaced: of the antipodal pair,
+        # the point with the smaller |s1 x| + |x s2| - |s1 s2|.
+        def reference(p1, p2, s1, s2):
+            a, b = sphere_intersections(sphere_geodesic(p1, p2), sphere_geodesic(s1, s2))
+
+            def between(x):
+                return sphere_dist(s1, x) + sphere_dist(x, s2) - sphere_dist(s1, s2)
+
+            return a if between(a) <= between(b) else b
+
+        def random_point(rng):
+            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            n = math.sqrt(sum(x * x for x in v))
+            return SpherePoint(tuple(x / n for x in v))
+
+        meet = SPH.model.line_meet
+        rng = random.Random("antipode")
+        cases = [[random_point(rng) for _ in range(4)] for _ in range(2000)]
+        for i in range(200):
+            fr = sample_frame(SPH, substream("antipode", 1, i))
+            t = fr.tri
+            cases += [(t.a, fr.d, t.b, fr.e), (t.b, fr.e, t.c, fr.f), (t.c, fr.f, t.a, fr.d)]
+        for p1, p2, s1, s2 in cases:
+            assert meet(p1, p2, s1, s2) == reference(p1, p2, s1, s2)
+
 
 class TestStretchRatio:
     def test_geometry_specific_forms(self):
@@ -422,20 +452,104 @@ class TestSampling:
 
     @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
     def test_sampled_triangles_respect_floors(self, geometry):
+        angle = geometry.model.angle
         for i in range(25):
             tri = sample_triangle(geometry, substream("floors", 6, i))
             assert min(tri.side_lengths()) >= 0.05
+            for v, p, q in ((tri.a, tri.b, tri.c), (tri.b, tri.c, tri.a), (tri.c, tri.a, tri.b)):
+                assert angle(v, p, q) >= sampling._MIN_ANGLE
 
     @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
     def test_degenerate_stream_gives_up(self, geometry):
         # Every draw is the same point, so every triangle is degenerate.
         class Stuck(random.Random):
+            draws = 0
+
             def random(self):
+                self.draws += 1
                 return 0.5
 
+        rng = Stuck(0)
         reason = f"{geometry.value}.*{MAX_TRIANGLE_ATTEMPTS}"
         with pytest.raises(GeometryError, match=reason):
-            sample_triangle(geometry, Stuck(0))
+            sample_triangle(geometry, rng)
+        assert rng.draws == 6 * MAX_TRIANGLE_ATTEMPTS
+
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_pretest_keeps_the_reference_stream(self, geometry):
+        for i in range(600):
+            rng, ref_rng = substream("pretest", 4, i), substream("pretest", 4, i)
+            tri = sample_triangle(geometry, rng)
+            ref = reference_sample_triangle(geometry, ref_rng)
+            assert repr((tri.a, tri.b, tri.c)) == repr((ref.a, ref.b, ref.c))
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_pretest_cosines_within_margin(self, geometry):
+        # Plain draws alternate with draws packed at the rim of the disk,
+        # where vertices are farthest out and sides short: there the
+        # exact angle rounds the most.
+        model = geometry.model
+        radius = sampling._DISK_RADIUS[geometry]
+        spread = 0.3 / model.s_K(radius(1.0))
+        rng = random.Random(f"gap:{geometry.value}")
+        worst, measured = 0.0, 0
+        for i in range(6000):
+            if i % 2:
+                polar = [sampling._polar_draw(radius, rng) for _ in range(3)]
+            else:
+                t0 = 2.0 * math.pi * rng.random()
+                polar = [((t0 + spread * rng.random()) % (2.0 * math.pi),
+                          radius(1.0 - 0.1 * rng.random())) for _ in range(3)]
+            try:
+                tri = Triangle(geometry, *(model.polar(t, r) for t, r in polar))
+            except GeometryError:
+                continue
+            if min(tri.side_lengths()) < sampling._MIN_SIDE:
+                continue
+            measured += 1
+            exact = (model.angle(tri.a, tri.b, tri.c), model.angle(tri.b, tri.c, tri.a),
+                     model.angle(tri.c, tri.a, tri.b))
+            for c, angle in zip(model.corner_cosines(polar), exact):
+                worst = max(worst, abs(c - math.cos(angle)))
+        assert measured > 3000
+        assert worst < sampling._PRETEST_MARGIN
+
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    def test_corner_inside_margin_is_decided_exactly(self, monkeypatch, offset):
+        # The first draw's corner at A opens _MIN_ANGLE + offset, too close
+        # for the pre-test to call; a fat draw follows for when the exact
+        # test rejects the first.
+        a, b = (0.5, 0.2), (-1.2, -0.4)
+        heading = math.atan2(b[1] - a[1], b[0] - a[0]) + sampling._MIN_ANGLE + offset
+        c = (a[0] + 1.8 * math.cos(heading), a[1] + 1.8 * math.sin(heading))
+        script = []
+        for x, y in (a, b, c):
+            script += [(math.hypot(x, y) / 3.0) ** 2,
+                       (math.atan2(y, x) % (2.0 * math.pi)) / (2.0 * math.pi)]
+        script += [4.0 / 9.0, 0.1, 4.0 / 9.0, 0.4, 4.0 / 9.0, 0.7]
+
+        class Scripted(random.Random):
+            def __init__(self):
+                super().__init__(0)
+                self.values = iter(script)
+
+            def random(self):
+                return next(self.values)
+
+        drawn = [(2.0 * math.pi * script[i + 1], 3.0 * math.sqrt(script[i]))
+                 for i in range(0, 6, 2)]
+        assert abs(EUC.model.corner_cosines(drawn)[0] - math.cos(sampling._MIN_ANGLE)) \
+            < sampling._PRETEST_MARGIN
+        exact_tests = []
+        angles_ok = sampling._angles_ok
+        monkeypatch.setattr(sampling, "_angles_ok",
+                            lambda tri: exact_tests.append(tri) or angles_ok(tri))
+        tri = sample_triangle(EUC, Scripted())
+        ref = reference_sample_triangle(EUC, Scripted())
+        assert repr((tri.a, tri.b, tri.c)) == repr((ref.a, ref.b, ref.c))
+        assert len(exact_tests) == 1
+        assert (tri.a == EUC.model.polar(*drawn[0])) is (offset > 0)
 
     @pytest.mark.parametrize("where", ["picker", "triangle"])
     def test_non_geometry_errors_propagate(self, monkeypatch, where):
@@ -448,6 +562,30 @@ class TestSampling:
             monkeypatch.setattr(sampling, "Triangle", broken)
         with pytest.raises(ZeroDivisionError, match=where):
             sample_triangle(HYP, substream("bug", 1, 0))
+
+
+def _reference_disk_point(geometry: Geometry, rng: random.Random):
+    r = sampling._DISK_RADIUS[geometry](rng.random())
+    theta = rng.random() * 2.0 * math.pi
+    return geometry.model.polar(theta, r)
+
+
+def reference_sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
+    """The rejection loop with no pre-test: every draw is built, then
+    checked against the side floor and the exact angle floor."""
+    angle = geometry.model.angle
+    for _ in range(MAX_TRIANGLE_ATTEMPTS):
+        verts = [_reference_disk_point(geometry, rng) for _ in range(3)]
+        try:
+            tri = Triangle(geometry, *verts)
+        except GeometryError:
+            continue
+        if min(tri.side_lengths()) < sampling._MIN_SIDE:
+            continue
+        corners = ((tri.a, tri.b, tri.c), (tri.b, tri.c, tri.a), (tri.c, tri.a, tri.b))
+        if all(angle(v, p, q) >= sampling._MIN_ANGLE for v, p, q in corners):
+            return tri
+    raise InfeasibleGeometryError("the reference sampler gave up")
 
 
 def _frame_in(geometry: Geometry, plane_frame: CevianFrame, eps: float) -> CevianFrame:

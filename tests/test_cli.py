@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -38,6 +40,29 @@ def median_lengths():
     )
     fr = cevian_frame(tri, o)
     return [fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of]
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("ccplane ")]
+
+
+class TestReadmeExamples:
+    def test_section_lists_every_command(self):
+        commands = {line.split()[1] for line in readme_cli_lines()}
+        assert commands == {"verify", "construct", "lexell", "render"}
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_example_exits_as_documented(self, line, tmp_path):
+        # A trailing "# ... exit N" comment documents a nonzero exit code.
+        documented = re.search(r"#.*exit (\d)", line)
+        argv = shlex.split(line, comments=True)[1:]
+        argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+        out = run_cli(*argv)
+        assert out.returncode == (int(documented.group(1)) if documented else 0), out.stderr
+        for svg in (a for a in argv if a.endswith(".svg")):
+            assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 class TestVerifyCommand:
