@@ -29,13 +29,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernel as k
-from .constants import (
-    MAX_HYPERBOLIC_SIDE,
-    MAX_SPHERICAL_SIDE,
-    TOL_CLAMP,
-    TOL_CONSTRUCT,
-    TOL_ID,
-)
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_CONSTRUCT, TOL_ID
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -54,11 +48,10 @@ def stretch_ratio(geometry: Geometry, numerator: float, denominator: float) -> f
     """The length ratio th(num)/th(den) used by the ratio-sum relation."""
     if not (numerator > 0.0 and denominator > 0.0):
         raise DomainError("ratio lengths must be positive")
-    if geometry is Geometry.SPHERICAL:
-        if max(numerator, denominator) >= MAX_SPHERICAL_SIDE:
-            raise DomainError("spherical ratio lengths must stay below pi/2")
-    th = geometry.model.t_K
-    return th(numerator) / th(denominator)
+    model = geometry.model
+    if max(numerator, denominator) > model.side_limit:
+        raise DomainError(f"ratio lengths above the working range {model.side_limit}")
+    return model.t_K(numerator) / model.t_K(denominator)
 
 
 @dataclass(frozen=True)
@@ -321,7 +314,8 @@ def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
     )
     if abs(angle_bof + angle_aof + angle_bod - math.pi) > TOL_ID:
         raise InfeasibleGeometryError("recovered angles do not close up to pi")
-    center = k.ORIGIN
+    model = Geometry.HYPERBOLIC.model
+    center = model.base
     rays = {
         "a": (0.0, inp.ao),
         "f": (angle_aof, inp.of),
@@ -330,14 +324,11 @@ def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
         "c": (angle_aof + math.pi, inp.co),
         "e": (angle_aof + angle_bof + math.pi, inp.oe),
     }
-    laid = {
-        name: k.point_along(center, k.tangent_direction(center, theta), length)
-        for name, (theta, length) in rays.items()
-    }
+    laid = {name: model.polar(theta, length) for name, (theta, length) in rays.items()}
     containment_residual = max(
-        k.geodesic_residual(k.geodesic_through(laid["b"], laid["c"]), laid["d"]),
-        k.geodesic_residual(k.geodesic_through(laid["c"], laid["a"]), laid["e"]),
-        k.geodesic_residual(k.geodesic_through(laid["a"], laid["b"]), laid["f"]),
+        model.on_side_residual(laid["d"], laid["b"], laid["c"]),
+        model.on_side_residual(laid["e"], laid["c"], laid["a"]),
+        model.on_side_residual(laid["f"], laid["a"], laid["b"]),
     )
     if containment_residual > 1e-6:
         raise InfeasibleGeometryError(
@@ -465,18 +456,16 @@ def equilateral_triangle(side: float, geometry: Geometry) -> Triangle:
     """Equilateral triangle of the given side, centered on the base point."""
     if not side > 0.0:
         raise DomainError(f"side must be positive: {side}")
-    if geometry is Geometry.HYPERBOLIC:
-        if side > MAX_HYPERBOLIC_SIDE:
-            raise DomainError(f"side above working range: {side}")
-        radius = math.asinh(math.sqrt((2.0 / 3.0) * (math.cosh(side) - 1.0)))
-    elif geometry is Geometry.SPHERICAL:
-        if side >= MAX_SPHERICAL_SIDE:
-            raise DomainError(f"spherical side must stay below pi/2: {side}")
-        radius = math.asin(math.sqrt((2.0 / 3.0) * (1.0 - math.cos(side))))
-    else:
-        radius = side / math.sqrt(3.0)
-    polar = geometry.model.polar
-    return Triangle(geometry, *(polar(2.0 * math.pi * i / 3.0, radius) for i in range(3)))
+    model = geometry.model
+    if side > model.side_limit:
+        raise DomainError(f"side above working range: {side}")
+    # In the right triangle of the centre, a vertex and the midpoint of a
+    # side, half the side faces the angle pi/3 at the centre and the
+    # circumradius R is the hypotenuse: s_K(side/2) = sin(pi/3) s_K(R).
+    radius = model.s_K_inv(2.0 / math.sqrt(3.0) * model.s_K(0.5 * side))
+    return Triangle(
+        geometry, *(model.polar(2.0 * math.pi * i / 3.0, radius) for i in range(3))
+    )
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,7 @@ def _lexell_apex(args):
     # A zero height or an on-axis disk point lands on the base line;
     # the locus construction rejects that as degenerate (exit 1).
     if args.apex_y is not None:
-        e2 = k.tangent_direction(k.ORIGIN, math.pi / 2.0)
-        return k.point_along(k.ORIGIN, e2, args.apex_y)
+        return Geometry.HYPERBOLIC.model.polar(math.pi / 2.0, args.apex_y)
     u, w = args.apex
     return k.disk_to_hpoint(k.DiskPoint(u, w))
 

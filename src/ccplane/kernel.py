@@ -185,7 +185,12 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
     """
     if hdist(p, q) <= TOL_POINT:
         raise DegenerateInputError("geodesic through coincident points")
-    return Geodesic(vec.mnormalize_space(vec.mcross(p.v, q.v)))
+    c = vec.mcross(p.v, q.v)
+    # For two far points the cross product can round to a vector that
+    # is not spacelike, which has no unit normal.
+    if not vec.minner(c, c) > 0.0:
+        raise DegenerateInputError("points too far apart to span a geodesic")
+    return Geodesic(vec.mnormalize_space(c))
 
 
 def geodesic_residual(g: Geodesic, p: HPoint) -> float:
@@ -416,8 +421,9 @@ class PlaneModel:
     (x, y) tuples in the euclidean plane; ``point_type`` is that type.
 
     - ``dist(p, q)``, ``angle(v, p, q)`` (at v), ``mid(p, q)``.
+    - ``base``: the base point ORIGIN, NORTH_POLE or (0.0, 0.0).
     - ``polar(theta, r)``: the point at distance r from the base point
-      (ORIGIN, NORTH_POLE or (0, 0)) in direction theta.
+      in direction theta.
     - ``coords(p)`` and ``project(v)``: ambient coordinates of a point,
       and the point on the ray through v (central projection).
     - ``line_meet(p1, p2, s1, s2)``: where line p1 p2 meets line s1 s2;
@@ -425,11 +431,14 @@ class PlaneModel:
     - ``side_values(s1, s2, o, w)``: signed positions of o and w
       against the oriented line s1 s2.
     - ``on_side_residual(p, s1, s2)``: zero exactly when p is on s1 s2.
+    - ``foot(p, s1, s2)``: the point of line s1 s2 nearest p.
     - ``corner_cosines(polar)``: the law of cosines on three vertices
       given as ``polar`` arguments, with no point built.
     - ``s_K``/``t_K``: sinh/sin/identity and tanh/tan/identity, with
-      ``t_K_inv`` the inverse of ``t_K``; ``kappa`` is the curvature.
-    - ``side_limit``: the longest side a triangle may have.
+      ``s_K_inv`` and ``t_K_inv`` their inverses; ``kappa`` is the
+      curvature.
+    - ``side_limit``: the longest length a triangle side, hypotenuse or
+      stretch ratio may have; every plane checks ``x > side_limit``.
     """
 
     def coords(self, p) -> Vec3:
@@ -479,8 +488,10 @@ class PlaneModel:
 class HyperboloidModel(PlaneModel):
     point_type = HPoint
     kappa = -1.0
+    base = ORIGIN
     side_limit = MAX_HYPERBOLIC_SIDE
     s_K = staticmethod(math.sinh)
+    s_K_inv = staticmethod(math.asinh)
     t_K = staticmethod(math.tanh)
     t_K_inv = staticmethod(math.atanh)
 
@@ -512,12 +523,19 @@ class HyperboloidModel(PlaneModel):
     def on_side_residual(self, p: HPoint, s1: HPoint, s2: HPoint) -> float:
         return geodesic_residual(geodesic_through(s1, s2), p)
 
+    def foot(self, p: HPoint, s1: HPoint, s2: HPoint) -> HPoint:
+        return foot_of_perpendicular(p, geodesic_through(s1, s2))
+
 
 class SphereModel(PlaneModel):
     point_type = SpherePoint
     kappa = 1.0
-    side_limit = MAX_SPHERICAL_SIDE
+    base = NORTH_POLE
+    # pi/2 itself is out: tan, on which the stretch ratio and the cathetus
+    # law rest, has its pole there.
+    side_limit = math.nextafter(MAX_SPHERICAL_SIDE, 0.0)
     s_K = staticmethod(math.sin)
+    s_K_inv = staticmethod(math.asin)
     t_K = staticmethod(math.tan)
     t_K_inv = staticmethod(math.atan)
 
@@ -560,6 +578,9 @@ class SphereModel(PlaneModel):
     def on_side_residual(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> float:
         return sphere_geodesic_residual(sphere_geodesic(s1, s2), p)
 
+    def foot(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
+        return sphere_foot(p, sphere_geodesic(s1, s2))
+
 
 EuclidPoint = tuple[float, float]
 
@@ -571,8 +592,9 @@ def _identity(x: float) -> float:
 class EuclideanModel(PlaneModel):
     point_type = tuple
     kappa = 0.0
+    base = (0.0, 0.0)
     side_limit = math.inf
-    s_K = t_K = t_K_inv = staticmethod(_identity)
+    s_K = s_K_inv = t_K = t_K_inv = staticmethod(_identity)
 
     def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
         return math.hypot(p[0] - q[0], p[1] - q[1])
@@ -618,6 +640,14 @@ class EuclideanModel(PlaneModel):
         ux, uy = s2[0] - s1[0], s2[1] - s1[1]
         wx, wy = p[0] - s1[0], p[1] - s1[1]
         return abs(ux * wy - uy * wx) / math.hypot(ux, uy)
+
+    def foot(self, p: EuclidPoint, s1: EuclidPoint, s2: EuclidPoint) -> EuclidPoint:
+        ux, uy = s2[0] - s1[0], s2[1] - s1[1]
+        uu = ux * ux + uy * uy
+        if not uu > 0.0:
+            raise DegenerateInputError("line through coincident points")
+        t = ((p[0] - s1[0]) * ux + (p[1] - s1[1]) * uy) / uu
+        return (s1[0] + t * ux, s1[1] + t * uy)
 
 
 _MODELS = {

@@ -51,6 +51,10 @@ SAMPLE_RANGE = 3.0
 # Half-length of the truncated base approximating ideal base vertices.
 IDEAL_TRUNCATION = 15.0
 
+# Points are placed in polar coordinates around the hyperboloid origin;
+# theta = 0 runs along the base line and pi/2 up the bisector.
+_MODEL = Geometry.HYPERBOLIC.model
+
 
 @dataclass(frozen=True)
 class Hypercycle:
@@ -120,12 +124,7 @@ class BaseConfig:
     def from_half_distance(cls, x: float) -> "BaseConfig":
         if not 0.0 < x <= MAX_HYPERBOLIC_SIDE / 2.0:
             raise DomainError(f"half-distance {x} outside (0, {MAX_HYPERBOLIC_SIDE / 2.0}]")
-        e1 = k.tangent_direction(k.ORIGIN, 0.0)
-        return cls(
-            a=k.point_along(k.ORIGIN, e1, x),
-            b=k.point_along(k.ORIGIN, e1, -x),
-            half_distance=x,
-        )
+        return cls(a=_MODEL.polar(0.0, x), b=_MODEL.polar(0.0, -x), half_distance=x)
 
     def base_line(self) -> Geodesic:
         return k.geodesic_through(self.a, self.b)
@@ -238,10 +237,9 @@ def apex_triangle(x: float, a: float, t: float) -> tuple[HPoint, HPoint, HPoint]
         raise DomainError(f"half-base {x} outside (0, {MAX_HYPERBOLIC_SIDE}]")
     if not 0.0 < t <= MAX_APEX_HEIGHT:
         raise DomainError(f"apex height {t} outside (0, {MAX_APEX_HEIGHT}]")
-    e1 = k.tangent_direction(k.ORIGIN, 0.0)
-    va = k.point_along(k.ORIGIN, e1, x)
-    vb = k.point_along(k.ORIGIN, e1, -x)
-    foot = k.point_along(k.ORIGIN, e1, a)
+    va = _MODEL.polar(0.0, x)
+    vb = _MODEL.polar(0.0, -x)
+    foot = _MODEL.polar(0.0, a)
     p = k.point_along(foot, (0.0, 0.0, 1.0), t)
     return (va, vb, p)
 
@@ -391,8 +389,7 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     leaves = []
     for target in sorted(areas):
         y = _invert_apex_area(x, target)
-        apex = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, math.pi / 2.0), y)
-        leaves.append(lexell_locus(base, apex))
+        leaves.append(lexell_locus(base, _MODEL.polar(math.pi / 2.0, y)))
     for i in range(1, len(leaves)):
         if not leaves[i].carrier.offset > leaves[i - 1].carrier.offset:
             raise GeometryError("leaf offsets fail to grow with area")
@@ -447,8 +444,6 @@ def truncated_ideal_area(c: float, truncation: float = IDEAL_TRUNCATION) -> floa
         raise DomainError(f"apex distance must be positive: {c}")
     if not 0.0 < truncation <= 20.0:
         raise DomainError(f"truncation {truncation} outside (0, 20]")
-    e1 = k.tangent_direction(k.ORIGIN, 0.0)
-    va = k.point_along(k.ORIGIN, e1, truncation)
-    vb = k.point_along(k.ORIGIN, e1, -truncation)
-    apex = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, math.pi / 2.0), c)
-    return _deficit(apex, va, vb)
+    va = _MODEL.polar(0.0, truncation)
+    vb = _MODEL.polar(0.0, -truncation)
+    return _deficit(_MODEL.polar(math.pi / 2.0, c), va, vb)

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import kernel as k
-from .constants import MAX_HYPERBOLIC_SIDE, MAX_SPHERICAL_SIDE, TOL_CLAMP, TOL_ID
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_ID
 from .errors import DomainError
 from .kernel import Geometry
 
@@ -45,8 +44,6 @@ def clamped_acosh(x: float) -> float:
 def _check_hypotenuse(b: float, geometry: Geometry) -> None:
     if not b > 0.0:
         raise DomainError(f"hypotenuse must be positive: {b}")
-    if geometry is Geometry.SPHERICAL and b >= MAX_SPHERICAL_SIDE:
-        raise DomainError(f"spherical hypotenuse must stay below pi/2: {b}")
     if b > geometry.model.side_limit:
         raise DomainError(f"hypotenuse above working range: {b}")
 
@@ -105,23 +102,11 @@ def build_right_triangle(
     _check_hypotenuse(b, geometry)
     if not 0.0 < alpha < math.pi / 2:
         raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
-    if geometry is Geometry.EUCLIDEAN:
-        return RightTriangleConfig(
-            geometry, alpha, b, b * math.cos(alpha), b * math.sin(alpha)
-        )
     model = geometry.model
     ray_point = model.polar(alpha, b)
-    baseline_point = model.polar(0.0, 1.0)
-    if geometry is Geometry.HYPERBOLIC:
-        apex = k.ORIGIN
-        baseline = k.geodesic_through(apex, baseline_point)
-        foot = k.foot_of_perpendicular(ray_point, baseline)
-    else:
-        apex = k.NORTH_POLE
-        baseline = k.sphere_geodesic(apex, baseline_point)
-        foot = k.sphere_foot(ray_point, baseline)
+    foot = model.foot(ray_point, model.base, model.polar(0.0, 1.0))
     return RightTriangleConfig(
-        geometry, alpha, b, model.dist(apex, foot), model.dist(foot, ray_point)
+        geometry, alpha, b, model.dist(model.base, foot), model.dist(foot, ray_point)
     )
 
 

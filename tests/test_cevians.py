@@ -53,7 +53,7 @@ from ccplane.sampling import (
     sample_triangle,
     substream,
 )
-from ccplane.trig import menelaus_ratio
+from ccplane.trig import cathetus_from_hypotenuse, menelaus_ratio
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
@@ -90,6 +90,10 @@ class TestTriangle:
         c = point_along(ORIGIN, tangent_direction(ORIGIN, math.pi / 2), 1.0)
         with pytest.raises(DomainError):
             Triangle(HYP, a, b, c)
+        # The octant triangle has three sides of exactly pi/2.
+        octant = [SpherePoint(v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+        with pytest.raises(DomainError):
+            Triangle(SPH, *octant)
 
     def test_vertex_type_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -382,6 +386,23 @@ class TestStretchRatio:
         with pytest.raises(DomainError):
             stretch_ratio(SPH, 1.6, 0.4)
 
+    @pytest.mark.parametrize("geometry", [HYP, SPH])
+    def test_one_length_bound(self, geometry):
+        # Every length check reads the model's side_limit: the limit itself
+        # is accepted and the next float above it is rejected.
+        limit = geometry.model.side_limit
+        above = math.nextafter(limit, math.inf)
+        stretch_ratio(geometry, limit, 0.5)
+        cathetus_from_hypotenuse(limit, 0.5, geometry)
+        with pytest.raises(DomainError):
+            stretch_ratio(geometry, above, 0.5)
+        with pytest.raises(DomainError):
+            stretch_ratio(geometry, 0.5, above)
+        with pytest.raises(DomainError):
+            equilateral_triangle(above, geometry)
+        with pytest.raises(DomainError):
+            cathetus_from_hypotenuse(above, 0.5, geometry)
+
 
 class TestEquilateralMedians:
     def test_alpha_is_two_in_every_geometry(self):
@@ -428,6 +449,12 @@ class TestEquilateralMedians:
             tri = equilateral_triangle(side, geometry)
             for s in tri.side_lengths():
                 assert s == pytest.approx(side, abs=1e-12)
+        # Small sides keep full relative precision in every plane.
+        for geometry in (HYP, SPH, EUC):
+            for i in range(61):
+                side = 10.0 ** (-3.0 + i / 20.0)
+                for s in equilateral_triangle(side, geometry).side_lengths():
+                    assert abs(s - side) <= 1e-14 * side, (geometry, side)
 
     def test_domain_rejections(self):
         with pytest.raises(DomainError):

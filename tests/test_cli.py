@@ -189,6 +189,15 @@ class TestLexellCommand:
         assert out.returncode == 1
         assert "base line" in out.stderr
 
+    def test_tallest_apex_exits_one_without_traceback(self, tmp_path):
+        for argv in (("lexell", "0.8", "--apex-y", "40"),
+                     ("render", "locus", "--x", "0.8", "--apex-y", "40",
+                      "--svg", str(tmp_path / "locus.svg"))):
+            out = run_cli(*argv)
+            assert out.returncode == 1, argv
+            assert out.stderr.startswith("error:"), argv
+            assert "Traceback" not in out.stderr, argv
+
     def test_spherical_is_usage_error(self):
         out = run_cli("lexell", "0.8", "--geometry", "spherical", "--apex-y", "1.0")
         assert out.returncode == 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,30 @@ def test_foot_of_perpendicular_drop():
     # the drop meets g at a right angle
     other = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 2.0)
     assert k.angle_at(f, p, other) == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def test_geodesic_through_unrepresentable_pair_rejected():
+    # Far out, the cross product of two nearby points rounds to a vector
+    # that is not spacelike; that is reported, not divided by.
+    p = k.Geometry.HYPERBOLIC.model.polar(math.pi / 2, 36.0)
+    q = k.Geometry.HYPERBOLIC.model.polar(math.pi / 2 + 1e-9, 36.0)
+    with pytest.raises(DegenerateInputError):
+        k.geodesic_through(p, q)
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_model_foot_is_the_perpendicular_foot(geometry):
+    model = geometry.model
+    rng = random.Random(geometry.value)
+    for _ in range(200):
+        p, s1, s2 = (model.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.2))
+                     for _ in range(3))
+        if model.on_side_residual(p, s1, s2) < 1e-3:
+            continue
+        foot = model.foot(p, s1, s2)
+        assert model.on_side_residual(foot, s1, s2) <= 1e-12
+        far = max((s1, s2), key=lambda s: model.dist(foot, s))
+        assert model.angle(foot, p, far) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_midpoint_on_axis():

@@ -12,6 +12,7 @@ from ccplane.corevec import mcross
 from ccplane.errors import (
     DegenerateInputError,
     DomainError,
+    GeometryError,
     InfeasibleAreaError,
 )
 from ccplane.kernel import (
@@ -367,6 +368,21 @@ class TestLexellLocus:
         on_line = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 0.3)
         with pytest.raises(DegenerateInputError):
             lexell_locus(base, on_line)
+
+    def test_tall_apexes_fail_only_as_geometry_errors(self):
+        # Heights up to MAX_APEX_HEIGHT are accepted input; where the axis
+        # through two far midpoints cannot be represented, the locus must
+        # fail as a GeometryError, never as a bare arithmetic error.
+        rejected = 0
+        for x in (0.3, 0.8, 1.5, 3.0, 5.0):
+            base = BaseConfig.from_half_distance(x)
+            for i in range(79):
+                try:
+                    locus = lexell_locus(base, _perp_apex(1.0 + 0.5 * i))
+                    locus_residuals(locus, samples=20, chords=0)
+                except GeometryError:
+                    rejected += 1
+        assert rejected > 0
 
 
 class TestChordSplit:

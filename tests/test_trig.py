@@ -46,6 +46,14 @@ def test_euclidean_cathetus_closed_form():
     cfg = trig.build_right_triangle(2.0, math.pi / 3, EUC)
     assert cfg.adjacent == pytest.approx(1.0, abs=1e-15)
     assert cfg.opposite == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    # The synthetic route drops the foot onto the x axis exactly, so the
+    # legs come out as the closed forms to the last bit.
+    rng = random.Random(45)
+    for _ in range(200):
+        b = rng.uniform(0.1, 5.0)
+        alpha = rng.uniform(0.1, math.pi / 2 - 0.1)
+        cfg = trig.build_right_triangle(b, alpha, EUC)
+        assert (cfg.adjacent, cfg.opposite) == (b * math.cos(alpha), b * math.sin(alpha))
 
 
 def test_menelaus_rhs_at_pi_third_is_three():
