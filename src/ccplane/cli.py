@@ -1,7 +1,8 @@
 """Command-line front end: campaigns, constructions, loci, figures.
 
 Exit codes: 0 success, 1 infeasible input or failed verification,
-2 usage error.  Identical flags produce byte-identical JSON.
+2 usage error.  Identical flags produce byte-identical JSON, and a
+command that fails prints none.
 """
 
 from __future__ import annotations
@@ -115,6 +116,18 @@ def _write_svg(svg: str, path: str) -> None:
         handle.write(svg)
 
 
+def _report(record: dict, args, scene) -> None:
+    """Emit the JSON record and write the ``--svg`` figure of ``scene()``.
+
+    The SVG text is built before anything is printed, so a figure that
+    fails to draw exits 1 with nothing on stdout.
+    """
+    svg = None if args.svg is None else scene_to_svg(scene())
+    _emit(json_document(record), args.json)
+    if svg is not None:
+        _write_svg(svg, args.svg)
+
+
 def _cmd_verify(args, parser) -> int:
     if args.geometry not in SUPPORTED[args.theorem]:
         parser.error(
@@ -166,9 +179,7 @@ def _cmd_construct(args, parser) -> int:
         "roundtrip_angle_residual": angle_residual,
         **_UNITS,
     }
-    _emit(json_document(record), args.json)
-    if args.svg is not None:
-        _write_svg(scene_to_svg(scene_for_construction(result)), args.svg)
+    _report(record, args, lambda: scene_for_construction(result))
     return 0
 
 
@@ -199,9 +210,7 @@ def _cmd_lexell(args, parser) -> int:
             "offsets": [leaf.carrier.offset for leaf in leaves],
             **_UNITS,
         }
-        _emit(json_document(record), args.json)
-        if args.svg is not None:
-            _write_svg(scene_to_svg(scene_for_foliation(base, tuple(leaves))), args.svg)
+        _report(record, args, lambda: scene_for_foliation(base, tuple(leaves)))
         return 0
     if args.apex_y is None and args.apex is None:
         parser.error("need an apex: --apex-y or --apex (or --foliate)")
@@ -219,9 +228,7 @@ def _cmd_lexell(args, parser) -> int:
         "samples": args.samples,
         **_UNITS,
     }
-    _emit(json_document(record), args.json)
-    if args.svg is not None:
-        _write_svg(scene_to_svg(scene_for_locus(locus, apex)), args.svg)
+    _report(record, args, lambda: scene_for_locus(locus, apex))
     return 0 if residuals.area_spread <= TOL_AREA else 1
 
 

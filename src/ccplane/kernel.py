@@ -199,12 +199,6 @@ def geodesic_residual(g: Geodesic, p: HPoint) -> float:
     return abs(vec.minner(p.v, g.normal))
 
 
-def signed_geodesic_distance(g: Geodesic, p: HPoint) -> float:
-    """Distance from p to g, signed by the side of the normal."""
-    _expect(g, Geometry.HYPERBOLIC)
-    return math.asinh(vec.minner(p.v, g.normal))
-
-
 def _expect(g: Geodesic, geometry: Geometry) -> None:
     if g.geometry is not geometry:
         raise ContractViolationError(f"expected a {geometry.value} geodesic")

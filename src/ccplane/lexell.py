@@ -66,17 +66,35 @@ class Hypercycle:
     def __post_init__(self) -> None:
         if self.axis.geometry is not Geometry.HYPERBOLIC:
             raise DomainError("hypercycles live in the hyperbolic plane")
+        _finite_cosh(self.offset, "offset")
 
     @cached_property
-    def _axis_frame(self) -> tuple[Vec3, Vec3]:
-        """Foot g0 of the model origin on the axis, and the axis tangent there."""
+    def _axis_frame(self) -> tuple[Vec3, Vec3, float, float]:
+        """Foot g0 of the model origin on the axis, the axis tangent there,
+        and cosh and sinh of the offset."""
         g0 = k.foot_of_perpendicular(k.ORIGIN, self.axis).v
-        return g0, vec.mcross(g0, self.axis.normal)
+        return (
+            g0,
+            vec.mcross(g0, self.axis.normal),
+            math.cosh(self.offset),
+            math.sinh(self.offset),
+        )
+
+
+def _finite_cosh(x: float, what: str) -> float:
+    """cosh(x); DomainError when x is not finite or cosh(x) overflows."""
+    try:
+        c = math.cosh(x)
+    except OverflowError:
+        c = math.inf
+    if not c < math.inf:
+        raise DomainError(f"{what} {x} is not finite or its cosh overflows")
+    return c
 
 
 def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
     """How far p misses the curve, as |sinh(dist) - sinh(offset)|."""
-    return abs(vec.minner(p.v, hc.axis.normal) - math.sinh(hc.offset))
+    return abs(vec.minner(p.v, hc.axis.normal) - hc._axis_frame[3])
 
 
 def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
@@ -84,13 +102,22 @@ def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
 
     With gamma the unit-speed axis and n its normal, the curve is
     cosh(offset) * gamma(s) + sinh(offset) * n, which stays at signed
-    distance ``offset`` for every s.
+    distance ``offset`` for every s.  Each curve caches its frame (the
+    axis foot g0 and tangent u0, cosh and sinh of the offset), so a
+    point costs one cosh(s) and one sinh(s) in closed form:
+    gamma(s) = cosh(s) * g0 + sinh(s) * u0.
     """
-    g0, u0 = hc._axis_frame
+    g0, u0, co, so = hc._axis_frame
+    ch = _finite_cosh(s, "axis position")
+    sh = math.sinh(s)
     n = hc.axis.normal
-    gs = tuple(math.cosh(s) * g0[i] + math.sinh(s) * u0[i] for i in range(3))
-    co, so = math.cosh(hc.offset), math.sinh(hc.offset)
-    return HPoint(tuple(co * gs[i] + so * n[i] for i in range(3)))
+    return HPoint(
+        (
+            co * (ch * g0[0] + sh * u0[0]) + so * n[0],
+            co * (ch * g0[1] + sh * u0[1]) + so * n[1],
+            co * (ch * g0[2] + sh * u0[2]) + so * n[2],
+        )
+    )
 
 
 def hypercycle_samples(hc: Hypercycle, n: int) -> list[HPoint]:

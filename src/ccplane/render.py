@@ -152,8 +152,8 @@ def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | Sce
 
 def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
     """Hypercycle sampled at evenly spaced axis arclengths."""
-    pts = tuple(disk_xy(z) for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1))
-    return ScenePolyline(pts, style=style)
+    pts = [disk_xy(z) for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1)]
+    return ScenePolyline(tuple(pts), style=style)
 
 
 def _point(p: HPoint, label: str) -> ScenePoint:
@@ -310,18 +310,6 @@ _CSS = """\
 .label { font: 28px sans-serif; fill: #111; }"""
 
 
-def _sx(x: float) -> float:
-    return _SVG_CENTER + _SVG_RADIUS * x
-
-
-def _sy(y: float) -> float:
-    return _SVG_CENTER - _SVG_RADIUS * y
-
-
-def _f(v: float) -> str:
-    return f"{v:.4f}"
-
-
 def _arc_path(arc: SceneArc) -> str:
     # The visible piece of an orthogonal circle always subtends less
     # than pi at its center, so the small-arc flag is fixed.  The y
@@ -330,45 +318,47 @@ def _arc_path(arc: SceneArc) -> str:
         arc.x2 - arc.cx
     )
     sweep = 1 if cross > 0.0 else 0
-    sr = _f(_SVG_RADIUS * arc.r)
+    c, r = _SVG_CENTER, _SVG_RADIUS
+    sr = f"{r * arc.r:.4f}"
     return (
-        f'<path class="{arc.style}" d="M {_f(_sx(arc.x1))} {_f(_sy(arc.y1))} '
-        f'A {sr} {sr} 0 0 {sweep} {_f(_sx(arc.x2))} {_f(_sy(arc.y2))}"/>'
+        f'<path class="{arc.style}" d="M {c + r * arc.x1:.4f} {c - r * arc.y1:.4f} '
+        f'A {sr} {sr} 0 0 {sweep} {c + r * arc.x2:.4f} {c - r * arc.y2:.4f}"/>'
     )
 
 
 def scene_to_svg(scene: RenderScene) -> str:
-    """Serialize a validated scene as a standalone SVG document."""
+    """Serialize a validated scene as a standalone SVG document.
+
+    Disk point (x, y) is drawn at (C + R x, C - R y), C = _SVG_CENTER and
+    R = _SVG_RADIUS, with four decimals.
+    """
     validate_scene(scene)
+    c, r = _SVG_CENTER, _SVG_RADIUS
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_SVG_SIZE:.0f} {_SVG_SIZE:.0f}">',
         f"<style>{_CSS}</style>",
-        f'<circle class="boundary" cx="{_f(_SVG_CENTER)}" cy="{_f(_SVG_CENTER)}" '
-        f'r="{_f(_SVG_RADIUS)}"/>',
+        f'<circle class="boundary" cx="{c:.4f}" cy="{c:.4f}" r="{r:.4f}"/>',
     ]
     for tr in scene.triangles:
-        coords = " ".join(f"{_f(_sx(x))},{_f(_sy(y))}" for x, y in tr.vertices)
+        coords = " ".join([f"{c + r * x:.4f},{c - r * y:.4f}" for x, y in tr.vertices])
         parts.append(f'<polygon class="{tr.style}" points="{coords}"/>')
     for arc in scene.arcs:
         parts.append(_arc_path(arc))
     for ch in scene.chords:
         parts.append(
-            f'<line class="{ch.style}" x1="{_f(_sx(ch.x1))}" y1="{_f(_sy(ch.y1))}" '
-            f'x2="{_f(_sx(ch.x2))}" y2="{_f(_sy(ch.y2))}"/>'
+            f'<line class="{ch.style}" x1="{c + r * ch.x1:.4f}" y1="{c - r * ch.y1:.4f}" '
+            f'x2="{c + r * ch.x2:.4f}" y2="{c - r * ch.y2:.4f}"/>'
         )
     for pl in scene.polylines:
-        coords = " ".join(f"{_f(_sx(x))},{_f(_sy(y))}" for x, y in pl.points)
+        coords = " ".join([f"{c + r * x:.4f},{c - r * y:.4f}" for x, y in pl.points])
         parts.append(f'<polyline class="{pl.style}" points="{coords}"/>')
     for pt in scene.points:
+        x, y = c + r * pt.x, c - r * pt.y
         if pt.style != "curve":
-            parts.append(
-                f'<circle class="{pt.style}" cx="{_f(_sx(pt.x))}" '
-                f'cy="{_f(_sy(pt.y))}" r="5"/>'
-            )
+            parts.append(f'<circle class="{pt.style}" cx="{x:.4f}" cy="{y:.4f}" r="5"/>')
         parts.append(
-            f'<text class="label" x="{_f(_sx(pt.x) + 10.0)}" '
-            f'y="{_f(_sy(pt.y) - 10.0)}">{pt.label}</text>'
+            f'<text class="label" x="{x + 10.0:.4f}" y="{y - 10.0:.4f}">{pt.label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

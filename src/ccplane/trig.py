@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_ID
+from .constants import TOL_CLAMP, TOL_ID
 from .errors import DomainError
 from .kernel import Geometry
 
@@ -32,13 +32,6 @@ def clamped_acos(x: float) -> float:
     if abs(x) > 1.0 + TOL_CLAMP:
         raise DomainError(f"acos argument out of range: {x}")
     return math.acos(min(1.0, max(-1.0, x)))
-
-
-def clamped_acosh(x: float) -> float:
-    """acosh with the argument clamped just below 1."""
-    if x < 1.0 - TOL_CLAMP:
-        raise DomainError(f"acosh argument out of range: {x}")
-    return math.acosh(max(1.0, x))
 
 
 def _check_hypotenuse(b: float, geometry: Geometry) -> None:
@@ -134,34 +127,3 @@ def menelaus_rhs(alpha: float) -> float:
     c = math.cos(alpha)
     return (1.0 + c) / (1.0 - c)
 
-
-def hyp_angle_from_sides(a: float, b: float, c: float) -> float:
-    """Angle opposite side a in a hyperbolic triangle with sides a, b, c."""
-    for s in (a, b, c):
-        if not 0.0 < s <= MAX_HYPERBOLIC_SIDE:
-            raise DomainError(f"side out of working range: {s}")
-    num = math.cosh(b) * math.cosh(c) - math.cosh(a)
-    return clamped_acos(num / (math.sinh(b) * math.sinh(c)))
-
-
-def hyp_side_from_sas(b: float, c: float, angle: float) -> float:
-    """Side opposite the given angle enclosed by sides b and c."""
-    for s in (b, c):
-        if not 0.0 < s <= MAX_HYPERBOLIC_SIDE:
-            raise DomainError(f"side out of working range: {s}")
-    if not 0.0 < angle < math.pi:
-        raise DomainError(f"angle must lie in (0, pi): {angle}")
-    return clamped_acosh(
-        math.cosh(b) * math.cosh(c) - math.sinh(b) * math.sinh(c) * math.cos(angle)
-    )
-
-
-def sine_law_residual(a: float, b: float, c: float) -> float:
-    """Max pairwise deviation of sinh(side)/sin(opposite angle)."""
-    angle_a = hyp_angle_from_sides(a, b, c)
-    angle_b = hyp_angle_from_sides(b, c, a)
-    angle_c = hyp_angle_from_sides(c, a, b)
-    ra = math.sinh(a) / math.sin(angle_a)
-    rb = math.sinh(b) / math.sin(angle_b)
-    rc = math.sinh(c) / math.sin(angle_c)
-    return max(abs(ra - rb), abs(rb - rc), abs(rc - ra))

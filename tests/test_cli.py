@@ -18,6 +18,7 @@ from ccplane import kernel as k
 from ccplane.cevians import cevian_frame, equilateral_triangle
 from ccplane.cli import main
 from ccplane.constants import TOL_AREA
+from ccplane.errors import GeometryError
 from ccplane.kernel import Geometry
 from ccplane.lexell import LocusResiduals, apex_area_formula
 
@@ -282,3 +283,23 @@ def test_bad_values_are_usage_errors(argv, option, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert f"argument {option}" in capsys.readouterr().err
+
+
+def test_failed_figure_prints_no_json(monkeypatch, capsys, tmp_path):
+    # The figure is drawn before the record is printed, so a command
+    # whose SVG fails leaves stdout empty instead of a success record.
+    def broken(scene):
+        raise GeometryError("figure failed")
+
+    monkeypatch.setattr(cli, "scene_to_svg", broken)
+    svg = str(tmp_path / "figure.svg")
+    for argv in (
+        ["lexell", "0.8", "--apex-y", "1.0", "--svg", svg],
+        ["lexell", "0.8", "--foliate", "0.3,0.8", "--svg", svg],
+        ["construct", *[repr(v) for v in median_lengths()], "--svg", svg],
+    ):
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert "figure failed" in out.err, argv
+        assert not (tmp_path / "figure.svg").exists(), argv

@@ -191,8 +191,8 @@ def test_reflect_across_fixes_curve_and_inverts_side():
     g = k.Geodesic((0.0, 0.0, 1.0))
     p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 1.1), 1.2)
     r = k.reflect_across(g, p)
-    assert k.signed_geodesic_distance(g, r) == pytest.approx(
-        -k.signed_geodesic_distance(g, p), rel=1e-12
+    assert math.asinh(k.mink_inner(r.v, g.normal)) == pytest.approx(
+        -math.asinh(k.mink_inner(p.v, g.normal)), rel=1e-12
     )
     on = k.foot_of_perpendicular(p, g)
     assert k.hdist(on, k.reflect_across(g, on)) <= 1e-12

@@ -1,6 +1,7 @@
 """Area profile, split areas, constant-area locus, foliation, ideal case."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ccplane import kernel as k
 from ccplane.cevians import Triangle
-from ccplane.corevec import mcross
+from ccplane.corevec import mcross, minner
 from ccplane.errors import (
     DegenerateInputError,
     DomainError,
@@ -28,6 +29,7 @@ from ccplane.kernel import (
     tangent_direction,
 )
 from ccplane.lexell import (
+    SAMPLE_RANGE,
     BaseConfig,
     Hypercycle,
     apex_area_formula,
@@ -266,31 +268,69 @@ class TestHypercycle:
             Hypercycle(Geodesic((0.0, 0.0, 1.0), Geometry.SPHERICAL), 0.5)
 
     def test_cached_axis_frame_is_bit_identical(self, monkeypatch):
-        # The foot of the origin on the axis is found once per hypercycle;
-        # every later point must equal, bit for bit, the formula that
-        # finds it again on each call.
-        def no_second_foot(*args):
-            raise AssertionError("axis foot recomputed")
+        # Each curve finds the foot of the origin on its axis once; every
+        # point, sample and residual must then equal, bit for bit, the
+        # formulas that rebuild the whole frame on each call.
+        feet = []
 
-        far = point_along(ORIGIN, tangent_direction(ORIGIN, 0.4), 1.7)
-        axes = (
-            Geodesic((0.0, 0.0, 1.0)),
-            geodesic_through(far, point_along(far, tangent_direction(far, 2.0), 1.1)),
-        )
-        for axis in axes:
+        def counted_foot(p, g):
+            feet.append(g)
+            return foot_of_perpendicular(p, g)
+
+        monkeypatch.setattr(k, "foot_of_perpendicular", counted_foot)
+        rng = random.Random(2024)
+        for _ in range(200):
+            p = point_along(
+                ORIGIN, tangent_direction(ORIGIN, rng.uniform(0.0, 2.0 * math.pi)),
+                rng.uniform(0.0, 3.0),
+            )
+            axis = geodesic_through(
+                p, point_along(p, tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
+                               rng.uniform(0.5, 3.0)),
+            )
             g0 = foot_of_perpendicular(ORIGIN, axis).v
             u0 = mcross(g0, axis.normal)
-            for offset in (-1.3, 0.0, 0.45, 2.0):
-                hc = Hypercycle(axis, offset)
-                hypercycle_point(hc, 0.0)
-                co, so = math.cosh(offset), math.sinh(offset)
-                with monkeypatch.context() as m:
-                    m.setattr(k, "foot_of_perpendicular", no_second_foot)
-                    for s in (-3.0, -0.7, 0.0, 1.1, 3.0):
-                        ch, sh = math.cosh(s), math.sinh(s)
-                        gs = [ch * g0[i] + sh * u0[i] for i in range(3)]
-                        want = tuple(co * gs[i] + so * axis.normal[i] for i in range(3))
-                        assert hypercycle_point(hc, s).v == want
+            offset = rng.uniform(-5.0, 5.0)
+            co, so = math.cosh(offset), math.sinh(offset)
+
+            def reference(s):
+                gs = tuple(math.cosh(s) * g0[i] + math.sinh(s) * u0[i] for i in range(3))
+                return tuple(co * gs[i] + so * axis.normal[i] for i in range(3))
+
+            hc = Hypercycle(axis, offset)
+            del feet[:]
+            for _ in range(5):
+                s = rng.uniform(-3.0, 3.0)
+                z = hypercycle_point(hc, s)
+                assert z.v == reference(s)
+                assert hypercycle_residual(hc, z) == abs(
+                    minner(z.v, axis.normal) - math.sinh(offset)
+                )
+            step = 2.0 * SAMPLE_RANGE / 6
+            want = [reference(-SAMPLE_RANGE + i * step) for i in range(7)]
+            assert [z.v for z in hypercycle_samples(hc, 7)] == want
+            assert feet == [axis]
+
+    def test_nonfinite_offset_rejected(self):
+        axis = Geodesic((0.0, 0.0, 1.0))
+        for offset in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                Hypercycle(axis, offset)
+
+    def test_overflowing_offset_rejected(self):
+        with pytest.raises(DomainError):
+            Hypercycle(Geodesic((0.0, 0.0, 1.0)), 800.0)
+
+    def test_nonfinite_position_rejected(self):
+        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                hypercycle_point(hc, s)
+
+    def test_overflowing_position_rejected(self):
+        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
+        with pytest.raises(DomainError):
+            hypercycle_point(hc, 1000.0)
 
     def test_too_few_samples_rejected(self):
         hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.6)
