@@ -199,11 +199,8 @@ class PqrSystem:
 
 
 def pqr_system(frame: CevianFrame) -> PqrSystem:
-    """Evaluate the sine-weighted system of a curved-geometry frame."""
-    geometry = frame.tri.geometry
-    if geometry is Geometry.EUCLIDEAN:
-        raise DomainError("the sine-weighted system applies to curved geometries")
-    th = geometry.model.t_K
+    """Evaluate the sine-weighted system of a frame in any of the three planes."""
+    th = frame.tri.geometry.model.t_K
     big_p = math.sin(frame.p) / th(frame.ao)
     big_q = math.sin(frame.q) / th(frame.bo)
     big_r = math.sin(frame.r) / th(frame.co)

@@ -198,8 +198,6 @@ def _lexell_apex(args):
 
 
 def _cmd_lexell(args, parser) -> int:
-    if args.geometry is not Geometry.HYPERBOLIC:
-        parser.error("the constant-area locus is hyperbolic-only")
     base = BaseConfig.from_half_distance(args.x)
     if args.foliate is not None:
         leaves = foliation(base, list(args.foliate))
@@ -292,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lexell", help="constant-area locus over a symmetric base"
     )
     p_lexell.add_argument("x", type=_parse_finite, help="base half-distance")
-    p_lexell.add_argument("--geometry", type=_parse_geometry,
-                          default=Geometry.HYPERBOLIC)
     _add_apex_flags(p_lexell)
     p_lexell.add_argument("--samples", type=_count_at_least(2), default=20)
     p_lexell.add_argument("--foliate", type=_parse_areas, default=None,

@@ -426,6 +426,8 @@ class PlaneModel:
       against the oriented line s1 s2.
     - ``on_side_residual(p, s1, s2)``: zero exactly when p is on s1 s2.
     - ``foot(p, s1, s2)``: the point of line s1 s2 nearest p.
+    - ``versine(d)``: X(d) = 2 s_K(d/2)^2, that is cosh d - 1, 1 - cos d
+      or d^2/2, in which the three planes share their trigonometry.
     - ``corner_cosines(polar)``: the law of cosines on three vertices
       given as ``polar`` arguments, with no point built.
     - ``s_K``/``t_K``: sinh/sin/identity and tanh/tan/identity, with
@@ -438,16 +440,20 @@ class PlaneModel:
     def coords(self, p) -> Vec3:
         return p.v
 
+    def versine(self, d: float) -> float:
+        """X(d) = 2 s_K(d/2)^2: cosh d - 1, 1 - cos d or d^2/2."""
+        s = self.s_K(0.5 * d)
+        return 2.0 * (s * s)
+
     def corner_cosines(
         self, polar: list[tuple[float, float]]
     ) -> tuple[float, float, float] | None:
         """Cosines of the corners at the three (theta, r) vertices, in order.
 
-        The law of cosines of M^2_kappa, written in X(d) = (1 - C(d))/kappa:
-        cosh d - 1, 1 - cos d and d^2/2 in the three planes.  Between
-        vertices i and j (dr = r_i - r_j, dt = theta_i - theta_j),
+        The law of cosines of M^2_kappa, written in X = ``versine``.
+        Between vertices i and j (dr = r_i - r_j, dt = theta_i - theta_j),
 
-            X = 2 s_K(dr/2)^2 + 2 s_K(r_i) s_K(r_j) sin(dt/2)^2,
+            X = X(dr) + 2 s_K(r_i) s_K(r_j) sin(dt/2)^2,
 
         a sum of nonnegative terms, so no side is lost to cancellation.
         With s_K(d)^2 = X (2 - kappa X), the corner facing side a has
@@ -455,14 +461,15 @@ class PlaneModel:
         Returns None when a side vanishes.
         """
         (t1, r1), (t2, r2), (t3, r3) = polar
-        s_K, kappa = self.s_K, self.kappa
+        s_K, versine, kappa = self.s_K, self.versine, self.kappa
         k1, k2, k3 = s_K(r1), s_K(r2), s_K(r3)
-        h, w = s_K(0.5 * (r2 - r3)), math.sin(0.5 * (t2 - t3))
-        xa = 2.0 * (h * h + k2 * k3 * (w * w))
-        h, w = s_K(0.5 * (r3 - r1)), math.sin(0.5 * (t3 - t1))
-        xb = 2.0 * (h * h + k3 * k1 * (w * w))
-        h, w = s_K(0.5 * (r1 - r2)), math.sin(0.5 * (t1 - t2))
-        xc = 2.0 * (h * h + k1 * k2 * (w * w))
+        # Doubling is exact: these are 2 (s_K(dr/2)^2 + ...) to the last bit.
+        w = math.sin(0.5 * (t2 - t3))
+        xa = versine(r2 - r3) + 2.0 * k2 * k3 * (w * w)
+        w = math.sin(0.5 * (t3 - t1))
+        xb = versine(r3 - r1) + 2.0 * k3 * k1 * (w * w)
+        w = math.sin(0.5 * (t1 - t2))
+        xc = versine(r1 - r2) + 2.0 * k1 * k2 * (w * w)
         pa, pb, pc = xa * (2.0 - kappa * xa), xb * (2.0 - kappa * xb), xc * (2.0 - kappa * xc)
         if not (pa > 0.0 and pb > 0.0 and pc > 0.0):
             return None

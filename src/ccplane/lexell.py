@@ -24,6 +24,7 @@ the area at distance c collapses to pi - 2*arctan(1/sinh c).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,10 @@ SAMPLE_RANGE = 3.0
 # Half-length of the truncated base approximating ideal base vertices.
 IDEAL_TRUNCATION = 15.0
 
+# HPoint's check sums squares of two coordinates, so none may exceed
+# sqrt(max float / 2); this is its log.
+_LOG_COORD_MAX = 0.5 * math.log(sys.float_info.max / 2.0)
+
 # Points are placed in polar coordinates around the hyperboloid origin;
 # theta = 0 runs along the base line and pi/2 up the bisector.
 _MODEL = Geometry.HYPERBOLIC.model
@@ -66,30 +71,25 @@ class Hypercycle:
     def __post_init__(self) -> None:
         if self.axis.geometry is not Geometry.HYPERBOLIC:
             raise DomainError("hypercycles live in the hyperbolic plane")
-        _finite_cosh(self.offset, "offset")
+        if not abs(self.offset) <= _LOG_COORD_MAX:
+            raise DomainError(f"offset {self.offset} puts the curve beyond float range")
 
     @cached_property
-    def _axis_frame(self) -> tuple[Vec3, Vec3, float, float]:
+    def _axis_frame(self) -> tuple[Vec3, Vec3, float, float, float]:
         """Foot g0 of the model origin on the axis, the axis tangent there,
-        and cosh and sinh of the offset."""
+        cosh and sinh of the offset, and the reach: a bound on |s| within
+        which every point's coordinates fit HPoint's check."""
         g0 = k.foot_of_perpendicular(k.ORIGIN, self.axis).v
+        co = math.cosh(self.offset)
+        # g0, u0 and the normal have coordinates of at most g0[0], so a
+        # point's are at most 3 g0[0] cosh(offset) e^|s|.
         return (
             g0,
             vec.mcross(g0, self.axis.normal),
-            math.cosh(self.offset),
+            co,
             math.sinh(self.offset),
+            _LOG_COORD_MAX - math.log(3.0 * g0[0] * co),
         )
-
-
-def _finite_cosh(x: float, what: str) -> float:
-    """cosh(x); DomainError when x is not finite or cosh(x) overflows."""
-    try:
-        c = math.cosh(x)
-    except OverflowError:
-        c = math.inf
-    if not c < math.inf:
-        raise DomainError(f"{what} {x} is not finite or its cosh overflows")
-    return c
 
 
 def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
@@ -105,10 +105,13 @@ def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
     distance ``offset`` for every s.  Each curve caches its frame (the
     axis foot g0 and tangent u0, cosh and sinh of the offset), so a
     point costs one cosh(s) and one sinh(s) in closed form:
-    gamma(s) = cosh(s) * g0 + sinh(s) * u0.
+    gamma(s) = cosh(s) * g0 + sinh(s) * u0.  An s whose point has
+    coordinates no float holds raises DomainError before any is built.
     """
-    g0, u0, co, so = hc._axis_frame
-    ch = _finite_cosh(s, "axis position")
+    g0, u0, co, so, reach = hc._axis_frame
+    if not abs(s) <= reach:
+        raise DomainError(f"axis position {s} puts the point beyond float range")
+    ch = math.cosh(s)
     sh = math.sinh(s)
     n = hc.axis.normal
     return HPoint(

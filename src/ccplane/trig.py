@@ -20,6 +20,7 @@ crossed transversals rest on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import TOL_CLAMP, TOL_ID
@@ -34,18 +35,18 @@ def clamped_acos(x: float) -> float:
     return math.acos(min(1.0, max(-1.0, x)))
 
 
-def _check_hypotenuse(b: float, geometry: Geometry) -> None:
+def _check_right_triangle(b: float, alpha: float, geometry: Geometry) -> None:
     if not b > 0.0:
         raise DomainError(f"hypotenuse must be positive: {b}")
     if b > geometry.model.side_limit:
         raise DomainError(f"hypotenuse above working range: {b}")
+    if not 0.0 < alpha < math.pi / 2:
+        raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
 
 
 def cathetus_from_hypotenuse(b: float, alpha: float, geometry: Geometry) -> float:
     """Leg adjacent to alpha in a right triangle with hypotenuse b."""
-    _check_hypotenuse(b, geometry)
-    if not 0.0 < alpha < math.pi / 2:
-        raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
+    _check_right_triangle(b, alpha, geometry)
     model = geometry.model
     return model.t_K_inv(math.cos(alpha) * model.t_K(b))
 
@@ -56,7 +57,8 @@ class RightTriangleConfig:
 
     ``hypotenuse`` joins the apex A to the ray point C, ``adjacent``
     runs from A along the baseline to the foot B and ``opposite`` is
-    the perpendicular drop.  The right angle sits at B.
+    the perpendicular drop.  The right angle at B makes X(h) = X(a) + X(b)
+    - kappa X(a) X(b) in X = ``model.versine``: each plane's Pythagoras law.
     """
 
     geometry: Geometry
@@ -66,19 +68,19 @@ class RightTriangleConfig:
     opposite: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < math.pi / 2:
-            raise DomainError(f"base angle must lie in (0, pi/2): {self.alpha}")
-        _check_hypotenuse(self.hypotenuse, self.geometry)
-        if self.geometry is Geometry.HYPERBOLIC:
-            lhs = math.cosh(self.hypotenuse)
-            rhs = math.cosh(self.adjacent) * math.cosh(self.opposite)
-        elif self.geometry is Geometry.SPHERICAL:
-            lhs = math.cos(self.hypotenuse)
-            rhs = math.cos(self.adjacent) * math.cos(self.opposite)
-        else:
-            lhs = self.hypotenuse * self.hypotenuse
-            rhs = self.adjacent * self.adjacent + self.opposite * self.opposite
-        if abs(lhs - rhs) > TOL_ID * (1.0 + abs(lhs)):
+        _check_right_triangle(self.hypotenuse, self.alpha, self.geometry)
+        model = self.geometry.model
+        kappa = model.kappa
+        xh = model.versine(self.hypotenuse)
+        xa = model.versine(self.adjacent)
+        xb = model.versine(self.opposite)
+        residual = xh - (xa + xb - kappa * xa * xb)
+        # The band bounds the rounding of the legs model.dist measures
+        # (derived in CHANGES.md).  Past an adjacent leg of 6.6 on the
+        # hyperbolic plane it outgrows the former gate TOL_ID (1 + cosh h),
+        # which stays the ceiling there.
+        band = 32.0 * sys.float_info.epsilon * (1.0 + xh) * (1.0 + abs(kappa) * xa) ** 2
+        if not abs(residual) <= min(band, TOL_ID * (2.0 + xh)):
             raise DomainError("legs and hypotenuse break the right-angle relation")
 
 
@@ -92,9 +94,7 @@ def build_right_triangle(
     baseline.  Lengths are read back off the model, independently of
     the closed-form cathetus law.
     """
-    _check_hypotenuse(b, geometry)
-    if not 0.0 < alpha < math.pi / 2:
-        raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
+    _check_right_triangle(b, alpha, geometry)
     model = geometry.model
     ray_point = model.polar(alpha, b)
     foot = model.foot(ray_point, model.base, model.polar(0.0, 1.0))

@@ -28,13 +28,10 @@ from .trig import build_right_triangle, menelaus_ratio, menelaus_rhs
 
 THEOREMS = ("menelaus", "euler-ratio", "ceva", "lambert", "lexell", "pqr")
 
+# Lexell's constant-area locus is a pair of hyperbolic hypercycles.
 SUPPORTED: dict[str, tuple[Geometry, ...]] = {
-    "menelaus": (Geometry.HYPERBOLIC, Geometry.SPHERICAL),
-    "euler-ratio": (Geometry.HYPERBOLIC, Geometry.SPHERICAL, Geometry.EUCLIDEAN),
-    "ceva": (Geometry.HYPERBOLIC, Geometry.SPHERICAL, Geometry.EUCLIDEAN),
-    "lambert": (Geometry.HYPERBOLIC, Geometry.SPHERICAL, Geometry.EUCLIDEAN),
-    "pqr": (Geometry.HYPERBOLIC, Geometry.SPHERICAL),
-    "lexell": (Geometry.HYPERBOLIC,),
+    theorem: (Geometry.HYPERBOLIC,) if theorem == "lexell" else tuple(Geometry)
+    for theorem in THEOREMS
 }
 
 
@@ -100,13 +97,11 @@ def _lambert_trial(geometry: Geometry, rng) -> float:
         side = rng.uniform(0.1, 4.0)
     rep = lambert_median_report(side, geometry)
     residual = abs(rep.alpha - 2.0)
-    if geometry is Geometry.HYPERBOLIC and not rep.ad_over_od > 3.0:
-        return math.inf
-    if geometry is Geometry.SPHERICAL and not rep.ad_over_od < 3.0:
-        return math.inf
-    if geometry is Geometry.EUCLIDEAN:
-        residual = max(residual, abs(rep.ad_over_od - 3.0))
-    return residual
+    kappa = geometry.model.kappa
+    if kappa == 0.0:
+        return max(residual, abs(rep.ad_over_od - 3.0))
+    # AD/OD is above 3 where kappa < 0 and below 3 where kappa > 0.
+    return residual if kappa * (rep.ad_over_od - 3.0) < 0.0 else math.inf
 
 
 def _lexell_trial(geometry: Geometry, rng) -> float:

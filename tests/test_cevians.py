@@ -181,7 +181,7 @@ class TestRatioSumRelation:
 
 
 class TestPqrSystem:
-    @pytest.mark.parametrize("geometry", [HYP, SPH])
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
     def test_linear_relations_campaign(self, geometry):
         worst = 0.0
         for i in range(100):
@@ -199,11 +199,6 @@ class TestPqrSystem:
         assert sys_.P == pytest.approx(math.sin(fr.p) / math.tanh(fr.ao), abs=0)
         assert sys_.Q == pytest.approx(math.sin(fr.q) / math.tanh(fr.bo), abs=0)
         assert sys_.R == pytest.approx(math.sin(fr.r) / math.tanh(fr.co), abs=0)
-
-    def test_euclidean_frame_rejected(self):
-        fr = sample_frame(EUC, substream("pqr-euc", 1, 0))
-        with pytest.raises(DomainError):
-            pqr_system(fr)
 
 
 class TestProjectionOracle:

@@ -199,9 +199,12 @@ class TestLexellCommand:
             assert out.stderr.startswith("error:"), argv
             assert "Traceback" not in out.stderr, argv
 
-    def test_spherical_is_usage_error(self):
-        out = run_cli("lexell", "0.8", "--geometry", "spherical", "--apex-y", "1.0")
-        assert out.returncode == 2
+    def test_geometry_flag_is_usage_error(self):
+        # The locus is hyperbolic-only, so the command takes no --geometry.
+        for geometry in ("hyperbolic", "spherical"):
+            out = run_cli("lexell", "0.8", "--geometry", geometry, "--apex-y", "1.0")
+            assert out.returncode == 2
+            assert out.stdout == ""
 
     def test_missing_apex_is_usage_error(self):
         assert run_cli("lexell", "0.8").returncode == 2

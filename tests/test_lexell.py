@@ -318,8 +318,10 @@ class TestHypercycle:
                 Hypercycle(axis, offset)
 
     def test_overflowing_offset_rejected(self):
-        with pytest.raises(DomainError):
-            Hypercycle(Geodesic((0.0, 0.0, 1.0)), 800.0)
+        # From an offset of about 354.5 no point of the curve fits a float.
+        for offset in (400.0, 800.0):
+            with pytest.raises(DomainError):
+                Hypercycle(Geodesic((0.0, 0.0, 1.0)), offset)
 
     def test_nonfinite_position_rejected(self):
         hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
@@ -331,6 +333,17 @@ class TestHypercycle:
         hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
         with pytest.raises(DomainError):
             hypercycle_point(hc, 1000.0)
+
+    def test_unrepresentable_point_rejected(self):
+        # Beyond the reach the coordinates overflow a float; inside it the
+        # point is built and lies on the curve.
+        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 300.0)
+        for s in (100.0, 300.0, 700.0):
+            with pytest.raises(DomainError):
+                hypercycle_point(hc, s)
+        for s in (-50.0, 50.0):
+            z = hypercycle_point(hc, s)
+            assert hypercycle_residual(hc, z) <= 1e-12 * math.sinh(300.0)
 
     def test_too_few_samples_rejected(self):
         hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.6)

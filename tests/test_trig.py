@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from ccplane.kernel import Geometry
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
 EUC = Geometry.EUCLIDEAN
+EPS = sys.float_info.epsilon
 
 
 def test_cathetus_law_frozen_value():
@@ -62,7 +64,7 @@ def test_menelaus_rhs_at_pi_third_is_three():
 
 
 def test_transversal_ratio_matches_angle_form():
-    for geometry, b_hi in ((HYP, 5.0), (SPH, math.pi / 2 - 0.1)):
+    for geometry, b_hi in ((HYP, 5.0), (SPH, math.pi / 2 - 0.1), (EUC, 5.0)):
         rng = random.Random(7)
         for _ in range(200):
             b = rng.uniform(0.1, b_hi)
@@ -116,6 +118,34 @@ def test_cathetus_rejects_out_of_range():
         trig.cathetus_from_hypotenuse(1.6, 0.5, SPH)
     with pytest.raises(DomainError):
         trig.cathetus_from_hypotenuse(1.0, math.pi / 2, HYP)
+
+
+@pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+def test_right_angle_relation_gate(geometry):
+    # RightTriangleConfig checks X(h) = X(a) + X(b) - kappa X(a) X(b) within
+    # the rounding band 32 eps (1 + X(h)) (1 + |kappa| X(a))^2.  Every
+    # construction up to the side limit passes; the same legs with the
+    # adjacent one moved 1.5 bands further off the relation do not.
+    model = geometry.model
+    kappa, x = model.kappa, model.versine
+    limit = min(model.side_limit, 1e4)  # the plane has no side limit
+    rng = random.Random(303)
+    for _ in range(300):
+        h = limit * (1.0 - rng.random())
+        alpha = rng.uniform(0.01, math.pi / 2 - 0.01)
+        cfg = trig.build_right_triangle(h, alpha, geometry)
+        a, b = cfg.adjacent, cfg.opposite
+        band = 32.0 * EPS * (1.0 + x(h)) * (1.0 + abs(kappa) * x(a)) ** 2
+
+        def residual(a):
+            return x(h) - (x(a) + x(b) - kappa * x(a) * x(b))
+
+        # dR/da = -s_K(a) (1 - kappa X(b)); step the way R already leans.
+        step = 1.5 * band / (model.s_K(a) * (1.0 - kappa * x(b)))
+        moved = a - math.copysign(step, residual(a))
+        assert band < abs(residual(moved)) < 2.0 * band
+        with pytest.raises(DomainError, match="right-angle relation"):
+            trig.RightTriangleConfig(geometry, alpha, h, moved, b)
 
 
 def test_right_angle_cosine_law_consistency():

@@ -30,9 +30,10 @@ class TestSupportMap:
         with pytest.raises(DomainError):
             run_verification("lexell", SPH, trials=1)
 
-    def test_pqr_has_no_euclidean_form(self):
-        with pytest.raises(DomainError):
-            run_verification("pqr", EUC, trials=1)
+    def test_every_theorem_but_lexell_on_every_plane(self):
+        for theorem in THEOREMS:
+            if theorem != "lexell":
+                assert SUPPORTED[theorem] == tuple(Geometry)
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(DomainError):
