@@ -355,34 +355,55 @@ def locus_residuals(
     )
 
 
-def chord_split(z1: HPoint, z2: HPoint, axis: Geodesic) -> tuple[float, float]:
-    """Lengths of the two pieces the axis cuts from segment z1 z2."""
+def chord_crossing(z1: HPoint, z2: HPoint, axis: Geodesic) -> HPoint:
+    """Point where the axis cuts the segment z1 z2, in closed form.
+
+    With s_i = <z_i, n> of opposite signs, w = |s2| z1 + |s1| z2 has
+    <w, n> = |s2| s1 + |s1| s2 = 0 and lies in span(z1, z2): it is on
+    both the axis and the chord.  A positive combination of two
+    future-timelike vectors is future-timelike, so w always normalizes
+    onto the sheet and the two lines always meet.
+    """
     s1 = vec.minner(z1.v, axis.normal)
     s2 = vec.minner(z2.v, axis.normal)
     if s1 * s2 >= 0.0:
         raise DomainError("chord endpoints must straddle the axis")
-    crossing = k.intersect_geodesics(k.geodesic_through(z1, z2), axis)
-    if crossing is None:
-        raise GeometryError("chord fails to meet the axis")
+    w1, w2 = abs(s2), abs(s1)
+    a, b = z1.v, z2.v
+    return HPoint(
+        vec.mnormalize_point(
+            (w1 * a[0] + w2 * b[0], w1 * a[1] + w2 * b[1], w1 * a[2] + w2 * b[2])
+        )
+    )
+
+
+def chord_split(z1: HPoint, z2: HPoint, axis: Geodesic) -> tuple[float, float]:
+    """Lengths of the two pieces the axis cuts from segment z1 z2.
+
+    The cut point is ``chord_crossing``; both lengths go through
+    ``hdist`` and its separation clamp.
+    """
+    crossing = chord_crossing(z1, z2, axis)
     return (k.hdist(z1, crossing), k.hdist(crossing, z2))
 
 
 def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
-    """Max imbalance of axis-cut chords between the two hypercycles.
+    """Max imbalance of n axis-cut chords between the two hypercycles.
 
-    Chords join a random carrier point to a random mirror point; the
-    axis bisects every such chord, so the imbalance is pure rounding.
+    Each chord joins a random carrier point to a random mirror point;
+    the axis bisects every such chord, so the imbalance is pure
+    rounding.  One substream ("subarc", seed) serves the whole check:
+    its draws give the carrier and then the mirror position of each
+    chord in turn.
     """
+    rng = substream("subarc", seed)
+    carrier, mirror = locus.carrier, locus.mirror
+    axis = carrier.axis
     worst = 0.0
-    for i in range(n):
-        rng = substream("subarc", seed, i)
-        z1 = hypercycle_point(
-            locus.carrier, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random()
-        )
-        z2 = hypercycle_point(
-            locus.mirror, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random()
-        )
-        d1, d2 = chord_split(z1, z2, locus.carrier.axis)
+    for _ in range(n):
+        z1 = hypercycle_point(carrier, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random())
+        z2 = hypercycle_point(mirror, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random())
+        d1, d2 = chord_split(z1, z2, axis)
         worst = max(worst, abs(d1 - d2))
     return worst
 

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .constants import TOL_CLAMP, TOL_ID
+from .constants import TOL_CLAMP
 from .errors import DomainError
 from .kernel import Geometry
 
@@ -76,11 +76,10 @@ class RightTriangleConfig:
         xb = model.versine(self.opposite)
         residual = xh - (xa + xb - kappa * xa * xb)
         # The band bounds the rounding of the legs model.dist measures
-        # (derived in CHANGES.md).  Past an adjacent leg of 6.6 on the
-        # hyperbolic plane it outgrows the former gate TOL_ID (1 + cosh h),
-        # which stays the ceiling there.
+        # (derived in CHANGES.md): on the hyperbolic plane cosh of the
+        # opposite leg sums terms of size cosh a cosh h, hence (1 + X(a))^2.
         band = 32.0 * sys.float_info.epsilon * (1.0 + xh) * (1.0 + abs(kappa) * xa) ** 2
-        if not abs(residual) <= min(band, TOL_ID * (2.0 + xh)):
+        if not abs(residual) <= band:
             raise DomainError("legs and hypotenuse break the right-angle relation")
 
 

@@ -323,10 +323,12 @@ def test_criterion_12_cli_determinism():
             env={**os.environ, "PYTHONPATH": path},
         )
 
-    first = run("verify", "euler-ratio", "--trials", "200", "--seed", "42")
-    second = run("verify", "euler-ratio", "--trials", "200", "--seed", "42")
-    identical = first.stdout == second.stdout and first.stdout != ""
-    pass_code = first.returncode == 0 and json.loads(first.stdout)["passed"] is True
+    identical = pass_code = True
+    for args in (("euler-ratio", "--trials", "200"), ("lexell", "--trials", "20")):
+        first = run("verify", *args, "--seed", "42")
+        second = run("verify", *args, "--seed", "42")
+        identical &= first.stdout == second.stdout and first.stdout != ""
+        pass_code &= first.returncode == 0 and json.loads(first.stdout)["passed"] is True
     infeasible = run("construct", "1.0", "1.0", "1.0", "0.5", "0.5", "0.5")
     usage = run("verify", "lexell", "--geometry", "spherical")
     codes_ok = infeasible.returncode == 1 and usage.returncode == 2

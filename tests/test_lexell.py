@@ -2,12 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccplane import kernel as k
+from ccplane import lexell
 from ccplane.cevians import Triangle
 from ccplane.corevec import mcross, minner
 from ccplane.errors import (
@@ -36,6 +38,7 @@ from ccplane.lexell import (
     apex_triangle,
     area_profile,
     area_profile_deriv,
+    chord_crossing,
     chord_split,
     cosh_c_from_angles,
     equal_subarc_check,
@@ -438,11 +441,62 @@ class TestLexellLocus:
         assert rejected > 0
 
 
+def _seeded_locus(i: int):
+    # Drawn as the lexell campaign draws its loci.
+    rng = substream("subarc-test", 5, i)
+    base = BaseConfig.from_half_distance(rng.uniform(0.3, 1.5))
+    u = rng.uniform(-0.7, 0.7)
+    w = rng.uniform(0.1, 0.7) * (1.0 if rng.random() < 0.5 else -1.0)
+    return lexell_locus(base, k.disk_to_hpoint(k.DiskPoint(u, w)))
+
+
 class TestChordSplit:
     def test_axis_bisects_carrier_to_mirror_chords(self):
         base = BaseConfig.from_half_distance(0.9)
         locus = lexell_locus(base, _perp_apex(1.2))
         assert equal_subarc_check(locus, 50, seed=3) < 1e-12
+
+    def test_crossing_lies_on_axis_and_chord(self):
+        for i in range(20):
+            locus = _seeded_locus(i)
+            rng = random.Random(i)
+            for _ in range(10):
+                z1 = hypercycle_point(locus.carrier, SAMPLE_RANGE * rng.uniform(-1.0, 1.0))
+                z2 = hypercycle_point(locus.mirror, SAMPLE_RANGE * rng.uniform(-1.0, 1.0))
+                x = chord_crossing(z1, z2, locus.carrier.axis)
+                assert geodesic_residual(locus.carrier.axis, x) < 1e-12
+                assert geodesic_residual(geodesic_through(z1, z2), x) < 1e-12
+                d1, d2 = chord_split(z1, z2, locus.carrier.axis)
+                assert (d1, d2) == (k.hdist(z1, x), k.hdist(x, z2))
+
+    def test_one_substream_per_check(self, monkeypatch):
+        seeded = []
+
+        def counting(*args):
+            seeded.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(lexell, "substream", counting)
+        equal_subarc_check(_seeded_locus(0), 50, seed=9)
+        assert seeded == [("subarc", 9)]
+
+    def test_residual_sees_a_displaced_mirror(self):
+        # A mirror at offset -o + delta is no longer bisected by the axis:
+        # the imbalance must grow at first order in delta, from rounding
+        # level at delta = 0 to past 1e-9 at delta = 1e-6.
+        for i in range(5):
+            locus = _seeded_locus(i)
+            axis, o = locus.carrier.axis, locus.carrier.offset
+
+            def residual(delta):
+                moved = replace(locus, mirror=Hypercycle(axis, -o + delta))
+                return equal_subarc_check(moved, 50, seed=i)
+
+            assert residual(0.0) < 1e-12
+            slope = residual(1e-6) / 1e-6
+            assert slope * 1e-6 > 1e-9
+            for delta in (1e-9, 1e-8, 1e-7):
+                assert residual(delta) / delta == pytest.approx(slope, rel=1e-4)
 
     def test_same_side_chord_rejected(self):
         base = BaseConfig.from_half_distance(0.9)

@@ -148,6 +148,21 @@ def test_right_angle_relation_gate(geometry):
             trig.RightTriangleConfig(geometry, alpha, h, moved, b)
 
 
+def test_long_adjacent_legs_build():
+    # Past an adjacent leg of about 7.4 the hyperbolic construction's
+    # rounding grows like cosh(a)^2; the derived band covers it.  A base
+    # angle near 0 at a long hypotenuse gives such a leg.
+    cfg = trig.build_right_triangle(9.979535086846758, 3.2604718296125536e-05, HYP)
+    assert cfg.adjacent > 9.9
+    rng = random.Random(707)
+    for _ in range(20000):
+        h = HYP.model.side_limit * (1.0 - rng.random())
+        e = 10.0 ** rng.uniform(-7.0, math.log10(math.pi / 2))
+        alpha = e if rng.random() < 0.5 else math.pi / 2 - e
+        if 0.0 < alpha < math.pi / 2:
+            trig.build_right_triangle(h, alpha, HYP)
+
+
 def test_right_angle_cosine_law_consistency():
     # Rebuild the synthetic figure and measure its corner at the foot.
     model = HYP.model
