@@ -26,9 +26,6 @@ from .kernel import (
     point_along,
     radial_project,
     reflect_across,
-    sphere_angle_at,
-    sphere_dist,
-    sphere_geodesic,
 )
 
 __version__ = "0.1.0"
@@ -54,8 +51,5 @@ __all__ = [
     "point_along",
     "radial_project",
     "reflect_across",
-    "sphere_angle_at",
-    "sphere_dist",
-    "sphere_geodesic",
     "__version__",
 ]

@@ -12,9 +12,11 @@ euclidean plane), the frame satisfies
     alpha * beta * gamma = alpha + beta + gamma + 2
 
 equivalently 1/(alpha+1) + 1/(beta+1) + 1/(gamma+1) = 1.  The relation
-is verified along two independent routes: direct measurement in the
-model, and a central projection onto the tangent plane at O that maps
-the frame to a euclidean one with the same ratios.
+is checked along two independent routes.  The ``verify`` campaigns
+measure the frame directly in the model.  The second route,
+``projection_oracle``, runs in the tests only, on hyperbolic frames: a
+central projection onto the tangent plane at O maps the frame to a
+euclidean one with the same ratios.
 
 The converse construction recovers a frame from the six lengths alone.
 The auxiliary quantities G = th(AO)/(alpha+1), H = th(BO)/(beta+1) and

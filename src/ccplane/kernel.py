@@ -1,11 +1,14 @@
-"""Point and geodesic primitives on the hyperboloid and the sphere.
+"""Points of the three planes, hyperboloid primitives, and one model per plane.
 
 The hyperbolic plane is the upper sheet x0 > 0 of <x, x> = -1 in
 Minkowski 3-space with <x, y> = -x0*y0 + x1*y1 + x2*y2.  Distances obey
 cosh d(p, q) = -<p, q>, geodesics are cut out by unit spacelike normals
 (containment is <x, n> = 0), and moving distance t from p along a unit
-tangent n gives cosh(t) p + sinh(t) n.  The sphere uses unit vectors in
-ordinary Euclidean 3-space with the same vocabulary.
+tangent n gives cosh(t) p + sinh(t) n.  The module functions below are
+these hyperboloid primitives, which the Lexell loci, the renderer and
+the CLI call directly.  The sphere uses unit vectors in ordinary
+Euclidean 3-space with the same vocabulary; its great circles are unit
+normals inside SphereModel and have no free functions.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.
@@ -13,7 +16,8 @@ below TOL_POINT and constructions compose safely.
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
 against it runs unchanged on the hyperbolic plane, the sphere and the
-euclidean plane.
+euclidean plane.  A plane's operations live on its model; a free
+function exists only where another module calls it.
 """
 
 from __future__ import annotations
@@ -105,28 +109,18 @@ class TangentPoint:
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Complete geodesic, stored as the unit normal of its plane.
-
-    Hyperbolic: <n, n> = +1 and the curve is {x upper sheet: <x, n> = 0}.
-    Spherical: |n| = 1 and the curve is the great circle {x: x . n = 0}.
-    """
+    """Complete hyperbolic geodesic {x upper sheet: <x, n> = 0}, stored
+    as its unit spacelike normal n (<n, n> = +1)."""
 
     normal: Vec3
-    geometry: Geometry = Geometry.HYPERBOLIC
 
     def __post_init__(self) -> None:
-        if self.geometry is Geometry.HYPERBOLIC:
-            q = vec.minner(self.normal, self.normal)
-            # A geodesic far from the origin has a large timelike normal
-            # component whose squares cancel; widen the band with it.
-            band = TOL_POINT * (1.0 + self.normal[0] * self.normal[0])
-        elif self.geometry is Geometry.SPHERICAL:
-            q = vec.sdot(self.normal, self.normal)
-            band = TOL_POINT
-        else:
-            raise ContractViolationError("geodesic tag must be hyperbolic or spherical")
+        q = vec.minner(self.normal, self.normal)
+        # A geodesic far from the origin has a large timelike normal
+        # component whose squares cancel; widen the band with it.
+        band = TOL_POINT * (1.0 + self.normal[0] * self.normal[0])
         if not (abs(q - 1.0) <= band):
-            raise InvalidPointError(f"normal is not unit for {self.geometry}: {self.normal}")
+            raise InvalidPointError(f"normal is not unit spacelike: {self.normal}")
 
 
 ORIGIN = HPoint((1.0, 0.0, 0.0))
@@ -195,13 +189,7 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
 
 def geodesic_residual(g: Geodesic, p: HPoint) -> float:
     """|<p, n>|: zero exactly when p lies on g."""
-    _expect(g, Geometry.HYPERBOLIC)
     return abs(vec.minner(p.v, g.normal))
-
-
-def _expect(g: Geodesic, geometry: Geometry) -> None:
-    if g.geometry is not geometry:
-        raise ContractViolationError(f"expected a {geometry.value} geodesic")
 
 
 def intersect_geodesics(g1: Geodesic, g2: Geodesic) -> HPoint | None:
@@ -210,8 +198,6 @@ def intersect_geodesics(g1: Geodesic, g2: Geodesic) -> HPoint | None:
     Returns None for ultraparallel and asymptotically parallel pairs;
     identical geodesics are rejected as degenerate.
     """
-    _expect(g1, Geometry.HYPERBOLIC)
-    _expect(g2, Geometry.HYPERBOLIC)
     c = vec.mcross(g1.normal, g2.normal)
     if max(abs(c[0]), abs(c[1]), abs(c[2])) <= _CROSS_EPS:
         raise DegenerateInputError("identical geodesics")
@@ -259,7 +245,6 @@ def angle_at(v: HPoint, p: HPoint, q: HPoint) -> float:
 
 def foot_of_perpendicular(p: HPoint, g: Geodesic) -> HPoint:
     """Nearest point of g to p; sinh of the drop equals |<p, n>|."""
-    _expect(g, Geometry.HYPERBOLIC)
     return HPoint(vec.mfoot(p.v, g.normal))
 
 
@@ -270,7 +255,6 @@ def midpoint(p: HPoint, q: HPoint) -> HPoint:
 
 def reflect_across(g: Geodesic, p: HPoint) -> HPoint:
     """Image of p under the reflection fixing g."""
-    _expect(g, Geometry.HYPERBOLIC)
     return HPoint(vec.mreflect(p.v, g.normal))
 
 
@@ -332,80 +316,6 @@ def radial_project(base: HPoint, p: HPoint) -> TangentPoint:
     pp = (p.v[0] * f, p.v[1] * f, p.v[2] * f)
     e1, e2 = tangent_basis(base)
     return TangentPoint(vec.minner(pp, e1), vec.minner(pp, e2))
-
-
-def sphere_dist(p: SpherePoint, q: SpherePoint) -> float:
-    """Great-circle distance between two sphere points."""
-    return vec.sdist(p.v, q.v)
-
-
-def sphere_direction(p: SpherePoint, q: SpherePoint) -> Vec3:
-    """Unit tangent at p toward q; rejects coincident and antipodal pairs."""
-    c = vec.scross(p.v, q.v)
-    if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
-        raise DegenerateInputError("direction undefined for coincident or antipodal points")
-    return vec.stangent(p.v, q.v)
-
-
-def sphere_geodesic(p: SpherePoint, q: SpherePoint) -> Geodesic:
-    """Great circle through two points that span a unique one."""
-    c = vec.scross(p.v, q.v)
-    if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
-        raise DegenerateInputError("great circle undefined for coincident or antipodal points")
-    return Geodesic(vec.snormalize(c), Geometry.SPHERICAL)
-
-
-def sphere_geodesic_residual(g: Geodesic, p: SpherePoint) -> float:
-    """|p . n|: zero exactly when p lies on the great circle."""
-    _expect(g, Geometry.SPHERICAL)
-    return abs(vec.sdot(p.v, g.normal))
-
-
-def sphere_point_along(p: SpherePoint, n: Vec3, t: float) -> SpherePoint:
-    """Point at signed arclength t from p along the unit tangent n."""
-    if abs(vec.sdot(n, n) - 1.0) > TOL_ID:
-        raise ContractViolationError(f"direction is not unit: {n}")
-    if abs(vec.sdot(p.v, n)) > TOL_ID:
-        raise ContractViolationError(f"direction is not tangent at the point: {n}")
-    return SpherePoint(vec.sgeo_point(p.v, n, t))
-
-
-def sphere_angle_at(v: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
-    """Interior angle at v between the arcs to p and to q."""
-    u1 = sphere_direction(v, p)
-    u2 = sphere_direction(v, q)
-    c = vec.sdot(u1, u2)
-    w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
-    s = math.sqrt(max(vec.sdot(w, w), 0.0))
-    return math.atan2(s, c)
-
-
-def sphere_foot(p: SpherePoint, g: Geodesic) -> SpherePoint:
-    """Nearest point of the great circle to p (p must not be its pole)."""
-    _expect(g, Geometry.SPHERICAL)
-    s = vec.sdot(p.v, g.normal)
-    if 1.0 - abs(s) <= TOL_POINT:
-        raise DegenerateInputError("every circle point is equidistant from its pole")
-    return SpherePoint(vec.sfoot(p.v, g.normal))
-
-
-def sphere_midpoint(p: SpherePoint, q: SpherePoint) -> SpherePoint:
-    """Midpoint of the shorter arc between p and q."""
-    w = (p.v[0] + q.v[0], p.v[1] + q.v[1], p.v[2] + q.v[2])
-    if math.sqrt(vec.sdot(w, w)) <= _CROSS_EPS:
-        raise DegenerateInputError("midpoint undefined for antipodal points")
-    return SpherePoint(vec.snormalize(w))
-
-
-def sphere_intersections(g1: Geodesic, g2: Geodesic) -> tuple[SpherePoint, SpherePoint]:
-    """The antipodal pair where two distinct great circles meet."""
-    _expect(g1, Geometry.SPHERICAL)
-    _expect(g2, Geometry.SPHERICAL)
-    c = vec.scross(g1.normal, g2.normal)
-    if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
-        raise DegenerateInputError("identical great circles")
-    x = vec.snormalize(c)
-    return SpherePoint(x), SpherePoint((-x[0], -x[1], -x[2]))
 
 
 class PlaneModel:
@@ -482,8 +392,9 @@ class PlaneModel:
         )
 
 
-# The methods below call the kernel functions by their module names at
-# call time, so code that wraps those functions also sees these calls.
+# Only this model calls module functions, by their module names at call
+# time, so code that wraps those functions also sees these calls.  The
+# sphere and euclidean models keep their arithmetic in their methods.
 
 
 class HyperboloidModel(PlaneModel):
@@ -541,16 +452,27 @@ class SphereModel(PlaneModel):
     t_K_inv = staticmethod(math.atan)
 
     def dist(self, p: SpherePoint, q: SpherePoint) -> float:
-        return sphere_dist(p, q)
+        return vec.sdist(p.v, q.v)
 
     def angle(self, v: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
-        return sphere_angle_at(v, p, q)
+        u1 = self._tangent(v, p)
+        u2 = self._tangent(v, q)
+        c = vec.sdot(u1, u2)
+        w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
+        s = math.sqrt(max(vec.sdot(w, w), 0.0))
+        return math.atan2(s, c)
 
     def mid(self, p: SpherePoint, q: SpherePoint) -> SpherePoint:
-        return sphere_midpoint(p, q)
+        w = (p.v[0] + q.v[0], p.v[1] + q.v[1], p.v[2] + q.v[2])
+        if math.sqrt(vec.sdot(w, w)) <= _CROSS_EPS:
+            raise DegenerateInputError("midpoint undefined for antipodal points")
+        return SpherePoint(vec.snormalize(w))
 
     def polar(self, theta: float, r: float) -> SpherePoint:
-        return sphere_point_along(NORTH_POLE, (math.cos(theta), math.sin(theta), 0.0), r)
+        # (cos theta, sin theta, 0) is unit to 2 ulps and exactly tangent
+        # at the pole, so it goes to the exponential map unchecked.
+        n = (math.cos(theta), math.sin(theta), 0.0)
+        return SpherePoint(vec.sgeo_point(NORTH_POLE.v, n, r))
 
     def project(self, v: Vec3) -> SpherePoint:
         # ``x ** 2`` and ``x * x`` can differ in the last bit; the squares
@@ -561,14 +483,18 @@ class SphereModel(PlaneModel):
     def line_meet(
         self, p1: SpherePoint, p2: SpherePoint, s1: SpherePoint, s2: SpherePoint
     ) -> SpherePoint:
-        a, b = sphere_intersections(sphere_geodesic(p1, p2), sphere_geodesic(s1, s2))
-        # Of the antipodal pair, a is the one nearer the arc [s1, s2] when
-        # |s1 a| + |a s2| <= pi, which holds exactly when a . (s1 + s2) >= 0,
-        # since cos x + cos y = 2 cos((x + y)/2) cos((x - y)/2).  Ties go to a.
-        u, v, x = s1.v, s2.v, a.v
+        c = vec.scross(self._circle(p1, p2), self._circle(s1, s2))
+        if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
+            raise DegenerateInputError("identical great circles")
+        x = vec.snormalize(c)
+        # The circles meet at x and -x; x is the one nearer the arc [s1, s2]
+        # when |s1 x| + |x s2| <= pi, which holds exactly when x . (s1 + s2)
+        # >= 0, since cos a + cos b = 2 cos((a + b)/2) cos((a - b)/2).
+        # Ties go to x.
+        u, v = s1.v, s2.v
         if x[0] * (u[0] + v[0]) + x[1] * (u[1] + v[1]) + x[2] * (u[2] + v[2]) >= 0.0:
-            return a
-        return b
+            return SpherePoint(x)
+        return SpherePoint((-x[0], -x[1], -x[2]))
 
     def side_values(
         self, s1: SpherePoint, s2: SpherePoint, o: SpherePoint, w: SpherePoint
@@ -577,10 +503,29 @@ class SphereModel(PlaneModel):
         return vec.sdot(o.v, n), vec.sdot(w.v, n)
 
     def on_side_residual(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> float:
-        return sphere_geodesic_residual(sphere_geodesic(s1, s2), p)
+        return abs(vec.sdot(p.v, self._circle(s1, s2)))
 
     def foot(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
-        return sphere_foot(p, sphere_geodesic(s1, s2))
+        n = self._circle(s1, s2)
+        if 1.0 - abs(vec.sdot(p.v, n)) <= TOL_POINT:
+            raise DegenerateInputError("every circle point is equidistant from its pole")
+        return SpherePoint(vec.sfoot(p.v, n))
+
+    @staticmethod
+    def _circle(p: SpherePoint, q: SpherePoint) -> Vec3:
+        """Unit normal of the great circle through p and q."""
+        c = vec.scross(p.v, q.v)
+        if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
+            raise DegenerateInputError("great circle undefined for coincident or antipodal points")
+        return vec.snormalize(c)
+
+    @staticmethod
+    def _tangent(p: SpherePoint, q: SpherePoint) -> Vec3:
+        """Unit tangent at p toward q."""
+        c = vec.scross(p.v, q.v)
+        if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
+            raise DegenerateInputError("direction undefined for coincident or antipodal points")
+        return vec.stangent(p.v, q.v)
 
 
 EuclidPoint = tuple[float, float]

@@ -69,8 +69,6 @@ class Hypercycle:
     offset: float
 
     def __post_init__(self) -> None:
-        if self.axis.geometry is not Geometry.HYPERBOLIC:
-            raise DomainError("hypercycles live in the hyperbolic plane")
         if not abs(self.offset) <= _LOG_COORD_MAX:
             raise DomainError(f"offset {self.offset} puts the curve beyond float range")
 

@@ -116,8 +116,6 @@ def ideal_endpoints(g: Geodesic) -> tuple[XY, XY]:
     n1 x + n2 y = n0; with a unit spacelike normal the line always cuts
     the unit circle twice.
     """
-    if g.geometry is not Geometry.HYPERBOLIC:
-        raise DomainError("only hyperbolic geodesics reach the disk boundary")
     n0, n1, n2 = g.normal
     l2 = n1 * n1 + n2 * n2
     fx, fy = n0 * n1 / l2, n0 * n2 / l2

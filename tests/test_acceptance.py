@@ -172,9 +172,7 @@ def test_criterion_06_ceva(frames):
     median_gap = 0.0
     for geo in GEOMETRIES:
         tri = equilateral_triangle(0.9, geo)
-        mid = {
-            HYP: k.midpoint, SPH: k.sphere_midpoint, EUC: _euclid_midpoint,
-        }[geo]
+        mid = geo.model.mid
         product = ceva_product(
             tri, mid(tri.b, tri.c), mid(tri.c, tri.a), mid(tri.a, tri.b)
         )
@@ -183,10 +181,6 @@ def test_criterion_06_ceva(frames):
     _report("criterion-06", "ceva", ok,
             f"max |product - 1| {worst:.3e} <= 1e-09 over 1000 frames per "
             f"geometry, medians off by {median_gap:.3e}")
-
-
-def _euclid_midpoint(p, q):
-    return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
 
 
 def test_criterion_07_lambert():

@@ -178,6 +178,11 @@ def test_model_foot_is_the_perpendicular_foot(geometry):
         assert model.on_side_residual(foot, s1, s2) <= 1e-12
         far = max((s1, s2), key=lambda s: model.dist(foot, s))
         assert model.angle(foot, p, far) == pytest.approx(math.pi / 2, abs=1e-12)
+        # The drop to the foot is the distance to the line: sinh of it is
+        # |<p, n>|, sin of it is |p . n|, and in the plane it is the residual.
+        assert model.s_K(model.dist(p, foot)) == pytest.approx(
+            model.on_side_residual(p, s1, s2), rel=1e-12
+        )
 
 
 def test_midpoint_on_axis():
@@ -241,44 +246,98 @@ def test_tangent_basis_orthonormal():
     assert abs(k.mink_inner(e2, base.v)) <= 1e-12
 
 
+SPHERE = k.Geometry.SPHERICAL.model
+
+
 def test_sphere_basics():
     p = k.NORTH_POLE
     q = k.SpherePoint((1.0, 0.0, 0.0))
-    assert k.sphere_dist(p, q) == pytest.approx(math.pi / 2, abs=1e-15)
-    g = k.sphere_geodesic(p, q)
-    assert k.sphere_geodesic_residual(g, p) <= 1e-15
-    m = k.sphere_midpoint(p, q)
-    assert k.sphere_dist(p, m) == pytest.approx(math.pi / 4, abs=1e-12)
+    assert SPHERE.dist(p, q) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert SPHERE.on_side_residual(p, p, q) <= 1e-15
+    m = SPHERE.mid(p, q)
+    assert SPHERE.dist(p, m) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_sphere_angle_and_foot():
     v = k.NORTH_POLE
-    p = k.sphere_point_along(v, (1.0, 0.0, 0.0), 0.7)
-    q = k.sphere_point_along(v, (0.0, 1.0, 0.0), 0.4)
-    assert k.sphere_angle_at(v, p, q) == pytest.approx(math.pi / 2, abs=1e-12)
-    g = k.sphere_geodesic(v, p)
-    f = k.sphere_foot(q, g)
-    assert k.sphere_geodesic_residual(g, f) <= 1e-12
-    assert math.sin(k.sphere_dist(q, f)) == pytest.approx(
-        k.sphere_geodesic_residual(g, q), rel=1e-12
+    p = SPHERE.polar(0.0, 0.7)
+    q = SPHERE.polar(0.5 * math.pi, 0.4)
+    assert SPHERE.angle(v, p, q) == pytest.approx(math.pi / 2, abs=1e-12)
+    f = SPHERE.foot(q, v, p)
+    assert SPHERE.on_side_residual(f, v, p) <= 1e-12
+    assert math.sin(SPHERE.dist(q, f)) == pytest.approx(
+        SPHERE.on_side_residual(q, v, p), rel=1e-12
     )
 
 
 def test_sphere_intersections_are_antipodal():
-    g1 = k.sphere_geodesic(k.NORTH_POLE, k.SpherePoint((1.0, 0.0, 0.0)))
-    g2 = k.sphere_geodesic(k.NORTH_POLE, k.SpherePoint((0.0, 1.0, 0.0)))
-    a, b = k.sphere_intersections(g1, g2)
-    assert k.sphere_dist(a, b) == pytest.approx(math.pi, abs=1e-12)
-    assert min(k.sphere_dist(a, k.NORTH_POLE), k.sphere_dist(b, k.NORTH_POLE)) <= 1e-12
+    # The great circles y = 0 and x = 0 meet at the poles; line_meet picks
+    # the one on the arc [s1, s2], the north pole from one arc and the
+    # south pole from an arc around it.
+    x_axis = k.SpherePoint((1.0, 0.0, 0.0))
+    a = SPHERE.line_meet(k.NORTH_POLE, x_axis, k.NORTH_POLE, k.SpherePoint((0.0, 1.0, 0.0)))
+    b = SPHERE.line_meet(k.NORTH_POLE, x_axis, k.SpherePoint((0.0, 0.6, -0.8)),
+                         k.SpherePoint((0.0, -0.6, -0.8)))
+    assert SPHERE.dist(a, b) == pytest.approx(math.pi, abs=1e-12)
+    assert SPHERE.dist(a, k.NORTH_POLE) <= 1e-12
 
 
 def test_sphere_degenerate_rejections():
     p = k.SpherePoint((1.0, 0.0, 0.0))
     anti = k.SpherePoint((-1.0, 0.0, 0.0))
     with pytest.raises(DegenerateInputError):
-        k.sphere_geodesic(p, anti)
+        SPHERE.on_side_residual(k.NORTH_POLE, p, anti)
     with pytest.raises(DegenerateInputError):
-        k.sphere_midpoint(p, anti)
+        SPHERE.mid(p, anti)
+    with pytest.raises(DegenerateInputError):
+        SPHERE.line_meet(k.NORTH_POLE, p, anti, k.NORTH_POLE)
+    with pytest.raises(DegenerateInputError):
+        SPHERE.foot(k.NORTH_POLE, p, k.SpherePoint((0.0, 1.0, 0.0)))
+
+
+def _sphere_point(rng):
+    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    n = math.sqrt(sum(x * x for x in v))
+    return k.SpherePoint(tuple(x / n for x in v))
+
+
+def _moved(rng, p, delta):
+    """The point at arclength delta from p in a random direction."""
+    w = _sphere_point(rng).v
+    d = sum(a * b for a, b in zip(w, p.v))
+    t = [a - d * b for a, b in zip(w, p.v)]
+    nt = math.sqrt(sum(x * x for x in t))
+    v = [math.cos(delta) * a + math.sin(delta) * b / nt for a, b in zip(p.v, t)]
+    n = math.sqrt(sum(x * x for x in v))
+    return k.SpherePoint(tuple(x / n for x in v))
+
+
+def test_sphere_model_near_degenerate_pairs_fail_cleanly():
+    # Pairs 1e-13 to 1e-5 away from coincidence and from antipodality
+    # straddle the rejection thresholds.  Every model operation must give
+    # a finite value or a valid point there, or raise DegenerateInputError.
+    rng = random.Random("sphere-degenerate")
+    for _ in range(2000):
+        p, r, s = _sphere_point(rng), _sphere_point(rng), _sphere_point(rng)
+        q = _moved(rng, p, 10.0 ** rng.uniform(-13.0, -5.0))
+        for a, b in ((p, q), (p, k.SpherePoint(tuple(-x for x in q.v)))):
+            calls = (
+                lambda: SPHERE.dist(a, b),
+                lambda: SPHERE.angle(a, b, r),
+                lambda: SPHERE.angle(a, r, b),
+                lambda: SPHERE.angle(r, a, b),
+                lambda: SPHERE.mid(a, b),
+                lambda: SPHERE.line_meet(a, b, r, s),
+                lambda: SPHERE.line_meet(r, s, a, b),
+                lambda: SPHERE.on_side_residual(r, a, b),
+                lambda: SPHERE.foot(r, a, b),
+            )
+            for call in calls:
+                try:
+                    out = call()
+                except DegenerateInputError:
+                    continue
+                assert isinstance(out, k.SpherePoint) or math.isfinite(out)
 
 
 @st.composite

@@ -266,10 +266,6 @@ class TestHypercycle:
         p1 = hypercycle_point(hc, 1.5)
         assert hdist(p0, p1) == pytest.approx(1.5, abs=1e-12)
 
-    def test_spherical_axis_rejected(self):
-        with pytest.raises(DomainError):
-            Hypercycle(Geodesic((0.0, 0.0, 1.0), Geometry.SPHERICAL), 0.5)
-
     def test_cached_axis_frame_is_bit_identical(self, monkeypatch):
         # Each curve finds the foot of the origin on its axis once; every
         # point, sample and residual must then equal, bit for bit, the

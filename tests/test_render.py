@@ -50,11 +50,6 @@ class TestIdealEndpoints:
                 assert abs(x * x + y * y - 1.0) < 1e-12
                 assert abs(n1 * x + n2 * y - n0) < 1e-12
 
-    def test_spherical_rejected(self):
-        g = Geodesic((0.0, 0.0, 1.0), geometry=Geometry.SPHERICAL)
-        with pytest.raises(DomainError):
-            ideal_endpoints(g)
-
 
 class TestArcGeometry:
     def test_orthogonality_identity(self):
