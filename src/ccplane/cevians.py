@@ -28,7 +28,6 @@ O and lets every length be laid off directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import kernel as k
 from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_CONSTRUCT, TOL_ID
@@ -39,7 +38,7 @@ from .errors import (
     InfeasibleGeometryError,
     InfeasibleInputError,
 )
-from .kernel import Geometry, HPoint
+from .kernel import Geometry, HPoint, Record
 from .trig import clamped_acos
 
 # Feet are accepted as lying on a side up to this residual.
@@ -56,14 +55,17 @@ def stretch_ratio(geometry: Geometry, numerator: float, denominator: float) -> f
     return model.t_K(numerator) / model.t_K(denominator)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Nondegenerate triangle with vertices a, b, c in one geometry."""
 
-    geometry: Geometry
-    a: object
-    b: object
-    c: object
+    __slots__ = ("geometry", "a", "b", "c", "_sides")
+
+    def __init__(self, geometry: Geometry, a, b, c) -> None:
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         model = self.geometry.model
@@ -88,8 +90,7 @@ class Triangle:
         return self._sides
 
 
-@dataclass(frozen=True)
-class CevianFrame:
+class CevianFrame(Record):
     """Measured cevian data of a triangle with an interior point.
 
     Feet: d on BC, e on CA, f on AB.  Lengths are the six cevian
@@ -97,23 +98,34 @@ class CevianFrame:
     which always close up to a straight angle.
     """
 
-    tri: Triangle
-    o: object
-    d: object
-    e: object
-    f: object
-    ao: float
-    bo: float
-    co: float
-    od: float
-    oe: float
-    of: float
-    alpha: float
-    beta: float
-    gamma: float
-    p: float
-    q: float
-    r: float
+    __slots__ = (
+        "tri", "o", "d", "e", "f", "ao", "bo", "co", "od", "oe", "of",
+        "alpha", "beta", "gamma", "p", "q", "r",
+    )
+
+    def __init__(
+        self, tri: Triangle, o, d, e, f,
+        ao: float, bo: float, co: float, od: float, oe: float, of: float,
+        alpha: float, beta: float, gamma: float, p: float, q: float, r: float,
+    ) -> None:
+        object.__setattr__(self, "tri", tri)
+        object.__setattr__(self, "o", o)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "ao", ao)
+        object.__setattr__(self, "bo", bo)
+        object.__setattr__(self, "co", co)
+        object.__setattr__(self, "od", od)
+        object.__setattr__(self, "oe", oe)
+        object.__setattr__(self, "of", of)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if abs(self.p + self.q + self.r - math.pi) > TOL_ID:
@@ -185,8 +197,7 @@ def unit_sum_residual(frame: CevianFrame) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PqrSystem:
+class PqrSystem(Record):
     """Sine-weighted cevian quantities and their linear relations.
 
     P = sin(p)/th(AO), Q = sin(q)/th(BO), R = sin(r)/th(CO), which obey
@@ -194,10 +205,15 @@ class PqrSystem:
     reports those three equations in that order.
     """
 
-    P: float
-    Q: float
-    R: float
-    residuals: tuple[float, float, float]
+    __slots__ = ("P", "Q", "R", "residuals")
+
+    def __init__(
+        self, P: float, Q: float, R: float, residuals: tuple[float, float, float]
+    ) -> None:
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "residuals", residuals)
 
 
 def pqr_system(frame: CevianFrame) -> PqrSystem:
@@ -218,16 +234,21 @@ def pqr_system(frame: CevianFrame) -> PqrSystem:
     )
 
 
-@dataclass(frozen=True)
-class RatioSumInput:
+class RatioSumInput(Record):
     """Six cevian lengths handed to the converse construction."""
 
-    ao: float
-    bo: float
-    co: float
-    od: float
-    oe: float
-    of: float
+    __slots__ = ("ao", "bo", "co", "od", "oe", "of")
+
+    def __init__(
+        self, ao: float, bo: float, co: float, od: float, oe: float, of: float
+    ) -> None:
+        object.__setattr__(self, "ao", ao)
+        object.__setattr__(self, "bo", bo)
+        object.__setattr__(self, "co", co)
+        object.__setattr__(self, "od", od)
+        object.__setattr__(self, "oe", oe)
+        object.__setattr__(self, "of", of)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("ao", "bo", "co", "od", "oe", "of"):
@@ -242,8 +263,7 @@ class RatioSumInput:
         return cls(frame.ao, frame.bo, frame.co, frame.od, frame.oe, frame.of)
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(Record):
     """Frame rebuilt from six lengths, with the auxiliary data used.
 
     aux_a, aux_b, aux_c are the euclidean helper sides G, H, I;
@@ -252,19 +272,31 @@ class ConstructionResult:
     matching helper side.
     """
 
-    triangle: Triangle
-    center: HPoint
-    frame: CevianFrame
-    aux_a: float
-    aux_b: float
-    aux_c: float
-    aux_area: float
-    sine_factor: float
-    angle_bof: float
-    angle_aof: float
-    angle_bod: float
-    relation_residual: float
-    containment_residual: float
+    __slots__ = (
+        "triangle", "center", "frame", "aux_a", "aux_b", "aux_c", "aux_area",
+        "sine_factor", "angle_bof", "angle_aof", "angle_bod",
+        "relation_residual", "containment_residual",
+    )
+
+    def __init__(
+        self, triangle: Triangle, center: HPoint, frame: CevianFrame,
+        aux_a: float, aux_b: float, aux_c: float, aux_area: float,
+        sine_factor: float, angle_bof: float, angle_aof: float, angle_bod: float,
+        relation_residual: float, containment_residual: float,
+    ) -> None:
+        object.__setattr__(self, "triangle", triangle)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "aux_a", aux_a)
+        object.__setattr__(self, "aux_b", aux_b)
+        object.__setattr__(self, "aux_c", aux_c)
+        object.__setattr__(self, "aux_area", aux_area)
+        object.__setattr__(self, "sine_factor", sine_factor)
+        object.__setattr__(self, "angle_bof", angle_bof)
+        object.__setattr__(self, "angle_aof", angle_aof)
+        object.__setattr__(self, "angle_bod", angle_bod)
+        object.__setattr__(self, "relation_residual", relation_residual)
+        object.__setattr__(self, "containment_residual", containment_residual)
 
 
 def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
@@ -352,14 +384,24 @@ def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
     )
 
 
-@dataclass(frozen=True)
-class ProjectionOracle:
+class ProjectionOracle(Record):
     """Frame ratios recomputed through the tangent-plane projection."""
 
-    ratios: tuple[float, float, float]
-    max_deviation: float
-    euclid_relation_residual: float
-    collinearity_residual: float
+    __slots__ = (
+        "ratios", "max_deviation", "euclid_relation_residual", "collinearity_residual",
+    )
+
+    def __init__(
+        self,
+        ratios: tuple[float, float, float],
+        max_deviation: float,
+        euclid_relation_residual: float,
+        collinearity_residual: float,
+    ) -> None:
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "euclid_relation_residual", euclid_relation_residual)
+        object.__setattr__(self, "collinearity_residual", collinearity_residual)
 
 
 def projection_oracle(frame: CevianFrame) -> ProjectionOracle:
@@ -467,8 +509,7 @@ def equilateral_triangle(side: float, geometry: Geometry) -> Triangle:
     )
 
 
-@dataclass(frozen=True)
-class LambertReport:
+class LambertReport(Record):
     """Median measurements of an equilateral triangle.
 
     ``alpha`` is the cevian stretch ratio th(AO)/th(OD) of a median,
@@ -477,11 +518,21 @@ class LambertReport:
     point of the first two.
     """
 
-    geometry: Geometry
-    side: float
-    alpha: float
-    ad_over_od: float
-    median_residual: float
+    __slots__ = ("geometry", "side", "alpha", "ad_over_od", "median_residual")
+
+    def __init__(
+        self,
+        geometry: Geometry,
+        side: float,
+        alpha: float,
+        ad_over_od: float,
+        median_residual: float,
+    ) -> None:
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "ad_over_od", ad_over_od)
+        object.__setattr__(self, "median_residual", median_residual)
 
 
 def lambert_median_report(side: float, geometry: Geometry) -> LambertReport:

@@ -1,8 +1,9 @@
 """Command-line front end: campaigns, constructions, loci, figures.
 
-Exit codes: 0 success, 1 infeasible input or failed verification,
-2 usage error.  Identical flags produce byte-identical JSON, and a
-command that fails prints none.
+Exit codes: 0 success, 1 infeasible input, failed verification or an
+output path that cannot be written, 2 usage error.  Identical flags
+produce byte-identical JSON, and a command that fails prints none:
+output files are written before anything goes to stdout.
 """
 
 from __future__ import annotations
@@ -103,29 +104,35 @@ def _parse_disk_point(value: str) -> tuple[float, float]:
     return (_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
+class _UnwritableOutputError(Exception):
+    """An output path that cannot be written; the command exits 1."""
+
+
+def _write_file(text: str, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(document: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(document)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-
-
-def _write_svg(svg: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+        _write_file(document, path)
 
 
 def _report(record: dict, args, scene) -> None:
-    """Emit the JSON record and write the ``--svg`` figure of ``scene()``.
+    """Write the ``--svg`` figure of ``scene()``, then emit the JSON record.
 
-    The SVG text is built before anything is printed, so a figure that
-    fails to draw exits 1 with nothing on stdout.
+    The figure is drawn and written before anything is printed, so a
+    figure that fails to draw or a path that cannot be written exits 1
+    with nothing on stdout.
     """
-    svg = None if args.svg is None else scene_to_svg(scene())
+    if args.svg is not None:
+        _write_file(scene_to_svg(scene()), args.svg)
     _emit(json_document(record), args.json)
-    if svg is not None:
-        _write_svg(svg, args.svg)
 
 
 def _cmd_verify(args, parser) -> int:
@@ -246,7 +253,7 @@ def _cmd_render(args, parser) -> int:
         base = BaseConfig.from_half_distance(args.x)
         leaves = tuple(foliation(base, list(args.foliate)))
         scene = scene_for_foliation(base, leaves)
-    _write_svg(scene_to_svg(scene), args.svg)
+    _write_file(scene_to_svg(scene), args.svg)
     return 0
 
 
@@ -317,7 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except GeometryError as exc:
+    except (GeometryError, _UnwritableOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,12 +18,19 @@ offers the same operations in all three planes, so code written once
 against it runs unchanged on the hyperbolic plane, the sphere and the
 euclidean plane.  A plane's operations live on its model; a free
 function exists only where another module calls it.
+
+Every value type of the package (points, figures, reports, scene
+elements) derives from Record: an immutable class whose fields are its
+``__slots__``, with equality, hashing and repr over those fields.  Each
+command is a short ``ccplane`` process that pays for its own import, so
+the classes are written out rather than generated at import: the
+standard library's generator imports ``inspect``, ``ast`` and ``dis`` and
+compiles six functions per class, about a fifth of each command.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import corevec as vec
@@ -49,6 +56,46 @@ Vec3 = tuple[float, float, float]
 _CROSS_EPS = 1e-10
 
 
+class Record:
+    """Immutable value whose fields are the public names in ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` in order, sets them in
+    its own ``__init__`` with ``object.__setattr__`` and then calls
+    ``self.__post_init__()`` where it has checks to run.  Slots named
+    with a leading underscore (a cache, ``__dict__``) are not fields:
+    equality, hashing and repr ignore them.  Equality holds only between
+    instances of the same class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Geometry(str, Enum):
     HYPERBOLIC = "hyperbolic"
     SPHERICAL = "spherical"
@@ -60,11 +107,14 @@ class Geometry(str, Enum):
         return _MODELS[self]
 
 
-@dataclass(frozen=True)
-class HPoint:
+class HPoint(Record):
     """Point of the hyperbolic plane, hyperboloid coordinates."""
 
-    v: Vec3
+    __slots__ = ("v",)
+
+    def __init__(self, v: Vec3) -> None:
+        object.__setattr__(self, "v", v)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # The quadratic form carries rounding noise of order eps * v0^2,
@@ -75,11 +125,14 @@ class HPoint:
             raise InvalidPointError(f"not on the upper hyperboloid sheet: {self.v}")
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Record):
     """Point of the unit sphere."""
 
-    v: Vec3
+    __slots__ = ("v",)
+
+    def __init__(self, v: Vec3) -> None:
+        object.__setattr__(self, "v", v)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         q = vec.sdot(self.v, self.v)
@@ -87,32 +140,40 @@ class SpherePoint:
             raise InvalidPointError(f"not on the unit sphere: {self.v}")
 
 
-@dataclass(frozen=True)
-class DiskPoint:
+class DiskPoint(Record):
     """Conformal disk coordinates, strictly inside the unit circle."""
 
-    u: float
-    w: float
+    __slots__ = ("u", "w")
+
+    def __init__(self, u: float, w: float) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "w", w)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (self.u * self.u + self.w * self.w < 1.0):
             raise OutOfModelError(f"outside the open unit disk: ({self.u}, {self.w})")
 
 
-@dataclass(frozen=True)
-class TangentPoint:
+class TangentPoint(Record):
     """Cartesian coordinates in a tangent plane at a chosen base point."""
 
-    s: float
-    t: float
+    __slots__ = ("s", "t")
+
+    def __init__(self, s: float, t: float) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(Record):
     """Complete hyperbolic geodesic {x upper sheet: <x, n> = 0}, stored
     as its unit spacelike normal n (<n, n> = +1)."""
 
-    normal: Vec3
+    __slots__ = ("normal",)
+
+    def __init__(self, normal: Vec3) -> None:
+        object.__setattr__(self, "normal", normal)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         q = vec.minner(self.normal, self.normal)

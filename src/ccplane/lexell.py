@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import corevec as vec
@@ -38,7 +37,7 @@ from .errors import (
     GeometryError,
     InfeasibleAreaError,
 )
-from .kernel import Geodesic, Geometry, HPoint, Vec3
+from .kernel import Geodesic, Geometry, HPoint, Record, Vec3
 from .sampling import substream
 from .trig import clamped_acos
 
@@ -61,12 +60,16 @@ _LOG_COORD_MAX = 0.5 * math.log(sys.float_info.max / 2.0)
 _MODEL = Geometry.HYPERBOLIC.model
 
 
-@dataclass(frozen=True)
-class Hypercycle:
+class Hypercycle(Record):
     """Points at constant signed distance ``offset`` from ``axis``."""
 
-    axis: Geodesic
-    offset: float
+    # ``__dict__`` holds the cached ``_axis_frame``.
+    __slots__ = ("axis", "offset", "__dict__")
+
+    def __init__(self, axis: Geodesic, offset: float) -> None:
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "offset", offset)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not abs(self.offset) <= _LOG_COORD_MAX:
@@ -129,13 +132,16 @@ def hypercycle_samples(hc: Hypercycle, n: int) -> list[HPoint]:
     return [hypercycle_point(hc, -SAMPLE_RANGE + i * step) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class BaseConfig:
+class BaseConfig(Record):
     """Base segment placed symmetrically on the disk's real axis."""
 
-    a: HPoint
-    b: HPoint
-    half_distance: float
+    __slots__ = ("a", "b", "half_distance")
+
+    def __init__(self, a: HPoint, b: HPoint, half_distance: float) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "half_distance", half_distance)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_distance <= MAX_HYPERBOLIC_SIDE / 2.0:
@@ -162,8 +168,7 @@ class BaseConfig:
 _BISECTOR = Geodesic((0.0, 1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class AreaLocus:
+class AreaLocus(Record):
     """Constant-area apex locus over a base: hypercycle pair and value.
 
     ``carrier`` holds the apexes on the side of the constructed apex;
@@ -171,10 +176,15 @@ class AreaLocus:
     axis and passes through both base vertices.
     """
 
-    base: BaseConfig
-    carrier: Hypercycle
-    mirror: Hypercycle
-    area: float
+    __slots__ = ("base", "carrier", "mirror", "area")
+
+    def __init__(
+        self, base: BaseConfig, carrier: Hypercycle, mirror: Hypercycle, area: float
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "mirror", mirror)
+        object.__setattr__(self, "area", area)
 
 
 def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
@@ -315,14 +325,22 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     )
 
 
-@dataclass(frozen=True)
-class LocusResiduals:
+class LocusResiduals(Record):
     """Worst-case checks of one locus: all should sit at rounding level."""
 
-    area_spread: float
-    mirror_residual: float
-    midline_residual: float
-    subarc_residual: float
+    __slots__ = ("area_spread", "mirror_residual", "midline_residual", "subarc_residual")
+
+    def __init__(
+        self,
+        area_spread: float,
+        mirror_residual: float,
+        midline_residual: float,
+        subarc_residual: float,
+    ) -> None:
+        object.__setattr__(self, "area_spread", area_spread)
+        object.__setattr__(self, "mirror_residual", mirror_residual)
+        object.__setattr__(self, "midline_residual", midline_residual)
+        object.__setattr__(self, "subarc_residual", subarc_residual)
 
 
 def locus_residuals(

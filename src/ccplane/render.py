@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import kernel as k
 from .cevians import CevianFrame, ConstructionResult
 from .errors import DomainError, GeometryError
-from .kernel import Geodesic, Geometry, HPoint
+from .kernel import Geodesic, Geometry, HPoint, Record
 from .lexell import (
     SAMPLE_RANGE,
     AreaLocus,
@@ -37,70 +36,94 @@ HYPERCYCLE_SEGMENTS = 64
 XY = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ScenePoint:
+class ScenePoint(Record):
     """Labeled marker at disk coordinates."""
 
-    x: float
-    y: float
-    label: str
-    style: str = "point"
+    __slots__ = ("x", "y", "label", "style")
+
+    def __init__(self, x: float, y: float, label: str, style: str = "point") -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "style", style)
 
 
-@dataclass(frozen=True)
-class SceneArc:
+class SceneArc(Record):
     """Arc of a circle orthogonal to the unit circle.
 
     The endpoints are where drawing starts and stops; the full circle
     has center (cx, cy) outside the disk and radius r.
     """
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    cx: float
-    cy: float
-    r: float
-    style: str = "side"
+    __slots__ = ("x1", "y1", "x2", "y2", "cx", "cy", "r", "style")
+
+    def __init__(
+        self, x1: float, y1: float, x2: float, y2: float,
+        cx: float, cy: float, r: float, style: str = "side",
+    ) -> None:
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y2", y2)
+        object.__setattr__(self, "cx", cx)
+        object.__setattr__(self, "cy", cy)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "style", style)
 
 
-@dataclass(frozen=True)
-class SceneChord:
+class SceneChord(Record):
     """Straight segment; the arc degenerates for geodesics through 0."""
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    style: str = "side"
+    __slots__ = ("x1", "y1", "x2", "y2", "style")
+
+    def __init__(
+        self, x1: float, y1: float, x2: float, y2: float, style: str = "side"
+    ) -> None:
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y2", y2)
+        object.__setattr__(self, "style", style)
 
 
-@dataclass(frozen=True)
-class ScenePolyline:
+class ScenePolyline(Record):
     """Sampled curve, used for hypercycles."""
 
-    points: tuple[XY, ...]
-    style: str = "carrier"
+    __slots__ = ("points", "style")
+
+    def __init__(self, points: tuple[XY, ...], style: str = "carrier") -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "style", style)
 
 
-@dataclass(frozen=True)
-class SceneTriangle:
+class SceneTriangle(Record):
     """Shaded triangle, straight-edged in disk coordinates."""
 
-    vertices: tuple[XY, XY, XY]
-    style: str = "fill"
+    __slots__ = ("vertices", "style")
+
+    def __init__(self, vertices: tuple[XY, XY, XY], style: str = "fill") -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "style", style)
 
 
-@dataclass(frozen=True)
-class RenderScene:
+class RenderScene(Record):
     """Complete figure: every element in closed-unit-disk coordinates."""
 
-    points: tuple[ScenePoint, ...] = ()
-    arcs: tuple[SceneArc, ...] = ()
-    chords: tuple[SceneChord, ...] = ()
-    polylines: tuple[ScenePolyline, ...] = ()
-    triangles: tuple[SceneTriangle, ...] = ()
+    __slots__ = ("points", "arcs", "chords", "polylines", "triangles")
+
+    def __init__(
+        self,
+        points: tuple[ScenePoint, ...] = (),
+        arcs: tuple[SceneArc, ...] = (),
+        chords: tuple[SceneChord, ...] = (),
+        polylines: tuple[ScenePolyline, ...] = (),
+        triangles: tuple[SceneTriangle, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "chords", chords)
+        object.__setattr__(self, "polylines", polylines)
+        object.__setattr__(self, "triangles", triangles)
 
 
 def disk_xy(p: HPoint) -> XY:

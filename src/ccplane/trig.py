@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import TOL_CLAMP
 from .errors import DomainError
-from .kernel import Geometry
+from .kernel import Geometry, Record
 
 
 def clamped_acos(x: float) -> float:
@@ -51,8 +50,7 @@ def cathetus_from_hypotenuse(b: float, alpha: float, geometry: Geometry) -> floa
     return model.t_K_inv(math.cos(alpha) * model.t_K(b))
 
 
-@dataclass(frozen=True)
-class RightTriangleConfig:
+class RightTriangleConfig(Record):
     """Right triangle measured off a synthetic construction.
 
     ``hypotenuse`` joins the apex A to the ray point C, ``adjacent``
@@ -61,11 +59,22 @@ class RightTriangleConfig:
     - kappa X(a) X(b) in X = ``model.versine``: each plane's Pythagoras law.
     """
 
-    geometry: Geometry
-    alpha: float
-    hypotenuse: float
-    adjacent: float
-    opposite: float
+    __slots__ = ("geometry", "alpha", "hypotenuse", "adjacent", "opposite")
+
+    def __init__(
+        self,
+        geometry: Geometry,
+        alpha: float,
+        hypotenuse: float,
+        adjacent: float,
+        opposite: float,
+    ) -> None:
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "hypotenuse", hypotenuse)
+        object.__setattr__(self, "adjacent", adjacent)
+        object.__setattr__(self, "opposite", opposite)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_right_triangle(self.hypotenuse, self.alpha, self.geometry)

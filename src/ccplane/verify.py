@@ -9,7 +9,6 @@ sorted and every float is written with 17 significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import kernel as k
@@ -21,7 +20,7 @@ from .cevians import (
     unit_sum_residual,
 )
 from .errors import DomainError
-from .kernel import Geometry
+from .kernel import Geometry, Record
 from .lexell import BaseConfig, lexell_locus, locus_residuals
 from .sampling import sample_frame, substream
 from .trig import build_right_triangle, menelaus_ratio, menelaus_rhs
@@ -44,17 +43,30 @@ def default_tolerance(theorem: str, geometry: Geometry) -> float:
     return 1e-9
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of one campaign; fully determined by theorem/geometry/seed."""
 
-    theorem: str
-    geometry: Geometry
-    trials: int
-    seed: int
-    tolerance: float
-    max_residual: float
-    passed: bool
+    __slots__ = (
+        "theorem", "geometry", "trials", "seed", "tolerance", "max_residual", "passed",
+    )
+
+    def __init__(
+        self,
+        theorem: str,
+        geometry: Geometry,
+        trials: int,
+        seed: int,
+        tolerance: float,
+        max_residual: float,
+        passed: bool,
+    ) -> None:
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "passed", passed)
 
 
 def _menelaus_trial(geometry: Geometry, rng) -> float:

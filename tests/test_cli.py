@@ -306,3 +306,39 @@ def test_failed_figure_prints_no_json(monkeypatch, capsys, tmp_path):
         assert out.out == "", argv
         assert "figure failed" in out.err, argv
         assert not (tmp_path / "figure.svg").exists(), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lambert", "--trials", "5", "--json", "{bad}"],
+        ["construct", *[repr(v) for v in median_lengths()], "--svg", "{bad}"],
+        ["construct", *[repr(v) for v in median_lengths()], "--json", "{bad}"],
+        ["lexell", "0.8", "--apex=0.3,0.4", "--svg", "{bad}"],
+        ["lexell", "0.8", "--foliate", "0.3,0.8", "--json", "{bad}"],
+        ["render", "frame", "--svg", "{bad}"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in (argv[0], argv[-2])),
+)
+def test_unwritable_output_exits_one(argv, capsys, tmp_path):
+    # The files are written before stdout, so nothing is printed either.
+    bad = str(tmp_path / "missing" / "out")
+    assert main([a.replace("{bad}", bad) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_cli_import_skips_the_class_generator():
+    # Each command is a fresh process that pays for its own import; these
+    # modules come with the standard library's class generator.  -S keeps
+    # site's own imports out of the count.
+    src = str(Path(ccplane.__file__).resolve().parents[1])
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = f"import sys; import ccplane.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

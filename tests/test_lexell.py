@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +31,7 @@ from ccplane.kernel import (
 )
 from ccplane.lexell import (
     SAMPLE_RANGE,
+    AreaLocus,
     BaseConfig,
     Hypercycle,
     apex_area_formula,
@@ -485,7 +485,8 @@ class TestChordSplit:
             axis, o = locus.carrier.axis, locus.carrier.offset
 
             def residual(delta):
-                moved = replace(locus, mirror=Hypercycle(axis, -o + delta))
+                mirror = Hypercycle(axis, -o + delta)
+                moved = AreaLocus(locus.base, locus.carrier, mirror, locus.area)
                 return equal_subarc_check(moved, 50, seed=i)
 
             assert residual(0.0) < 1e-12
