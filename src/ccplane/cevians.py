@@ -58,7 +58,7 @@ def stretch_ratio(geometry: Geometry, numerator: float, denominator: float) -> f
 class Triangle(Record):
     """Nondegenerate triangle with vertices a, b, c in one geometry."""
 
-    __slots__ = ("geometry", "a", "b", "c", "_sides")
+    __slots__ = ("geometry", "a", "b", "c", "_sides", "_lines")
 
     def __init__(self, geometry: Geometry, a, b, c) -> None:
         object.__setattr__(self, "geometry", geometry)
@@ -69,20 +69,25 @@ class Triangle(Record):
 
     def __post_init__(self) -> None:
         model = self.geometry.model
-        for v in (self.a, self.b, self.c):
+        a, b, c = self.a, self.b, self.c
+        for v in (a, b, c):
             if not isinstance(v, model.point_type):
                 raise DomainError(f"vertex type does not match {self.geometry.value}: {v!r}")
-        dist = model.dist
         # Measured once: the sampler's side floor and the between-checks of
         # cevian_frame and ceva_product read these same values.
-        sides = (dist(self.b, self.c), dist(self.c, self.a), dist(self.a, self.b))
+        sides = (model.dist(b, c), model.dist(c, a), model.dist(a, b))
         object.__setattr__(self, "_sides", sides)
         for s in sides:
             if s <= 1e-10:
                 raise DegenerateInputError("coincident vertices")
             if s > model.side_limit:
                 raise DomainError(f"side {s} above the working range {model.side_limit}")
-        if model.on_side_residual(self.c, self.a, self.b) <= 1e-12:
+        # Built once, each oriented as its side is listed: the inside test
+        # and the meets of cevian_frame and the on-side checks of
+        # ceva_product read these same lines.
+        lines = (model.line(b, c), model.line(c, a), model.line(a, b))
+        object.__setattr__(self, "_lines", lines)
+        if model.line_residual(lines[2], c) <= 1e-12:
             raise DegenerateInputError("collinear vertices")
 
     def side_lengths(self) -> tuple[float, float, float]:
@@ -140,23 +145,24 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     """
     geometry = tri.geometry
     model = geometry.model
-    sides = ((tri.b, tri.c, tri.a), (tri.c, tri.a, tri.b), (tri.a, tri.b, tri.c))
-    for s1, s2, opposite in sides:
-        s_o, s_v = model.side_values(s1, s2, o, opposite)
+    a, b, c = tri.a, tri.b, tri.c
+    bc, ca, ab = tri._lines
+    for line, opposite in ((bc, a), (ca, b), (ab, c)):
+        s_o = model.side_value(line, o)
         if abs(s_o) <= 1e-12:
             raise DegenerateInputError("interior point lies on a side or vertex")
-        if s_o * s_v < 0.0:
+        if s_o * model.side_value(line, opposite) < 0.0:
             raise DomainError("point outside the triangle is out of scope")
-    d = model.line_meet(tri.a, o, tri.b, tri.c)
-    e = model.line_meet(tri.b, o, tri.c, tri.a)
-    f = model.line_meet(tri.c, o, tri.a, tri.b)
-    legs = ((d, tri.b, tri.c), (e, tri.c, tri.a), (f, tri.a, tri.b))
+    d = model.meet(model.line(a, o), bc, b, c)
+    e = model.meet(model.line(b, o), ca, c, a)
+    f = model.meet(model.line(c, o), ab, a, b)
+    legs = ((d, b, c), (e, c, a), (f, a, b))
     for (foot, s1, s2), side in zip(legs, tri.side_lengths()):
-        if model.dist(s1, foot) + model.dist(foot, s2) - side > _SIDE_EPS:
+        if not model.dist(s1, foot) + model.dist(foot, s2) - side <= _SIDE_EPS:
             raise GeometryError("computed foot left its side segment")
-    ao = model.dist(tri.a, o)
-    bo = model.dist(tri.b, o)
-    co = model.dist(tri.c, o)
+    ao = model.dist(a, o)
+    bo = model.dist(b, o)
+    co = model.dist(c, o)
     od = model.dist(o, d)
     oe = model.dist(o, e)
     of = model.dist(o, f)
@@ -175,9 +181,9 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
         alpha=stretch_ratio(geometry, ao, od),
         beta=stretch_ratio(geometry, bo, oe),
         gamma=stretch_ratio(geometry, co, of),
-        p=model.angle(o, tri.b, f),
-        q=model.angle(o, tri.a, f),
-        r=model.angle(o, tri.b, d),
+        p=model.angle(o, b, f),
+        q=model.angle(o, a, f),
+        r=model.angle(o, b, d),
     )
 
 
@@ -357,9 +363,9 @@ def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
     }
     laid = {name: model.polar(theta, length) for name, (theta, length) in rays.items()}
     containment_residual = max(
-        model.on_side_residual(laid["d"], laid["b"], laid["c"]),
-        model.on_side_residual(laid["e"], laid["c"], laid["a"]),
-        model.on_side_residual(laid["f"], laid["a"], laid["b"]),
+        model.line_residual(model.line(laid["b"], laid["c"]), laid["d"]),
+        model.line_residual(model.line(laid["c"], laid["a"]), laid["e"]),
+        model.line_residual(model.line(laid["a"], laid["b"]), laid["f"]),
     )
     if containment_residual > 1e-6:
         raise InfeasibleGeometryError(
@@ -462,31 +468,27 @@ def ceva_product(tri: Triangle, d, e, f, require_concurrent: bool = True) -> flo
     must meet in one point, verified by pairwise intersection agreement.
     """
     model = tri.geometry.model
-    dist = model.dist
+    a, b, c = tri.a, tri.b, tri.c
     # |s1 foot| and |foot s2| of each foot serve the between-check and the
     # product alike (dist is symmetric to the last bit).
     legs = []
-    for (foot, s1, s2), side in zip(
-        ((d, tri.b, tri.c), (e, tri.c, tri.a), (f, tri.a, tri.b)), tri.side_lengths()
+    for (foot, s1, s2), side, line in zip(
+        ((d, b, c), (e, c, a), (f, a, b)), tri.side_lengths(), tri._lines
     ):
-        if model.on_side_residual(foot, s1, s2) > _SIDE_EPS:
+        if not model.line_residual(line, foot) <= _SIDE_EPS:
             raise DomainError("a foot does not lie on its side line")
-        near, far = dist(s1, foot), dist(foot, s2)
-        if near + far - side > _SIDE_EPS:
+        near, far = model.dist(s1, foot), model.dist(foot, s2)
+        if not near + far - side <= _SIDE_EPS:
             raise DomainError("a foot lies outside its side segment")
         legs.append((near, far))
     if require_concurrent:
-        meets = (
-            model.line_meet(tri.a, d, tri.b, e),
-            model.line_meet(tri.b, e, tri.c, f),
-            model.line_meet(tri.c, f, tri.a, d),
-        )
-        spread = max(
-            dist(meets[0], meets[1]),
-            dist(meets[1], meets[2]),
-            dist(meets[2], meets[0]),
-        )
-        if spread > TOL_ID:
+        # Each cevian line is built once and met with the other two.
+        ad, be, cf = model.line(a, d), model.line(b, e), model.line(c, f)
+        x = model.meet(ad, be, b, e)
+        y = model.meet(be, cf, c, f)
+        z = model.meet(cf, ad, a, d)
+        spread = max(model.dist(x, y), model.dist(y, z), model.dist(z, x))
+        if not spread <= TOL_ID:
             raise DomainError(f"cevians are not concurrent (spread {spread:.3e})")
     sh = model.s_K
     (db, dc), (ec, ea), (fa, fb) = legs
@@ -539,15 +541,17 @@ def lambert_median_report(side: float, geometry: Geometry) -> LambertReport:
     """Build the equilateral triangle, cut its medians, and measure."""
     tri = equilateral_triangle(side, geometry)
     model = geometry.model
-    d = model.mid(tri.b, tri.c)
-    e = model.mid(tri.c, tri.a)
-    f = model.mid(tri.a, tri.b)
-    o = model.line_meet(tri.a, d, tri.b, e)
-    median_residual = model.on_side_residual(o, tri.c, f)
+    a, b, c = tri.a, tri.b, tri.c
+    d = model.mid(b, c)
+    e = model.mid(c, a)
+    f = model.mid(a, b)
+    o = model.meet(model.line(a, d), model.line(b, e), b, e)
+    median_residual = model.line_residual(model.line(c, f), o)
+    od = model.dist(o, d)
     return LambertReport(
         geometry=geometry,
         side=side,
-        alpha=stretch_ratio(geometry, model.dist(tri.a, o), model.dist(o, d)),
-        ad_over_od=model.dist(tri.a, d) / model.dist(o, d),
+        alpha=stretch_ratio(geometry, model.dist(a, o), od),
+        ad_over_od=model.dist(a, d) / od,
         median_residual=median_residual,
     )

@@ -13,11 +13,21 @@ normals inside SphereModel and have no free functions.
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.
 
+The checks, distances, geodesics, meets and angles that every sampled
+figure runs are written out on unpacked coordinates rather than composed
+from ``corevec`` calls: the same operations in the same order, so every
+value equals the ``corevec`` composition to the last bit, at a fraction
+of the call overhead.  ``corevec`` stays the reference for those and the
+home of the rest (exponential map, feet, reflections, midpoints).
+
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
 against it runs unchanged on the hyperbolic plane, the sphere and the
 euclidean plane.  A plane's operations live on its model; a free
-function exists only where another module calls it.
+function exists only where another module calls it.  Lines are model
+values: ``model.line(p, q)`` builds one (with its checks) once, and
+``meet``, ``side_value``, ``line_residual`` and ``foot`` take it, so a
+figure that reads a side line several times builds it only once.
 
 Every value type of the package (points, figures, reports, scene
 elements) derives from Record: an immutable class whose fields are its
@@ -31,6 +41,7 @@ compiles six functions per class, about a fifth of each command.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 
 from . import corevec as vec
@@ -97,14 +108,15 @@ class Record:
 
 
 class Geometry(str, Enum):
+    """One of the three planes; ``model`` is its PlaneModel."""
+
     HYPERBOLIC = "hyperbolic"
     SPHERICAL = "spherical"
     EUCLIDEAN = "euclidean"
 
-    @property
-    def model(self) -> PlaneModel:
-        """The operations of this plane, behind one interface."""
-        return _MODELS[self]
+    # Set on each member once the models exist (end of module): a plain
+    # attribute, since every figure reads it on its hot path.
+    model: PlaneModel
 
 
 class HPoint(Record):
@@ -119,9 +131,10 @@ class HPoint(Record):
     def __post_init__(self) -> None:
         # The quadratic form carries rounding noise of order eps * v0^2,
         # so the acceptance band must widen with the point's height.
-        q = vec.minner(self.v, self.v)
-        band = TOL_POINT * (1.0 + self.v[0] * self.v[0])
-        if not (abs(q + 1.0) <= band) or self.v[0] <= 0.0:
+        v0, v1, v2 = self.v
+        q = -v0 * v0 + v1 * v1 + v2 * v2
+        band = TOL_POINT * (1.0 + v0 * v0)
+        if not (abs(q + 1.0) <= band) or v0 <= 0.0:
             raise InvalidPointError(f"not on the upper hyperboloid sheet: {self.v}")
 
 
@@ -135,7 +148,8 @@ class SpherePoint(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        q = vec.sdot(self.v, self.v)
+        v0, v1, v2 = self.v
+        q = v0 * v0 + v1 * v1 + v2 * v2
         if not (abs(q - 1.0) <= TOL_POINT):
             raise InvalidPointError(f"not on the unit sphere: {self.v}")
 
@@ -176,10 +190,11 @@ class Geodesic(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        q = vec.minner(self.normal, self.normal)
+        n0, n1, n2 = self.normal
+        q = -n0 * n0 + n1 * n1 + n2 * n2
         # A geodesic far from the origin has a large timelike normal
         # component whose squares cancel; widen the band with it.
-        band = TOL_POINT * (1.0 + self.normal[0] * self.normal[0])
+        band = TOL_POINT * (1.0 + n0 * n0)
         if not (abs(q - 1.0) <= band):
             raise InvalidPointError(f"normal is not unit spacelike: {self.normal}")
 
@@ -201,13 +216,25 @@ def normalize_to_hyperboloid(v: Vec3) -> HPoint:
 
 
 def hdist(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance between two points."""
-    m = -vec.minner(p.v, q.v)
+    """Hyperbolic distance between two points.
+
+    Near coincidence acosh(-<p,q>) loses half the digits, so the chord
+    form 2*asinh(|p - q|/2) is used there instead.
+    """
+    p0, p1, p2 = p.v
+    q0, q1, q2 = q.v
+    m = -(-p0 * q0 + p1 * q1 + p2 * q2)
     # The inner product of two far points carries rounding noise of
     # order eps * p0 * q0, so the invariant clamp widens with height.
-    if m < 1.0 - TOL_CLAMP * (1.0 + p.v[0] * q.v[0]):
+    if m < 1.0 - TOL_CLAMP * (1.0 + p0 * q0):
         raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
-    return vec.mdist(p.v, q.v)
+    if m < 1.5:
+        d0, d1, d2 = p0 - q0, p1 - q1, p2 - q2
+        c = -d0 * d0 + d1 * d1 + d2 * d2
+        if c <= 0.0:
+            return 0.0
+        return 2.0 * math.asinh(0.5 * math.sqrt(c))
+    return math.acosh(m)
 
 
 def _check_unit_tangent(p: HPoint, n: Vec3) -> None:
@@ -240,12 +267,18 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
     """
     if hdist(p, q) <= TOL_POINT:
         raise DegenerateInputError("geodesic through coincident points")
-    c = vec.mcross(p.v, q.v)
+    p0, p1, p2 = p.v
+    q0, q1, q2 = q.v
+    c0 = -(p1 * q2 - p2 * q1)
+    c1 = p2 * q0 - p0 * q2
+    c2 = p0 * q1 - p1 * q0
+    cc = -c0 * c0 + c1 * c1 + c2 * c2
     # For two far points the cross product can round to a vector that
     # is not spacelike, which has no unit normal.
-    if not vec.minner(c, c) > 0.0:
+    if not cc > 0.0:
         raise DegenerateInputError("points too far apart to span a geodesic")
-    return Geodesic(vec.mnormalize_space(c))
+    s = math.sqrt(cc)
+    return Geodesic((c0 / s, c1 / s, c2 / s))
 
 
 def geodesic_residual(g: Geodesic, p: HPoint) -> float:
@@ -259,12 +292,16 @@ def intersect_geodesics(g1: Geodesic, g2: Geodesic) -> HPoint | None:
     Returns None for ultraparallel and asymptotically parallel pairs;
     identical geodesics are rejected as degenerate.
     """
-    c = vec.mcross(g1.normal, g2.normal)
-    if max(abs(c[0]), abs(c[1]), abs(c[2])) <= _CROSS_EPS:
+    a0, a1, a2 = g1.normal
+    b0, b1, b2 = g2.normal
+    c0 = -(a1 * b2 - a2 * b1)
+    c1 = a2 * b0 - a0 * b2
+    c2 = a0 * b1 - a1 * b0
+    if max(abs(c0), abs(c1), abs(c2)) <= _CROSS_EPS:
         raise DegenerateInputError("identical geodesics")
-    if vec.minner(c, c) >= 0.0:
+    if -c0 * c0 + c1 * c1 + c2 * c2 >= 0.0:
         return None
-    return HPoint(vec.mnormalize_point(c))
+    return HPoint(vec.mnormalize_point((c0, c1, c2)))
 
 
 # Beyond this time coordinate (distance ~5 from the origin) tangent
@@ -293,15 +330,30 @@ def angle_at(v: HPoint, p: HPoint, q: HPoint) -> float:
         raise DegenerateInputError("cannot take a direction between coincident points")
     if v.v[0] > _RECENTRE_LIMIT:
         rp, rq = _recentre(v.v, (p.v, q.v))
-        u1 = vec.mtangent(_E0, rp)
-        u2 = vec.mtangent(_E0, rq)
+        x0, x1, x2 = _tangent_at(_E0, rp)
+        y0, y1, y2 = _tangent_at(_E0, rq)
     else:
-        u1 = vec.mtangent(v.v, p.v)
-        u2 = vec.mtangent(v.v, q.v)
-    c = vec.minner(u1, u2)
-    w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
-    s = math.sqrt(max(vec.minner(w, w), 0.0))
+        x0, x1, x2 = _tangent_at(v.v, p.v)
+        y0, y1, y2 = _tangent_at(v.v, q.v)
+    c = -x0 * y0 + x1 * y1 + x2 * y2
+    w0, w1, w2 = y0 - c * x0, y1 - c * x1, y2 - c * x2
+    s = math.sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0))
     return math.atan2(s, c)
+
+
+def _tangent_at(p: Vec3, q: Vec3) -> Vec3:
+    # Unit tangent at p toward q, as corevec.mtangent computes it.
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    m = -p0 * q0 + p1 * q1 + p2 * q2
+    w0, w1, w2 = q0 + m * p0, q1 + m * p1, q2 + m * p2
+    if m > -2.0:
+        s = math.sqrt(-w0 * w0 + w1 * w1 + w2 * w2)
+    else:
+        # Far apart, the squared components of w cancel catastrophically;
+        # the norm is sqrt(m^2 - 1) identically, so use that instead.
+        s = math.sqrt(m * m - 1.0)
+    return (w0 / s, w1 / s, w2 / s)
 
 
 def foot_of_perpendicular(p: HPoint, g: Geodesic) -> HPoint:
@@ -391,12 +443,16 @@ class PlaneModel:
       in direction theta.
     - ``coords(p)`` and ``project(v)``: ambient coordinates of a point,
       and the point on the ray through v (central projection).
-    - ``line_meet(p1, p2, s1, s2)``: where line p1 p2 meets line s1 s2;
+    - ``line(p, q)``: the oriented line through two distinct points, as
+      a value the line operations below take.  It is a Geodesic on the
+      hyperboloid, the unit normal of the great circle on the sphere and
+      the pair (p, q) in the euclidean plane.  A figure that reads a
+      line more than once builds it once and keeps it.
+    - ``meet(l, m, s1, s2)``: where line l meets line m = line(s1, s2);
       on the sphere, the one of the antipodal pair on [s1, s2].
-    - ``side_values(s1, s2, o, w)``: signed positions of o and w
-      against the oriented line s1 s2.
-    - ``on_side_residual(p, s1, s2)``: zero exactly when p is on s1 s2.
-    - ``foot(p, s1, s2)``: the point of line s1 s2 nearest p.
+    - ``side_value(l, p)``: the signed position of p against line l.
+    - ``line_residual(l, p)``: zero exactly when p is on line l.
+    - ``foot(p, l)``: the point of line l nearest p.
     - ``versine(d)``: X(d) = 2 s_K(d/2)^2, that is cosh d - 1, 1 - cos d
       or d^2/2, in which the three planes share their trigonometry.
     - ``corner_cosines(polar)``: the law of cosines on three vertices
@@ -483,21 +539,25 @@ class HyperboloidModel(PlaneModel):
     def project(self, v: Vec3) -> HPoint:
         return normalize_to_hyperboloid(v)
 
-    def line_meet(self, p1: HPoint, p2: HPoint, s1: HPoint, s2: HPoint) -> HPoint:
-        x = intersect_geodesics(geodesic_through(p1, p2), geodesic_through(s1, s2))
+    def line(self, p: HPoint, q: HPoint) -> Geodesic:
+        return geodesic_through(p, q)
+
+    def meet(self, l: Geodesic, m: Geodesic, s1: HPoint, s2: HPoint) -> HPoint:
+        x = intersect_geodesics(l, m)
         if x is None:
             raise GeometryError("cevian does not reach the opposite side")
         return x
 
-    def side_values(self, s1: HPoint, s2: HPoint, o: HPoint, w: HPoint):
-        n = vec.mnormalize_space(vec.mcross(s1.v, s2.v))
-        return vec.minner(o.v, n), vec.minner(w.v, n)
+    def side_value(self, l: Geodesic, p: HPoint) -> float:
+        p0, p1, p2 = p.v
+        n0, n1, n2 = l.normal
+        return -p0 * n0 + p1 * n1 + p2 * n2
 
-    def on_side_residual(self, p: HPoint, s1: HPoint, s2: HPoint) -> float:
-        return geodesic_residual(geodesic_through(s1, s2), p)
+    def line_residual(self, l: Geodesic, p: HPoint) -> float:
+        return geodesic_residual(l, p)
 
-    def foot(self, p: HPoint, s1: HPoint, s2: HPoint) -> HPoint:
-        return foot_of_perpendicular(p, geodesic_through(s1, s2))
+    def foot(self, p: HPoint, l: Geodesic) -> HPoint:
+        return foot_of_perpendicular(p, l)
 
 
 class SphereModel(PlaneModel):
@@ -513,14 +573,20 @@ class SphereModel(PlaneModel):
     t_K_inv = staticmethod(math.atan)
 
     def dist(self, p: SpherePoint, q: SpherePoint) -> float:
-        return vec.sdist(p.v, q.v)
+        # atan2(|p x q|, p . q): stable at both ends of [0, pi].
+        p0, p1, p2 = p.v
+        q0, q1, q2 = q.v
+        c0 = p1 * q2 - p2 * q1
+        c1 = p2 * q0 - p0 * q2
+        c2 = p0 * q1 - p1 * q0
+        return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), p0 * q0 + p1 * q1 + p2 * q2)
 
     def angle(self, v: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
-        u1 = self._tangent(v, p)
-        u2 = self._tangent(v, q)
-        c = vec.sdot(u1, u2)
-        w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
-        s = math.sqrt(max(vec.sdot(w, w), 0.0))
+        x0, x1, x2 = self._tangent(v, p)
+        y0, y1, y2 = self._tangent(v, q)
+        c = x0 * y0 + x1 * y1 + x2 * y2
+        w0, w1, w2 = y0 - c * x0, y1 - c * x1, y2 - c * x2
+        s = math.sqrt(max(w0 * w0 + w1 * w1 + w2 * w2, 0.0))
         return math.atan2(s, c)
 
     def mid(self, p: SpherePoint, q: SpherePoint) -> SpherePoint:
@@ -541,59 +607,69 @@ class SphereModel(PlaneModel):
         n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
         return SpherePoint((v[0] / n, v[1] / n, v[2] / n))
 
-    def line_meet(
-        self, p1: SpherePoint, p2: SpherePoint, s1: SpherePoint, s2: SpherePoint
-    ) -> SpherePoint:
-        c = vec.scross(self._circle(p1, p2), self._circle(s1, s2))
-        if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
+    @staticmethod
+    def line(p: SpherePoint, q: SpherePoint) -> Vec3:
+        """Unit normal of the great circle through p and q."""
+        p0, p1, p2 = p.v
+        q0, q1, q2 = q.v
+        c0 = p1 * q2 - p2 * q1
+        c1 = p2 * q0 - p0 * q2
+        c2 = p0 * q1 - p1 * q0
+        s = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        if s <= _CROSS_EPS:
+            raise DegenerateInputError("great circle undefined for coincident or antipodal points")
+        return (c0 / s, c1 / s, c2 / s)
+
+    def meet(self, l: Vec3, m: Vec3, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
+        a0, a1, a2 = l
+        b0, b1, b2 = m
+        c0 = a1 * b2 - a2 * b1
+        c1 = a2 * b0 - a0 * b2
+        c2 = a0 * b1 - a1 * b0
+        s = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        if s <= _CROSS_EPS:
             raise DegenerateInputError("identical great circles")
-        x = vec.snormalize(c)
+        x0, x1, x2 = c0 / s, c1 / s, c2 / s
         # The circles meet at x and -x; x is the one nearer the arc [s1, s2]
         # when |s1 x| + |x s2| <= pi, which holds exactly when x . (s1 + s2)
         # >= 0, since cos a + cos b = 2 cos((a + b)/2) cos((a - b)/2).
         # Ties go to x.
         u, v = s1.v, s2.v
-        if x[0] * (u[0] + v[0]) + x[1] * (u[1] + v[1]) + x[2] * (u[2] + v[2]) >= 0.0:
-            return SpherePoint(x)
-        return SpherePoint((-x[0], -x[1], -x[2]))
+        if x0 * (u[0] + v[0]) + x1 * (u[1] + v[1]) + x2 * (u[2] + v[2]) >= 0.0:
+            return SpherePoint((x0, x1, x2))
+        return SpherePoint((-x0, -x1, -x2))
 
-    def side_values(
-        self, s1: SpherePoint, s2: SpherePoint, o: SpherePoint, w: SpherePoint
-    ):
-        n = vec.snormalize(vec.scross(s1.v, s2.v))
-        return vec.sdot(o.v, n), vec.sdot(w.v, n)
+    def side_value(self, l: Vec3, p: SpherePoint) -> float:
+        p0, p1, p2 = p.v
+        return p0 * l[0] + p1 * l[1] + p2 * l[2]
 
-    def on_side_residual(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> float:
-        return abs(vec.sdot(p.v, self._circle(s1, s2)))
+    def line_residual(self, l: Vec3, p: SpherePoint) -> float:
+        p0, p1, p2 = p.v
+        return abs(p0 * l[0] + p1 * l[1] + p2 * l[2])
 
-    def foot(self, p: SpherePoint, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
-        n = self._circle(s1, s2)
-        if 1.0 - abs(vec.sdot(p.v, n)) <= TOL_POINT:
+    def foot(self, p: SpherePoint, l: Vec3) -> SpherePoint:
+        if 1.0 - abs(vec.sdot(p.v, l)) <= TOL_POINT:
             raise DegenerateInputError("every circle point is equidistant from its pole")
-        return SpherePoint(vec.sfoot(p.v, n))
-
-    @staticmethod
-    def _circle(p: SpherePoint, q: SpherePoint) -> Vec3:
-        """Unit normal of the great circle through p and q."""
-        c = vec.scross(p.v, q.v)
-        if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
-            raise DegenerateInputError("great circle undefined for coincident or antipodal points")
-        return vec.snormalize(c)
+        return SpherePoint(vec.sfoot(p.v, l))
 
     @staticmethod
     def _tangent(p: SpherePoint, q: SpherePoint) -> Vec3:
         """Unit tangent at p toward q."""
-        c = vec.scross(p.v, q.v)
-        if math.sqrt(vec.sdot(c, c)) <= _CROSS_EPS:
+        p0, p1, p2 = p.v
+        q0, q1, q2 = q.v
+        c0 = p1 * q2 - p2 * q1
+        c1 = p2 * q0 - p0 * q2
+        c2 = p0 * q1 - p1 * q0
+        if math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) <= _CROSS_EPS:
             raise DegenerateInputError("direction undefined for coincident or antipodal points")
-        return vec.stangent(p.v, q.v)
+        m = p0 * q0 + p1 * q1 + p2 * q2
+        w0, w1, w2 = q0 - m * p0, q1 - m * p1, q2 - m * p2
+        s = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        return (w0 / s, w1 / s, w2 / s)
 
 
 EuclidPoint = tuple[float, float]
-
-
-def _identity(x: float) -> float:
-    return x
+EuclidLine = tuple[EuclidPoint, EuclidPoint]
 
 
 class EuclideanModel(PlaneModel):
@@ -601,7 +677,9 @@ class EuclideanModel(PlaneModel):
     kappa = 0.0
     base = (0.0, 0.0)
     side_limit = math.inf
-    s_K = s_K_inv = t_K = t_K_inv = staticmethod(_identity)
+    # The identity, as a builtin call: unary plus returns a float unchanged
+    # (signed zeros and NaN included), at half the cost of a def.
+    s_K = s_K_inv = t_K = t_K_inv = staticmethod(operator.pos)
 
     def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
         return math.hypot(p[0] - q[0], p[1] - q[1])
@@ -623,42 +701,42 @@ class EuclideanModel(PlaneModel):
     def project(self, v: EuclidPoint) -> EuclidPoint:
         return v
 
-    def line_meet(
-        self, p1: EuclidPoint, p2: EuclidPoint, s1: EuclidPoint, s2: EuclidPoint
+    def line(self, p: EuclidPoint, q: EuclidPoint) -> EuclidLine:
+        return (p, q)
+
+    def meet(
+        self, l: EuclidLine, m: EuclidLine, s1: EuclidPoint, s2: EuclidPoint
     ) -> EuclidPoint:
-        du = (p2[0] - p1[0], p2[1] - p1[1])
-        dv = (s2[0] - s1[0], s2[1] - s1[1])
-        den = du[0] * dv[1] - du[1] * dv[0]
-        if abs(den) <= 1e-14 * (self.dist(p1, p2) * self.dist(s1, s2) + 1e-300):
+        # m is the pair (s1, s2) itself; both lines are read as pairs.
+        (p1x, p1y), (p2x, p2y) = l
+        (s1x, s1y), (s2x, s2y) = m
+        dux, duy = p2x - p1x, p2y - p1y
+        dvx, dvy = s2x - s1x, s2y - s1y
+        den = dux * dvy - duy * dvx
+        if abs(den) <= 1e-14 * (math.hypot(dux, duy) * math.hypot(dvx, dvy) + 1e-300):
             raise GeometryError("cevian does not reach the opposite side")
-        t = ((s1[0] - p1[0]) * dv[1] - (s1[1] - p1[1]) * dv[0]) / den
-        return (p1[0] + t * du[0], p1[1] + t * du[1])
+        t = ((s1x - p1x) * dvy - (s1y - p1y) * dvx) / den
+        return (p1x + t * dux, p1y + t * duy)
 
-    def side_values(
-        self, s1: EuclidPoint, s2: EuclidPoint, o: EuclidPoint, w: EuclidPoint
-    ):
-        ux, uy = s2[0] - s1[0], s2[1] - s1[1]
-        return (
-            ux * (o[1] - s1[1]) - uy * (o[0] - s1[0]),
-            ux * (w[1] - s1[1]) - uy * (w[0] - s1[0]),
-        )
+    def side_value(self, l: EuclidLine, p: EuclidPoint) -> float:
+        (s1x, s1y), (s2x, s2y) = l
+        return (s2x - s1x) * (p[1] - s1y) - (s2y - s1y) * (p[0] - s1x)
 
-    def on_side_residual(self, p: EuclidPoint, s1: EuclidPoint, s2: EuclidPoint) -> float:
-        ux, uy = s2[0] - s1[0], s2[1] - s1[1]
-        wx, wy = p[0] - s1[0], p[1] - s1[1]
-        return abs(ux * wy - uy * wx) / math.hypot(ux, uy)
+    def line_residual(self, l: EuclidLine, p: EuclidPoint) -> float:
+        (s1x, s1y), (s2x, s2y) = l
+        ux, uy = s2x - s1x, s2y - s1y
+        return abs(ux * (p[1] - s1y) - uy * (p[0] - s1x)) / math.hypot(ux, uy)
 
-    def foot(self, p: EuclidPoint, s1: EuclidPoint, s2: EuclidPoint) -> EuclidPoint:
-        ux, uy = s2[0] - s1[0], s2[1] - s1[1]
+    def foot(self, p: EuclidPoint, l: EuclidLine) -> EuclidPoint:
+        (s1x, s1y), (s2x, s2y) = l
+        ux, uy = s2x - s1x, s2y - s1y
         uu = ux * ux + uy * uy
         if not uu > 0.0:
             raise DegenerateInputError("line through coincident points")
-        t = ((p[0] - s1[0]) * ux + (p[1] - s1[1]) * uy) / uu
-        return (s1[0] + t * ux, s1[1] + t * uy)
+        t = ((p[0] - s1x) * ux + (p[1] - s1y) * uy) / uu
+        return (s1x + t * ux, s1y + t * uy)
 
 
-_MODELS = {
-    Geometry.HYPERBOLIC: HyperboloidModel(),
-    Geometry.SPHERICAL: SphereModel(),
-    Geometry.EUCLIDEAN: EuclideanModel(),
-}
+Geometry.HYPERBOLIC.model = HyperboloidModel()
+Geometry.SPHERICAL.model = SphereModel()
+Geometry.EUCLIDEAN.model = EuclideanModel()

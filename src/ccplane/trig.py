@@ -105,7 +105,7 @@ def build_right_triangle(
     _check_right_triangle(b, alpha, geometry)
     model = geometry.model
     ray_point = model.polar(alpha, b)
-    foot = model.foot(ray_point, model.base, model.polar(0.0, 1.0))
+    foot = model.foot(ray_point, model.line(model.base, model.polar(0.0, 1.0)))
     return RightTriangleConfig(
         geometry, alpha, b, model.dist(model.base, foot), model.dist(foot, ray_point)
     )

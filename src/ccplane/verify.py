@@ -159,7 +159,10 @@ def run_verification(
     label = f"verify-{theorem}-{geometry.value}"
     worst = 0.0
     for i in range(trials):
-        worst = max(worst, trial(geometry, substream(label, seed, i)))
+        r = trial(geometry, substream(label, seed, i))
+        # max() would drop a NaN (max(0.0, nan) is 0.0): a residual that is
+        # not finite fails its campaign, as a failed sign test does.
+        worst = max(worst, r if math.isfinite(r) else math.inf)
     return VerifyReport(
         theorem=theorem,
         geometry=geometry,

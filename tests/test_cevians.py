@@ -22,7 +22,7 @@ from ccplane.cevians import (
     stretch_ratio,
     unit_sum_residual,
 )
-from ccplane import sampling
+from ccplane import kernel, sampling
 from ccplane.errors import (
     DegenerateInputError,
     DomainError,
@@ -33,6 +33,7 @@ from ccplane.errors import (
 from ccplane.kernel import (
     ORIGIN,
     Geometry,
+    HPoint,
     SpherePoint,
     angle_at,
     foot_of_perpendicular,
@@ -102,6 +103,88 @@ class TestTriangle:
         assert bc == pytest.approx(hdist(tri.b, tri.c), abs=0)
         assert ca == pytest.approx(hdist(tri.c, tri.a), abs=0)
         assert ab == pytest.approx(hdist(tri.a, tri.b), abs=0)
+
+
+# Three vertices 13.5-13.6 from the origin, all within 5e-9 rad of one
+# direction: sides 0.164, 0.044 and 0.120 measure fine, but the cross
+# product of the first two vertices rounds to a vector that is not
+# spacelike, so side BC has no unit normal.
+_FAR_THIN = [
+    (2.3939626092869637, 13.588164922020693),
+    (2.3939626070400966, 13.467909976434884),
+    (2.3939626119378956, 13.632382321500174),
+]
+
+
+def _counting(calls, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
+
+
+class TestSideLines:
+    def test_far_thin_triangle_fails_as_degenerate(self):
+        # The inside test once normalized that cross product itself and
+        # leaked a bare ValueError (math domain error) from cevian_frame.
+        model = HYP.model
+        o = HPoint((388038.85366505507, -284549.7708232047, 263828.6941883913))
+        with pytest.raises(DegenerateInputError, match="too far apart"):
+            tri = Triangle(HYP, *(model.polar(t, r) for t, r in _FAR_THIN))
+            cevian_frame(tri, o)
+
+    def test_far_thin_triangles_raise_only_geometry_errors(self):
+        # Thin triangles 8-14 from the origin straddle every rejection
+        # threshold of the side lines; each must fail as a GeometryError.
+        model = HYP.model
+        rng = random.Random("thin-far")
+        for _ in range(3000):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            pts = [model.polar(theta + rng.gauss(0.0, 3e-9), rng.uniform(8.0, 14.0))
+                   for _ in range(3)]
+            try:
+                tri = Triangle(HYP, *pts)
+                cevian_frame(tri, sample_interior_point(tri, rng))
+            except GeometryError:
+                continue
+
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_triangle_keeps_its_oriented_side_lines(self, geometry):
+        model = geometry.model
+        tri = sample_triangle(geometry, substream("side-lines", 3, 0))
+        a, b, c = tri.a, tri.b, tri.c
+        assert tri._lines == (model.line(b, c), model.line(c, a), model.line(a, b))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_frame_and_ceva_build_nine_lines(self, geometry, seed, monkeypatch):
+        # Three side lines per triangle, three cevians through o for the
+        # feet, three cevians through the feet for concurrency: nine
+        # distinct lines, each built once (sixteen builds before).
+        lines, triangles = [], []
+        monkeypatch.setattr(kernel, "geodesic_through",
+                            _counting(lines, kernel.geodesic_through))
+        monkeypatch.setattr(kernel.SphereModel, "line",
+                            staticmethod(_counting(lines, kernel.SphereModel.line)))
+        monkeypatch.setattr(kernel.EuclideanModel, "line",
+                            _counting(lines, kernel.EuclideanModel.line))
+        monkeypatch.setattr(Triangle, "__post_init__",
+                            _counting(triangles, Triangle.__post_init__))
+        fr = sample_frame(geometry, substream("nine-lines", seed, 0))
+        ceva_product(fr.tri, fr.d, fr.e, fr.f)
+        assert (len(triangles), len(lines)) == (1, 9)
+
+    def test_nan_foot_fails_the_ceva_checks(self):
+        tri = sample_triangle(EUC, substream("nan-foot", 1, 0))
+        fr = cevian_frame(tri, sample_interior_point(tri, substream("nan-foot", 1, 1)))
+        with pytest.raises(DomainError, match="does not lie on its side line"):
+            ceva_product(tri, (math.nan, math.nan), fr.e, fr.f)
+
+    def test_nan_interior_point_fails_the_between_check(self):
+        tri = sample_triangle(EUC, substream("nan-foot", 1, 0))
+        with pytest.raises(GeometryError, match="left its side segment"):
+            cevian_frame(tri, (math.nan, math.nan))
 
 
 class TestCevianFrame:
@@ -301,7 +384,7 @@ def _equilateral_frame(side: float, geometry: Geometry = HYP) -> CevianFrame:
     tri = equilateral_triangle(side, geometry)
     d = model.mid(tri.b, tri.c)
     e = model.mid(tri.c, tri.a)
-    o = model.line_meet(tri.a, d, tri.b, e)
+    o = model.meet(model.line(tri.a, d), model.line(tri.b, e), tri.b, e)
     return cevian_frame(tri, o)
 
 
@@ -371,7 +454,11 @@ class TestCevaProduct:
             n = math.sqrt(sum(x * x for x in v))
             return SpherePoint(tuple(x / n for x in v))
 
-        meet = SPH.model.line_meet
+        model = SPH.model
+
+        def meet(p1, p2, s1, s2):
+            return model.meet(model.line(p1, p2), model.line(s1, s2), s1, s2)
+
         rng = random.Random("antipode")
         cases = [[random_point(rng) for _ in range(4)] for _ in range(2000)]
         for i in range(200):

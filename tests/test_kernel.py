@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccplane import corevec as vec
 from ccplane import kernel as k
 from ccplane.errors import (
     ContractViolationError,
@@ -172,16 +173,17 @@ def test_model_foot_is_the_perpendicular_foot(geometry):
     for _ in range(200):
         p, s1, s2 = (model.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.2))
                      for _ in range(3))
-        if model.on_side_residual(p, s1, s2) < 1e-3:
+        line = model.line(s1, s2)
+        if model.line_residual(line, p) < 1e-3:
             continue
-        foot = model.foot(p, s1, s2)
-        assert model.on_side_residual(foot, s1, s2) <= 1e-12
+        foot = model.foot(p, line)
+        assert model.line_residual(line, foot) <= 1e-12
         far = max((s1, s2), key=lambda s: model.dist(foot, s))
         assert model.angle(foot, p, far) == pytest.approx(math.pi / 2, abs=1e-12)
         # The drop to the foot is the distance to the line: sinh of it is
         # |<p, n>|, sin of it is |p . n|, and in the plane it is the residual.
         assert model.s_K(model.dist(p, foot)) == pytest.approx(
-            model.on_side_residual(p, s1, s2), rel=1e-12
+            model.line_residual(line, p), rel=1e-12
         )
 
 
@@ -253,7 +255,7 @@ def test_sphere_basics():
     p = k.NORTH_POLE
     q = k.SpherePoint((1.0, 0.0, 0.0))
     assert SPHERE.dist(p, q) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert SPHERE.on_side_residual(p, p, q) <= 1e-15
+    assert SPHERE.line_residual(SPHERE.line(p, q), p) <= 1e-15
     m = SPHERE.mid(p, q)
     assert SPHERE.dist(p, m) == pytest.approx(math.pi / 4, abs=1e-12)
 
@@ -263,21 +265,23 @@ def test_sphere_angle_and_foot():
     p = SPHERE.polar(0.0, 0.7)
     q = SPHERE.polar(0.5 * math.pi, 0.4)
     assert SPHERE.angle(v, p, q) == pytest.approx(math.pi / 2, abs=1e-12)
-    f = SPHERE.foot(q, v, p)
-    assert SPHERE.on_side_residual(f, v, p) <= 1e-12
+    vp = SPHERE.line(v, p)
+    f = SPHERE.foot(q, vp)
+    assert SPHERE.line_residual(vp, f) <= 1e-12
     assert math.sin(SPHERE.dist(q, f)) == pytest.approx(
-        SPHERE.on_side_residual(q, v, p), rel=1e-12
+        SPHERE.line_residual(vp, q), rel=1e-12
     )
 
 
 def test_sphere_intersections_are_antipodal():
-    # The great circles y = 0 and x = 0 meet at the poles; line_meet picks
+    # The great circles y = 0 and x = 0 meet at the poles; meet picks
     # the one on the arc [s1, s2], the north pole from one arc and the
     # south pole from an arc around it.
-    x_axis = k.SpherePoint((1.0, 0.0, 0.0))
-    a = SPHERE.line_meet(k.NORTH_POLE, x_axis, k.NORTH_POLE, k.SpherePoint((0.0, 1.0, 0.0)))
-    b = SPHERE.line_meet(k.NORTH_POLE, x_axis, k.SpherePoint((0.0, 0.6, -0.8)),
-                         k.SpherePoint((0.0, -0.6, -0.8)))
+    y0 = SPHERE.line(k.NORTH_POLE, k.SpherePoint((1.0, 0.0, 0.0)))
+    s1, s2 = k.NORTH_POLE, k.SpherePoint((0.0, 1.0, 0.0))
+    a = SPHERE.meet(y0, SPHERE.line(s1, s2), s1, s2)
+    s1, s2 = k.SpherePoint((0.0, 0.6, -0.8)), k.SpherePoint((0.0, -0.6, -0.8))
+    b = SPHERE.meet(y0, SPHERE.line(s1, s2), s1, s2)
     assert SPHERE.dist(a, b) == pytest.approx(math.pi, abs=1e-12)
     assert SPHERE.dist(a, k.NORTH_POLE) <= 1e-12
 
@@ -286,13 +290,14 @@ def test_sphere_degenerate_rejections():
     p = k.SpherePoint((1.0, 0.0, 0.0))
     anti = k.SpherePoint((-1.0, 0.0, 0.0))
     with pytest.raises(DegenerateInputError):
-        SPHERE.on_side_residual(k.NORTH_POLE, p, anti)
+        SPHERE.line(p, anti)
     with pytest.raises(DegenerateInputError):
         SPHERE.mid(p, anti)
+    north = SPHERE.line(k.NORTH_POLE, p)
     with pytest.raises(DegenerateInputError):
-        SPHERE.line_meet(k.NORTH_POLE, p, anti, k.NORTH_POLE)
+        SPHERE.meet(north, north, p, k.NORTH_POLE)
     with pytest.raises(DegenerateInputError):
-        SPHERE.foot(k.NORTH_POLE, p, k.SpherePoint((0.0, 1.0, 0.0)))
+        SPHERE.foot(k.NORTH_POLE, SPHERE.line(p, k.SpherePoint((0.0, 1.0, 0.0))))
 
 
 def _sphere_point(rng):
@@ -327,10 +332,10 @@ def test_sphere_model_near_degenerate_pairs_fail_cleanly():
                 lambda: SPHERE.angle(a, r, b),
                 lambda: SPHERE.angle(r, a, b),
                 lambda: SPHERE.mid(a, b),
-                lambda: SPHERE.line_meet(a, b, r, s),
-                lambda: SPHERE.line_meet(r, s, a, b),
-                lambda: SPHERE.on_side_residual(r, a, b),
-                lambda: SPHERE.foot(r, a, b),
+                lambda: SPHERE.meet(SPHERE.line(a, b), SPHERE.line(r, s), r, s),
+                lambda: SPHERE.meet(SPHERE.line(r, s), SPHERE.line(a, b), a, b),
+                lambda: SPHERE.line_residual(SPHERE.line(a, b), r),
+                lambda: SPHERE.foot(r, SPHERE.line(a, b)),
             )
             for call in calls:
                 try:
@@ -383,3 +388,76 @@ def test_reflection_preserves_distance(p, q, r):
     assert k.hdist(k.reflect_across(g, r), k.reflect_across(g, p)) == pytest.approx(
         k.hdist(r, p), rel=1e-10, abs=1e-11
     )
+
+
+# The written-out kernels against corevec, which stays the reference: the
+# same operations in the same order, so the results are equal, not close.
+
+HYPERBOLIC = k.Geometry.HYPERBOLIC.model
+
+
+def _oracle_points(seed):
+    """Hyperboloid points out to distance 6 (v0 up to ~200, past the
+    recentring limit), each with a partner 1e-7 to 0.9 away, so both
+    branches of the distance (-<p, q> below and above 1.5) are taken."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(300):
+        p = HYPERBOLIC.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 6.0))
+        near = k.point_along(p, k.tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
+                             10.0 ** rng.uniform(-7.0, math.log10(0.9)))
+        pts += [p, near]
+    return pts
+
+
+def _reference_angle(v, p, q):
+    if v.v[0] > k._RECENTRE_LIMIT:
+        base, (rp, rq) = k._E0, k._recentre(v.v, (p.v, q.v))
+    else:
+        base, rp, rq = v.v, p.v, q.v
+    u1, u2 = vec.mtangent(base, rp), vec.mtangent(base, rq)
+    c = vec.minner(u1, u2)
+    w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
+    return math.atan2(math.sqrt(max(vec.minner(w, w), 0.0)), c)
+
+
+def test_hyperboloid_kernels_equal_corevec():
+    pts = _oracle_points("oracle-hyp")
+    branches, recentred, meetings = set(), 0, 0
+    for i in range(0, len(pts) - 4, 2):
+        p, near, q, r = pts[i], pts[i + 1], pts[i + 2], pts[i + 4]
+        for x, y in ((p, near), (p, q)):
+            assert k.hdist(x, y) == vec.mdist(x.v, y.v)
+            branches.add(-vec.minner(x.v, y.v) < 1.5)
+            assert k.geodesic_through(x, y).normal == vec.mnormalize_space(vec.mcross(x.v, y.v))
+        g1, g2 = k.geodesic_through(p, q), k.geodesic_through(near, r)
+        c = vec.mcross(g1.normal, g2.normal)
+        x = k.intersect_geodesics(g1, g2)
+        if vec.minner(c, c) < 0.0:
+            meetings += 1
+            assert x == k.HPoint(vec.mnormalize_point(c))
+        else:
+            assert x is None
+        for v, a, b in ((p, q, r), (q, r, p), (p, near, q)):
+            assert k.angle_at(v, a, b) == _reference_angle(v, a, b)
+            recentred += v.v[0] > k._RECENTRE_LIMIT
+    assert branches == {True, False}
+    assert recentred > 20 and meetings > 20
+
+
+def test_sphere_kernels_equal_corevec():
+    rng = random.Random("oracle-sph")
+    pts = [_sphere_point(rng) for _ in range(300)]
+    pts += [_moved(rng, p, 10.0 ** rng.uniform(-7.0, 0.0)) for p in pts[:100]]
+    for i in range(len(pts) - 2):
+        p, q, r = pts[i], pts[i + 1], pts[i + 2]
+        assert SPHERE.dist(p, q) == vec.sdist(p.v, q.v)
+        assert SPHERE.line(p, q) == vec.snormalize(vec.scross(p.v, q.v))
+        u1, u2 = vec.stangent(p.v, q.v), vec.stangent(p.v, r.v)
+        c = vec.sdot(u1, u2)
+        w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
+        assert SPHERE.angle(p, q, r) == math.atan2(math.sqrt(max(vec.sdot(w, w), 0.0)), c)
+        x = vec.snormalize(vec.scross(SPHERE.line(p, q), SPHERE.line(q, r)))
+        s = x[0] * (q.v[0] + r.v[0]) + x[1] * (q.v[1] + r.v[1]) + x[2] * (q.v[2] + r.v[2])
+        expect = x if s >= 0.0 else (-x[0], -x[1], -x[2])
+        assert SPHERE.meet(SPHERE.line(p, q), SPHERE.line(q, r), q, r).v == expect

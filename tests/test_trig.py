@@ -167,7 +167,7 @@ def test_right_angle_cosine_law_consistency():
     # Rebuild the synthetic figure and measure its corner at the foot.
     model = HYP.model
     ray_point = model.polar(0.6, 1.7)
-    foot = model.foot(ray_point, model.base, model.polar(0.0, 1.0))
+    foot = model.foot(ray_point, model.line(model.base, model.polar(0.0, 1.0)))
     cfg = trig.build_right_triangle(1.7, 0.6, HYP)
     assert model.dist(model.base, foot) == cfg.adjacent
     assert model.dist(foot, ray_point) == cfg.opposite

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ccplane import verify
 from ccplane.errors import DomainError
 from ccplane.kernel import Geometry
 from ccplane.verify import (
@@ -77,6 +78,22 @@ class TestCampaigns:
         a = run_verification("euler-ratio", HYP, trials=30, seed=11)
         b = run_verification("euler-ratio", HYP, trials=30, seed=12)
         assert a.max_residual != b.max_residual
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_residual_fails_the_campaign(self, monkeypatch, bad):
+        # One bad trial among good ones: the fold must not drop it, as
+        # max(0.0, nan) == 0.0 would.
+        residuals = iter([1e-15, bad, 1e-15])
+        monkeypatch.setitem(verify._TRIALS, "ceva", lambda geometry, rng: next(residuals))
+        rep = run_verification("ceva", HYP, trials=3)
+        assert rep.max_residual == math.inf
+        assert not rep.passed
+
+    def test_all_nan_campaign_fails(self, monkeypatch):
+        monkeypatch.setitem(verify._TRIALS, "ceva", lambda geometry, rng: math.nan)
+        rep = run_verification("ceva", HYP, trials=5)
+        assert rep.max_residual == math.inf
+        assert not rep.passed
 
 
 class TestJson:
