@@ -446,8 +446,9 @@ class PlaneModel:
     - ``line(p, q)``: the oriented line through two distinct points, as
       a value the line operations below take.  It is a Geodesic on the
       hyperboloid, the unit normal of the great circle on the sphere and
-      the pair (p, q) in the euclidean plane.  A figure that reads a
-      line more than once builds it once and keeps it.
+      the pair (p, q) in the euclidean plane.  Points too close to span
+      a line raise DegenerateInputError on every plane.  A figure that
+      reads a line more than once builds it once and keeps it.
     - ``meet(l, m, s1, s2)``: where line l meets line m = line(s1, s2);
       on the sphere, the one of the antipodal pair on [s1, s2].
     - ``side_value(l, p)``: the signed position of p against line l.
@@ -669,6 +670,8 @@ class SphereModel(PlaneModel):
 
 
 EuclidPoint = tuple[float, float]
+# Points closer than TOL_POINT span no line; squared, so no root is taken.
+_TOL_POINT_SQUARED = TOL_POINT * TOL_POINT
 EuclidLine = tuple[EuclidPoint, EuclidPoint]
 
 
@@ -702,6 +705,9 @@ class EuclideanModel(PlaneModel):
         return v
 
     def line(self, p: EuclidPoint, q: EuclidPoint) -> EuclidLine:
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        if dx * dx + dy * dy <= _TOL_POINT_SQUARED:
+            raise DegenerateInputError("line through coincident points")
         return (p, q)
 
     def meet(

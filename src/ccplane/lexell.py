@@ -19,6 +19,13 @@ through A and B, on the other.  Sliding the apex height foliates the
 half-plane by such leaves.  When both base vertices escape to the
 boundary the leaves become hypercycles asymptotic to the base line and
 the area at distance c collapses to pi - 2*arctan(1/sinh c).
+
+Each curve is evaluated in one pass: ``hypercycle_points`` reads the
+curve's cached frame once and builds every point a caller asks for, and
+it is the only place the curve formula is written.  The locus probe
+measures all its samples over the fixed base at once, and the foliation
+search evaluates the apex-area formula with its base-dependent part
+taken once per leaf.
 """
 
 from __future__ import annotations
@@ -98,30 +105,46 @@ def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
     return abs(vec.minner(p.v, hc.axis.normal) - hc._axis_frame[3])
 
 
-def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
-    """Point over the axis position s; s = 0 is nearest the model origin.
+def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
+    """Points over the axis positions, in one pass over the curve.
 
     With gamma the unit-speed axis and n its normal, the curve is
     cosh(offset) * gamma(s) + sinh(offset) * n, which stays at signed
-    distance ``offset`` for every s.  Each curve caches its frame (the
-    axis foot g0 and tangent u0, cosh and sinh of the offset), so a
-    point costs one cosh(s) and one sinh(s) in closed form:
-    gamma(s) = cosh(s) * g0 + sinh(s) * u0.  An s whose point has
-    coordinates no float holds raises DomainError before any is built.
+    distance ``offset`` for every s; s = 0 is nearest the model origin.
+    The curve's frame (the axis foot g0 and tangent u0, cosh and sinh
+    of the offset) is cached and read once per call, so a point costs
+    one cosh(s) and one sinh(s) in closed form:
+    gamma(s) = cosh(s) * g0 + sinh(s) * u0.  A position whose point has
+    coordinates no float holds raises DomainError before it is built,
+    and every point goes through HPoint's sheet check.
     """
     g0, u0, co, so, reach = hc._axis_frame
-    if not abs(s) <= reach:
-        raise DomainError(f"axis position {s} puts the point beyond float range")
-    ch = math.cosh(s)
-    sh = math.sinh(s)
-    n = hc.axis.normal
-    return HPoint(
-        (
-            co * (ch * g0[0] + sh * u0[0]) + so * n[0],
-            co * (ch * g0[1] + sh * u0[1]) + so * n[1],
-            co * (ch * g0[2] + sh * u0[2]) + so * n[2],
+    g00, g01, g02 = g0
+    u00, u01, u02 = u0
+    n0, n1, n2 = hc.axis.normal
+    cosh, sinh, point = math.cosh, math.sinh, HPoint
+    pts = []
+    append = pts.append
+    for s in positions:
+        if not abs(s) <= reach:
+            raise DomainError(f"axis position {s} puts the point beyond float range")
+        ch = cosh(s)
+        sh = sinh(s)
+        append(
+            point(
+                (
+                    co * (ch * g00 + sh * u00) + so * n0,
+                    co * (ch * g01 + sh * u01) + so * n1,
+                    co * (ch * g02 + sh * u02) + so * n2,
+                )
+            )
         )
-    )
+    return pts
+
+
+def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
+    """Point over the axis position s; see ``hypercycle_points``."""
+    return hypercycle_points(hc, (s,))[0]
 
 
 def hypercycle_samples(hc: Hypercycle, n: int) -> list[HPoint]:
@@ -129,7 +152,7 @@ def hypercycle_samples(hc: Hypercycle, n: int) -> list[HPoint]:
     if n < 2:
         raise DomainError("need at least two sample points")
     step = 2.0 * SAMPLE_RANGE / (n - 1)
-    return [hypercycle_point(hc, -SAMPLE_RANGE + i * step) for i in range(n)]
+    return hypercycle_points(hc, [-SAMPLE_RANGE + i * step for i in range(n)])
 
 
 class BaseConfig(Record):
@@ -190,6 +213,63 @@ class AreaLocus(Record):
 def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
     """pi minus the angle sum; valid beyond the Triangle side range."""
     return math.pi - (k.angle_at(p, q, r) + k.angle_at(q, r, p) + k.angle_at(r, p, q))
+
+
+def _base_deficits(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
+    """``[_deficit(z, a, b) for z in pts]``, bit for bit, over one fixed base.
+
+    The base's own check and its tangents a->b and b->a are taken once.
+    Per apex z, ``hdist`` checks z against each base vertex once, the
+    four tangents z->a, z->b, a->z and b->z follow ``kernel._tangent_at``
+    (a tangent and its reverse share one inner product) and the three
+    angles follow ``angle_at``.  A vertex past the kernel's recentring
+    limit goes through ``_deficit`` itself.
+    """
+    limit = k._RECENTRE_LIMIT
+    if a.v[0] > limit or b.v[0] > limit:
+        return [_deficit(z, a, b) for z in pts]
+    hdist = k.hdist
+    if hdist(a, b) <= TOL_POINT:
+        raise DegenerateInputError("cannot take a direction between coincident points")
+    ab0, ab1, ab2 = k._tangent_at(a.v, b.v)
+    ba0, ba1, ba2 = k._tangent_at(b.v, a.v)
+    a0, a1, a2 = a.v
+    b0, b1, b2 = b.v
+    sqrt, atan2, pi = math.sqrt, math.atan2, math.pi
+    out = []
+    for z in pts:
+        z0, z1, z2 = z.v
+        if z0 > limit:
+            out.append(_deficit(z, a, b))
+            continue
+        if hdist(z, a) <= TOL_POINT or hdist(z, b) <= TOL_POINT:
+            raise DegenerateInputError("cannot take a direction between coincident points")
+        m = -z0 * a0 + z1 * a1 + z2 * a2
+        w0, w1, w2 = a0 + m * z0, a1 + m * z1, a2 + m * z2
+        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
+        za0, za1, za2 = w0 / h, w1 / h, w2 / h
+        w0, w1, w2 = z0 + m * a0, z1 + m * a1, z2 + m * a2
+        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
+        az0, az1, az2 = w0 / h, w1 / h, w2 / h
+        m = -z0 * b0 + z1 * b1 + z2 * b2
+        w0, w1, w2 = b0 + m * z0, b1 + m * z1, b2 + m * z2
+        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
+        zb0, zb1, zb2 = w0 / h, w1 / h, w2 / h
+        w0, w1, w2 = z0 + m * b0, z1 + m * b1, z2 + m * b2
+        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
+        bz0, bz1, bz2 = w0 / h, w1 / h, w2 / h
+        # The angles at z (toward a, b), at a (b, z) and at b (z, a).
+        c = -za0 * zb0 + za1 * zb1 + za2 * zb2
+        w0, w1, w2 = zb0 - c * za0, zb1 - c * za1, zb2 - c * za2
+        angle_z = atan2(sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0)), c)
+        c = -ab0 * az0 + ab1 * az1 + ab2 * az2
+        w0, w1, w2 = az0 - c * ab0, az1 - c * ab1, az2 - c * ab2
+        angle_a = atan2(sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0)), c)
+        c = -bz0 * ba0 + bz1 * ba1 + bz2 * ba2
+        w0, w1, w2 = ba0 - c * bz0, ba1 - c * bz1, ba2 - c * bz2
+        angle_b = atan2(sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0)), c)
+        out.append(pi - (angle_z + angle_a + angle_b))
+    return out
 
 
 def triangle_area(tri: Triangle) -> float:
@@ -347,15 +427,29 @@ def locus_residuals(
     locus: AreaLocus, samples: int = 20, chords: int = 100, seed: int = 0
 ) -> LocusResiduals:
     """Probe the locus: area spread, mirror membership, midpoint line,
-    and (for ``chords`` > 0) the equal-subarc property."""
+    and (for ``chords`` > 0) the equal-subarc property.
+
+    The carrier's samples come from one ``hypercycle_points`` pass, and
+    their areas over the fixed base from one ``_base_deficits`` call.
+    """
+    a, b = locus.base.a, locus.base.b
     pts = hypercycle_samples(locus.carrier, samples)
-    areas = [_deficit(z, locus.base.a, locus.base.b) for z in pts]
+    areas = _base_deficits(pts, a, b)
+    # The midpoints of z a and z b lie on the axis: |<mid, n>| as in
+    # ``geodesic_residual``, on midpoints built as ``midpoint`` builds them.
+    a0, a1, a2 = a.v
+    b0, b1, b2 = b.v
+    n0, n1, n2 = locus.carrier.axis.normal
+    normalize = vec.mnormalize_point
     midline = 0.0
     for z in pts:
+        z0, z1, z2 = z.v
+        ma0, ma1, ma2 = HPoint(normalize((z0 + a0, z1 + a1, z2 + a2))).v
+        mb0, mb1, mb2 = HPoint(normalize((z0 + b0, z1 + b1, z2 + b2))).v
         midline = max(
             midline,
-            k.geodesic_residual(locus.carrier.axis, k.midpoint(z, locus.base.a)),
-            k.geodesic_residual(locus.carrier.axis, k.midpoint(z, locus.base.b)),
+            abs(-ma0 * n0 + ma1 * n1 + ma2 * n2),
+            abs(-mb0 * n0 + mb1 * n1 + mb2 * n2),
         )
     subarc = (
         equal_subarc_check(locus, chords, seed=seed) if chords > 0 else 0.0
@@ -410,15 +504,16 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     the axis bisects every such chord, so the imbalance is pure
     rounding.  One substream ("subarc", seed) serves the whole check:
     its draws give the carrier and then the mirror position of each
-    chord in turn.
+    chord in turn.  All 2n positions are drawn first, and each curve's
+    points are built in one ``hypercycle_points`` pass.
     """
     rng = substream("subarc", seed)
-    carrier, mirror = locus.carrier, locus.mirror
-    axis = carrier.axis
+    draws = [-SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random() for _ in range(2 * n)]
+    carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
+    mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
+    axis = locus.carrier.axis
     worst = 0.0
-    for _ in range(n):
-        z1 = hypercycle_point(carrier, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random())
-        z2 = hypercycle_point(mirror, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random())
+    for z1, z2 in zip(carrier_pts, mirror_pts):
         d1, d2 = chord_split(z1, z2, axis)
         worst = max(worst, abs(d1 - d2))
     return worst
@@ -426,11 +521,19 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
 
 def _invert_apex_area(x: float, target: float) -> float:
     # Bisection on the height; monotone by the sign of the profile
-    # derivative, so the bracket never fails.
+    # derivative, so the bracket never fails.  Each step evaluates
+    # ``apex_area_formula`` at a height inside (0, MAX_APEX_HEIGHT]: the
+    # half-base check and cosh(x) are taken once, and the area is
+    # ``area_profile``'s quotient through ``clamped_acos``.
+    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
+        raise DomainError(f"half-base {x} out of range")
+    cx = math.cosh(x)
+    cosh = math.cosh
     lo, hi = 0.0, MAX_APEX_HEIGHT
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if apex_area_formula(x, mid) < target:
+        u = cosh(mid)
+        if 2.0 * clamped_acos((cx * u - 1.0) * (cx + u) / ((cx * u) ** 2 - 1.0)) < target:
             lo = mid
         else:
             hi = mid
@@ -443,8 +546,9 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     """Constant-area leaves over the base, one per target area.
 
     Targets must lie strictly between 0 and the apex-area supremum for
-    this base.  Leaves come back sorted by area with strictly growing
-    offsets, and sampled points of one leaf never lie on another.
+    this base, and no target may repeat.  Leaves come back sorted by
+    area with strictly growing offsets, and sampled points of one leaf
+    never lie on another.
     """
     x = base.half_distance
     limit = max_apex_area(x)
@@ -453,17 +557,26 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
             raise InfeasibleAreaError(
                 f"target area {target} outside the attainable range (0, {limit})"
             )
+    targets = sorted(areas)
+    for lower, upper in zip(targets, targets[1:]):
+        if lower == upper:
+            raise DegenerateInputError(f"target area {lower} is repeated; leaves must differ")
     leaves = []
-    for target in sorted(areas):
+    for target in targets:
         y = _invert_apex_area(x, target)
         leaves.append(lexell_locus(base, _MODEL.polar(math.pi / 2.0, y)))
     for i in range(1, len(leaves)):
         if not leaves[i].carrier.offset > leaves[i - 1].carrier.offset:
             raise GeometryError("leaf offsets fail to grow with area")
+    # A sample z of one leaf lies on another when |<z, n> - sinh(offset)|,
+    # ``hypercycle_residual``, is within TOL_ID.
+    curves = [(leaf.carrier.axis.normal, leaf.carrier._axis_frame[3]) for leaf in leaves]
     for i, leaf in enumerate(leaves):
+        others = curves[:i] + curves[i + 1:]
         for z in hypercycle_samples(leaf.carrier, 50):
-            for j, other in enumerate(leaves):
-                if i != j and hypercycle_residual(other.carrier, z) <= TOL_ID:
+            z0, z1, z2 = z.v
+            for (n0, n1, n2), so in others:
+                if abs(-z0 * n0 + z1 * n1 + z2 * n2 - so) <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")
     return leaves
 

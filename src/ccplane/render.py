@@ -14,7 +14,7 @@ import sys
 
 from . import kernel as k
 from .cevians import CevianFrame, ConstructionResult
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, OutOfModelError
 from .kernel import Geodesic, Geometry, HPoint, Record
 from .lexell import (
     SAMPLE_RANGE,
@@ -172,8 +172,19 @@ def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | Sce
 
 
 def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
-    """Hypercycle sampled at evenly spaced axis arclengths."""
-    pts = [disk_xy(z) for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1)]
+    """Hypercycle sampled at evenly spaced axis arclengths.
+
+    Each sample goes to disk coordinates as ``disk_xy`` takes it there,
+    under DiskPoint's check that it lies inside the open unit disk.
+    """
+    pts = []
+    for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1):
+        v0, v1, v2 = z.v
+        f = 1.0 / (1.0 + v0)
+        u, w = v1 * f, v2 * f
+        if not (u * u + w * w < 1.0):
+            raise OutOfModelError(f"outside the open unit disk: ({u}, {w})")
+        pts.append((u, w))
     return ScenePolyline(tuple(pts), style=style)
 
 

@@ -227,6 +227,14 @@ class TestLexellCommand:
         assert out.returncode == 1
         assert "attainable" in out.stderr
 
+    def test_repeated_foliation_target_exits_one(self, capsys):
+        # Two equal targets would ask for one leaf twice; the list is
+        # refused before any height is searched for.
+        assert main(["lexell", "0.8", "--foliate", "0.5,0.3,0.5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: target area 0.5 is repeated; leaves must differ\n"
+
     def test_locus_svg_has_figure_labels(self, tmp_path):
         path = tmp_path / "locus.svg"
         out = run_cli("lexell", "0.8", "--apex-y", "1.0", "--svg", str(path))

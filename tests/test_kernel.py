@@ -167,6 +167,22 @@ def test_geodesic_through_unrepresentable_pair_rejected():
 
 
 @pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_model_line_rejects_coincident_points(geometry):
+    # Every plane refuses a line through one point, or through two points
+    # closer than TOL_POINT, when the line is built, before any residual
+    # divides by its length.
+    model = geometry.model
+    p = model.polar(0.7, 0.4)
+    for q in (p, model.polar(0.7, 0.4 + 1e-12)):
+        with pytest.raises(DegenerateInputError):
+            model.line(p, q)
+    # Just past the threshold the line builds; its rounding grows like
+    # eps / separation, about 2e-10 here.
+    line = model.line(p, model.polar(0.7, 0.4 + 1e-6))
+    assert model.line_residual(line, p) <= 1e-9
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
 def test_model_foot_is_the_perpendicular_foot(geometry):
     model = geometry.model
     rng = random.Random(geometry.value)

@@ -16,6 +16,7 @@ from ccplane.errors import (
     DomainError,
     GeometryError,
     InfeasibleAreaError,
+    InvalidPointError,
 )
 from ccplane.kernel import (
     ORIGIN,
@@ -44,6 +45,7 @@ from ccplane.lexell import (
     equal_subarc_check,
     foliation,
     hypercycle_point,
+    hypercycle_points,
     hypercycle_residual,
     hypercycle_samples,
     ideal_limit_area,
@@ -56,7 +58,7 @@ from ccplane.lexell import (
     triangle_area,
     truncated_ideal_area,
 )
-from ccplane.lexell import _deficit
+from ccplane.lexell import MAX_APEX_HEIGHT, _base_deficits, _deficit, _invert_apex_area
 from ccplane.sampling import substream
 
 BISECTOR = Geodesic((0.0, 1.0, 0.0))
@@ -504,6 +506,195 @@ class TestChordSplit:
             chord_split(z1, z2, locus.carrier.axis)
 
 
+# References for the one-pass routes: each is the per-point or per-call
+# route the fused code replaced, and the fused code must equal it bit for bit.
+
+
+def _reference_point(hc: Hypercycle, s: float) -> tuple:
+    g0, u0, co, so, reach = hc._axis_frame
+    if not abs(s) <= reach:
+        raise DomainError(f"axis position {s} puts the point beyond float range")
+    ch = math.cosh(s)
+    sh = math.sinh(s)
+    n = hc.axis.normal
+    return tuple(co * (ch * g0[i] + sh * u0[i]) + so * n[i] for i in range(3))
+
+
+def _reference_subarc(locus: AreaLocus, n: int, seed: int) -> float:
+    rng = substream("subarc", seed)
+    worst = 0.0
+    for _ in range(n):
+        z1 = hypercycle_point(
+            locus.carrier, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random()
+        )
+        z2 = hypercycle_point(
+            locus.mirror, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random()
+        )
+        d1, d2 = chord_split(z1, z2, locus.carrier.axis)
+        worst = max(worst, abs(d1 - d2))
+    return worst
+
+
+def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int) -> tuple:
+    a, b = locus.base.a, locus.base.b
+    pts = hypercycle_samples(locus.carrier, samples)
+    areas = [_deficit(z, a, b) for z in pts]
+    midline = 0.0
+    for z in pts:
+        midline = max(
+            midline,
+            geodesic_residual(locus.carrier.axis, k.midpoint(z, a)),
+            geodesic_residual(locus.carrier.axis, k.midpoint(z, b)),
+        )
+    return (
+        max(areas) - min(areas),
+        max(hypercycle_residual(locus.mirror, a), hypercycle_residual(locus.mirror, b)),
+        midline,
+        _reference_subarc(locus, chords, seed) if chords > 0 else 0.0,
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of the GeometryError it raises."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return (type(exc), str(exc))
+
+
+def _reference_invert(x: float, target: float) -> float:
+    lo, hi = 0.0, MAX_APEX_HEIGHT
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if apex_area_formula(x, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _random_point(rng, r_max: float):
+    return point_along(
+        ORIGIN, tangent_direction(ORIGIN, rng.uniform(0.0, 2.0 * math.pi)),
+        rng.uniform(0.05, r_max),
+    )
+
+
+class TestOnePassRoutes:
+    def test_points_equal_the_per_point_closed_form(self):
+        for i in range(30):
+            locus = _seeded_locus(i)
+            rng = random.Random(i)
+            for hc in (locus.carrier, locus.mirror, Hypercycle(locus.carrier.axis, 0.0)):
+                ss = [rng.uniform(-6.0, 6.0) for _ in range(25)]
+                assert [z.v for z in hypercycle_points(hc, ss)] == [
+                    _reference_point(hc, s) for s in ss
+                ]
+                assert hypercycle_point(hc, ss[0]).v == _reference_point(hc, ss[0])
+        assert hypercycle_points(locus.carrier, []) == []
+
+    def test_points_check_every_position_and_point(self):
+        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 300.0)
+        with pytest.raises(DomainError):
+            hypercycle_points(hc, [0.0, 1.0, 700.0])
+        with pytest.raises(DomainError):
+            hypercycle_points(hc, [0.0, math.nan])
+        # The sheet check runs on each point: a frame whose normal is not
+        # unit yields points off the sheet.
+        skewed = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
+        skewed.__dict__["_axis_frame"] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 2.0, 0.5, 100.0)
+        with pytest.raises(InvalidPointError):
+            hypercycle_points(skewed, [0.0])
+
+    def test_base_deficits_equal_the_per_sample_deficit(self):
+        for i in range(30):
+            locus = _seeded_locus(i)
+            a, b = locus.base.a, locus.base.b
+            rng = random.Random(100 + i)
+            pts = (
+                hypercycle_samples(locus.carrier, 20)
+                + hypercycle_samples(locus.mirror, 7)
+                + [_random_point(rng, 3.0) for _ in range(20)]
+            )
+            assert _base_deficits(pts, a, b) == [_deficit(z, a, b) for z in pts]
+
+    def test_base_deficits_past_the_recentring_limit(self):
+        # Tall apexes put samples, and far base vertices put the base,
+        # past the kernel's recentring limit; those go through _deficit.
+        base = BaseConfig.from_half_distance(0.8)
+        pts = [
+            z
+            for height in (2.0, 6.0)
+            for z in hypercycle_samples(lexell_locus(base, _perp_apex(height)).carrier, 20)
+        ]
+        assert max(z.v[0] for z in pts) > k._RECENTRE_LIMIT
+        assert min(z.v[0] for z in pts) <= k._RECENTRE_LIMIT
+        assert _base_deficits(pts, base.a, base.b) == [
+            _deficit(z, base.a, base.b) for z in pts
+        ]
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b = _random_point(rng, 6.0), _random_point(rng, 6.0)
+            pts = [_random_point(rng, 6.0) for _ in range(10)]
+            assert _base_deficits(pts, a, b) == [_deficit(z, a, b) for z in pts]
+
+    def test_base_deficits_reject_coincident_vertices(self):
+        base = BaseConfig.from_half_distance(0.8)
+        z = _perp_apex(1.0)
+        for pts, a, b in (
+            ([z, base.a], base.a, base.b),
+            ([z, base.b], base.a, base.b),
+            ([z], base.a, base.a),
+        ):
+            with pytest.raises(DegenerateInputError):
+                [_deficit(p, a, b) for p in pts]
+            with pytest.raises(DegenerateInputError):
+                _base_deficits(pts, a, b)
+
+    def test_residuals_equal_the_per_sample_route(self):
+        for i in range(20):
+            locus = _seeded_locus(i)
+            for samples, chords in ((20, 100), (8, 8), (2, 0)):
+                res = locus_residuals(locus, samples=samples, chords=chords, seed=i)
+                assert (
+                    res.area_spread,
+                    res.mirror_residual,
+                    res.midline_residual,
+                    res.subarc_residual,
+                ) == _reference_residuals(locus, samples, chords, i)
+
+    def test_subarc_check_equals_the_per_chord_loop(self):
+        for i in range(20):
+            locus = _seeded_locus(i)
+            for n in (0, 1, 7, 100):
+                assert equal_subarc_check(locus, n, seed=i) == _reference_subarc(
+                    locus, n, i
+                )
+
+    def test_bisection_equals_the_formula_loop(self):
+        rng = random.Random(3)
+        for x in (0.01, 0.3, 0.8, 1.5, 5.0, 20.0):
+            limit = max_apex_area(x)
+            targets = [limit * rng.random() for _ in range(10)]
+            targets += [limit * (1.0 - 1e-9), limit, limit + 0.1, 1e-14, 0.0, -1.0]
+            for target in targets:
+                assert _outcome(_invert_apex_area, x, target) == _outcome(
+                    _reference_invert, x, target
+                )
+        # Over a short base the profile at tiny heights rounds past the
+        # acos clamp; both routes raise the clamp's DomainError there.
+        clamped = _outcome(_reference_invert, 0.01, 1e-14)
+        assert clamped[0] is DomainError
+        assert _outcome(_invert_apex_area, 0.01, 1e-14) == clamped
+        for x in (0.0, -1.0, 30.0):
+            assert _outcome(_invert_apex_area, x, 0.5) == (
+                DomainError, f"half-base {x} out of range"
+            )
+            assert _outcome(_reference_invert, x, 0.5)[0] is DomainError
+
+
 class TestFoliation:
     def test_inverse_recovers_forward_height(self):
         base = BaseConfig.from_half_distance(0.8)
@@ -532,6 +723,22 @@ class TestFoliation:
         leaves = foliation(base, [target])
         assert abs(leaves[0].area - target) < 1e-12
         assert leaves[0].carrier.offset > 10.0
+
+    def test_repeated_target_rejected(self):
+        base = BaseConfig.from_half_distance(0.8)
+        with pytest.raises(DegenerateInputError, match="target area 0.5 is repeated"):
+            foliation(base, [0.5, 0.3, 0.5])
+        # Distinct targets too close for their leaves to separate still
+        # fail on the offset-growth check.
+        with pytest.raises(GeometryError, match="fail to grow"):
+            foliation(base, [0.5, 0.5 + 1e-13])
+
+    def test_intersecting_leaves_detected(self, monkeypatch):
+        # With a membership band wider than the leaves' spacing, each
+        # leaf's samples land on the others and the check must fire.
+        monkeypatch.setattr(lexell, "TOL_ID", 10.0)
+        with pytest.raises(GeometryError, match="distinct leaves intersect"):
+            foliation(BaseConfig.from_half_distance(0.8), [0.3, 0.8])
 
     def test_unreachable_area_rejected(self):
         base = BaseConfig.from_half_distance(0.8)

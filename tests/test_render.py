@@ -1,15 +1,22 @@
 """Disk figures: arc geometry, scene invariants, SVG serialization."""
 
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from ccplane import kernel as k
 from ccplane import render
-from ccplane.errors import DomainError, GeometryError
+from ccplane.errors import DomainError, GeometryError, OutOfModelError
 from ccplane.kernel import Geodesic, Geometry
-from ccplane.lexell import BaseConfig, Hypercycle, foliation, lexell_locus
+from ccplane.lexell import (
+    BaseConfig,
+    Hypercycle,
+    foliation,
+    hypercycle_samples,
+    lexell_locus,
+)
 from ccplane.render import (
     RenderScene,
     SceneArc,
@@ -115,6 +122,23 @@ class TestHypercyclePolyline:
         assert len(pl.points) == render.HYPERCYCLE_SEGMENTS + 1
         for x, y in pl.points:
             assert x * x + y * y < 1.0
+
+    def test_points_are_the_disk_images_of_the_samples(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            g, _, _ = _random_geodesic(rng)
+            hc = Hypercycle(g, rng.uniform(-4.0, 4.0))
+            want = [disk_xy(z) for z in hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)]
+            assert polyline_for_hypercycle(hc).points == tuple(want)
+
+    def test_sample_on_the_boundary_rejected(self):
+        # At offset 40 the disk image of a sample rounds onto the unit
+        # circle; the polyline refuses it as DiskPoint does.
+        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 40.0)
+        with pytest.raises(OutOfModelError):
+            disk_xy(hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)[0])
+        with pytest.raises(OutOfModelError, match="outside the open unit disk"):
+            polyline_for_hypercycle(hc)
 
 
 class TestSceneBuilders:
