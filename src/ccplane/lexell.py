@@ -1,31 +1,46 @@
 """Triangle areas over a fixed base and the constant-area locus.
 
-The area of a hyperbolic triangle is its angle deficit.  Over a fixed
-base of half-length x, the area of the triangle with apex at height y
-on the perpendicular bisector is
+The area of a hyperbolic triangle is its angle deficit.  A right
+triangle with legs a and b has the area R with
 
-    2 * arccos(f(cosh y)),   f(u) = (cosh x * u - 1)(cosh x + u)
-                                    / ((cosh x * u)^2 - 1)
+    tan(R/2) = tanh(a/2) * tanh(b/2),
 
-and f is strictly decreasing, so the area grows with the height.  An
-apex with foot offset a splits the triangle into two right pieces with
-legs x - a and x + a, each governed by the same profile.
+and every closed-form area here is that one formula, ``_right_area``,
+with ``math.inf`` for an ideal leg (tanh(inf) is exactly 1).  The
+perpendicular from an apex at height y over the base line splits the
+triangle into two right pieces: with the foot at offset a from the
+midpoint of a base of half-length x, their legs are x - a and x + a,
+and y.  On the bisector the area is 2 * _right_area(x, y); it grows
+with the height towards 2 * _right_area(x, inf).
+
+The paper writes the bisector area as 2 * arccos(f(cosh y)) with
+
+    f(u) = (cosh x * u - 1)(cosh x + u) / ((cosh x * u)^2 - 1)
+         = (c + u) / (c u + 1),   c = cosh x,
+
+so f is the cosine of one right piece's area R.  Then
+1 - f = (c - 1)(u - 1)/(c u + 1) and 1 + f = (c + 1)(u + 1)/(c u + 1),
+and tan^2(R/2) = (1 - f)/(1 + f) = tanh^2(x/2) * tanh^2(y/2): the same
+formula, reached without subtracting two nearly equal numbers.  Near
+the base, where f is 1 - O(y^2), arccos(f) keeps only half its digits;
+the closed form keeps them all.
 
 The apexes producing a given area form two hypercycle arcs: curves at
 constant distance from a geodesic axis.  The axis through the midpoints
 of PA and P'B (P' the mirror of P across the bisector of the base)
 carries the hypercycle through P on one side and its mirror image,
 through A and B, on the other.  Sliding the apex height foliates the
-half-plane by such leaves.  When both base vertices escape to the
-boundary the leaves become hypercycles asymptotic to the base line and
-the area at distance c collapses to pi - 2*arctan(1/sinh c).
+half-plane by such leaves.  The foliation finds each leaf's height by
+inverting the bisector area exactly, y = 2 * atanh(tan(T/4) / tanh(x/2)),
+and holds the leaf's measured area to its target.  When both base
+vertices escape to the boundary the leaves become hypercycles
+asymptotic to the base line, and the area at distance c is
+2 * _right_area(inf, c) = pi - 2*arctan(1/sinh c).
 
 Each curve is evaluated in one pass: ``hypercycle_points`` reads the
 curve's cached frame once and builds every point a caller asks for, and
 it is the only place the curve formula is written.  The locus probe
-measures all its samples over the fixed base at once, and the foliation
-search evaluates the apex-area formula with its base-dependent part
-taken once per leaf.
+measures all its samples over the fixed base at once.
 """
 
 from __future__ import annotations
@@ -37,7 +52,7 @@ from functools import cached_property
 from . import corevec as vec
 from . import kernel as k
 from .cevians import Triangle
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_ID, TOL_POINT
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID, TOL_POINT
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -46,7 +61,6 @@ from .errors import (
 )
 from .kernel import Geodesic, Geometry, HPoint, Record, Vec3
 from .sampling import substream
-from .trig import clamped_acos
 
 # Ceiling for apex heights; the area gap to its supremum at this height
 # is far below double precision.
@@ -57,6 +71,10 @@ SAMPLE_RANGE = 3.0
 
 # Half-length of the truncated base approximating ideal base vertices.
 IDEAL_TRUNCATION = 15.0
+
+# An apex whose |<p, n>| against the base line is at most this lies on
+# the line.  For an apex at height y on the bisector it is sinh(y).
+BASE_LINE_TOL = 1e-9
 
 # HPoint's check sums squares of two coordinates, so none may exceed
 # sqrt(max float / 2); this is its log.
@@ -279,8 +297,15 @@ def triangle_area(tri: Triangle) -> float:
     return _deficit(tri.a, tri.b, tri.c)
 
 
+def _right_area(a: float, b: float) -> float:
+    """Area of the right triangle with legs a and b: tan(R/2) = tanh(a/2)
+    tanh(b/2).  ``math.inf`` stands for an ideal leg."""
+    return 2.0 * math.atan(math.tanh(0.5 * a) * math.tanh(0.5 * b))
+
+
 def area_profile(x: float, u: float) -> float:
-    """f(u) for half-base x; sin of the apex half-triangle's angle sum."""
+    """The paper's f(u) for half-base x: the cosine of one right piece's
+    area, so f(cosh y) = cos(apex_area_formula(x, y) / 2)."""
     if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
         raise DomainError(f"half-base {x} out of range")
     if u < 1.0:
@@ -289,28 +314,20 @@ def area_profile(x: float, u: float) -> float:
     return (cx * u - 1.0) * (cx + u) / ((cx * u) ** 2 - 1.0)
 
 
-def area_profile_deriv(x: float, u: float) -> float:
-    """Closed-form df/du; negative everywhere, so areas grow with height."""
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
-        raise DomainError(f"half-base {x} out of range")
-    if u < 1.0:
-        raise DomainError(f"profile argument must be cosh of a height: {u}")
-    s = math.sinh(x)
-    return -(s * s) / (math.cosh(x) * u + 1.0) ** 2
-
-
 def apex_area_formula(x: float, y: float) -> float:
     """Area over base 2x with the apex at height y on the bisector."""
     if not 0.0 < y <= MAX_APEX_HEIGHT:
         raise DomainError(f"apex height {y} outside (0, {MAX_APEX_HEIGHT}]")
-    return 2.0 * clamped_acos(area_profile(x, math.cosh(y)))
+    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
+        raise DomainError(f"half-base {x} out of range")
+    return 2.0 * _right_area(x, y)
 
 
 def max_apex_area(x: float) -> float:
     """Supremum of apex areas over base 2x: the height goes to infinity."""
     if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
         raise DomainError(f"half-base {x} out of range")
-    return 2.0 * clamped_acos(1.0 / math.cosh(x))
+    return 2.0 * _right_area(x, math.inf)
 
 
 def split_areas(x: float, a: float, t: float) -> tuple[float, float]:
@@ -326,11 +343,7 @@ def split_areas(x: float, a: float, t: float) -> tuple[float, float]:
         raise DomainError(f"foot offset {a} must satisfy |a| < {x}")
     if not 0.0 <= t <= MAX_APEX_HEIGHT:
         raise DomainError(f"apex height {t} outside [0, {MAX_APEX_HEIGHT}]")
-    u = math.cosh(t)
-    return (
-        clamped_acos(area_profile(x - a, u)),
-        clamped_acos(area_profile(x + a, u)),
-    )
+    return (_right_area(x - a, t), _right_area(x + a, t))
 
 
 def split_area_limits(x: float, a: float) -> tuple[float, float]:
@@ -339,10 +352,7 @@ def split_area_limits(x: float, a: float) -> tuple[float, float]:
         raise DomainError(f"half-base {x} outside (0, {MAX_HYPERBOLIC_SIDE}]")
     if abs(a) >= x:
         raise DomainError(f"foot offset {a} must satisfy |a| < {x}")
-    return (
-        clamped_acos(1.0 / math.cosh(x - a)),
-        clamped_acos(1.0 / math.cosh(x + a)),
-    )
+    return (_right_area(x - a, math.inf), _right_area(x + a, math.inf))
 
 
 def apex_triangle(x: float, a: float, t: float) -> tuple[HPoint, HPoint, HPoint]:
@@ -371,7 +381,7 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     and B on the mirror, P on the carrier); area constancy is the theorem
     itself, and ``locus_residuals`` alone samples and measures it.
     """
-    if k.geodesic_residual(base.base_line(), p) <= 1e-9:
+    if k.geodesic_residual(base.base_line(), p) <= BASE_LINE_TOL:
         raise DegenerateInputError("apex lies on the base line")
     p_mirror = k.reflect_across(_BISECTOR, p)
     m1 = k.midpoint(p, base.a)
@@ -520,35 +530,33 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
 
 
 def _invert_apex_area(x: float, target: float) -> float:
-    # Bisection on the height; monotone by the sign of the profile
-    # derivative, so the bracket never fails.  Each step evaluates
-    # ``apex_area_formula`` at a height inside (0, MAX_APEX_HEIGHT]: the
-    # half-base check and cosh(x) are taken once, and the area is
-    # ``area_profile``'s quotient through ``clamped_acos``.
+    """Bisector height whose apex area over base 2x is ``target``.
+
+    The exact inverse of ``apex_area_formula``: T = 4 atan(tanh(x/2)
+    tanh(y/2)) gives y = 2 atanh(q) with q = tan(T/4) / tanh(x/2).  A
+    target below ``max_apex_area(x)`` has q < 1 except through rounding
+    at the supremum, which raises InfeasibleAreaError.  q < 1 keeps y at
+    most 2 atanh(1 - 2**-53) ~ 37.4, below MAX_APEX_HEIGHT.
+    """
     if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
         raise DomainError(f"half-base {x} out of range")
-    cx = math.cosh(x)
-    cosh = math.cosh
-    lo, hi = 0.0, MAX_APEX_HEIGHT
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        u = cosh(mid)
-        if 2.0 * clamped_acos((cx * u - 1.0) * (cx + u) / ((cx * u) ** 2 - 1.0)) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    q = math.tan(0.25 * target) / math.tanh(0.5 * x)
+    if not q < 1.0:
+        raise InfeasibleAreaError(
+            f"target area {target} rounds to the apex-area supremum {max_apex_area(x)}"
+        )
+    return 2.0 * math.atanh(q)
 
 
 def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     """Constant-area leaves over the base, one per target area.
 
     Targets must lie strictly between 0 and the apex-area supremum for
-    this base, and no target may repeat.  Leaves come back sorted by
-    area with strictly growing offsets, and sampled points of one leaf
-    never lie on another.
+    this base, no target may repeat, and each leaf's apex must sit off
+    the base line by more than BASE_LINE_TOL, which ``lexell_locus``
+    requires.  Each leaf's measured area must meet its target within
+    TOL_AREA.  Leaves come back sorted by area with strictly growing
+    offsets, and sampled points of one leaf never lie on another.
     """
     x = base.half_distance
     limit = max_apex_area(x)
@@ -561,10 +569,23 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     for lower, upper in zip(targets, targets[1:]):
         if lower == upper:
             raise DegenerateInputError(f"target area {lower} is repeated; leaves must differ")
-    leaves = []
+    heights = []
     for target in targets:
         y = _invert_apex_area(x, target)
-        leaves.append(lexell_locus(base, _MODEL.polar(math.pi / 2.0, y)))
+        # The apex at height y on the bisector has |<p, n>| = sinh(y).
+        if not math.sinh(y) > BASE_LINE_TOL:
+            raise InfeasibleAreaError(
+                f"target area {target} puts the leaf's apex on the base line"
+            )
+        heights.append(y)
+    leaves = []
+    for target, y in zip(targets, heights):
+        leaf = lexell_locus(base, _MODEL.polar(math.pi / 2.0, y))
+        if abs(leaf.area - target) > TOL_AREA:
+            raise GeometryError(
+                f"leaf for target area {target} measures area {leaf.area}"
+            )
+        leaves.append(leaf)
     for i in range(1, len(leaves)):
         if not leaves[i].carrier.offset > leaves[i - 1].carrier.offset:
             raise GeometryError("leaf offsets fail to grow with area")
@@ -584,13 +605,13 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
 def ideal_limit_area(c: float) -> float:
     """Area of the triangle with two boundary vertices, apex distance c.
 
-    The perpendicular from the apex splits it into two right pieces of
-    area pi/2 - arctan(1/sinh c) each; constant on every hypercycle
-    asymptotic to the base line.
+    The perpendicular from the apex splits it into two right pieces with
+    one ideal leg each, of area pi/2 - arctan(1/sinh c); constant on
+    every hypercycle asymptotic to the base line.
     """
     if not c > 0.0:
         raise DomainError(f"apex distance must be positive: {c}")
-    return 2.0 * (0.5 * math.pi - math.atan(1.0 / math.sinh(c)))
+    return 2.0 * _right_area(math.inf, c)
 
 
 def sinh_c_from_angles(alpha: float, beta: float) -> float:

@@ -235,6 +235,22 @@ class TestLexellCommand:
         assert out.out == ""
         assert out.err == "error: target area 0.5 is repeated; leaves must differ\n"
 
+    @pytest.mark.parametrize("x,target", [("0.01", "1e-14"), ("0.3", "1e-12")])
+    def test_foliation_target_on_the_base_line_exits_one(self, x, target):
+        # The leaf's apex would sit within the locus's base-line bound.
+        out = run_cli("lexell", x, "--foliate", target)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == (
+            f"error: target area {target} puts the leaf's apex on the base line\n"
+        )
+
+    def test_tiny_foliation_leaf_meets_its_target(self):
+        out = run_cli("lexell", "0.3", "--foliate", "1e-9")
+        assert out.returncode == 0
+        (area,) = json.loads(out.stdout)["areas"]
+        assert abs(area - 1e-9) <= TOL_AREA
+
     def test_locus_svg_has_figure_labels(self, tmp_path):
         path = tmp_path / "locus.svg"
         out = run_cli("lexell", "0.8", "--apex-y", "1.0", "--svg", str(path))

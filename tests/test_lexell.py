@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,6 @@ from ccplane.lexell import (
     apex_area_formula,
     apex_triangle,
     area_profile,
-    area_profile_deriv,
     chord_crossing,
     chord_split,
     cosh_c_from_angles,
@@ -58,8 +58,17 @@ from ccplane.lexell import (
     triangle_area,
     truncated_ideal_area,
 )
-from ccplane.lexell import MAX_APEX_HEIGHT, _base_deficits, _deficit, _invert_apex_area
+from ccplane.constants import TOL_AREA
+from ccplane.lexell import (
+    BASE_LINE_TOL,
+    MAX_APEX_HEIGHT,
+    _base_deficits,
+    _deficit,
+    _invert_apex_area,
+    _right_area,
+)
 from ccplane.sampling import substream
+from ccplane.trig import clamped_acos
 
 BISECTOR = Geodesic((0.0, 1.0, 0.0))
 
@@ -71,9 +80,6 @@ def _perp_apex(height: float):
 class TestAreaProfile:
     def test_frozen_values(self):
         assert area_profile(1.0, 2.0) == pytest.approx(0.8670927065821965, abs=1e-15)
-        assert area_profile_deriv(1.0, 2.0) == pytest.approx(
-            -0.08271674606398696, abs=1e-15
-        )
 
     def test_profile_reduces_to_simple_quotient(self):
         # (cu-1)(c+u)/((cu)^2-1) collapses to (c+u)/(cu+1); both forms
@@ -86,28 +92,11 @@ class TestAreaProfile:
         for x in (0.3, 1.0, 2.5):
             assert area_profile(x, 1.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_derivative_matches_finite_differences(self):
-        worst = 0.0
-        for x in (0.5, 1.0, 2.0):
-            for j in range(60):
-                u = 1.01 + (20.0 - 1.01) * j / 59
-                h = 1e-5
-                fd = (area_profile(x, u + h) - area_profile(x, u - h)) / (2.0 * h)
-                cf = area_profile_deriv(x, u)
-                assert cf < 0.0
-                worst = max(worst, abs(cf - fd) / abs(cf))
-        assert worst < 1e-7
-
-    def test_derivative_vanishes_with_flat_base(self):
-        assert abs(area_profile_deriv(1e-8, 3.0)) < 1e-15
-
     def test_domain_rejections(self):
         with pytest.raises(DomainError):
             area_profile(-1.0, 2.0)
         with pytest.raises(DomainError):
             area_profile(1.0, 0.5)
-        with pytest.raises(DomainError):
-            area_profile_deriv(1.0, 0.9)
 
 
 class TestApexArea:
@@ -563,10 +552,11 @@ def _outcome(fn, *args):
 
 
 def _reference_invert(x: float, target: float) -> float:
+    """Bisection for the height on the paper's form, 2 acos(f(cosh y))."""
     lo, hi = 0.0, MAX_APEX_HEIGHT
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if apex_area_formula(x, mid) < target:
+        if 2.0 * clamped_acos(area_profile(x, math.cosh(mid))) < target:
             lo = mid
         else:
             hi = mid
@@ -673,26 +663,73 @@ class TestOnePassRoutes:
                     locus, n, i
                 )
 
-    def test_bisection_equals_the_formula_loop(self):
+    @staticmethod
+    def _inverse_targets():
         rng = random.Random(3)
         for x in (0.01, 0.3, 0.8, 1.5, 5.0, 20.0):
             limit = max_apex_area(x)
             targets = [limit * rng.random() for _ in range(10)]
-            targets += [limit * (1.0 - 1e-9), limit, limit + 0.1, 1e-14, 0.0, -1.0]
+            yield x, targets + [limit * (1.0 - 1e-9), 1e-14]
+
+    def test_inverse_round_trips_within_its_derived_bound(self):
+        """apex_area_formula(x, _invert_apex_area(x, T)) is T within 9 eps T.
+
+        Both directions use the same float tanh(x/2), so it cancels.  The
+        inverse takes tan(T/4) (T/4 is exact), one division and atanh; the
+        forward takes tanh of y/2 (atanh's result, exactly), one product
+        and atan.  tanh after atanh and atan after tan have condition at
+        most 1, (1 - q^2) atanh(q)/q and sin(T/2)/(T/2), so to first order
+        the relative error is the sum of the four library errors (2 eps
+        each, taking each within 2 ulps) and the two roundings (eps/2
+        each): 9 eps.
+        """
+        eps = sys.float_info.epsilon
+        for x, targets in self._inverse_targets():
             for target in targets:
-                assert _outcome(_invert_apex_area, x, target) == _outcome(
-                    _reference_invert, x, target
-                )
-        # Over a short base the profile at tiny heights rounds past the
-        # acos clamp; both routes raise the clamp's DomainError there.
-        clamped = _outcome(_reference_invert, 0.01, 1e-14)
-        assert clamped[0] is DomainError
-        assert _outcome(_invert_apex_area, 0.01, 1e-14) == clamped
+                forward = apex_area_formula(x, _invert_apex_area(x, target))
+                assert abs(forward - target) <= 9.0 * eps * target
+        for x in (0.3, 5.0):
+            target = max_apex_area(x) + 0.1
+            assert _outcome(_invert_apex_area, x, target) == (
+                InfeasibleAreaError,
+                f"target area {target} rounds to the apex-area supremum {max_apex_area(x)}",
+            )
         for x in (0.0, -1.0, 30.0):
             assert _outcome(_invert_apex_area, x, 0.5) == (
                 DomainError, f"half-base {x} out of range"
             )
-            assert _outcome(_reference_invert, x, 0.5)[0] is DomainError
+
+    def test_inverse_agrees_with_the_acos_bisection(self):
+        # The reference's profile carries about 10 eps of rounding (the
+        # f terms of criterion 08's band); acos turns that into 2 * 10 eps
+        # / sin(T/2) of area, and the height moves by that over dT/dy =
+        # 2 tx (1 - ty^2)/(1 + (tx ty)^2), tx = tanh(x/2), ty = tanh(y/2).
+        # Where that is at most a tenth of the bisection's 1e-12 stop, the
+        # reference's midpoint sits within 1e-12 of the exact height, and
+        # the closed form's own height error is smaller still.
+        eps = sys.float_info.epsilon
+        compared = 0
+        for x, targets in self._inverse_targets():
+            for target in targets:
+                y = _invert_apex_area(x, target)
+                tx, ty = math.tanh(0.5 * x), math.tanh(0.5 * y)
+                slope = 2.0 * tx * (1.0 - ty * ty) / (1.0 + (tx * ty) ** 2)
+                if 20.0 * eps / (math.sin(0.5 * target) * slope) > 1e-13:
+                    continue
+                assert abs(y - _reference_invert(x, target)) <= 1e-12
+                compared += 1
+        assert compared >= 30
+
+    def test_limits_are_the_right_area_with_an_ideal_leg(self):
+        for x in (0.01, 0.3, 0.8, 1.5, 5.0, 20.0):
+            explicit = 4.0 * math.atan(math.tanh(0.5 * x))
+            assert max_apex_area(x) == 2.0 * _right_area(x, math.inf) == explicit
+            assert ideal_limit_area(x) == 2.0 * _right_area(math.inf, x) == explicit
+        for x, a in ((0.5, 0.2), (1.0, -0.7), (2.0, 1.1), (3.0, 0.0)):
+            assert split_area_limits(x, a) == (
+                2.0 * math.atan(math.tanh(0.5 * (x - a))),
+                2.0 * math.atan(math.tanh(0.5 * (x + a))),
+            )
 
 
 class TestFoliation:
@@ -728,9 +765,12 @@ class TestFoliation:
         base = BaseConfig.from_half_distance(0.8)
         with pytest.raises(DegenerateInputError, match="target area 0.5 is repeated"):
             foliation(base, [0.5, 0.3, 0.5])
-        # Distinct targets too close for their leaves to separate still
-        # fail on the offset-growth check.
-        with pytest.raises(GeometryError, match="fail to grow"):
+        # Distinct targets one ulp apart get one height, so the offsets
+        # fail to grow; 1e-13 apart they separate, but by less than the
+        # membership band, so the leaves intersect.
+        with pytest.raises(GeometryError, match="leaf offsets fail to grow with area"):
+            foliation(base, [0.5, math.nextafter(0.5, 1.0)])
+        with pytest.raises(GeometryError, match="distinct leaves intersect"):
             foliation(base, [0.5, 0.5 + 1e-13])
 
     def test_intersecting_leaves_detected(self, monkeypatch):
@@ -739,6 +779,40 @@ class TestFoliation:
         monkeypatch.setattr(lexell, "TOL_ID", 10.0)
         with pytest.raises(GeometryError, match="distinct leaves intersect"):
             foliation(BaseConfig.from_half_distance(0.8), [0.3, 0.8])
+
+    def test_tiny_targets_put_the_apex_on_the_base_line(self):
+        for x, target in ((0.01, 1e-14), (0.3, 1e-12)):
+            with pytest.raises(
+                InfeasibleAreaError,
+                match=f"target area {target} puts the leaf's apex on the base line",
+            ):
+                foliation(BaseConfig.from_half_distance(x), [0.5 * max_apex_area(x), target])
+
+    def test_leaf_areas_meet_their_targets(self):
+        # Down to the smallest leaf the base-line bound admits: the height
+        # asinh(BASE_LINE_TOL), moved by 64 eps.  The area is linear in a
+        # small height, so the inverse's 9 eps round trip is the height's
+        # too, and the move puts each target clearly on one side.
+        rng = random.Random(12)
+        low = math.asinh(BASE_LINE_TOL)
+        eps = sys.float_info.epsilon
+        for _ in range(40):
+            x = rng.uniform(0.05, 5.0)
+            base = BaseConfig.from_half_distance(x)
+            limit = max_apex_area(x)
+            smallest = apex_area_formula(x, low * (1.0 + 64.0 * eps))
+            targets = [smallest] + [limit * rng.random() for _ in range(4)]
+            for leaf, target in zip(foliation(base, targets), sorted(targets)):
+                assert abs(leaf.area - target) <= TOL_AREA
+            with pytest.raises(InfeasibleAreaError, match="on the base line"):
+                foliation(base, [apex_area_formula(x, low * (1.0 - 64.0 * eps))])
+
+    def test_leaf_area_gate(self, monkeypatch):
+        # A leaf built at the wrong height measures the wrong area.
+        invert = lexell._invert_apex_area
+        monkeypatch.setattr(lexell, "_invert_apex_area", lambda x, t: invert(x, t) + 1e-3)
+        with pytest.raises(GeometryError, match=r"leaf for target area 0\.5 measures area 0\.50"):
+            foliation(BaseConfig.from_half_distance(0.8), [0.5])
 
     def test_unreachable_area_rejected(self):
         base = BaseConfig.from_half_distance(0.8)
