@@ -40,7 +40,14 @@ asymptotic to the base line, and the area at distance c is
 Each curve is evaluated in one pass: ``hypercycle_points`` reads the
 curve's cached frame once and builds every point a caller asks for, and
 it is the only place the curve formula is written.  The locus probe
-measures all its samples over the fixed base at once.
+measures each sample by its Fermi coordinates over the base line, the
+signed height t and the foot's arclength s, and adds the two right
+pieces the perpendicular cuts off: _right_area(sa - s, t) +
+_right_area(s - sb, t), with the vertices at sa and sb.  Over a standard
+base of half-length x one such area is within eps * (7 pi + 9 + 6x) of
+exact, and a locus's area spread within twice that (``_base_areas``
+derives it); ``lexell_locus`` still measures the locus's own area as
+the angle deficit, an independent route.
 """
 
 from __future__ import annotations
@@ -233,61 +240,65 @@ def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
     return math.pi - (k.angle_at(p, q, r) + k.angle_at(q, r, p) + k.angle_at(r, p, q))
 
 
-def _base_deficits(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
-    """``[_deficit(z, a, b) for z in pts]``, bit for bit, over one fixed base.
+def _base_areas(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
+    """Area of each triangle z a b, from z's Fermi coordinates over line ab.
 
-    The base's own check and its tangents a->b and b->a are taken once.
-    Per apex z, ``hdist`` checks z against each base vertex once, the
-    four tangents z->a, z->b, a->z and b->z follow ``kernel._tangent_at``
-    (a tangent and its reverse share one inner product) and the three
-    angles follow ``angle_at``.  A vertex past the kernel's recentring
-    limit goes through ``_deficit`` itself.
+    n is the unit normal of the base line and e its unit tangent at the
+    base midpoint m, turned toward a; the vertices sit at arclengths
+    sa = asinh <a, e> and sb = asinh <b, e> from m.  For a sample z,
+    h = <z, n> is the sinh of its signed height and t = |asinh h|; its
+    foot on the line sits at s = asinh(<z, e> / hypot(1, h)).  The
+    perpendicular from z cuts the triangle into right triangles with
+    legs (sa - s, t) and (s - sb, t); ``_right_area`` is odd in its first
+    leg, so the sum holds with the foot beyond a vertex too, where one
+    piece counts negative.  The frame is taken once per call: e is
+    ``mcross(m, n)``, which needs no distance check between m and a.
+    Coincident a and b raise DegenerateInputError from the base line.  No
+    sample is checked against the vertices: a carrier sample lies at
+    offset o > 0 from the locus axis and the vertices at -o.
+
+    Rounding band.  A standard base (``BaseConfig.from_half_distance``)
+    has the exact frame n = (0, 0, -1), m = (1, 0, 0), e = (0, 1, 0), so
+    h = -z2 and <z, e> = z1 carry no rounding.  Take each library call
+    within 2 ulps (2 eps relative) and each operation within eps/2, and
+    write P, Q, T for tanh of half the legs p = sa - s, q = s - sb and t.
+    One right piece takes two tanh, a product and atan: u = P T is off by
+    4.5 eps relative, which moves 2 atan(u) by at most 4.5 eps |R| since
+    2u/(1 + u^2) <= 2 atan(u); atan adds 2 eps |R|.  With the final sum
+    that is 7 eps (|R1| + |R2|).  The legs enter through dR/dp = T
+    sech^2(p/2)/(1 + P^2 T^2), between 0 and sech^2(p/2), and dR/dt, at
+    most sech^2(t/2) in size; p sech^2(p/2) <= 0.9 bounds each term that
+    grows with a leg.  So the subtractions cost 2 * 0.45 eps; s, off by
+    2.5 eps (hypot and the division, through asinh) plus 2 eps |s| with
+    |s| <= |p| + X (X = max(|sa|, |sb|)), costs (4.3 + 2X) eps through
+    dA/ds, which is at most the larger sech^2; t, off by 2 eps t, costs
+    2 sech^2(t/2) * 2 eps t <= 3.6 eps; and sa, sb, off by 2 eps X each,
+    cost 4 eps X.  To first order one area is within
+
+        B = eps * (7 (|R1| + |R2|) + 9 + 6X) <= eps * (7 pi + 9 + 6X)
+
+    of the area of the points as given, and samples that share one exact
+    area spread by at most twice that: 2 eps (7 pi + 9 + 6X).  The
+    samples' own rounding, from ``hypercycle_points``, is not in it.
     """
-    limit = k._RECENTRE_LIMIT
-    if a.v[0] > limit or b.v[0] > limit:
-        return [_deficit(z, a, b) for z in pts]
-    hdist = k.hdist
-    if hdist(a, b) <= TOL_POINT:
-        raise DegenerateInputError("cannot take a direction between coincident points")
-    ab0, ab1, ab2 = k._tangent_at(a.v, b.v)
-    ba0, ba1, ba2 = k._tangent_at(b.v, a.v)
+    n0, n1, n2 = n = k.geodesic_through(a, b).normal
+    e0, e1, e2 = vec.mcross(k.midpoint(a, b).v, n)
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
-    sqrt, atan2, pi = math.sqrt, math.atan2, math.pi
-    out = []
+    ga = -a0 * e0 + a1 * e1 + a2 * e2
+    gb = -b0 * e0 + b1 * e1 + b2 * e2
+    if ga < 0.0:
+        e0, e1, e2, ga, gb = -e0, -e1, -e2, -ga, -gb
+    asinh, hypot, right = math.asinh, math.hypot, _right_area
+    sa, sb = asinh(ga), asinh(gb)
+    areas = []
     for z in pts:
         z0, z1, z2 = z.v
-        if z0 > limit:
-            out.append(_deficit(z, a, b))
-            continue
-        if hdist(z, a) <= TOL_POINT or hdist(z, b) <= TOL_POINT:
-            raise DegenerateInputError("cannot take a direction between coincident points")
-        m = -z0 * a0 + z1 * a1 + z2 * a2
-        w0, w1, w2 = a0 + m * z0, a1 + m * z1, a2 + m * z2
-        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
-        za0, za1, za2 = w0 / h, w1 / h, w2 / h
-        w0, w1, w2 = z0 + m * a0, z1 + m * a1, z2 + m * a2
-        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
-        az0, az1, az2 = w0 / h, w1 / h, w2 / h
-        m = -z0 * b0 + z1 * b1 + z2 * b2
-        w0, w1, w2 = b0 + m * z0, b1 + m * z1, b2 + m * z2
-        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
-        zb0, zb1, zb2 = w0 / h, w1 / h, w2 / h
-        w0, w1, w2 = z0 + m * b0, z1 + m * b1, z2 + m * b2
-        h = sqrt(-w0 * w0 + w1 * w1 + w2 * w2) if m > -2.0 else sqrt(m * m - 1.0)
-        bz0, bz1, bz2 = w0 / h, w1 / h, w2 / h
-        # The angles at z (toward a, b), at a (b, z) and at b (z, a).
-        c = -za0 * zb0 + za1 * zb1 + za2 * zb2
-        w0, w1, w2 = zb0 - c * za0, zb1 - c * za1, zb2 - c * za2
-        angle_z = atan2(sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0)), c)
-        c = -ab0 * az0 + ab1 * az1 + ab2 * az2
-        w0, w1, w2 = az0 - c * ab0, az1 - c * ab1, az2 - c * ab2
-        angle_a = atan2(sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0)), c)
-        c = -bz0 * ba0 + bz1 * ba1 + bz2 * ba2
-        w0, w1, w2 = ba0 - c * bz0, ba1 - c * bz1, ba2 - c * bz2
-        angle_b = atan2(sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0)), c)
-        out.append(pi - (angle_z + angle_a + angle_b))
-    return out
+        h = -z0 * n0 + z1 * n1 + z2 * n2
+        t = abs(asinh(h))
+        s = asinh((-z0 * e0 + z1 * e1 + z2 * e2) / hypot(1.0, h))
+        areas.append(right(sa - s, t) + right(s - sb, t))
+    return areas
 
 
 def triangle_area(tri: Triangle) -> float:
@@ -440,11 +451,11 @@ def locus_residuals(
     and (for ``chords`` > 0) the equal-subarc property.
 
     The carrier's samples come from one ``hypercycle_points`` pass, and
-    their areas over the fixed base from one ``_base_deficits`` call.
+    their areas over the fixed base from one ``_base_areas`` call.
     """
     a, b = locus.base.a, locus.base.b
     pts = hypercycle_samples(locus.carrier, samples)
-    areas = _base_deficits(pts, a, b)
+    areas = _base_areas(pts, a, b)
     # The midpoints of z a and z b lie on the axis: |<mid, n>| as in
     # ``geodesic_residual``, on midpoints built as ``midpoint`` builds them.
     a0, a1, a2 = a.v

@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccplane import kernel as k
@@ -62,7 +62,7 @@ from ccplane.constants import TOL_AREA
 from ccplane.lexell import (
     BASE_LINE_TOL,
     MAX_APEX_HEIGHT,
-    _base_deficits,
+    _base_areas,
     _deficit,
     _invert_apex_area,
     _right_area,
@@ -75,6 +75,26 @@ BISECTOR = Geodesic((0.0, 1.0, 0.0))
 
 def _perp_apex(height: float):
     return point_along(ORIGIN, tangent_direction(ORIGIN, math.pi / 2.0), height)
+
+
+def _spread_band(base: BaseConfig) -> float:
+    """The area-spread band ``_base_areas`` derives for a standard base:
+    2 eps (7 pi + 9 + 6X), X the larger vertex arclength from the midpoint."""
+    x = max(abs(math.asinh(base.a.v[1])), abs(math.asinh(base.b.v[1])))
+    return 2.0 * sys.float_info.epsilon * (7.0 * math.pi + 9.0 + 6.0 * x)
+
+
+def _disk_apex(radius: float, angle: float):
+    return k.disk_to_hpoint(k.DiskPoint(radius * math.cos(angle), radius * math.sin(angle)))
+
+
+# Apexes across the CLI's input range: anywhere in the disk of radius
+# 0.999, or on the bisector up to MAX_APEX_HEIGHT.  An apex on the base
+# line raises DegenerateInputError, a GeometryError.
+_APEXES = st.one_of(
+    st.builds(_disk_apex, st.floats(0.0, 0.999), st.floats(0.0, 2.0 * math.pi)),
+    st.builds(_perp_apex, st.floats(-MAX_APEX_HEIGHT, MAX_APEX_HEIGHT)),
+)
 
 
 class TestAreaProfile:
@@ -406,6 +426,45 @@ class TestLexellLocus:
         assert worst[2] < 1e-12
         assert worst[3] < 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.floats(1e-3, 5.0), apex=_APEXES)
+    @example(x=5.0, apex=_perp_apex(1.0))
+    def test_area_spread_within_its_band_at_the_edges(self, x, apex):
+        # Short and long bases, apexes near the base line, near the disk's
+        # rim and far up the bisector: a locus either fails as a
+        # GeometryError or its area spread stays within the derived band.
+        base = BaseConfig.from_half_distance(x)
+        try:
+            res = locus_residuals(lexell_locus(base, apex), samples=20, chords=0)
+        except GeometryError:
+            return
+        assert res.area_spread <= _spread_band(base)
+
+    def test_area_spread_sees_a_displaced_carrier(self):
+        # A carrier at offset o + delta is no longer a constant-area curve:
+        # the spread is |slope * delta| to within the band, so the gate
+        # resolves every delta above band / slope.  Each computed area is
+        # within half the band of exact, so the spread of any delta is
+        # within one band of the exact spread, and the slope taken at
+        # delta1 = 1e-9 is within band / delta1 of the exact slope: for
+        # delta <= delta1 the first-order prediction holds to 2 bands.
+        for i in range(3):
+            locus = _seeded_locus(i)
+            axis, o = locus.carrier.axis, locus.carrier.offset
+            band = _spread_band(locus.base)
+
+            def spread(delta):
+                carrier = Hypercycle(axis, o + delta)
+                moved = AreaLocus(locus.base, carrier, locus.mirror, locus.area)
+                return locus_residuals(moved, samples=20, chords=0).area_spread
+
+            assert spread(0.0) <= band
+            slope = spread(1e-9) / 1e-9
+            assert band / slope <= 1e-5 * TOL_AREA
+            for delta in (1e-13, 1e-12, 1e-11, 1e-10):
+                assert abs(spread(delta) - slope * delta) <= 2.0 * band
+            assert spread(1e-5 * TOL_AREA) > band
+
     def test_apex_on_base_line_rejected(self):
         base = BaseConfig.from_half_distance(0.8)
         on_line = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 0.3)
@@ -524,10 +583,23 @@ def _reference_subarc(locus: AreaLocus, n: int, seed: int) -> float:
     return worst
 
 
+def _reference_area(z, a, b) -> float:
+    # The Fermi-coordinate area of z a b over line ab, one sample at a time.
+    n = geodesic_through(a, b).normal
+    e = mcross(k.midpoint(a, b).v, n)
+    if minner(a.v, e) < 0.0:
+        e = tuple(-c for c in e)
+    sa, sb = math.asinh(minner(a.v, e)), math.asinh(minner(b.v, e))
+    h = minner(z.v, n)
+    t = abs(math.asinh(h))
+    s = math.asinh(minner(z.v, e) / math.hypot(1.0, h))
+    return _right_area(sa - s, t) + _right_area(s - sb, t)
+
+
 def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int) -> tuple:
     a, b = locus.base.a, locus.base.b
     pts = hypercycle_samples(locus.carrier, samples)
-    areas = [_deficit(z, a, b) for z in pts]
+    areas = [_reference_area(z, a, b) for z in pts]
     midline = 0.0
     for z in pts:
         midline = max(
@@ -598,7 +670,9 @@ class TestOnePassRoutes:
         with pytest.raises(InvalidPointError):
             hypercycle_points(skewed, [0.0])
 
-    def test_base_deficits_equal_the_per_sample_deficit(self):
+    def test_base_areas_match_the_per_sample_deficit(self):
+        # Both routes measure the same triangles; on these points the
+        # deficit's own rounding stays far below the closed-form bound.
         for i in range(30):
             locus = _seeded_locus(i)
             a, b = locus.base.a, locus.base.b
@@ -608,11 +682,12 @@ class TestOnePassRoutes:
                 + hypercycle_samples(locus.mirror, 7)
                 + [_random_point(rng, 3.0) for _ in range(20)]
             )
-            assert _base_deficits(pts, a, b) == [_deficit(z, a, b) for z in pts]
+            for area, z in zip(_base_areas(pts, a, b), pts):
+                assert abs(area - _deficit(z, a, b)) <= 1e-12
 
-    def test_base_deficits_past_the_recentring_limit(self):
-        # Tall apexes put samples, and far base vertices put the base,
-        # past the kernel's recentring limit; those go through _deficit.
+    def test_base_areas_past_the_recentring_limit(self):
+        # Tall apexes put samples past the kernel's recentring limit, where
+        # the deficit recentres its angles; the Fermi route needs no limit.
         base = BaseConfig.from_half_distance(0.8)
         pts = [
             z
@@ -621,27 +696,41 @@ class TestOnePassRoutes:
         ]
         assert max(z.v[0] for z in pts) > k._RECENTRE_LIMIT
         assert min(z.v[0] for z in pts) <= k._RECENTRE_LIMIT
-        assert _base_deficits(pts, base.a, base.b) == [
-            _deficit(z, base.a, base.b) for z in pts
-        ]
-        rng = random.Random(7)
-        for _ in range(20):
-            a, b = _random_point(rng, 6.0), _random_point(rng, 6.0)
-            pts = [_random_point(rng, 6.0) for _ in range(10)]
-            assert _base_deficits(pts, a, b) == [_deficit(z, a, b) for z in pts]
+        for area, z in zip(_base_areas(pts, base.a, base.b), pts):
+            assert abs(area - _deficit(z, base.a, base.b)) <= 1e-12
 
-    def test_base_deficits_reject_coincident_vertices(self):
+    def test_base_areas_match_high_precision_within_their_band(self):
+        """Each area is within the band ``_base_areas`` derives,
+        eps (7 (|R1| + |R2|) + 9 + 6X), of the same formula evaluated
+        in 200-bit arithmetic on the same float inputs."""
+        mpmath = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        with mpmath.workprec(200):
+            for i in range(20):
+                locus = _seeded_locus(i)
+                a, b = locus.base.a, locus.base.b
+                rng = random.Random(200 + i)
+                pts = hypercycle_samples(locus.carrier, 20) + [
+                    _random_point(rng, 3.0) for _ in range(10)
+                ]
+                sa = mpmath.asinh(mpmath.mpf(a.v[1]))
+                sb = mpmath.asinh(mpmath.mpf(b.v[1]))
+                x = max(abs(float(sa)), abs(float(sb)))
+                for area, z in zip(_base_areas(pts, a, b), pts):
+                    h = -mpmath.mpf(z.v[2])
+                    t = abs(mpmath.asinh(h))
+                    s = mpmath.asinh(mpmath.mpf(z.v[1]) / mpmath.sqrt(1 + h * h))
+                    r1, r2 = (
+                        2 * mpmath.atan(mpmath.tanh(leg / 2) * mpmath.tanh(t / 2))
+                        for leg in (sa - s, s - sb)
+                    )
+                    band = eps * (7.0 * float(abs(r1) + abs(r2)) + 9.0 + 6.0 * x)
+                    assert abs(area - float(r1 + r2)) <= band
+
+    def test_base_areas_reject_coincident_vertices(self):
         base = BaseConfig.from_half_distance(0.8)
-        z = _perp_apex(1.0)
-        for pts, a, b in (
-            ([z, base.a], base.a, base.b),
-            ([z, base.b], base.a, base.b),
-            ([z], base.a, base.a),
-        ):
-            with pytest.raises(DegenerateInputError):
-                [_deficit(p, a, b) for p in pts]
-            with pytest.raises(DegenerateInputError):
-                _base_deficits(pts, a, b)
+        with pytest.raises(DegenerateInputError):
+            _base_areas([_perp_apex(1.0)], base.a, base.a)
 
     def test_residuals_equal_the_per_sample_route(self):
         for i in range(20):
