@@ -22,7 +22,6 @@ from .kernel import (
     hpoint_to_disk,
     intersect_geodesics,
     midpoint,
-    mink_inner,
     point_along,
     radial_project,
     reflect_across,
@@ -47,7 +46,6 @@ __all__ = [
     "hpoint_to_disk",
     "intersect_geodesics",
     "midpoint",
-    "mink_inner",
     "point_along",
     "radial_project",
     "reflect_across",

@@ -38,7 +38,7 @@ from .errors import (
     InfeasibleGeometryError,
     InfeasibleInputError,
 )
-from .kernel import Geometry, HPoint, Record
+from .kernel import Geometry, Record
 from .trig import clamped_acos
 
 # Feet are accepted as lying on a side up to this residual.
@@ -59,13 +59,6 @@ class Triangle(Record):
     """Nondegenerate triangle with vertices a, b, c in one geometry."""
 
     __slots__ = ("geometry", "a", "b", "c", "_sides", "_lines")
-
-    def __init__(self, geometry: Geometry, a, b, c) -> None:
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         model = self.geometry.model
@@ -107,30 +100,6 @@ class CevianFrame(Record):
         "tri", "o", "d", "e", "f", "ao", "bo", "co", "od", "oe", "of",
         "alpha", "beta", "gamma", "p", "q", "r",
     )
-
-    def __init__(
-        self, tri: Triangle, o, d, e, f,
-        ao: float, bo: float, co: float, od: float, oe: float, of: float,
-        alpha: float, beta: float, gamma: float, p: float, q: float, r: float,
-    ) -> None:
-        object.__setattr__(self, "tri", tri)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "ao", ao)
-        object.__setattr__(self, "bo", bo)
-        object.__setattr__(self, "co", co)
-        object.__setattr__(self, "od", od)
-        object.__setattr__(self, "oe", oe)
-        object.__setattr__(self, "of", of)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if abs(self.p + self.q + self.r - math.pi) > TOL_ID:
@@ -213,14 +182,6 @@ class PqrSystem(Record):
 
     __slots__ = ("P", "Q", "R", "residuals")
 
-    def __init__(
-        self, P: float, Q: float, R: float, residuals: tuple[float, float, float]
-    ) -> None:
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "residuals", residuals)
-
 
 def pqr_system(frame: CevianFrame) -> PqrSystem:
     """Evaluate the sine-weighted system of a frame in any of the three planes."""
@@ -245,19 +206,8 @@ class RatioSumInput(Record):
 
     __slots__ = ("ao", "bo", "co", "od", "oe", "of")
 
-    def __init__(
-        self, ao: float, bo: float, co: float, od: float, oe: float, of: float
-    ) -> None:
-        object.__setattr__(self, "ao", ao)
-        object.__setattr__(self, "bo", bo)
-        object.__setattr__(self, "co", co)
-        object.__setattr__(self, "od", od)
-        object.__setattr__(self, "oe", oe)
-        object.__setattr__(self, "of", of)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
-        for name in ("ao", "bo", "co", "od", "oe", "of"):
+        for name in self._fields:
             value = getattr(self, name)
             if not 0.0 < value <= MAX_HYPERBOLIC_SIDE:
                 raise DomainError(f"length {name}={value} outside (0, {MAX_HYPERBOLIC_SIDE}]")
@@ -283,26 +233,6 @@ class ConstructionResult(Record):
         "sine_factor", "angle_bof", "angle_aof", "angle_bod",
         "relation_residual", "containment_residual",
     )
-
-    def __init__(
-        self, triangle: Triangle, center: HPoint, frame: CevianFrame,
-        aux_a: float, aux_b: float, aux_c: float, aux_area: float,
-        sine_factor: float, angle_bof: float, angle_aof: float, angle_bod: float,
-        relation_residual: float, containment_residual: float,
-    ) -> None:
-        object.__setattr__(self, "triangle", triangle)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "aux_a", aux_a)
-        object.__setattr__(self, "aux_b", aux_b)
-        object.__setattr__(self, "aux_c", aux_c)
-        object.__setattr__(self, "aux_area", aux_area)
-        object.__setattr__(self, "sine_factor", sine_factor)
-        object.__setattr__(self, "angle_bof", angle_bof)
-        object.__setattr__(self, "angle_aof", angle_aof)
-        object.__setattr__(self, "angle_bod", angle_bod)
-        object.__setattr__(self, "relation_residual", relation_residual)
-        object.__setattr__(self, "containment_residual", containment_residual)
 
 
 def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
@@ -396,18 +326,6 @@ class ProjectionOracle(Record):
     __slots__ = (
         "ratios", "max_deviation", "euclid_relation_residual", "collinearity_residual",
     )
-
-    def __init__(
-        self,
-        ratios: tuple[float, float, float],
-        max_deviation: float,
-        euclid_relation_residual: float,
-        collinearity_residual: float,
-    ) -> None:
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "max_deviation", max_deviation)
-        object.__setattr__(self, "euclid_relation_residual", euclid_relation_residual)
-        object.__setattr__(self, "collinearity_residual", collinearity_residual)
 
 
 def projection_oracle(frame: CevianFrame) -> ProjectionOracle:
@@ -521,20 +439,6 @@ class LambertReport(Record):
     """
 
     __slots__ = ("geometry", "side", "alpha", "ad_over_od", "median_residual")
-
-    def __init__(
-        self,
-        geometry: Geometry,
-        side: float,
-        alpha: float,
-        ad_over_od: float,
-        median_residual: float,
-    ) -> None:
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "ad_over_od", ad_over_od)
-        object.__setattr__(self, "median_residual", median_residual)
 
 
 def lambert_median_report(side: float, geometry: Geometry) -> LambertReport:

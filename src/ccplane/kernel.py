@@ -31,11 +31,13 @@ figure that reads a side line several times builds it only once.
 
 Every value type of the package (points, figures, reports, scene
 elements) derives from Record: an immutable class whose fields are its
-``__slots__``, with equality, hashing and repr over those fields.  Each
-command is a short ``ccplane`` process that pays for its own import, so
-the classes are written out rather than generated at import: the
-standard library's generator imports ``inspect``, ``ast`` and ``dis`` and
-compiles six functions per class, about a fifth of each command.
+``__slots__``, with equality, hashing and repr over those fields.
+Record writes one function per class, its ``__init__``, from the slot
+list and compiles it as the class is defined.  Each command is a short
+``ccplane`` process that pays for its own import: the 24 constructors
+compile in about 3 ms, where the standard library's ``dataclasses``
+imports ``inspect``, ``ast`` and ``dis`` and compiles six functions per
+class, about 30 ms or a fifth of each command.
 """
 
 from __future__ import annotations
@@ -70,20 +72,42 @@ _CROSS_EPS = 1e-10
 class Record:
     """Immutable value whose fields are the public names in ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` in order, sets them in
-    its own ``__init__`` with ``object.__setattr__`` and then calls
-    ``self.__post_init__()`` where it has checks to run.  Slots named
-    with a leading underscore (a cache, ``__dict__``) are not fields:
-    equality, hashing and repr ignore them.  Equality holds only between
-    instances of the same class.
+    A subclass lists its fields in ``__slots__`` in order.  Record builds
+    its ``__init__``: one parameter per field, each set in slot order,
+    then ``self.__post_init__()`` where the class defines one, so checks
+    go in that hook.  A class whose trailing fields have defaults names
+    them in ``_defaults``, for example ``{"style": "point"}``.  Slots
+    named with a leading underscore (a cache, ``__dict__``) are not
+    fields: equality, hashing and repr ignore them.  Equality holds only
+    between instances of the same class.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._fields = fields
+        # The constructor one would write by hand, compiled under a
+        # filename that names the class, so tracebacks say which record
+        # failed.
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"    _set(self, {n!r}, {n})" for n in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        filename = f"<{cls.__module__}.{cls.__qualname__}.__init__>"
+        scope = {"_set": object.__setattr__}
+        exec(compile("\n".join(lines), filename, "exec"), scope)
+        init = scope["__init__"]
+        # KeyError unless ``_defaults`` names trailing fields only.
+        init.__defaults__ = tuple(
+            cls._defaults[n] for n in fields[len(fields) - len(cls._defaults):]
+        )
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self._fields)
@@ -124,9 +148,6 @@ class HPoint(Record):
 
     __slots__ = ("v",)
 
-    def __init__(self, v: Vec3) -> None:
-        object.__setattr__(self, "v", v)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         # The quadratic form carries rounding noise of order eps * v0^2,
@@ -143,9 +164,6 @@ class SpherePoint(Record):
 
     __slots__ = ("v",)
 
-    def __init__(self, v: Vec3) -> None:
-        object.__setattr__(self, "v", v)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         v0, v1, v2 = self.v
@@ -159,10 +177,6 @@ class DiskPoint(Record):
 
     __slots__ = ("u", "w")
 
-    def __init__(self, u: float, w: float) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (self.u * self.u + self.w * self.w < 1.0):
@@ -174,9 +188,6 @@ class TangentPoint(Record):
 
     __slots__ = ("s", "t")
 
-    def __init__(self, s: float, t: float) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
 
 
 class Geodesic(Record):
@@ -185,9 +196,6 @@ class Geodesic(Record):
 
     __slots__ = ("normal",)
 
-    def __init__(self, normal: Vec3) -> None:
-        object.__setattr__(self, "normal", normal)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         n0, n1, n2 = self.normal
@@ -201,11 +209,6 @@ class Geodesic(Record):
 
 ORIGIN = HPoint((1.0, 0.0, 0.0))
 NORTH_POLE = SpherePoint((0.0, 0.0, 1.0))
-
-
-def mink_inner(x: Vec3, y: Vec3) -> float:
-    """Minkowski bilinear form of two raw coordinate triples."""
-    return vec.minner(x, y)
 
 
 def normalize_to_hyperboloid(v: Vec3) -> HPoint:

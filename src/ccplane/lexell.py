@@ -98,11 +98,6 @@ class Hypercycle(Record):
     # ``__dict__`` holds the cached ``_axis_frame``.
     __slots__ = ("axis", "offset", "__dict__")
 
-    def __init__(self, axis: Geodesic, offset: float) -> None:
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "offset", offset)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not abs(self.offset) <= _LOG_COORD_MAX:
             raise DomainError(f"offset {self.offset} puts the curve beyond float range")
@@ -185,12 +180,6 @@ class BaseConfig(Record):
 
     __slots__ = ("a", "b", "half_distance")
 
-    def __init__(self, a: HPoint, b: HPoint, half_distance: float) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "half_distance", half_distance)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not 0.0 < self.half_distance <= MAX_HYPERBOLIC_SIDE / 2.0:
             raise DomainError(
@@ -225,14 +214,6 @@ class AreaLocus(Record):
     """
 
     __slots__ = ("base", "carrier", "mirror", "area")
-
-    def __init__(
-        self, base: BaseConfig, carrier: Hypercycle, mirror: Hypercycle, area: float
-    ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "mirror", mirror)
-        object.__setattr__(self, "area", area)
 
 
 def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
@@ -430,18 +411,6 @@ class LocusResiduals(Record):
     """Worst-case checks of one locus: all should sit at rounding level."""
 
     __slots__ = ("area_spread", "mirror_residual", "midline_residual", "subarc_residual")
-
-    def __init__(
-        self,
-        area_spread: float,
-        mirror_residual: float,
-        midline_residual: float,
-        subarc_residual: float,
-    ) -> None:
-        object.__setattr__(self, "area_spread", area_spread)
-        object.__setattr__(self, "mirror_residual", mirror_residual)
-        object.__setattr__(self, "midline_residual", midline_residual)
-        object.__setattr__(self, "subarc_residual", subarc_residual)
 
 
 def locus_residuals(

@@ -40,12 +40,7 @@ class ScenePoint(Record):
     """Labeled marker at disk coordinates."""
 
     __slots__ = ("x", "y", "label", "style")
-
-    def __init__(self, x: float, y: float, label: str, style: str = "point") -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "style", style)
+    _defaults = {"style": "point"}
 
 
 class SceneArc(Record):
@@ -56,74 +51,35 @@ class SceneArc(Record):
     """
 
     __slots__ = ("x1", "y1", "x2", "y2", "cx", "cy", "r", "style")
-
-    def __init__(
-        self, x1: float, y1: float, x2: float, y2: float,
-        cx: float, cy: float, r: float, style: str = "side",
-    ) -> None:
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "y2", y2)
-        object.__setattr__(self, "cx", cx)
-        object.__setattr__(self, "cy", cy)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "style", style)
+    _defaults = {"style": "side"}
 
 
 class SceneChord(Record):
     """Straight segment; the arc degenerates for geodesics through 0."""
 
     __slots__ = ("x1", "y1", "x2", "y2", "style")
-
-    def __init__(
-        self, x1: float, y1: float, x2: float, y2: float, style: str = "side"
-    ) -> None:
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "y2", y2)
-        object.__setattr__(self, "style", style)
+    _defaults = {"style": "side"}
 
 
 class ScenePolyline(Record):
     """Sampled curve, used for hypercycles."""
 
     __slots__ = ("points", "style")
-
-    def __init__(self, points: tuple[XY, ...], style: str = "carrier") -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "style", style)
+    _defaults = {"style": "carrier"}
 
 
 class SceneTriangle(Record):
     """Shaded triangle, straight-edged in disk coordinates."""
 
     __slots__ = ("vertices", "style")
-
-    def __init__(self, vertices: tuple[XY, XY, XY], style: str = "fill") -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "style", style)
+    _defaults = {"style": "fill"}
 
 
 class RenderScene(Record):
     """Complete figure: every element in closed-unit-disk coordinates."""
 
     __slots__ = ("points", "arcs", "chords", "polylines", "triangles")
-
-    def __init__(
-        self,
-        points: tuple[ScenePoint, ...] = (),
-        arcs: tuple[SceneArc, ...] = (),
-        chords: tuple[SceneChord, ...] = (),
-        polylines: tuple[ScenePolyline, ...] = (),
-        triangles: tuple[SceneTriangle, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "chords", chords)
-        object.__setattr__(self, "polylines", polylines)
-        object.__setattr__(self, "triangles", triangles)
+    _defaults = dict.fromkeys(__slots__, ())
 
 
 def disk_xy(p: HPoint) -> XY:

@@ -61,21 +61,6 @@ class RightTriangleConfig(Record):
 
     __slots__ = ("geometry", "alpha", "hypotenuse", "adjacent", "opposite")
 
-    def __init__(
-        self,
-        geometry: Geometry,
-        alpha: float,
-        hypotenuse: float,
-        adjacent: float,
-        opposite: float,
-    ) -> None:
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "hypotenuse", hypotenuse)
-        object.__setattr__(self, "adjacent", adjacent)
-        object.__setattr__(self, "opposite", opposite)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         _check_right_triangle(self.hypotenuse, self.alpha, self.geometry)
         model = self.geometry.model

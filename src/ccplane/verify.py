@@ -50,24 +50,6 @@ class VerifyReport(Record):
         "theorem", "geometry", "trials", "seed", "tolerance", "max_residual", "passed",
     )
 
-    def __init__(
-        self,
-        theorem: str,
-        geometry: Geometry,
-        trials: int,
-        seed: int,
-        tolerance: float,
-        max_residual: float,
-        passed: bool,
-    ) -> None:
-        object.__setattr__(self, "theorem", theorem)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "max_residual", max_residual)
-        object.__setattr__(self, "passed", passed)
-
 
 def _menelaus_trial(geometry: Geometry, rng) -> float:
     if geometry is Geometry.SPHERICAL:

@@ -24,7 +24,7 @@ def hp(x0, x1, x2):
 
 
 def test_mink_inner_frozen():
-    assert k.mink_inner((math.cosh(1), math.sinh(1), 0.0), (1.0, 0.0, 0.0)) == -COSH1
+    assert vec.minner((math.cosh(1), math.sinh(1), 0.0), (1.0, 0.0, 0.0)) == -COSH1
 
 
 def test_hpoint_rejects_off_sheet():
@@ -214,8 +214,8 @@ def test_reflect_across_fixes_curve_and_inverts_side():
     g = k.Geodesic((0.0, 0.0, 1.0))
     p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 1.1), 1.2)
     r = k.reflect_across(g, p)
-    assert math.asinh(k.mink_inner(r.v, g.normal)) == pytest.approx(
-        -math.asinh(k.mink_inner(p.v, g.normal)), rel=1e-12
+    assert math.asinh(vec.minner(r.v, g.normal)) == pytest.approx(
+        -math.asinh(vec.minner(p.v, g.normal)), rel=1e-12
     )
     on = k.foot_of_perpendicular(p, g)
     assert k.hdist(on, k.reflect_across(g, on)) <= 1e-12
@@ -257,11 +257,11 @@ def test_radial_project_lines_through_base_stay_straight():
 def test_tangent_basis_orthonormal():
     base = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 5.1), 2.3)
     e1, e2 = k.tangent_basis(base)
-    assert k.mink_inner(e1, e1) == pytest.approx(1.0, abs=1e-12)
-    assert k.mink_inner(e2, e2) == pytest.approx(1.0, abs=1e-12)
-    assert abs(k.mink_inner(e1, e2)) <= 1e-12
-    assert abs(k.mink_inner(e1, base.v)) <= 1e-12
-    assert abs(k.mink_inner(e2, base.v)) <= 1e-12
+    assert vec.minner(e1, e1) == pytest.approx(1.0, abs=1e-12)
+    assert vec.minner(e2, e2) == pytest.approx(1.0, abs=1e-12)
+    assert abs(vec.minner(e1, e2)) <= 1e-12
+    assert abs(vec.minner(e1, base.v)) <= 1e-12
+    assert abs(vec.minner(e2, base.v)) <= 1e-12
 
 
 SPHERE = k.Geometry.SPHERICAL.model

@@ -26,10 +26,8 @@ TRIALS = 20
 FRAME_SEEDS = 20
 
 UNREACHED = {
-    "cevians.ProjectionOracle.__init__": "built only by projection_oracle",
     "cevians.RatioSumInput.from_frame": "test oracle: builds the converse input from a sampled frame",
     "cevians.projection_oracle": "test oracle: the projection used to derive the ratio sums",
-    "cli._parse_tolerance": "argparse type of --tolerance, which no README line passes",
     "corevec.mdist": "L0 kernel timed by perfbench; kernel.hdist writes it out inline",
     "corevec.mtangent": "L0 kernel timed by perfbench; kernel._tangent_at writes it out inline",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
@@ -41,10 +39,8 @@ UNREACHED = {
     "kernel.Record.__repr__": "value repr, held by test_records; no command prints a record",
     "kernel.Record.__setattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record._values": "field tuple behind __eq__ and __hash__",
-    "kernel.TangentPoint.__init__": "built only by radial_project",
     "kernel._recentre": "angle_at past v0 = 75: `lexell --apex-y` above about 5 reaches it",
     "kernel.direction": "public primitive; lexell takes its tangents from mcross",
-    "kernel.mink_inner": "exported Minkowski form; the package uses corevec.minner",
     "kernel.radial_project": "test oracle for the hyperboloid projection",
     "kernel.tangent_direction": "builds test apexes and points along rays",
     "lexell._check_ideal_angles": "checks the inputs of the two ideal-vertex formulas below",

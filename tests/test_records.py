@@ -1,6 +1,8 @@
 """The value classes: construction, repr, equality, hashing, immutability."""
 
+import inspect
 import math
+import traceback
 
 import pytest
 
@@ -14,7 +16,7 @@ from ccplane.cevians import (
     Triangle,
     equilateral_triangle,
 )
-from ccplane.errors import DegenerateInputError
+from ccplane.errors import DegenerateInputError, InvalidPointError
 from ccplane.kernel import (
     ORIGIN,
     DiskPoint,
@@ -223,6 +225,31 @@ def test_positional_and_keyword_construction(cls):
     assert by_position == by_keyword
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
+    defaults = DEFAULTS.get(cls, ({}, {}))[1]
+    required = [name for name in fields if name not in defaults]
+    if required:
+        with pytest.raises(TypeError):
+            cls(**{n: v for n, v in fields.items() if n != required[0]})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_ids)
+def test_signature_lists_fields_and_defaults(cls):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields == tuple(SAMPLES[cls])
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    given = {n: p.default for n, p in params.items() if p.default is not p.empty}
+    assert given == DEFAULTS.get(cls, ({}, {}))[1]
+
+
+def test_constructor_frame_names_its_class():
+    with pytest.raises(InvalidPointError) as info:
+        HPoint((2.0, 0.0, 0.0))
+    frames = traceback.extract_tb(info.value.__traceback__)
+    names = [(f.filename, f.name) for f in frames]
+    i = names.index(("<ccplane.kernel.HPoint.__init__>", "__init__"))
+    assert names[i + 1][1] == "__post_init__"
 
 
 @pytest.mark.parametrize("cls", list(DEFAULTS), ids=_ids)
