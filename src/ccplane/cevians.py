@@ -98,12 +98,31 @@ class CevianFrame(Record):
 
     __slots__ = (
         "tri", "o", "d", "e", "f", "ao", "bo", "co", "od", "oe", "of",
-        "alpha", "beta", "gamma", "p", "q", "r",
+        "alpha", "beta", "gamma", "p", "q", "r", "_legs",
     )
 
     def __post_init__(self) -> None:
         if abs(self.p + self.q + self.r - math.pi) > TOL_ID:
             raise GeometryError("angles at the interior point do not close up")
+
+    def legs(self) -> tuple[float, ...]:
+        """(|BD|, |DC|, |CE|, |EA|, |AF|, |FB|), as ``cevian_frame``
+        measured them for its between-check; ``ceva_product`` takes them."""
+        return self._legs
+
+
+def _foot_legs(tri: Triangle, d, e, f) -> tuple[float, ...] | None:
+    """Each foot's distances to the ends of its side, |BD|, |DC|, |CE|,
+    |EA|, |AF|, |FB| for d on BC, e on CA and f on AB, or None when a
+    foot lies outside its side segment."""
+    dist = tri.geometry.model.dist
+    a, b, c = tri.a, tri.b, tri.c
+    legs = (dist(b, d), dist(d, c), dist(c, e), dist(e, a), dist(a, f), dist(f, b))
+    bc, ca, ab = tri.side_lengths()
+    if (legs[0] + legs[1] - bc <= _SIDE_EPS and legs[2] + legs[3] - ca <= _SIDE_EPS
+            and legs[4] + legs[5] - ab <= _SIDE_EPS):
+        return legs
+    return None
 
 
 def cevian_frame(tri: Triangle, o) -> CevianFrame:
@@ -125,17 +144,16 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     d = model.meet(model.line(a, o), bc, b, c)
     e = model.meet(model.line(b, o), ca, c, a)
     f = model.meet(model.line(c, o), ab, a, b)
-    legs = ((d, b, c), (e, c, a), (f, a, b))
-    for (foot, s1, s2), side in zip(legs, tri.side_lengths()):
-        if not model.dist(s1, foot) + model.dist(foot, s2) - side <= _SIDE_EPS:
-            raise GeometryError("computed foot left its side segment")
+    legs = _foot_legs(tri, d, e, f)
+    if legs is None:
+        raise GeometryError("computed foot left its side segment")
     ao = model.dist(a, o)
     bo = model.dist(b, o)
     co = model.dist(c, o)
     od = model.dist(o, d)
     oe = model.dist(o, e)
     of = model.dist(o, f)
-    return CevianFrame(
+    frame = CevianFrame(
         tri=tri,
         o=o,
         d=d,
@@ -154,6 +172,8 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
         q=model.angle(o, a, f),
         r=model.angle(o, b, d),
     )
+    object.__setattr__(frame, "_legs", legs)
+    return frame
 
 
 def euler_relation_residual(frame: CevianFrame) -> float:
@@ -378,27 +398,27 @@ def projection_oracle(frame: CevianFrame) -> ProjectionOracle:
     )
 
 
-def ceva_product(tri: Triangle, d, e, f, require_concurrent: bool = True) -> float:
+def ceva_product(
+    tri: Triangle, d, e, f, require_concurrent: bool = True, legs=None
+) -> float:
     """Product sh(DB)/sh(DC) * sh(EC)/sh(EA) * sh(FA)/sh(FB) of the feet.
 
     sh is sinh, sin, or the identity per geometry.  The feet must lie on
     their side segments; with ``require_concurrent`` the three cevians
     must meet in one point, verified by pairwise intersection agreement.
+    ``legs`` are the feet's distances to their sides' ends when they are
+    measured and checked already: ``frame.legs()`` for a cevian frame's
+    feet.  Otherwise they are measured here.
     """
     model = tri.geometry.model
     a, b, c = tri.a, tri.b, tri.c
-    # |s1 foot| and |foot s2| of each foot serve the between-check and the
-    # product alike (dist is symmetric to the last bit).
-    legs = []
-    for (foot, s1, s2), side, line in zip(
-        ((d, b, c), (e, c, a), (f, a, b)), tri.side_lengths(), tri._lines
-    ):
+    for foot, line in zip((d, e, f), tri._lines):
         if not model.line_residual(line, foot) <= _SIDE_EPS:
             raise DomainError("a foot does not lie on its side line")
-        near, far = model.dist(s1, foot), model.dist(foot, s2)
-        if not near + far - side <= _SIDE_EPS:
+    if legs is None:
+        legs = _foot_legs(tri, d, e, f)
+        if legs is None:
             raise DomainError("a foot lies outside its side segment")
-        legs.append((near, far))
     if require_concurrent:
         # Each cevian line is built once and met with the other two.
         ad, be, cf = model.line(a, d), model.line(b, e), model.line(c, f)
@@ -409,7 +429,7 @@ def ceva_product(tri: Triangle, d, e, f, require_concurrent: bool = True) -> flo
         if not spread <= TOL_ID:
             raise DomainError(f"cevians are not concurrent (spread {spread:.3e})")
     sh = model.s_K
-    (db, dc), (ec, ea), (fa, fb) = legs
+    db, dc, ec, ea, fa, fb = legs
     return sh(db) / sh(dc) * sh(ec) / sh(ea) * sh(fa) / sh(fb)
 
 

@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 infeasible input, failed verification or an
 output path that cannot be written, 2 usage error.  Identical flags
 produce byte-identical JSON, and a command that fails prints none:
 output files are written before anything goes to stdout.
+
+Each command is a short process that compiles what it imports, so each
+handler imports the layers it runs: a campaign loads only its theorem's
+layers, ``render frame`` never loads ``lexell``, and a locus never loads
+``sampling`` or ``cevians``.
 """
 
 from __future__ import annotations
@@ -13,26 +18,9 @@ import math
 import sys
 
 from . import kernel as k
-from .cevians import RatioSumInput, construct_from_ratios
 from .constants import TOL_AREA
 from .errors import GeometryError
 from .kernel import Geometry
-from .lexell import (
-    MAX_APEX_HEIGHT,
-    BaseConfig,
-    foliation,
-    lexell_locus,
-    locus_residuals,
-)
-from .render import (
-    ideal_endpoints,
-    scene_for_construction,
-    scene_for_foliation,
-    scene_for_frame,
-    scene_for_locus,
-    scene_to_svg,
-)
-from .sampling import sample_frame, substream
 from .verify import (
     SUPPORTED,
     THEOREMS,
@@ -69,6 +57,8 @@ def _parse_tolerance(value: str) -> float:
 
 
 def _parse_apex_height(value: str) -> float:
+    from .lexell import MAX_APEX_HEIGHT
+
     y = _parse_finite(value)
     if abs(y) > MAX_APEX_HEIGHT:
         raise argparse.ArgumentTypeError(
@@ -131,6 +121,8 @@ def _report(record: dict, args, scene) -> None:
     with nothing on stdout.
     """
     if args.svg is not None:
+        from .render import scene_to_svg
+
         _write_file(scene_to_svg(scene()), args.svg)
     _emit(json_document(record), args.json)
 
@@ -148,6 +140,9 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_construct(args, parser) -> int:
+    from .cevians import RatioSumInput, construct_from_ratios
+    from .render import scene_for_construction
+
     ao, bo, co, od, oe, of = args.lengths
     result = construct_from_ratios(RatioSumInput(ao, bo, co, od, oe, of))
     frame = result.frame
@@ -191,6 +186,8 @@ def _cmd_construct(args, parser) -> int:
 
 
 def _axis_angles(axis) -> tuple[float, float]:
+    from .render import ideal_endpoints
+
     (x1, y1), (x2, y2) = ideal_endpoints(axis)
     return tuple(sorted((math.atan2(y1, x1), math.atan2(y2, x2))))
 
@@ -205,6 +202,9 @@ def _lexell_apex(args):
 
 
 def _cmd_lexell(args, parser) -> int:
+    from .lexell import BaseConfig, foliation, lexell_locus, locus_residuals
+    from .render import scene_for_foliation, scene_for_locus
+
     base = BaseConfig.from_half_distance(args.x)
     if args.foliate is not None:
         leaves = foliation(base, list(args.foliate))
@@ -238,18 +238,26 @@ def _cmd_lexell(args, parser) -> int:
 
 
 def _cmd_render(args, parser) -> int:
+    from .render import scene_for_foliation, scene_for_frame, scene_for_locus, scene_to_svg
+
     if args.figure == "frame":
-        frame = sample_frame(Geometry.HYPERBOLIC, substream("render-frame", args.seed))
+        from .sampling import sample_frame
+
+        frame = sample_frame(Geometry.HYPERBOLIC, k.substream("render-frame", args.seed))
         scene = scene_for_frame(frame)
     elif args.figure == "locus":
         if args.apex_y is None and args.apex is None:
             parser.error("locus figures need an apex: --apex-y or --apex")
+        from .lexell import BaseConfig, lexell_locus
+
         base = BaseConfig.from_half_distance(args.x)
         apex = _lexell_apex(args)
         scene = scene_for_locus(lexell_locus(base, apex), apex)
     else:
         if args.foliate is None:
             parser.error("foliation figures need --foliate AREAS")
+        from .lexell import BaseConfig, foliation
+
         base = BaseConfig.from_half_distance(args.x)
         leaves = tuple(foliation(base, list(args.foliate)))
         scene = scene_for_foliation(base, leaves)

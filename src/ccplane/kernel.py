@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from enum import Enum
 
 from . import corevec as vec
@@ -141,6 +142,17 @@ class Geometry(str, Enum):
     # Set on each member once the models exist (end of module): a plain
     # attribute, since every figure reads it on its hot path.
     model: PlaneModel
+
+
+def substream(label: str, seed: int, index: int = 0) -> random.Random:
+    """Independent RNG for one (campaign, trial) pair.
+
+    Seeded with the string "label:seed:index", so every campaign, trial
+    index and geometry gets its own stream, and each reproduces exactly
+    across platforms and processes.  It lives with the types every layer
+    imports, so ``lexell`` and ``verify`` draw without loading the sampler.
+    """
+    return random.Random(f"{label}:{seed}:{index}")
 
 
 class HPoint(Record):

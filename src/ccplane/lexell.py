@@ -58,7 +58,6 @@ from functools import cached_property
 
 from . import corevec as vec
 from . import kernel as k
-from .cevians import Triangle
 from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID, TOL_POINT
 from .errors import (
     DegenerateInputError,
@@ -67,7 +66,6 @@ from .errors import (
     InfeasibleAreaError,
 )
 from .kernel import Geodesic, Geometry, HPoint, Record, Vec3
-from .sampling import substream
 
 # Ceiling for apex heights; the area gap to its supremum at this height
 # is far below double precision.
@@ -497,7 +495,7 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     chord in turn.  All 2n positions are drawn first, and each curve's
     points are built in one ``hypercycle_points`` pass.
     """
-    rng = substream("subarc", seed)
+    rng = k.substream("subarc", seed)
     draws = [-SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random() for _ in range(2 * n)]
     carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
     mirror_pts = hypercycle_points(locus.mirror, draws[1::2])

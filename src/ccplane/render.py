@@ -13,17 +13,12 @@ import math
 import sys
 
 from . import kernel as k
-from .cevians import CevianFrame, ConstructionResult
 from .errors import DomainError, GeometryError, OutOfModelError
 from .kernel import Geodesic, Geometry, HPoint, Record
-from .lexell import (
-    SAMPLE_RANGE,
-    AreaLocus,
-    BaseConfig,
-    Hypercycle,
-    hypercycle_point,
-    hypercycle_samples,
-)
+
+# CevianFrame and ConstructionResult (cevians) and AreaLocus, BaseConfig
+# and Hypercycle (lexell) appear in annotations only, which are never
+# evaluated: a frame figure does not load lexell, nor a locus cevians.
 
 # Interior coordinates may poke out of the unit circle by rounding only.
 _DISK_SLACK = 1e-9
@@ -133,6 +128,8 @@ def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePoly
     Each sample goes to disk coordinates as ``disk_xy`` takes it there,
     under DiskPoint's check that it lies inside the open unit disk.
     """
+    from .lexell import hypercycle_samples
+
     pts = []
     for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1):
         v0, v1, v2 = z.v
@@ -197,6 +194,8 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     The mirror through the base vertices is labeled C, the carrier the
     apex rides on C′, and the equidistant axis geodesic G.
     """
+    from .lexell import SAMPLE_RANGE, Hypercycle, hypercycle_point
+
     base_line = arc_for_geodesic(locus.base.base_line(), style="base")
     axis = arc_for_geodesic(locus.carrier.axis, style="axis")
     elements = (base_line, axis)

@@ -1,8 +1,8 @@
 """Deterministic sample generators for the verification campaigns.
 
-Streams are seeded with a string "label:seed:index" so that every
-campaign, trial index, and geometry gets an independent substream that
-reproduces exactly across platforms and processes.
+Every draw comes from a ``substream`` (defined in ``kernel`` and
+importable from here): an independent stream per campaign, trial index
+and geometry that reproduces exactly across platforms and processes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 
 from .cevians import Triangle, cevian_frame
 from .errors import GeometryError, InfeasibleGeometryError
-from .kernel import Geometry
+from .kernel import Geometry, substream
 
 # Rejection thresholds keeping sampled triangles numerically honest.
 _MIN_SIDE = 0.05
@@ -43,11 +43,6 @@ _DISK_RADIUS = {
     Geometry.SPHERICAL: lambda u: math.acos(1.0 - u * (1.0 - math.cos(_SPH_RADIUS))),
     Geometry.EUCLIDEAN: lambda u: _EUC_RADIUS * math.sqrt(u),
 }
-
-
-def substream(label: str, seed: int, index: int = 0) -> random.Random:
-    """Independent RNG for one (campaign, trial) pair."""
-    return random.Random(f"{label}:{seed}:{index}")
 
 
 def _polar_draw(radius, rng: random.Random) -> tuple[float, float]:

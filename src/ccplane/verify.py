@@ -12,18 +12,8 @@ import math
 from typing import Callable
 
 from . import kernel as k
-from .cevians import (
-    ceva_product,
-    euler_relation_residual,
-    lambert_median_report,
-    pqr_system,
-    unit_sum_residual,
-)
 from .errors import DomainError
-from .kernel import Geometry, Record
-from .lexell import BaseConfig, lexell_locus, locus_residuals
-from .sampling import sample_frame, substream
-from .trig import build_right_triangle, menelaus_ratio, menelaus_rhs
+from .kernel import Geometry, Record, substream
 
 THEOREMS = ("menelaus", "euler-ratio", "ceva", "lambert", "lexell", "pqr")
 
@@ -51,73 +41,114 @@ class VerifyReport(Record):
     )
 
 
-def _menelaus_trial(geometry: Geometry, rng) -> float:
-    if geometry is Geometry.SPHERICAL:
-        b = rng.uniform(0.1, math.pi / 2 - 0.1)
-    else:
-        b = rng.uniform(0.1, 5.0)
-    alpha = rng.uniform(0.1, math.pi / 2 - 0.1)
-    cfg = build_right_triangle(b, alpha, geometry)
-    lhs = menelaus_ratio(b + cfg.adjacent, b - cfg.adjacent, geometry)
-    rhs = menelaus_rhs(alpha)
-    return abs(lhs - rhs) / rhs
+_Trial = Callable[[Geometry, object], float]
+
+# Each campaign imports its theorem's layers when run_verification starts
+# it and returns its trial, so a process loads only the layers it runs,
+# and a layer function replaced after import (a test double, a tracer's
+# span) is the one every trial of the next campaign calls.
 
 
-def _euler_trial(geometry: Geometry, rng) -> float:
-    frame = sample_frame(geometry, rng)
-    scale = 1.0 + abs(frame.alpha * frame.beta * frame.gamma)
-    return max(abs(euler_relation_residual(frame)) / scale, unit_sum_residual(frame))
+def _menelaus_campaign() -> _Trial:
+    from .trig import build_right_triangle, menelaus_ratio, menelaus_rhs
+
+    def trial(geometry: Geometry, rng) -> float:
+        if geometry is Geometry.SPHERICAL:
+            b = rng.uniform(0.1, math.pi / 2 - 0.1)
+        else:
+            b = rng.uniform(0.1, 5.0)
+        alpha = rng.uniform(0.1, math.pi / 2 - 0.1)
+        cfg = build_right_triangle(b, alpha, geometry)
+        lhs = menelaus_ratio(b + cfg.adjacent, b - cfg.adjacent, geometry)
+        rhs = menelaus_rhs(alpha)
+        return abs(lhs - rhs) / rhs
+
+    return trial
 
 
-def _pqr_trial(geometry: Geometry, rng) -> float:
-    frame = sample_frame(geometry, rng)
-    sys_ = pqr_system(frame)
-    scale = 1.0 + max(
-        abs(frame.alpha * sys_.P), abs(frame.beta * sys_.Q), abs(frame.gamma * sys_.R)
-    )
-    return max(sys_.residuals) / scale
+def _euler_campaign() -> _Trial:
+    from .cevians import euler_relation_residual, unit_sum_residual
+    from .sampling import sample_frame
+
+    def trial(geometry: Geometry, rng) -> float:
+        frame = sample_frame(geometry, rng)
+        scale = 1.0 + abs(frame.alpha * frame.beta * frame.gamma)
+        return max(abs(euler_relation_residual(frame)) / scale, unit_sum_residual(frame))
+
+    return trial
 
 
-def _ceva_trial(geometry: Geometry, rng) -> float:
-    frame = sample_frame(geometry, rng)
-    product = ceva_product(frame.tri, frame.d, frame.e, frame.f)
-    return abs(product - 1.0)
+def _pqr_campaign() -> _Trial:
+    from .cevians import pqr_system
+    from .sampling import sample_frame
+
+    def trial(geometry: Geometry, rng) -> float:
+        frame = sample_frame(geometry, rng)
+        sys_ = pqr_system(frame)
+        scale = 1.0 + max(
+            abs(frame.alpha * sys_.P), abs(frame.beta * sys_.Q), abs(frame.gamma * sys_.R)
+        )
+        return max(sys_.residuals) / scale
+
+    return trial
 
 
-def _lambert_trial(geometry: Geometry, rng) -> float:
-    if geometry is Geometry.SPHERICAL:
-        side = rng.uniform(0.1, 1.2)
-    else:
-        side = rng.uniform(0.1, 4.0)
-    rep = lambert_median_report(side, geometry)
-    residual = abs(rep.alpha - 2.0)
-    kappa = geometry.model.kappa
-    if kappa == 0.0:
-        return max(residual, abs(rep.ad_over_od - 3.0))
-    # AD/OD is above 3 where kappa < 0 and below 3 where kappa > 0.
-    return residual if kappa * (rep.ad_over_od - 3.0) < 0.0 else math.inf
+def _ceva_campaign() -> _Trial:
+    from .cevians import ceva_product
+    from .sampling import sample_frame
+
+    def trial(geometry: Geometry, rng) -> float:
+        frame = sample_frame(geometry, rng)
+        product = ceva_product(frame.tri, frame.d, frame.e, frame.f, legs=frame.legs())
+        return abs(product - 1.0)
+
+    return trial
 
 
-def _lexell_trial(geometry: Geometry, rng) -> float:
-    x = rng.uniform(0.3, 1.5)
-    base = BaseConfig.from_half_distance(x)
-    u = rng.uniform(-0.7, 0.7)
-    w = rng.uniform(0.1, 0.7) * (1.0 if rng.random() < 0.5 else -1.0)
-    apex = k.disk_to_hpoint(k.DiskPoint(u, w))
-    locus = lexell_locus(base, apex)
-    res = locus_residuals(locus, samples=8, chords=8, seed=rng.randrange(1 << 30))
-    return max(
-        res.area_spread, res.mirror_residual, res.midline_residual, res.subarc_residual
-    )
+def _lambert_campaign() -> _Trial:
+    from .cevians import lambert_median_report
+
+    def trial(geometry: Geometry, rng) -> float:
+        if geometry is Geometry.SPHERICAL:
+            side = rng.uniform(0.1, 1.2)
+        else:
+            side = rng.uniform(0.1, 4.0)
+        rep = lambert_median_report(side, geometry)
+        residual = abs(rep.alpha - 2.0)
+        kappa = geometry.model.kappa
+        if kappa == 0.0:
+            return max(residual, abs(rep.ad_over_od - 3.0))
+        # AD/OD is above 3 where kappa < 0 and below 3 where kappa > 0.
+        return residual if kappa * (rep.ad_over_od - 3.0) < 0.0 else math.inf
+
+    return trial
 
 
-_TRIALS: dict[str, Callable[[Geometry, object], float]] = {
-    "menelaus": _menelaus_trial,
-    "euler-ratio": _euler_trial,
-    "ceva": _ceva_trial,
-    "lambert": _lambert_trial,
-    "pqr": _pqr_trial,
-    "lexell": _lexell_trial,
+def _lexell_campaign() -> _Trial:
+    from .lexell import BaseConfig, lexell_locus, locus_residuals
+
+    def trial(geometry: Geometry, rng) -> float:
+        x = rng.uniform(0.3, 1.5)
+        base = BaseConfig.from_half_distance(x)
+        u = rng.uniform(-0.7, 0.7)
+        w = rng.uniform(0.1, 0.7) * (1.0 if rng.random() < 0.5 else -1.0)
+        apex = k.disk_to_hpoint(k.DiskPoint(u, w))
+        locus = lexell_locus(base, apex)
+        res = locus_residuals(locus, samples=8, chords=8, seed=rng.randrange(1 << 30))
+        return max(
+            res.area_spread, res.mirror_residual, res.midline_residual, res.subarc_residual
+        )
+
+    return trial
+
+
+_CAMPAIGNS: dict[str, Callable[[], _Trial]] = {
+    "menelaus": _menelaus_campaign,
+    "euler-ratio": _euler_campaign,
+    "ceva": _ceva_campaign,
+    "lambert": _lambert_campaign,
+    "pqr": _pqr_campaign,
+    "lexell": _lexell_campaign,
 }
 
 
@@ -137,7 +168,7 @@ def run_verification(
         raise DomainError(f"need at least one trial: {trials}")
     if tolerance is None:
         tolerance = default_tolerance(theorem, geometry)
-    trial = _TRIALS[theorem]
+    trial = _CAMPAIGNS[theorem]()
     label = f"verify-{theorem}-{geometry.value}"
     worst = 0.0
     for i in range(trials):

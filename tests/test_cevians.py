@@ -398,6 +398,26 @@ class TestCevaProduct:
         assert worst < 1e-11
 
     @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_frame_legs_give_the_same_product(self, geometry):
+        for i in range(50):
+            fr = sample_frame(geometry, substream("ceva-legs", 3, i))
+            measured = ceva_product(fr.tri, fr.d, fr.e, fr.f)
+            kept = ceva_product(fr.tri, fr.d, fr.e, fr.f, legs=fr.legs())
+            assert kept == measured
+
+    def test_frame_legs_are_not_measured_again(self, monkeypatch):
+        # cevian_frame measured the six legs for its between-check, so
+        # with them the product measures six distances fewer.
+        fr = sample_frame(HYP, substream("ceva-legs", 4, 0))
+        kept, measured = [], []
+        monkeypatch.setattr(kernel, "hdist", _counting(kept, kernel.hdist))
+        ceva_product(fr.tri, fr.d, fr.e, fr.f, legs=fr.legs())
+        monkeypatch.undo()
+        monkeypatch.setattr(kernel, "hdist", _counting(measured, kernel.hdist))
+        ceva_product(fr.tri, fr.d, fr.e, fr.f)
+        assert len(measured) - len(kept) == 6
+
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
     def test_medians_give_exactly_one(self, geometry):
         mid = geometry.model.mid
         tri = sample_triangle(geometry, substream("ceva-med", 2, 0))

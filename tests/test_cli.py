@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import ccplane
-from ccplane import cli
 from ccplane import kernel as k
+from ccplane import lexell, render
 from ccplane.cevians import cevian_frame, equilateral_triangle
 from ccplane.cli import main
 from ccplane.constants import TOL_AREA
@@ -180,7 +180,7 @@ class TestLexellCommand:
             calls.append(kwargs)
             return LocusResiduals(2.0 * TOL_AREA, 0.0, 0.0, 0.0)
 
-        monkeypatch.setattr(cli, "locus_residuals", spread)
+        monkeypatch.setattr(lexell, "locus_residuals", spread)
         assert main(["lexell", "0.8", "--apex-y", "1.0"]) == 1
         assert json.loads(capsys.readouterr().out)["area_spread"] == 2.0 * TOL_AREA
         assert calls == [{"samples": 20, "chords": 0}]
@@ -318,7 +318,7 @@ def test_failed_figure_prints_no_json(monkeypatch, capsys, tmp_path):
     def broken(scene):
         raise GeometryError("figure failed")
 
-    monkeypatch.setattr(cli, "scene_to_svg", broken)
+    monkeypatch.setattr(render, "scene_to_svg", broken)
     svg = str(tmp_path / "figure.svg")
     for argv in (
         ["lexell", "0.8", "--apex-y", "1.0", "--svg", svg],
@@ -366,3 +366,78 @@ def test_cli_import_skips_the_class_generator():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+# The ccplane modules every command loads: the command line and the
+# campaign table it offers, the point types with their vector kernels,
+# the constants and the errors.
+_BASE_MODULES = {"cli", "constants", "corevec", "errors", "kernel", "verify"}
+
+# Runs one command in a fresh interpreter and prints its exit code and
+# the ccplane modules it loaded.
+_LOADED = """
+import contextlib, io, sys
+from ccplane.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("ccplane.")))
+"""
+
+
+def _fresh_modules(code: str, *args: str) -> tuple[str, set[str]]:
+    src = str(Path(ccplane.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    first, *modules = out.stdout.split()
+    return first, {m.removeprefix("ccplane.") for m in modules}
+
+
+_CONSTRUCT = ["construct", "0.57028982711412934", "0.57028982711412934",
+              "0.57028982711412934", "0.26373540186720129", "0.26373540186720112",
+              "0.26373540186720129"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["verify", "menelaus", "--trials", "5"], {"trig"}),
+        (["verify", "lambert", "--trials", "5"], {"trig", "cevians"}),
+        (["verify", "euler-ratio", "--trials", "5"], {"trig", "cevians", "sampling"}),
+        (["verify", "ceva", "--trials", "5"], {"trig", "cevians", "sampling"}),
+        (["verify", "pqr", "--trials", "5"], {"trig", "cevians", "sampling"}),
+        (["verify", "lexell", "--trials", "2"], {"lexell"}),
+        (["render", "frame", "--seed", "5", "--svg", "{svg}"],
+         {"trig", "cevians", "sampling", "render"}),
+        ([*_CONSTRUCT, "--svg", "{svg}"], {"trig", "cevians", "render"}),
+        (_CONSTRUCT, {"trig", "cevians", "render"}),
+        (["lexell", "0.8", "--apex-y", "1.0", "--svg", "{svg}"], {"lexell", "render"}),
+        (["lexell", "0.8", "--apex=0.1,0.4"], {"lexell", "render"}),
+        (["lexell", "0.8", "--foliate", "0.3,0.8,1.2"], {"lexell", "render"}),
+        (["render", "locus", "--x", "0.8", "--apex-y", "1.0", "--svg", "{svg}"],
+         {"lexell", "render"}),
+        (["render", "foliation", "--x", "0.8", "--foliate", "0.4,0.9", "--svg", "{svg}"],
+         {"lexell", "render"}),
+    ],
+    ids=["verify-menelaus", "verify-lambert", "verify-euler-ratio", "verify-ceva",
+         "verify-pqr", "verify-lexell", "render-frame", "construct-svg", "construct",
+         "lexell-apex-y-svg", "lexell-apex", "lexell-foliate", "render-locus",
+         "render-foliation"],
+)
+def test_command_loads_only_its_layers(argv, layers, tmp_path):
+    # Each command is a fresh process that compiles every module it loads,
+    # so a layer the command does not run must stay unloaded.
+    svg = str(tmp_path / "figure.svg")
+    code, loaded = _fresh_modules(_LOADED, *[a.replace("{svg}", svg) for a in argv])
+    assert code == "0"
+    assert loaded == _BASE_MODULES | layers
+
+
+def test_verify_import_loads_no_layer():
+    # A campaign imports its theorem's layers when it runs; importing the
+    # campaign table alone loads none of them.
+    probe = ("import sys, ccplane.verify; "
+             "print(0, *(m for m in sys.modules if m.startswith('ccplane.')))")
+    assert _fresh_modules(probe) == ("0", _BASE_MODULES - {"cli"})

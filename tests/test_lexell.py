@@ -522,7 +522,7 @@ class TestChordSplit:
             seeded.append(args)
             return substream(*args)
 
-        monkeypatch.setattr(lexell, "substream", counting)
+        monkeypatch.setattr(k, "substream", counting)
         equal_subarc_check(_seeded_locus(0), 50, seed=9)
         assert seeded == [("subarc", 9)]
 

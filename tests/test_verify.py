@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ccplane import verify
+from ccplane import cevians, verify
 from ccplane.errors import DomainError
 from ccplane.kernel import Geometry
 from ccplane.verify import (
@@ -84,13 +84,31 @@ class TestCampaigns:
         # One bad trial among good ones: the fold must not drop it, as
         # max(0.0, nan) == 0.0 would.
         residuals = iter([1e-15, bad, 1e-15])
-        monkeypatch.setitem(verify._TRIALS, "ceva", lambda geometry, rng: next(residuals))
+        campaign = lambda: lambda geometry, rng: next(residuals)
+        monkeypatch.setitem(verify._CAMPAIGNS, "ceva", campaign)
         rep = run_verification("ceva", HYP, trials=3)
         assert rep.max_residual == math.inf
         assert not rep.passed
 
+    def test_campaign_calls_a_layer_function_patched_after_import(self, monkeypatch):
+        # A campaign binds its theorem's functions when it starts, so a
+        # function replaced between campaigns (a test double, perfbench's
+        # tracer) serves every trial of the next one.
+        expected = run_verification("ceva", HYP, trials=7, seed=3)
+        calls = []
+        original = cevians.ceva_product
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cevians, "ceva_product", counting)
+        assert run_verification("ceva", HYP, trials=7, seed=3) == expected
+        assert len(calls) == 7
+
     def test_all_nan_campaign_fails(self, monkeypatch):
-        monkeypatch.setitem(verify._TRIALS, "ceva", lambda geometry, rng: math.nan)
+        campaign = lambda: lambda geometry, rng: math.nan
+        monkeypatch.setitem(verify._CAMPAIGNS, "ceva", campaign)
         rep = run_verification("ceva", HYP, trials=5)
         assert rep.max_residual == math.inf
         assert not rep.passed
