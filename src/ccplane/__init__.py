@@ -9,18 +9,14 @@ from .corevec import BACKEND
 from .kernel import (
     ORIGIN,
     DiskPoint,
-    Geodesic,
     Geometry,
     HPoint,
     SpherePoint,
     TangentPoint,
     angle_at,
     disk_to_hpoint,
-    foot_of_perpendicular,
-    geodesic_through,
     hdist,
     hpoint_to_disk,
-    intersect_geodesics,
     midpoint,
     point_along,
     radial_project,
@@ -33,18 +29,14 @@ __all__ = [
     "BACKEND",
     "ORIGIN",
     "DiskPoint",
-    "Geodesic",
     "Geometry",
     "HPoint",
     "SpherePoint",
     "TangentPoint",
     "angle_at",
     "disk_to_hpoint",
-    "foot_of_perpendicular",
-    "geodesic_through",
     "hdist",
     "hpoint_to_disk",
-    "intersect_geodesics",
     "midpoint",
     "point_along",
     "radial_project",

@@ -13,7 +13,10 @@ euclidean plane), the frame satisfies
 
 equivalently 1/(alpha+1) + 1/(beta+1) + 1/(gamma+1) = 1.  The relation
 is checked along two independent routes.  The ``verify`` campaigns
-measure the frame directly in the model.  The second route,
+measure the frame directly in the model: the sides and cevians are line
+covectors of the plane model, the feet are their meets, and the inside
+test reads the signs of ``side_value``, by one formula on all three
+planes.  The second route,
 ``projection_oracle``, runs in the tests only, on hyperbolic frames: a
 central projection onto the tangent plane at O maps the frame to a
 euclidean one with the same ratios.
@@ -135,11 +138,13 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     model = geometry.model
     a, b, c = tri.a, tri.b, tri.c
     bc, ca, ab = tri._lines
+    # Both tests are written as ``not x > y`` so that a NaN point fails
+    # the first one here rather than some later check.
     for line, opposite in ((bc, a), (ca, b), (ab, c)):
         s_o = model.side_value(line, o)
-        if abs(s_o) <= 1e-12:
-            raise DegenerateInputError("interior point lies on a side or vertex")
-        if s_o * model.side_value(line, opposite) < 0.0:
+        if not abs(s_o) > 1e-12:
+            raise DegenerateInputError("interior point lies on a side or vertex, or is not finite")
+        if not s_o * model.side_value(line, opposite) > 0.0:
             raise DomainError("point outside the triangle is out of scope")
     d = model.meet(model.line(a, o), bc, b, c)
     e = model.meet(model.line(b, o), ca, c, a)

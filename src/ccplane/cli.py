@@ -7,8 +7,9 @@ output files are written before anything goes to stdout.
 
 Each command is a short process that compiles what it imports, so each
 handler imports the layers it runs: a campaign loads only its theorem's
-layers, ``render frame`` never loads ``lexell``, and a locus never loads
-``sampling`` or ``cevians``.
+layers, ``render frame`` never loads ``lexell``, a locus never loads
+``sampling`` or ``cevians``, and only a figure (``render``, ``--svg``)
+or the axis angles of ``lexell`` load ``render``.
 """
 
 from __future__ import annotations
@@ -114,16 +115,19 @@ def _emit(document: str, path: str | None) -> None:
 
 
 def _report(record: dict, args, scene) -> None:
-    """Write the ``--svg`` figure of ``scene()``, then emit the JSON record.
+    """Write the ``--svg`` figure of ``scene(render)``, then emit the JSON
+    record.
 
-    The figure is drawn and written before anything is printed, so a
-    figure that fails to draw or a path that cannot be written exits 1
-    with nothing on stdout.
+    ``render`` is imported only here, under ``--svg``, and handed to the
+    scene builder, so a command that draws nothing never loads it.  The
+    figure is drawn and written before anything is printed, so a figure
+    that fails to draw or a path that cannot be written exits 1 with
+    nothing on stdout.
     """
     if args.svg is not None:
-        from .render import scene_to_svg
+        from . import render
 
-        _write_file(scene_to_svg(scene()), args.svg)
+        _write_file(render.scene_to_svg(scene(render)), args.svg)
     _emit(json_document(record), args.json)
 
 
@@ -141,7 +145,6 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_construct(args, parser) -> int:
     from .cevians import RatioSumInput, construct_from_ratios
-    from .render import scene_for_construction
 
     ao, bo, co, od, oe, of = args.lengths
     result = construct_from_ratios(RatioSumInput(ao, bo, co, od, oe, of))
@@ -181,7 +184,7 @@ def _cmd_construct(args, parser) -> int:
         "roundtrip_angle_residual": angle_residual,
         **_UNITS,
     }
-    _report(record, args, lambda: scene_for_construction(result))
+    _report(record, args, lambda render: render.scene_for_construction(result))
     return 0
 
 
@@ -203,7 +206,6 @@ def _lexell_apex(args):
 
 def _cmd_lexell(args, parser) -> int:
     from .lexell import BaseConfig, foliation, lexell_locus, locus_residuals
-    from .render import scene_for_foliation, scene_for_locus
 
     base = BaseConfig.from_half_distance(args.x)
     if args.foliate is not None:
@@ -215,7 +217,7 @@ def _cmd_lexell(args, parser) -> int:
             "offsets": [leaf.carrier.offset for leaf in leaves],
             **_UNITS,
         }
-        _report(record, args, lambda: scene_for_foliation(base, tuple(leaves)))
+        _report(record, args, lambda render: render.scene_for_foliation(base, tuple(leaves)))
         return 0
     if args.apex_y is None and args.apex is None:
         parser.error("need an apex: --apex-y or --apex (or --foliate)")
@@ -233,7 +235,7 @@ def _cmd_lexell(args, parser) -> int:
         "samples": args.samples,
         **_UNITS,
     }
-    _report(record, args, lambda: scene_for_locus(locus, apex))
+    _report(record, args, lambda render: render.scene_for_locus(locus, apex))
     return 0 if residuals.area_spread <= TOL_AREA else 1
 
 

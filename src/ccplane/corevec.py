@@ -152,10 +152,3 @@ def sgeo_point(p, n, t):
     return snormalize(
         (ct * p[0] + st * n[0], ct * p[1] + st * n[1], ct * p[2] + st * n[2])
     )
-
-
-def sfoot(p, n):
-    """Projection of p onto the great circle with unit normal n."""
-    s = sdot(p, n)
-    return snormalize((p[0] - s * n[0], p[1] - s * n[1], p[2] - s * n[2]))
-

@@ -2,39 +2,41 @@
 
 The hyperbolic plane is the upper sheet x0 > 0 of <x, x> = -1 in
 Minkowski 3-space with <x, y> = -x0*y0 + x1*y1 + x2*y2.  Distances obey
-cosh d(p, q) = -<p, q>, geodesics are cut out by unit spacelike normals
-(containment is <x, n> = 0), and moving distance t from p along a unit
+cosh d(p, q) = -<p, q>, and moving distance t from p along a unit
 tangent n gives cosh(t) p + sinh(t) n.  The module functions below are
-these hyperboloid primitives, which the Lexell loci, the renderer and
-the CLI call directly.  The sphere uses unit vectors in ordinary
-Euclidean 3-space with the same vocabulary; its great circles are unit
-normals inside SphereModel and have no free functions.
+these hyperboloid primitives (distances, angles, midpoints, the
+exponential map, reflections and the disk chart), which the Lexell
+loci, the renderer and the CLI call directly.  The sphere uses unit
+vectors in ordinary Euclidean 3-space, inside SphereModel.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.
 
-The checks, distances, geodesics, meets and angles that every sampled
-figure runs are written out on unpacked coordinates rather than composed
-from ``corevec`` calls: the same operations in the same order, so every
+The checks, distances and angles that every sampled figure runs are
+written out on unpacked coordinates rather than composed from
+``corevec`` calls: the same operations in the same order, so every
 value equals the ``corevec`` composition to the last bit, at a fraction
 of the call overhead.  ``corevec`` stays the reference for those and the
-home of the rest (exponential map, feet, reflections, midpoints).
+home of the rest (exponential map, reflections, midpoints).
 
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
 against it runs unchanged on the hyperbolic plane, the sphere and the
-euclidean plane.  A plane's operations live on its model; a free
-function exists only where another module calls it.  Lines are model
-values: ``model.line(p, q)`` builds one (with its checks) once, and
-``meet``, ``side_value``, ``line_residual`` and ``foot`` take it, so a
-figure that reads a side line several times builds it only once.
+euclidean plane.  Lines are one kind of value on every plane: the unit
+covector of the line in homogeneous coordinates, which ``PlaneModel``
+builds, meets, measures against and drops feet onto with one formula
+each, parameterised by the curvature.  ``model.line(p, q)`` builds one
+(with its checks) once, so a figure that reads a side line several
+times builds it only once.  A model keeps only what differs between
+the planes: how a homogeneous vector becomes a point, and its distances,
+angles, midpoints and polar coordinates.
 
 Every value type of the package (points, figures, reports, scene
 elements) derives from Record: an immutable class whose fields are its
 ``__slots__``, with equality, hashing and repr over those fields.
 Record writes one function per class, its ``__init__``, from the slot
 list and compiles it as the class is defined.  Each command is a short
-``ccplane`` process that pays for its own import: the 24 constructors
+``ccplane`` process that pays for its own import: the 23 constructors
 compile in about 3 ms, where the standard library's ``dataclasses``
 imports ``inspect``, ``ast`` and ``dis`` and compiles six functions per
 class, about 30 ms or a fifth of each command.
@@ -42,6 +44,7 @@ class, about 30 ms or a fifth of each command.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -66,8 +69,10 @@ from .errors import (
 
 Vec3 = tuple[float, float, float]
 
-# Two curves count as identical when their cross product is this small.
+# Two points span no line, and two lines are one, when their cross
+# product is this small.
 _CROSS_EPS = 1e-10
+_CROSS_EPS_SQUARED = _CROSS_EPS * _CROSS_EPS
 
 
 class Record:
@@ -202,23 +207,6 @@ class TangentPoint(Record):
 
 
 
-class Geodesic(Record):
-    """Complete hyperbolic geodesic {x upper sheet: <x, n> = 0}, stored
-    as its unit spacelike normal n (<n, n> = +1)."""
-
-    __slots__ = ("normal",)
-
-
-    def __post_init__(self) -> None:
-        n0, n1, n2 = self.normal
-        q = -n0 * n0 + n1 * n1 + n2 * n2
-        # A geodesic far from the origin has a large timelike normal
-        # component whose squares cancel; widen the band with it.
-        band = TOL_POINT * (1.0 + n0 * n0)
-        if not (abs(q - 1.0) <= band):
-            raise InvalidPointError(f"normal is not unit spacelike: {self.normal}")
-
-
 ORIGIN = HPoint((1.0, 0.0, 0.0))
 NORTH_POLE = SpherePoint((0.0, 0.0, 1.0))
 
@@ -274,51 +262,6 @@ def direction(p: HPoint, q: HPoint) -> Vec3:
     return vec.mtangent(p.v, q.v)
 
 
-def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
-    """Oriented geodesic through two distinct points.
-
-    The normal is fixed so that (p, direction(p, q), normal) is a
-    right-handed frame; swapping the arguments flips it.
-    """
-    if hdist(p, q) <= TOL_POINT:
-        raise DegenerateInputError("geodesic through coincident points")
-    p0, p1, p2 = p.v
-    q0, q1, q2 = q.v
-    c0 = -(p1 * q2 - p2 * q1)
-    c1 = p2 * q0 - p0 * q2
-    c2 = p0 * q1 - p1 * q0
-    cc = -c0 * c0 + c1 * c1 + c2 * c2
-    # For two far points the cross product can round to a vector that
-    # is not spacelike, which has no unit normal.
-    if not cc > 0.0:
-        raise DegenerateInputError("points too far apart to span a geodesic")
-    s = math.sqrt(cc)
-    return Geodesic((c0 / s, c1 / s, c2 / s))
-
-
-def geodesic_residual(g: Geodesic, p: HPoint) -> float:
-    """|<p, n>|: zero exactly when p lies on g."""
-    return abs(vec.minner(p.v, g.normal))
-
-
-def intersect_geodesics(g1: Geodesic, g2: Geodesic) -> HPoint | None:
-    """Common point of two geodesics, or None when they do not meet.
-
-    Returns None for ultraparallel and asymptotically parallel pairs;
-    identical geodesics are rejected as degenerate.
-    """
-    a0, a1, a2 = g1.normal
-    b0, b1, b2 = g2.normal
-    c0 = -(a1 * b2 - a2 * b1)
-    c1 = a2 * b0 - a0 * b2
-    c2 = a0 * b1 - a1 * b0
-    if max(abs(c0), abs(c1), abs(c2)) <= _CROSS_EPS:
-        raise DegenerateInputError("identical geodesics")
-    if -c0 * c0 + c1 * c1 + c2 * c2 >= 0.0:
-        return None
-    return HPoint(vec.mnormalize_point((c0, c1, c2)))
-
-
 # Beyond this time coordinate (distance ~5 from the origin) tangent
 # components grow large enough for their Gram products to wash out
 # small angles, so the vertex is first moved onto the origin.
@@ -371,19 +314,17 @@ def _tangent_at(p: Vec3, q: Vec3) -> Vec3:
     return (w0 / s, w1 / s, w2 / s)
 
 
-def foot_of_perpendicular(p: HPoint, g: Geodesic) -> HPoint:
-    """Nearest point of g to p; sinh of the drop equals |<p, n>|."""
-    return HPoint(vec.mfoot(p.v, g.normal))
-
-
 def midpoint(p: HPoint, q: HPoint) -> HPoint:
     """Point halfway along the segment from p to q."""
     return HPoint(vec.mmid(p.v, q.v))
 
 
-def reflect_across(g: Geodesic, p: HPoint) -> HPoint:
-    """Image of p under the reflection fixing g."""
-    return HPoint(vec.mreflect(p.v, g.normal))
+def reflect_across(l: Vec3, p: HPoint) -> HPoint:
+    """Image of p under the reflection fixing the line with covector l.
+
+    The line's unit spacelike normal is (-l0, l1, l2); see PlaneModel.
+    """
+    return HPoint(vec.mreflect(p.v, (-l[0], l[1], l[2])))
 
 
 def disk_to_hpoint(d: DiskPoint) -> HPoint:
@@ -458,16 +399,16 @@ class PlaneModel:
       in direction theta.
     - ``coords(p)`` and ``project(v)``: ambient coordinates of a point,
       and the point on the ray through v (central projection).
+    - ``lift(p)``: homogeneous coordinates P of a point, ``p.v`` on the
+      hyperboloid and the sphere and (1, x, y) in the euclidean plane.
     - ``line(p, q)``: the oriented line through two distinct points, as
-      a value the line operations below take.  It is a Geodesic on the
-      hyperboloid, the unit normal of the great circle on the sphere and
-      the pair (p, q) in the euclidean plane.  Points too close to span
-      a line raise DegenerateInputError on every plane.  A figure that
-      reads a line more than once builds it once and keeps it.
+      its unit covector l, which the line operations below take.  A
+      figure that reads a line more than once builds it once and keeps it.
     - ``meet(l, m, s1, s2)``: where line l meets line m = line(s1, s2);
-      on the sphere, the one of the antipodal pair on [s1, s2].
-    - ``side_value(l, p)``: the signed position of p against line l.
-    - ``line_residual(l, p)``: zero exactly when p is on line l.
+      on the sphere, the one of the antipodal pair on [s1, s2].  Lines
+      that do not meet (ultraparallel, parallel) raise GeometryError.
+    - ``side_value(l, p)``: l . P, s_K of the signed distance from p to l.
+    - ``line_residual(l, p)``: |l . P|, zero exactly when p is on line l.
     - ``foot(p, l)``: the point of line l nearest p.
     - ``versine(d)``: X(d) = 2 s_K(d/2)^2, that is cosh d - 1, 1 - cos d
       or d^2/2, in which the three planes share their trigonometry.
@@ -478,10 +419,70 @@ class PlaneModel:
       curvature.
     - ``side_limit``: the longest length a triangle side, hypotenuse or
       stretch ratio may have; every plane checks ``x > side_limit``.
+
+    The five line operations are written once, here, in homogeneous
+    coordinates (the central projection of each plane, in which lines
+    are straight).  Points carry the form diag(1, kappa, kappa) and lines
+    diag(kappa, 1, 1).  The line through p and q is the plain cross
+    product P x Q, scaled to unit line form kappa l0^2 + l1^2 + l2^2 = 1.
+    Its unscaled form is s_K(dist(p, q))^2, so a pair whose form is at
+    most _CROSS_EPS^2 spans no line: coincident points, antipodal ones on
+    the sphere, and on the hyperboloid points so far out that the rounded
+    product is not spacelike.  (The product rounds by about 4 eps p0 q0,
+    below _CROSS_EPS out to v0 ~ 300, distance 6.4, past every sampled
+    figure; ``lexell_locus`` checks its far midpoints with ``hdist``.)
+    On the hyperboloid l is the unit spacelike normal n of the geodesic
+    with component 0 negated, l = (-n0, n1, n2), so l . P = <P, n> to
+    the last bit.  Lines l and m meet at l x m, and the foot of p is
+    P - (l . P) (kappa l0, l1, l2), whose point form is 1 - kappa (l . P)^2.
+    Each model turns a homogeneous vector back into its point: onto the
+    upper sheet, onto the sphere, or to x0 = 1 (``_normalize``), and
+    checks that a meet is a point of the plane (``_meet_point``).
     """
 
-    def coords(self, p) -> Vec3:
-        return p.v
+    lift = coords = staticmethod(operator.attrgetter("v"))
+
+    def line(self, p, q) -> Vec3:
+        p0, p1, p2 = self.lift(p)
+        q0, q1, q2 = self.lift(q)
+        l0 = p1 * q2 - p2 * q1
+        l1 = p2 * q0 - p0 * q2
+        l2 = p0 * q1 - p1 * q0
+        nn = self.kappa * (l0 * l0) + l1 * l1 + l2 * l2
+        if not nn > _CROSS_EPS_SQUARED:
+            raise DegenerateInputError(
+                "points coincide, are antipodal or are too far apart to span a line"
+            )
+        s = math.sqrt(nn)
+        return (l0 / s, l1 / s, l2 / s)
+
+    def side_value(self, l: Vec3, p) -> float:
+        p0, p1, p2 = self.lift(p)
+        return p0 * l[0] + p1 * l[1] + p2 * l[2]
+
+    def line_residual(self, l: Vec3, p) -> float:
+        p0, p1, p2 = self.lift(p)
+        return abs(p0 * l[0] + p1 * l[1] + p2 * l[2])
+
+    def meet(self, l: Vec3, m: Vec3, s1, s2):
+        a0, a1, a2 = l
+        b0, b1, b2 = m
+        x0 = a1 * b2 - a2 * b1
+        x1 = a2 * b0 - a0 * b2
+        x2 = a0 * b1 - a1 * b0
+        if x0 * x0 + x1 * x1 + x2 * x2 <= _CROSS_EPS_SQUARED:
+            raise DegenerateInputError("identical lines")
+        return self._meet_point((x0, x1, x2), l, s1, s2)
+
+    def foot(self, p, l: Vec3):
+        p0, p1, p2 = self.lift(p)
+        l0, l1, l2 = l
+        h = p0 * l0 + p1 * l1 + p2 * l2
+        # 1 - h^2 = (1 - |h|)(1 + |h|): on the sphere p is within
+        # TOL_POINT of a pole of the line, equally far from all its points.
+        if 1.0 - self.kappa * (h * h) <= 2.0 * TOL_POINT:
+            raise DegenerateInputError("every point of the line is equally far from p")
+        return self._normalize((p0 - h * (self.kappa * l0), p1 - h * l1, p2 - h * l2))
 
     def versine(self, d: float) -> float:
         """X(d) = 2 s_K(d/2)^2: cosh d - 1, 1 - cos d or d^2/2."""
@@ -555,25 +556,16 @@ class HyperboloidModel(PlaneModel):
     def project(self, v: Vec3) -> HPoint:
         return normalize_to_hyperboloid(v)
 
-    def line(self, p: HPoint, q: HPoint) -> Geodesic:
-        return geodesic_through(p, q)
+    def _normalize(self, x: Vec3) -> HPoint:
+        return HPoint(vec.mnormalize_point(x))
 
-    def meet(self, l: Geodesic, m: Geodesic, s1: HPoint, s2: HPoint) -> HPoint:
-        x = intersect_geodesics(l, m)
-        if x is None:
-            raise GeometryError("cevian does not reach the opposite side")
-        return x
-
-    def side_value(self, l: Geodesic, p: HPoint) -> float:
-        p0, p1, p2 = p.v
-        n0, n1, n2 = l.normal
-        return -p0 * n0 + p1 * n1 + p2 * n2
-
-    def line_residual(self, l: Geodesic, p: HPoint) -> float:
-        return geodesic_residual(l, p)
-
-    def foot(self, p: HPoint, l: Geodesic) -> HPoint:
-        return foot_of_perpendicular(p, l)
+    def _meet_point(self, x: Vec3, l: Vec3, s1: HPoint, s2: HPoint) -> HPoint:
+        # Ultraparallel and asymptotically parallel lines meet outside
+        # the sheet, where x is not timelike.
+        x0, x1, x2 = x
+        if -x0 * x0 + x1 * x1 + x2 * x2 >= 0.0:
+            raise GeometryError("the lines do not meet")
+        return HPoint(vec.mnormalize_point(x))
 
 
 class SphereModel(PlaneModel):
@@ -623,29 +615,16 @@ class SphereModel(PlaneModel):
         n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
         return SpherePoint((v[0] / n, v[1] / n, v[2] / n))
 
-    @staticmethod
-    def line(p: SpherePoint, q: SpherePoint) -> Vec3:
-        """Unit normal of the great circle through p and q."""
-        p0, p1, p2 = p.v
-        q0, q1, q2 = q.v
-        c0 = p1 * q2 - p2 * q1
-        c1 = p2 * q0 - p0 * q2
-        c2 = p0 * q1 - p1 * q0
-        s = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-        if s <= _CROSS_EPS:
-            raise DegenerateInputError("great circle undefined for coincident or antipodal points")
-        return (c0 / s, c1 / s, c2 / s)
+    def _normalize(self, x: Vec3) -> SpherePoint:
+        # corevec.snormalize, written out.
+        x0, x1, x2 = x
+        s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        return SpherePoint((x0 / s, x1 / s, x2 / s))
 
-    def meet(self, l: Vec3, m: Vec3, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
-        a0, a1, a2 = l
-        b0, b1, b2 = m
-        c0 = a1 * b2 - a2 * b1
-        c1 = a2 * b0 - a0 * b2
-        c2 = a0 * b1 - a1 * b0
-        s = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-        if s <= _CROSS_EPS:
-            raise DegenerateInputError("identical great circles")
-        x0, x1, x2 = c0 / s, c1 / s, c2 / s
+    def _meet_point(self, x: Vec3, l: Vec3, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
+        x0, x1, x2 = x
+        s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        x0, x1, x2 = x0 / s, x1 / s, x2 / s
         # The circles meet at x and -x; x is the one nearer the arc [s1, s2]
         # when |s1 x| + |x s2| <= pi, which holds exactly when x . (s1 + s2)
         # >= 0, since cos a + cos b = 2 cos((a + b)/2) cos((a - b)/2).
@@ -654,19 +633,6 @@ class SphereModel(PlaneModel):
         if x0 * (u[0] + v[0]) + x1 * (u[1] + v[1]) + x2 * (u[2] + v[2]) >= 0.0:
             return SpherePoint((x0, x1, x2))
         return SpherePoint((-x0, -x1, -x2))
-
-    def side_value(self, l: Vec3, p: SpherePoint) -> float:
-        p0, p1, p2 = p.v
-        return p0 * l[0] + p1 * l[1] + p2 * l[2]
-
-    def line_residual(self, l: Vec3, p: SpherePoint) -> float:
-        p0, p1, p2 = p.v
-        return abs(p0 * l[0] + p1 * l[1] + p2 * l[2])
-
-    def foot(self, p: SpherePoint, l: Vec3) -> SpherePoint:
-        if 1.0 - abs(vec.sdot(p.v, l)) <= TOL_POINT:
-            raise DegenerateInputError("every circle point is equidistant from its pole")
-        return SpherePoint(vec.sfoot(p.v, l))
 
     @staticmethod
     def _tangent(p: SpherePoint, q: SpherePoint) -> Vec3:
@@ -685,9 +651,8 @@ class SphereModel(PlaneModel):
 
 
 EuclidPoint = tuple[float, float]
-# Points closer than TOL_POINT span no line; squared, so no root is taken.
-_TOL_POINT_SQUARED = TOL_POINT * TOL_POINT
-EuclidLine = tuple[EuclidPoint, EuclidPoint]
+# Lines whose unit normals make a smaller sine than this are parallel.
+_PARALLEL_EPS = 1e-14
 
 
 class EuclideanModel(PlaneModel):
@@ -698,6 +663,8 @@ class EuclideanModel(PlaneModel):
     # The identity, as a builtin call: unary plus returns a float unchanged
     # (signed zeros and NaN included), at half the cost of a def.
     s_K = s_K_inv = t_K = t_K_inv = staticmethod(operator.pos)
+    # (1.0,) + p = (1.0, x, y), also as a builtin call.
+    lift = staticmethod(functools.partial(operator.add, (1.0,)))
 
     def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
         return math.hypot(p[0] - q[0], p[1] - q[1])
@@ -719,43 +686,25 @@ class EuclideanModel(PlaneModel):
     def project(self, v: EuclidPoint) -> EuclidPoint:
         return v
 
-    def line(self, p: EuclidPoint, q: EuclidPoint) -> EuclidLine:
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        if dx * dx + dy * dy <= _TOL_POINT_SQUARED:
-            raise DegenerateInputError("line through coincident points")
-        return (p, q)
+    def _normalize(self, x: Vec3) -> EuclidPoint:
+        return (x[1] / x[0], x[2] / x[0])
 
-    def meet(
-        self, l: EuclidLine, m: EuclidLine, s1: EuclidPoint, s2: EuclidPoint
+    def _meet_point(
+        self, x: Vec3, l: Vec3, s1: EuclidPoint, s2: EuclidPoint
     ) -> EuclidPoint:
-        # m is the pair (s1, s2) itself; both lines are read as pairs.
-        (p1x, p1y), (p2x, p2y) = l
-        (s1x, s1y), (s2x, s2y) = m
-        dux, duy = p2x - p1x, p2y - p1y
-        dvx, dvy = s2x - s1x, s2y - s1y
-        den = dux * dvy - duy * dvx
-        if abs(den) <= 1e-14 * (math.hypot(dux, duy) * math.hypot(dvx, dvy) + 1e-300):
-            raise GeometryError("cevian does not reach the opposite side")
-        t = ((s1x - p1x) * dvy - (s1y - p1y) * dvx) / den
-        return (p1x + t * dux, p1y + t * duy)
-
-    def side_value(self, l: EuclidLine, p: EuclidPoint) -> float:
-        (s1x, s1y), (s2x, s2y) = l
-        return (s2x - s1x) * (p[1] - s1y) - (s2y - s1y) * (p[0] - s1x)
-
-    def line_residual(self, l: EuclidLine, p: EuclidPoint) -> float:
-        (s1x, s1y), (s2x, s2y) = l
-        ux, uy = s2x - s1x, s2y - s1y
-        return abs(ux * (p[1] - s1y) - uy * (p[0] - s1x)) / math.hypot(ux, uy)
-
-    def foot(self, p: EuclidPoint, l: EuclidLine) -> EuclidPoint:
-        (s1x, s1y), (s2x, s2y) = l
-        ux, uy = s2x - s1x, s2y - s1y
-        uu = ux * ux + uy * uy
-        if not uu > 0.0:
-            raise DegenerateInputError("line through coincident points")
-        t = ((p[0] - s1x) * ux + (p[1] - s1y) * uy) / uu
-        return (s1x + t * ux, s1y + t * uy)
+        # x0 is the sine between the unit normals of l and m.  With
+        # m = line(s1, s2), x is proportional to b S1 - a S2 for a = l . S1
+        # and b = l . S2, so x / x0 = S1 + t (S2 - S1) with t = a / (a - b):
+        # the same point, laid off from s1 along m, so that an error in t
+        # moves it along m by that error times |s1 s2|.
+        if not abs(x[0]) > _PARALLEL_EPS:
+            raise GeometryError("parallel lines do not meet")
+        l0, l1, l2 = l
+        (ax, ay), (bx, by) = s1, s2
+        a = l0 + ax * l1 + ay * l2
+        b = l0 + bx * l1 + by * l2
+        t = a / (a - b)
+        return (ax + t * (bx - ax), ay + t * (by - ay))
 
 
 Geometry.HYPERBOLIC.model = HyperboloidModel()

@@ -65,7 +65,7 @@ from .errors import (
     GeometryError,
     InfeasibleAreaError,
 )
-from .kernel import Geodesic, Geometry, HPoint, Record, Vec3
+from .kernel import Geometry, HPoint, Record, Vec3
 
 # Ceiling for apex heights; the area gap to its supremum at this height
 # is far below double precision.
@@ -77,8 +77,8 @@ SAMPLE_RANGE = 3.0
 # Half-length of the truncated base approximating ideal base vertices.
 IDEAL_TRUNCATION = 15.0
 
-# An apex whose |<p, n>| against the base line is at most this lies on
-# the line.  For an apex at height y on the bisector it is sinh(y).
+# An apex whose ``line_residual`` against the base line is at most this
+# lies on the line.  For an apex at height y on the bisector it is sinh(y).
 BASE_LINE_TOL = 1e-9
 
 # HPoint's check sums squares of two coordinates, so none may exceed
@@ -91,7 +91,8 @@ _MODEL = Geometry.HYPERBOLIC.model
 
 
 class Hypercycle(Record):
-    """Points at constant signed distance ``offset`` from ``axis``."""
+    """Points at constant signed distance ``offset`` from ``axis``, a
+    line covector of the hyperbolic model (``PlaneModel.line``)."""
 
     # ``__dict__`` holds the cached ``_axis_frame``.
     __slots__ = ("axis", "offset", "__dict__")
@@ -105,13 +106,14 @@ class Hypercycle(Record):
         """Foot g0 of the model origin on the axis, the axis tangent there,
         cosh and sinh of the offset, and the reach: a bound on |s| within
         which every point's coordinates fit HPoint's check."""
-        g0 = k.foot_of_perpendicular(k.ORIGIN, self.axis).v
+        g0 = _MODEL.foot(k.ORIGIN, self.axis).v
+        l0, l1, l2 = self.axis
         co = math.cosh(self.offset)
         # g0, u0 and the normal have coordinates of at most g0[0], so a
         # point's are at most 3 g0[0] cosh(offset) e^|s|.
         return (
             g0,
-            vec.mcross(g0, self.axis.normal),
+            vec.mcross(g0, (-l0, l1, l2)),
             co,
             math.sinh(self.offset),
             _LOG_COORD_MAX - math.log(3.0 * g0[0] * co),
@@ -120,13 +122,14 @@ class Hypercycle(Record):
 
 def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
     """How far p misses the curve, as |sinh(dist) - sinh(offset)|."""
-    return abs(vec.minner(p.v, hc.axis.normal) - hc._axis_frame[3])
+    return abs(_MODEL.side_value(hc.axis, p) - hc._axis_frame[3])
 
 
 def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
     """Points over the axis positions, in one pass over the curve.
 
-    With gamma the unit-speed axis and n its normal, the curve is
+    With gamma the unit-speed axis and n = (-l0, l1, l2) its unit
+    normal, for the axis covector l, the curve is
     cosh(offset) * gamma(s) + sinh(offset) * n, which stays at signed
     distance ``offset`` for every s; s = 0 is nearest the model origin.
     The curve's frame (the axis foot g0 and tangent u0, cosh and sinh
@@ -139,7 +142,8 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
     g0, u0, co, so, reach = hc._axis_frame
     g00, g01, g02 = g0
     u00, u01, u02 = u0
-    n0, n1, n2 = hc.axis.normal
+    l0, n1, n2 = hc.axis
+    n0 = -l0
     cosh, sinh, point = math.cosh, math.sinh, HPoint
     pts = []
     append = pts.append
@@ -195,12 +199,12 @@ class BaseConfig(Record):
             raise DomainError(f"half-distance {x} outside (0, {MAX_HYPERBOLIC_SIDE / 2.0}]")
         return cls(a=_MODEL.polar(0.0, x), b=_MODEL.polar(0.0, -x), half_distance=x)
 
-    def base_line(self) -> Geodesic:
-        return k.geodesic_through(self.a, self.b)
+    def base_line(self) -> Vec3:
+        return _MODEL.line(self.a, self.b)
 
 
 # Perpendicular bisector of every standard-position base: the set x1 = 0.
-_BISECTOR = Geodesic((0.0, 1.0, 0.0))
+_BISECTOR = (0.0, 1.0, 0.0)
 
 
 class AreaLocus(Record):
@@ -222,10 +226,11 @@ def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
 def _base_areas(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
     """Area of each triangle z a b, from z's Fermi coordinates over line ab.
 
-    n is the unit normal of the base line and e its unit tangent at the
-    base midpoint m, turned toward a; the vertices sit at arclengths
-    sa = asinh <a, e> and sb = asinh <b, e> from m.  For a sample z,
-    h = <z, n> is the sinh of its signed height and t = |asinh h|; its
+    l is the covector of the base line, n = (-l0, l1, l2) its unit
+    normal, and e its unit tangent at the base midpoint m, turned toward
+    a; the vertices sit at arclengths sa = asinh <a, e> and
+    sb = asinh <b, e> from m.  For a sample z, h = l . z = <z, n> is the
+    sinh of its signed height and t = |asinh h|; its
     foot on the line sits at s = asinh(<z, e> / hypot(1, h)).  The
     perpendicular from z cuts the triangle into right triangles with
     legs (sa - s, t) and (s - sb, t); ``_right_area`` is odd in its first
@@ -260,8 +265,8 @@ def _base_areas(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
     area spread by at most twice that: 2 eps (7 pi + 9 + 6X).  The
     samples' own rounding, from ``hypercycle_points``, is not in it.
     """
-    n0, n1, n2 = n = k.geodesic_through(a, b).normal
-    e0, e1, e2 = vec.mcross(k.midpoint(a, b).v, n)
+    l0, l1, l2 = _MODEL.line(a, b)
+    e0, e1, e2 = vec.mcross(k.midpoint(a, b).v, (-l0, l1, l2))
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
     ga = -a0 * e0 + a1 * e1 + a2 * e2
@@ -273,7 +278,7 @@ def _base_areas(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
     areas = []
     for z in pts:
         z0, z1, z2 = z.v
-        h = -z0 * n0 + z1 * n1 + z2 * n2
+        h = z0 * l0 + z1 * l1 + z2 * l2
         t = abs(asinh(h))
         s = asinh((-z0 * e0 + z1 * e1 + z2 * e2) / hypot(1.0, h))
         areas.append(right(sa - s, t) + right(s - sb, t))
@@ -371,27 +376,27 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     and B on the mirror, P on the carrier); area constancy is the theorem
     itself, and ``locus_residuals`` alone samples and measures it.
     """
-    if k.geodesic_residual(base.base_line(), p) <= BASE_LINE_TOL:
+    if _MODEL.line_residual(base.base_line(), p) <= BASE_LINE_TOL:
         raise DegenerateInputError("apex lies on the base line")
     p_mirror = k.reflect_across(_BISECTOR, p)
     m1 = k.midpoint(p, base.a)
     m2 = k.midpoint(p_mirror, base.b)
     if k.hdist(m1, m2) <= TOL_POINT:
         raise DegenerateInputError("midpoints coincide; axis is undetermined")
-    axis = k.geodesic_through(m1, m2)
+    axis = _MODEL.line(m1, m2)
     # Measure the offset against the base vertices rather than the apex:
-    # <p, n> cancels catastrophically for a far apex, while a and b stay
+    # l . p cancels catastrophically for a far apex, while a and b stay
     # near the origin and keep full precision.  The mirror holds both,
     # so their signed distances must agree.
-    sa = math.asinh(vec.minner(base.a.v, axis.normal))
-    sb = math.asinh(vec.minner(base.b.v, axis.normal))
+    sa = math.asinh(_MODEL.side_value(axis, base.a))
+    sb = math.asinh(_MODEL.side_value(axis, base.b))
     if abs(sa - sb) > TOL_ID:
         raise GeometryError("base vertex misses the mirror hypercycle")
     offset = -0.5 * (sa + sb)
     if offset < 0.0:
         # Orient the axis so its normal points at the apex side; the
         # carrier offset is then always positive.
-        axis = Geodesic(tuple(-c for c in axis.normal))
+        axis = (-axis[0], -axis[1], -axis[2])
         offset = -offset
     carrier = Hypercycle(axis, offset)
     mirror = Hypercycle(axis, -offset)
@@ -423,11 +428,11 @@ def locus_residuals(
     a, b = locus.base.a, locus.base.b
     pts = hypercycle_samples(locus.carrier, samples)
     areas = _base_areas(pts, a, b)
-    # The midpoints of z a and z b lie on the axis: |<mid, n>| as in
-    # ``geodesic_residual``, on midpoints built as ``midpoint`` builds them.
+    # The midpoints of z a and z b lie on the axis: ``line_residual``
+    # written out, on midpoints built as ``midpoint`` builds them.
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
-    n0, n1, n2 = locus.carrier.axis.normal
+    l0, l1, l2 = locus.carrier.axis
     normalize = vec.mnormalize_point
     midline = 0.0
     for z in pts:
@@ -436,8 +441,8 @@ def locus_residuals(
         mb0, mb1, mb2 = HPoint(normalize((z0 + b0, z1 + b1, z2 + b2))).v
         midline = max(
             midline,
-            abs(-ma0 * n0 + ma1 * n1 + ma2 * n2),
-            abs(-mb0 * n0 + mb1 * n1 + mb2 * n2),
+            abs(ma0 * l0 + ma1 * l1 + ma2 * l2),
+            abs(mb0 * l0 + mb1 * l1 + mb2 * l2),
         )
     subarc = (
         equal_subarc_check(locus, chords, seed=seed) if chords > 0 else 0.0
@@ -453,17 +458,17 @@ def locus_residuals(
     )
 
 
-def chord_crossing(z1: HPoint, z2: HPoint, axis: Geodesic) -> HPoint:
+def chord_crossing(z1: HPoint, z2: HPoint, axis: Vec3) -> HPoint:
     """Point where the axis cuts the segment z1 z2, in closed form.
 
-    With s_i = <z_i, n> of opposite signs, w = |s2| z1 + |s1| z2 has
-    <w, n> = |s2| s1 + |s1| s2 = 0 and lies in span(z1, z2): it is on
-    both the axis and the chord.  A positive combination of two
+    With s_i = l . z_i (``side_value``) of opposite signs,
+    w = |s2| z1 + |s1| z2 has l . w = |s2| s1 + |s1| s2 = 0 and lies in
+    span(z1, z2): it is on both the axis and the chord.  A positive combination of two
     future-timelike vectors is future-timelike, so w always normalizes
     onto the sheet and the two lines always meet.
     """
-    s1 = vec.minner(z1.v, axis.normal)
-    s2 = vec.minner(z2.v, axis.normal)
+    s1 = _MODEL.side_value(axis, z1)
+    s2 = _MODEL.side_value(axis, z2)
     if s1 * s2 >= 0.0:
         raise DomainError("chord endpoints must straddle the axis")
     w1, w2 = abs(s2), abs(s1)
@@ -475,7 +480,7 @@ def chord_crossing(z1: HPoint, z2: HPoint, axis: Geodesic) -> HPoint:
     )
 
 
-def chord_split(z1: HPoint, z2: HPoint, axis: Geodesic) -> tuple[float, float]:
+def chord_split(z1: HPoint, z2: HPoint, axis: Vec3) -> tuple[float, float]:
     """Lengths of the two pieces the axis cuts from segment z1 z2.
 
     The cut point is ``chord_crossing``; both lengths go through
@@ -567,15 +572,15 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     for i in range(1, len(leaves)):
         if not leaves[i].carrier.offset > leaves[i - 1].carrier.offset:
             raise GeometryError("leaf offsets fail to grow with area")
-    # A sample z of one leaf lies on another when |<z, n> - sinh(offset)|,
+    # A sample z of one leaf lies on another when |l . z - sinh(offset)|,
     # ``hypercycle_residual``, is within TOL_ID.
-    curves = [(leaf.carrier.axis.normal, leaf.carrier._axis_frame[3]) for leaf in leaves]
+    curves = [(leaf.carrier.axis, leaf.carrier._axis_frame[3]) for leaf in leaves]
     for i, leaf in enumerate(leaves):
         others = curves[:i] + curves[i + 1:]
         for z in hypercycle_samples(leaf.carrier, 50):
             z0, z1, z2 = z.v
-            for (n0, n1, n2), so in others:
-                if abs(-z0 * n0 + z1 * n1 + z2 * n2 - so) <= TOL_ID:
+            for (l0, l1, l2), so in others:
+                if abs(z0 * l0 + z1 * l1 + z2 * l2 - so) <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")
     return leaves
 

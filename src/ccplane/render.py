@@ -14,11 +14,14 @@ import sys
 
 from . import kernel as k
 from .errors import DomainError, GeometryError, OutOfModelError
-from .kernel import Geodesic, Geometry, HPoint, Record
+from .kernel import Geometry, HPoint, Record, Vec3
 
 # CevianFrame and ConstructionResult (cevians) and AreaLocus, BaseConfig
 # and Hypercycle (lexell) appear in annotations only, which are never
 # evaluated: a frame figure does not load lexell, nor a locus cevians.
+
+# The disk draws the hyperbolic plane; its model builds the segment lines.
+_MODEL = Geometry.HYPERBOLIC.model
 
 # Interior coordinates may poke out of the unit circle by rounding only.
 _DISK_SLACK = 1e-9
@@ -83,43 +86,44 @@ def disk_xy(p: HPoint) -> XY:
     return (d.u, d.w)
 
 
-def ideal_endpoints(g: Geodesic) -> tuple[XY, XY]:
-    """Boundary-circle points of a geodesic.
+def ideal_endpoints(l: Vec3) -> tuple[XY, XY]:
+    """Boundary-circle points of the geodesic with line covector l.
 
-    A lightlike direction (1, x, y) lies on the geodesic's plane when
-    n1 x + n2 y = n0; with a unit spacelike normal the line always cuts
+    A lightlike direction (1, x, y) lies on the geodesic when
+    l0 + l1 x + l2 y = 0; with a unit covector the line always cuts
     the unit circle twice.
     """
-    n0, n1, n2 = g.normal
-    l2 = n1 * n1 + n2 * n2
-    fx, fy = n0 * n1 / l2, n0 * n2 / l2
-    # l2 - n0^2 = <n, n> = 1 exactly, so the half-chord is 1/l2.
-    hx, hy = -n2 / l2, n1 / l2
+    l0, l1, l2 = l
+    q = l1 * l1 + l2 * l2
+    fx, fy = -l0 * l1 / q, -l0 * l2 / q
+    # q - l0^2 = 1 exactly (unit line form), so the half-chord is 1/q.
+    hx, hy = -l2 / q, l1 / q
     return ((fx + hx, fy + hy), (fx - hx, fy - hy))
 
 
-def _arc_or_chord(g: Geodesic, start: XY, end: XY, style: str) -> SceneArc | SceneChord:
-    # The geodesic's circle has center (n1, n2)/n0 and radius 1/|n0|,
-    # so |c|^2 - r^2 = <n, n>/n0^2 = 1 up to rounding.  It strays from
-    # a straight line by at most |n0|/2 inside the disk; below the
-    # drawing resolution the straight chord is drawn instead.
-    n0, n1, n2 = g.normal
-    if abs(n0) <= _DRAW_RESOLUTION:
+def _arc_or_chord(l: Vec3, start: XY, end: XY, style: str) -> SceneArc | SceneChord:
+    # The geodesic's circle has center -(l1, l2)/l0 and radius 1/|l0|,
+    # so |c|^2 - r^2 = (l1^2 + l2^2 - l0^2)/l0^2 = 1 up to rounding.  It
+    # strays from a straight line by at most |l0|/2 inside the disk;
+    # below the drawing resolution the straight chord is drawn instead.
+    l0, l1, l2 = l
+    if abs(l0) <= _DRAW_RESOLUTION:
         return SceneChord(start[0], start[1], end[0], end[1], style=style)
     return SceneArc(
-        start[0], start[1], end[0], end[1], n1 / n0, n2 / n0, 1.0 / abs(n0), style=style
+        start[0], start[1], end[0], end[1], -l1 / l0, -l2 / l0, 1.0 / abs(l0), style=style
     )
 
 
-def arc_for_geodesic(g: Geodesic, style: str = "side") -> SceneArc | SceneChord:
-    """Full geodesic as a boundary-to-boundary arc or diameter."""
-    u, v = ideal_endpoints(g)
-    return _arc_or_chord(g, u, v, style)
+def arc_for_geodesic(l: Vec3, style: str = "side") -> SceneArc | SceneChord:
+    """Full geodesic, given by its line covector, as a boundary-to-boundary
+    arc or diameter."""
+    u, v = ideal_endpoints(l)
+    return _arc_or_chord(l, u, v, style)
 
 
 def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | SceneChord:
     """Geodesic segment between two points as an arc or chord."""
-    return _arc_or_chord(k.geodesic_through(p, q), disk_xy(p), disk_xy(q), style)
+    return _arc_or_chord(_MODEL.line(p, q), disk_xy(p), disk_xy(q), style)
 
 
 def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
@@ -258,7 +262,7 @@ def validate_scene(scene: RenderScene) -> None:
     for arc in scene.arcs:
         _check_inside(arc.x1, arc.y1, "arc endpoint")
         _check_inside(arc.x2, arc.y2, "arc endpoint")
-        # cx, cy and r are quotients of a normal that is unit only up to
+        # cx, cy and r are quotients of a covector that is unit only up to
         # rounding; for near-diameters that noise outgrows _ORTHO_TOL.
         ortho = abs(arc.cx * arc.cx + arc.cy * arc.cy - (arc.r * arc.r + 1.0))
         if ortho > _ORTHO_TOL + _ORTHO_NOISE * (1.0 + arc.r * arc.r):

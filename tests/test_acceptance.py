@@ -145,9 +145,10 @@ def test_criterion_05_construction_round_trip(frames):
             abs(rebuilt.r - frame.r),
         )
     tri = equilateral_triangle(1.0, HYP)
-    o = k.intersect_geodesics(
-        k.geodesic_through(tri.a, k.midpoint(tri.b, tri.c)),
-        k.geodesic_through(tri.b, k.midpoint(tri.c, tri.a)),
+    model = HYP.model
+    e = k.midpoint(tri.c, tri.a)
+    o = model.meet(
+        model.line(tri.a, k.midpoint(tri.b, tri.c)), model.line(tri.b, e), tri.b, e
     )
     res = construct_from_ratios(RatioSumInput.from_frame(cevian_frame(tri, o)))
     third = 2.0 * math.pi / 3.0

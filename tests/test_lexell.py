@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ccplane import kernel as k
 from ccplane import lexell
 from ccplane.cevians import Triangle
-from ccplane.corevec import mcross, minner
+from ccplane.corevec import mcross, mfoot, minner
 from ccplane.errors import (
     DegenerateInputError,
     DomainError,
@@ -21,12 +21,10 @@ from ccplane.errors import (
 )
 from ccplane.kernel import (
     ORIGIN,
-    Geodesic,
     Geometry,
+    HPoint,
+    PlaneModel,
     angle_at,
-    foot_of_perpendicular,
-    geodesic_residual,
-    geodesic_through,
     point_along,
     reflect_across,
     tangent_direction,
@@ -70,7 +68,13 @@ from ccplane.lexell import (
 from ccplane.sampling import substream
 from ccplane.trig import clamped_acos
 
-BISECTOR = Geodesic((0.0, 1.0, 0.0))
+HYP = Geometry.HYPERBOLIC.model
+BISECTOR = (0.0, 1.0, 0.0)
+
+
+def _normal(l):
+    """Unit spacelike normal of the geodesic with line covector l."""
+    return (-l[0], l[1], l[2])
 
 
 def _perp_apex(height: float):
@@ -259,20 +263,20 @@ class TestFarVertexAngles:
 
 class TestHypercycle:
     def test_points_keep_their_offset(self):
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.8)
+        hc = Hypercycle((0.0, 0.0, 1.0), 0.8)
         for s in (-3.0, -0.7, 0.0, 1.1, 3.0):
             assert hypercycle_residual(hc, hypercycle_point(hc, s)) < 1e-12
 
     def test_zero_offset_is_the_axis(self):
-        axis = Geodesic((0.0, 0.0, 1.0))
+        axis = (0.0, 0.0, 1.0)
         hc = Hypercycle(axis, 0.0)
         for s in (-2.0, 0.5, 2.0):
-            assert geodesic_residual(axis, hypercycle_point(hc, s)) < 1e-12
+            assert HYP.line_residual(axis, hypercycle_point(hc, s)) < 1e-12
 
     def test_parameter_is_axis_arclength(self):
         from ccplane.kernel import hdist
 
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.0)
+        hc = Hypercycle((0.0, 0.0, 1.0), 0.0)
         p0 = hypercycle_point(hc, 0.0)
         p1 = hypercycle_point(hc, 1.5)
         assert hdist(p0, p1) == pytest.approx(1.5, abs=1e-12)
@@ -283,29 +287,32 @@ class TestHypercycle:
         # formulas that rebuild the whole frame on each call.
         feet = []
 
-        def counted_foot(p, g):
-            feet.append(g)
-            return foot_of_perpendicular(p, g)
+        foot = PlaneModel.foot
 
-        monkeypatch.setattr(k, "foot_of_perpendicular", counted_foot)
+        def counted_foot(model, p, g):
+            feet.append(g)
+            return foot(model, p, g)
+
+        monkeypatch.setattr(PlaneModel, "foot", counted_foot)
         rng = random.Random(2024)
         for _ in range(200):
             p = point_along(
                 ORIGIN, tangent_direction(ORIGIN, rng.uniform(0.0, 2.0 * math.pi)),
                 rng.uniform(0.0, 3.0),
             )
-            axis = geodesic_through(
+            axis = HYP.line(
                 p, point_along(p, tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
                                rng.uniform(0.5, 3.0)),
             )
-            g0 = foot_of_perpendicular(ORIGIN, axis).v
-            u0 = mcross(g0, axis.normal)
+            n = _normal(axis)
+            g0 = HPoint(mfoot(ORIGIN.v, n)).v
+            u0 = mcross(g0, n)
             offset = rng.uniform(-5.0, 5.0)
             co, so = math.cosh(offset), math.sinh(offset)
 
             def reference(s):
                 gs = tuple(math.cosh(s) * g0[i] + math.sinh(s) * u0[i] for i in range(3))
-                return tuple(co * gs[i] + so * axis.normal[i] for i in range(3))
+                return tuple(co * gs[i] + so * n[i] for i in range(3))
 
             hc = Hypercycle(axis, offset)
             del feet[:]
@@ -314,7 +321,7 @@ class TestHypercycle:
                 z = hypercycle_point(hc, s)
                 assert z.v == reference(s)
                 assert hypercycle_residual(hc, z) == abs(
-                    minner(z.v, axis.normal) - math.sinh(offset)
+                    minner(z.v, n) - math.sinh(offset)
                 )
             step = 2.0 * SAMPLE_RANGE / 6
             want = [reference(-SAMPLE_RANGE + i * step) for i in range(7)]
@@ -322,7 +329,7 @@ class TestHypercycle:
             assert feet == [axis]
 
     def test_nonfinite_offset_rejected(self):
-        axis = Geodesic((0.0, 0.0, 1.0))
+        axis = (0.0, 0.0, 1.0)
         for offset in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 Hypercycle(axis, offset)
@@ -331,23 +338,23 @@ class TestHypercycle:
         # From an offset of about 354.5 no point of the curve fits a float.
         for offset in (400.0, 800.0):
             with pytest.raises(DomainError):
-                Hypercycle(Geodesic((0.0, 0.0, 1.0)), offset)
+                Hypercycle((0.0, 0.0, 1.0), offset)
 
     def test_nonfinite_position_rejected(self):
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
+        hc = Hypercycle((0.0, 0.0, 1.0), 0.5)
         for s in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 hypercycle_point(hc, s)
 
     def test_overflowing_position_rejected(self):
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
+        hc = Hypercycle((0.0, 0.0, 1.0), 0.5)
         with pytest.raises(DomainError):
             hypercycle_point(hc, 1000.0)
 
     def test_unrepresentable_point_rejected(self):
         # Beyond the reach the coordinates overflow a float; inside it the
         # point is built and lies on the curve.
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 300.0)
+        hc = Hypercycle((0.0, 0.0, 1.0), 300.0)
         for s in (100.0, 300.0, 700.0):
             with pytest.raises(DomainError):
                 hypercycle_point(hc, s)
@@ -356,7 +363,7 @@ class TestHypercycle:
             assert hypercycle_residual(hc, z) <= 1e-12 * math.sinh(300.0)
 
     def test_too_few_samples_rejected(self):
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.6)
+        hc = Hypercycle((0.0, 0.0, 1.0), 0.6)
         with pytest.raises(DomainError):
             hypercycle_samples(hc, 1)
 
@@ -367,7 +374,7 @@ class TestBaseConfig:
 
         base = BaseConfig.from_half_distance(0.8)
         assert hdist(base.a, base.b) == pytest.approx(1.6, abs=1e-12)
-        assert geodesic_residual(base.base_line(), ORIGIN) < 1e-12
+        assert HYP.line_residual(base.base_line(), ORIGIN) < 1e-12
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -414,7 +421,7 @@ class TestLexellLocus:
                 r = 2.0 * rng.random()
                 th = 2.0 * math.pi * rng.random()
                 p = point_along(ORIGIN, tangent_direction(ORIGIN, th), r)
-                if geodesic_residual(base.base_line(), p) > 0.05:
+                if HYP.line_residual(base.base_line(), p) > 0.05:
                     break
             res = locus_residuals(lexell_locus(base, p), samples=20, chords=20, seed=i)
             worst[0] = max(worst[0], res.area_spread)
@@ -510,8 +517,8 @@ class TestChordSplit:
                 z1 = hypercycle_point(locus.carrier, SAMPLE_RANGE * rng.uniform(-1.0, 1.0))
                 z2 = hypercycle_point(locus.mirror, SAMPLE_RANGE * rng.uniform(-1.0, 1.0))
                 x = chord_crossing(z1, z2, locus.carrier.axis)
-                assert geodesic_residual(locus.carrier.axis, x) < 1e-12
-                assert geodesic_residual(geodesic_through(z1, z2), x) < 1e-12
+                assert HYP.line_residual(locus.carrier.axis, x) < 1e-12
+                assert HYP.line_residual(HYP.line(z1, z2), x) < 1e-12
                 d1, d2 = chord_split(z1, z2, locus.carrier.axis)
                 assert (d1, d2) == (k.hdist(z1, x), k.hdist(x, z2))
 
@@ -564,7 +571,7 @@ def _reference_point(hc: Hypercycle, s: float) -> tuple:
         raise DomainError(f"axis position {s} puts the point beyond float range")
     ch = math.cosh(s)
     sh = math.sinh(s)
-    n = hc.axis.normal
+    n = _normal(hc.axis)
     return tuple(co * (ch * g0[i] + sh * u0[i]) + so * n[i] for i in range(3))
 
 
@@ -585,7 +592,7 @@ def _reference_subarc(locus: AreaLocus, n: int, seed: int) -> float:
 
 def _reference_area(z, a, b) -> float:
     # The Fermi-coordinate area of z a b over line ab, one sample at a time.
-    n = geodesic_through(a, b).normal
+    n = _normal(HYP.line(a, b))
     e = mcross(k.midpoint(a, b).v, n)
     if minner(a.v, e) < 0.0:
         e = tuple(-c for c in e)
@@ -604,8 +611,8 @@ def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int)
     for z in pts:
         midline = max(
             midline,
-            geodesic_residual(locus.carrier.axis, k.midpoint(z, a)),
-            geodesic_residual(locus.carrier.axis, k.midpoint(z, b)),
+            HYP.line_residual(locus.carrier.axis, k.midpoint(z, a)),
+            HYP.line_residual(locus.carrier.axis, k.midpoint(z, b)),
         )
     return (
         max(areas) - min(areas),
@@ -658,14 +665,14 @@ class TestOnePassRoutes:
         assert hypercycle_points(locus.carrier, []) == []
 
     def test_points_check_every_position_and_point(self):
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 300.0)
+        hc = Hypercycle((0.0, 0.0, 1.0), 300.0)
         with pytest.raises(DomainError):
             hypercycle_points(hc, [0.0, 1.0, 700.0])
         with pytest.raises(DomainError):
             hypercycle_points(hc, [0.0, math.nan])
         # The sheet check runs on each point: a frame whose normal is not
         # unit yields points off the sheet.
-        skewed = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.5)
+        skewed = Hypercycle((0.0, 0.0, 1.0), 0.5)
         skewed.__dict__["_axis_frame"] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 2.0, 0.5, 100.0)
         with pytest.raises(InvalidPointError):
             hypercycle_points(skewed, [0.0])

@@ -10,6 +10,9 @@ stays.  A function that no command needs fails this test until it is
 deleted, given a caller, or listed here; deleting or reviving a listed
 one means updating the list.  Class bodies, lambdas and comprehensions
 are not counted.
+
+A second test reads the same sources and holds the five line
+operations to their one home on ``PlaneModel``.
 """
 
 import ast
@@ -29,6 +32,7 @@ UNREACHED = {
     "cevians.RatioSumInput.from_frame": "test oracle: builds the converse input from a sampled frame",
     "cevians.projection_oracle": "test oracle: the projection used to derive the ratio sums",
     "corevec.mdist": "L0 kernel timed by perfbench; kernel.hdist writes it out inline",
+    "corevec.mfoot": "L0 kernel timed by perfbench; PlaneModel.foot writes it out inline",
     "corevec.mtangent": "L0 kernel timed by perfbench; kernel._tangent_at writes it out inline",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
     "corevec.sdist": "L0 kernel timed by perfbench; SphereModel.dist writes it out inline",
@@ -161,3 +165,32 @@ def test_every_function_is_reached_or_listed(tmp_path):
     assert entered, "the profile saw no ccplane call"
     unreached = set(functions.values()) - entered
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+# The incidence operations of the three planes, written once on PlaneModel,
+# and the hyperboloid's free functions they replaced.
+LINE_OPERATIONS = ("line", "meet", "side_value", "line_residual", "foot")
+REPLACED = ("geodesic_through", "intersect_geodesics", "geodesic_residual",
+            "foot_of_perpendicular")
+
+
+def test_line_operations_have_one_home():
+    defined = [n for n in _functions().values() if n.rsplit(".", 1)[1] in LINE_OPERATIONS]
+    assigned, mentions = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                assigned += [
+                    f"{path.stem}.{node.name}.{target.id}"
+                    for item in node.body if isinstance(item, ast.Assign)
+                    for target in item.targets
+                    if isinstance(target, ast.Name) and target.id in LINE_OPERATIONS
+                ]
+            # Definitions, imports, names and attributes alike.
+            name = (getattr(node, "name", None) or getattr(node, "id", None)
+                    or getattr(node, "attr", None))
+            if name in REPLACED:
+                mentions.append(f"{path.name}:{node.lineno} {name}")
+    assert sorted(defined) == sorted(f"kernel.PlaneModel.{op}" for op in LINE_OPERATIONS)
+    assert assigned == []
+    assert mentions == []

@@ -20,7 +20,6 @@ from ccplane.errors import DegenerateInputError, InvalidPointError
 from ccplane.kernel import (
     ORIGIN,
     DiskPoint,
-    Geodesic,
     Geometry,
     HPoint,
     SpherePoint,
@@ -44,7 +43,7 @@ FRAME = CevianFrame(
     TRI, (0.25, 0.25), (0.5, 0.5), (0.0, 0.5), (0.5, 0.0),
     1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.25, 0.5, 0.75, 1.0, 1.0, math.pi - 2.0,
 )
-AXIS = Geodesic((0.0, 1.0, 0.0))
+AXIS = (0.0, 1.0, 0.0)
 BASE = BaseConfig.from_half_distance(0.5)
 POINT = ScenePoint(0.25, 0.5, "A")
 
@@ -54,7 +53,6 @@ SAMPLES = {
     SpherePoint: {"v": (0.0, 0.0, 1.0)},
     DiskPoint: {"u": 0.25, "w": -0.5},
     TangentPoint: {"s": 0.5, "t": 2.0},
-    Geodesic: {"normal": (0.0, 1.0, 0.0)},
     Triangle: {"geometry": EUC, "a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0)},
     CevianFrame: {
         "tri": TRI, "o": (0.25, 0.25), "d": (0.5, 0.5), "e": (0.0, 0.5),
@@ -124,7 +122,6 @@ EXPECTED_REPR = {
     SpherePoint: "SpherePoint(v=(0.0, 0.0, 1.0))",
     DiskPoint: "DiskPoint(u=0.25, w=-0.5)",
     TangentPoint: "TangentPoint(s=0.5, t=2.0)",
-    Geodesic: "Geodesic(normal=(0.0, 1.0, 0.0))",
     Triangle: _TRI_REPR,
     CevianFrame: (
         f"CevianFrame(tri={_TRI_REPR}, o=(0.25, 0.25), d=(0.5, 0.5), e=(0.0, 0.5), "
@@ -150,12 +147,12 @@ EXPECTED_REPR = {
         "LambertReport(geometry=<Geometry.HYPERBOLIC: 'hyperbolic'>, side=1.0, "
         "alpha=2.0, ad_over_od=3.0, median_residual=0.0)"
     ),
-    Hypercycle: "Hypercycle(axis=Geodesic(normal=(0.0, 1.0, 0.0)), offset=0.5)",
+    Hypercycle: "Hypercycle(axis=(0.0, 1.0, 0.0), offset=0.5)",
     BaseConfig: _BASE_REPR,
     AreaLocus: (
         f"AreaLocus(base={_BASE_REPR}, "
-        "carrier=Hypercycle(axis=Geodesic(normal=(0.0, 1.0, 0.0)), offset=0.5), "
-        "mirror=Hypercycle(axis=Geodesic(normal=(0.0, 1.0, 0.0)), offset=-0.5), "
+        "carrier=Hypercycle(axis=(0.0, 1.0, 0.0), offset=0.5), "
+        "mirror=Hypercycle(axis=(0.0, 1.0, 0.0), offset=-0.5), "
         "area=0.75)"
     ),
     LocusResiduals: (
@@ -211,7 +208,7 @@ def _ids(cls):
 
 
 def test_every_value_class_is_sampled():
-    assert len(CLASSES) == 24
+    assert len(CLASSES) == 23
     assert set(EXPECTED_REPR) == set(CLASSES)
 
 

@@ -9,7 +9,7 @@ import pytest
 from ccplane import kernel as k
 from ccplane import render
 from ccplane.errors import DomainError, GeometryError, OutOfModelError
-from ccplane.kernel import Geodesic, Geometry
+from ccplane.kernel import Geometry
 from ccplane.lexell import (
     BaseConfig,
     Hypercycle,
@@ -34,6 +34,8 @@ from ccplane.render import (
 )
 from ccplane.sampling import sample_frame, substream
 
+HYP = Geometry.HYPERBOLIC.model
+
 
 def _random_geodesic(rng):
     p = k.point_along(
@@ -44,7 +46,7 @@ def _random_geodesic(rng):
         p, k.tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
         rng.uniform(0.5, 2.0),
     )
-    return k.geodesic_through(p, q), p, q
+    return HYP.line(p, q), p, q
 
 
 class TestIdealEndpoints:
@@ -52,10 +54,10 @@ class TestIdealEndpoints:
         rng = substream("render-ideal", 7)
         for _ in range(100):
             g, _, _ = _random_geodesic(rng)
-            n0, n1, n2 = g.normal
+            l0, l1, l2 = g
             for x, y in ideal_endpoints(g):
                 assert abs(x * x + y * y - 1.0) < 1e-12
-                assert abs(n1 * x + n2 * y - n0) < 1e-12
+                assert abs(l0 + l1 * x + l2 * y) < 1e-12
 
 
 class TestArcGeometry:
@@ -72,7 +74,7 @@ class TestArcGeometry:
 
     def test_through_origin_becomes_chord(self):
         p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 0.7), 1.0)
-        g = k.geodesic_through(k.ORIGIN, p)
+        g = HYP.line(k.ORIGIN, p)
         arc = arc_for_geodesic(g)
         assert isinstance(arc, SceneChord)
         # A diameter's endpoints are antipodal on the boundary.
@@ -102,22 +104,22 @@ class TestArcGeometry:
             assert part.r == pytest.approx(full.r, abs=1e-12)
 
 
-    @pytest.mark.parametrize("n0", [1e-3, 1e-5, 3e-7, 1e-7, 1e-12, 0.0])
-    def test_near_diameters_validate(self, n0):
+    @pytest.mark.parametrize("l0", [1e-3, 1e-5, 3e-7, 1e-7, 1e-12, 0.0])
+    def test_near_diameters_validate(self, l0):
         # Far from the center the circle's noise grows as eps * r^2; the
         # check must absorb it, and below the drawing resolution a
         # straight chord stands in for the arc.
-        l = math.sqrt(1.0 + n0 * n0)
+        l = math.sqrt(1.0 + l0 * l0)
         for sign in (1.0, -1.0):
-            arc = arc_for_geodesic(Geodesic((sign * n0, 0.6 * l, 0.8 * l)))
+            arc = arc_for_geodesic((sign * l0, 0.6 * l, 0.8 * l))
             chord = isinstance(arc, SceneChord)
             validate_scene(RenderScene(chords=(arc,)) if chord else RenderScene(arcs=(arc,)))
-            assert chord == (n0 <= 1e-4 / 480.0)
+            assert chord == (l0 <= 1e-4 / 480.0)
 
 
 class TestHypercyclePolyline:
     def test_sample_count_and_containment(self):
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 0.6)
+        hc = Hypercycle((0.0, 0.0, 1.0), 0.6)
         pl = polyline_for_hypercycle(hc)
         assert len(pl.points) == render.HYPERCYCLE_SEGMENTS + 1
         for x, y in pl.points:
@@ -134,7 +136,7 @@ class TestHypercyclePolyline:
     def test_sample_on_the_boundary_rejected(self):
         # At offset 40 the disk image of a sample rounds onto the unit
         # circle; the polyline refuses it as DiskPoint does.
-        hc = Hypercycle(Geodesic((0.0, 0.0, 1.0)), 40.0)
+        hc = Hypercycle((0.0, 0.0, 1.0), 40.0)
         with pytest.raises(OutOfModelError):
             disk_xy(hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)[0])
         with pytest.raises(OutOfModelError, match="outside the open unit disk"):
