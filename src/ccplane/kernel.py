@@ -10,7 +10,10 @@ loci, the renderer and the CLI call directly.  The sphere uses unit
 vectors in ordinary Euclidean 3-space, inside SphereModel.
 
 Composite results are renormalized onto their surface, so drift stays
-below TOL_POINT and constructions compose safely.
+below TOL_POINT and constructions compose safely.  ``on_sheet`` holds
+the hyperboloid's acceptance band, the one check behind every HPoint;
+code that reads points only as coordinates, such as the Lexell probe,
+passes its vectors through it and builds no HPoint.
 
 The checks, distances and angles that every sampled figure runs are
 written out on unpacked coordinates rather than composed from
@@ -160,6 +163,23 @@ def substream(label: str, seed: int, index: int = 0) -> random.Random:
     return random.Random(f"{label}:{seed}:{index}")
 
 
+def on_sheet(v: Vec3) -> Vec3:
+    """v itself when it lies on the upper hyperboloid sheet.
+
+    HPoint's check, and the one place its band is written: code that
+    reads a point only as its coordinates checks them here without
+    building an HPoint.  Anything else raises InvalidPointError.
+    """
+    # The quadratic form carries rounding noise of order eps * v0^2,
+    # so the acceptance band must widen with the point's height.
+    v0, v1, v2 = v
+    q = -v0 * v0 + v1 * v1 + v2 * v2
+    band = TOL_POINT * (1.0 + v0 * v0)
+    if not (abs(q + 1.0) <= band) or v0 <= 0.0:
+        raise InvalidPointError(f"not on the upper hyperboloid sheet: {v}")
+    return v
+
+
 class HPoint(Record):
     """Point of the hyperbolic plane, hyperboloid coordinates."""
 
@@ -167,13 +187,7 @@ class HPoint(Record):
 
 
     def __post_init__(self) -> None:
-        # The quadratic form carries rounding noise of order eps * v0^2,
-        # so the acceptance band must widen with the point's height.
-        v0, v1, v2 = self.v
-        q = -v0 * v0 + v1 * v1 + v2 * v2
-        band = TOL_POINT * (1.0 + v0 * v0)
-        if not (abs(q + 1.0) <= band) or v0 <= 0.0:
-            raise InvalidPointError(f"not on the upper hyperboloid sheet: {self.v}")
+        on_sheet(self.v)
 
 
 class SpherePoint(Record):

@@ -39,7 +39,11 @@ asymptotic to the base line, and the area at distance c is
 
 Each curve is evaluated in one pass: ``hypercycle_points`` reads the
 curve's cached frame once and builds every point a caller asks for, and
-it is the only place the curve formula is written.  The locus probe
+it is the only place the curve formula is written.  It returns plain
+3-vectors, each passed through HPoint's sheet check (``k.on_sheet``):
+the locus probe, the foliation's leaf scan and the render polylines
+read only coordinates, so they build no HPoint, and the probe's
+midpoints and chord crossings pass the same check.  The locus probe
 measures each sample by its Fermi coordinates over the base line, the
 signed height t and the foot's arclength s, and adds the two right
 pieces the perpendicular cuts off: _right_area(sa - s, t) +
@@ -58,12 +62,13 @@ from functools import cached_property
 
 from . import corevec as vec
 from . import kernel as k
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID, TOL_POINT
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_CLAMP, TOL_ID, TOL_POINT
 from .errors import (
     DegenerateInputError,
     DomainError,
     GeometryError,
     InfeasibleAreaError,
+    InvalidPointError,
 )
 from .kernel import Geometry, HPoint, Record, Vec3
 
@@ -125,8 +130,9 @@ def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
     return abs(_MODEL.side_value(hc.axis, p) - hc._axis_frame[3])
 
 
-def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
-    """Points over the axis positions, in one pass over the curve.
+def hypercycle_points(hc: Hypercycle, positions) -> list[Vec3]:
+    """Points over the axis positions, in one pass over the curve, as
+    checked hyperboloid vectors.
 
     With gamma the unit-speed axis and n = (-l0, l1, l2) its unit
     normal, for the axis covector l, the curve is
@@ -137,14 +143,15 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
     one cosh(s) and one sinh(s) in closed form:
     gamma(s) = cosh(s) * g0 + sinh(s) * u0.  A position whose point has
     coordinates no float holds raises DomainError before it is built,
-    and every point goes through HPoint's sheet check.
+    and every point goes through HPoint's sheet check, ``k.on_sheet``,
+    so each vector is one that ``HPoint`` accepts.
     """
     g0, u0, co, so, reach = hc._axis_frame
     g00, g01, g02 = g0
     u00, u01, u02 = u0
     l0, n1, n2 = hc.axis
     n0 = -l0
-    cosh, sinh, point = math.cosh, math.sinh, HPoint
+    cosh, sinh, check = math.cosh, math.sinh, k.on_sheet
     pts = []
     append = pts.append
     for s in positions:
@@ -153,7 +160,7 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
         ch = cosh(s)
         sh = sinh(s)
         append(
-            point(
+            check(
                 (
                     co * (ch * g00 + sh * u00) + so * n0,
                     co * (ch * g01 + sh * u01) + so * n1,
@@ -165,12 +172,13 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[HPoint]:
 
 
 def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
-    """Point over the axis position s; see ``hypercycle_points``."""
-    return hypercycle_points(hc, (s,))[0]
+    """Point over the axis position s, as an HPoint; see ``hypercycle_points``."""
+    return HPoint(hypercycle_points(hc, (s,))[0])
 
 
-def hypercycle_samples(hc: Hypercycle, n: int) -> list[HPoint]:
-    """n points at evenly spaced axis positions from -SAMPLE_RANGE to SAMPLE_RANGE."""
+def hypercycle_samples(hc: Hypercycle, n: int) -> list[Vec3]:
+    """n checked vectors at evenly spaced axis positions from -SAMPLE_RANGE
+    to SAMPLE_RANGE; see ``hypercycle_points``."""
     if n < 2:
         raise DomainError("need at least two sample points")
     step = 2.0 * SAMPLE_RANGE / (n - 1)
@@ -223,8 +231,9 @@ def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
     return math.pi - (k.angle_at(p, q, r) + k.angle_at(q, r, p) + k.angle_at(r, p, q))
 
 
-def _base_areas(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
-    """Area of each triangle z a b, from z's Fermi coordinates over line ab.
+def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
+    """Area of each triangle z a b, from z's Fermi coordinates over line ab,
+    for each hyperboloid vector z of pts.
 
     l is the covector of the base line, n = (-l0, l1, l2) its unit
     normal, and e its unit tangent at the base midpoint m, turned toward
@@ -276,8 +285,7 @@ def _base_areas(pts: list[HPoint], a: HPoint, b: HPoint) -> list[float]:
     asinh, hypot, right = math.asinh, math.hypot, _right_area
     sa, sb = asinh(ga), asinh(gb)
     areas = []
-    for z in pts:
-        z0, z1, z2 = z.v
+    for z0, z1, z2 in pts:
         h = z0 * l0 + z1 * l1 + z2 * l2
         t = abs(asinh(h))
         s = asinh((-z0 * e0 + z1 * e1 + z2 * e2) / hypot(1.0, h))
@@ -420,7 +428,8 @@ def locus_residuals(
     locus: AreaLocus, samples: int = 20, chords: int = 100, seed: int = 0
 ) -> LocusResiduals:
     """Probe the locus: area spread, mirror membership, midpoint line,
-    and (for ``chords`` > 0) the equal-subarc property.
+    and (for ``chords`` > 0) the equal-subarc property.  A negative
+    ``chords`` raises DomainError.
 
     The carrier's samples come from one ``hypercycle_points`` pass, and
     their areas over the fixed base from one ``_base_areas`` call.
@@ -429,24 +438,22 @@ def locus_residuals(
     pts = hypercycle_samples(locus.carrier, samples)
     areas = _base_areas(pts, a, b)
     # The midpoints of z a and z b lie on the axis: ``line_residual``
-    # written out, on midpoints built as ``midpoint`` builds them.
+    # written out, on midpoints built and checked as ``midpoint`` builds
+    # them.
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
     l0, l1, l2 = locus.carrier.axis
-    normalize = vec.mnormalize_point
+    normalize, check = vec.mnormalize_point, k.on_sheet
     midline = 0.0
-    for z in pts:
-        z0, z1, z2 = z.v
-        ma0, ma1, ma2 = HPoint(normalize((z0 + a0, z1 + a1, z2 + a2))).v
-        mb0, mb1, mb2 = HPoint(normalize((z0 + b0, z1 + b1, z2 + b2))).v
+    for z0, z1, z2 in pts:
+        ma0, ma1, ma2 = check(normalize((z0 + a0, z1 + a1, z2 + a2)))
+        mb0, mb1, mb2 = check(normalize((z0 + b0, z1 + b1, z2 + b2)))
         midline = max(
             midline,
             abs(ma0 * l0 + ma1 * l1 + ma2 * l2),
             abs(mb0 * l0 + mb1 * l1 + mb2 * l2),
         )
-    subarc = (
-        equal_subarc_check(locus, chords, seed=seed) if chords > 0 else 0.0
-    )
+    subarc = equal_subarc_check(locus, chords, seed=seed) if chords else 0.0
     return LocusResiduals(
         area_spread=max(areas) - min(areas),
         mirror_residual=max(
@@ -458,38 +465,6 @@ def locus_residuals(
     )
 
 
-def chord_crossing(z1: HPoint, z2: HPoint, axis: Vec3) -> HPoint:
-    """Point where the axis cuts the segment z1 z2, in closed form.
-
-    With s_i = l . z_i (``side_value``) of opposite signs,
-    w = |s2| z1 + |s1| z2 has l . w = |s2| s1 + |s1| s2 = 0 and lies in
-    span(z1, z2): it is on both the axis and the chord.  A positive combination of two
-    future-timelike vectors is future-timelike, so w always normalizes
-    onto the sheet and the two lines always meet.
-    """
-    s1 = _MODEL.side_value(axis, z1)
-    s2 = _MODEL.side_value(axis, z2)
-    if s1 * s2 >= 0.0:
-        raise DomainError("chord endpoints must straddle the axis")
-    w1, w2 = abs(s2), abs(s1)
-    a, b = z1.v, z2.v
-    return HPoint(
-        vec.mnormalize_point(
-            (w1 * a[0] + w2 * b[0], w1 * a[1] + w2 * b[1], w1 * a[2] + w2 * b[2])
-        )
-    )
-
-
-def chord_split(z1: HPoint, z2: HPoint, axis: Vec3) -> tuple[float, float]:
-    """Lengths of the two pieces the axis cuts from segment z1 z2.
-
-    The cut point is ``chord_crossing``; both lengths go through
-    ``hdist`` and its separation clamp.
-    """
-    crossing = chord_crossing(z1, z2, axis)
-    return (k.hdist(z1, crossing), k.hdist(crossing, z2))
-
-
 def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     """Max imbalance of n axis-cut chords between the two hypercycles.
 
@@ -498,16 +473,57 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     rounding.  One substream ("subarc", seed) serves the whole check:
     its draws give the carrier and then the mirror position of each
     chord in turn.  All 2n positions are drawn first, and each curve's
-    points are built in one ``hypercycle_points`` pass.
+    points are built in one ``hypercycle_points`` pass.  A negative n
+    raises DomainError.
+
+    The chord z1 z2 crosses the axis l in closed form: with
+    s_i = l . z_i (``side_value``) of opposite signs, w = |s2| z1 + |s1| z2
+    has l . w = |s2| s1 + |s1| s2 = 0 and lies in span(z1, z2), so it is
+    on both lines.  A positive combination of two future-timelike
+    vectors is future-timelike, so w always normalizes onto the sheet,
+    and the crossing goes through HPoint's sheet check.  Both pieces are
+    measured as ``kernel.hdist`` measures them, with its separation
+    clamp, written out on the vectors: the same operations in the same
+    order, so every imbalance equals the HPoint route's to the last bit.
     """
+    if n < 0:
+        raise DomainError(f"chord count must be nonnegative: {n}")
     rng = k.substream("subarc", seed)
     draws = [-SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random() for _ in range(2 * n)]
     carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
     mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
-    axis = locus.carrier.axis
+    l0, l1, l2 = locus.carrier.axis
+    normalize, check = vec.mnormalize_point, k.on_sheet
+    asinh, acosh, sqrt = math.asinh, math.acosh, math.sqrt
     worst = 0.0
-    for z1, z2 in zip(carrier_pts, mirror_pts):
-        d1, d2 = chord_split(z1, z2, axis)
+    for (p0, p1, p2), (q0, q1, q2) in zip(carrier_pts, mirror_pts):
+        s1 = p0 * l0 + p1 * l1 + p2 * l2
+        s2 = q0 * l0 + q1 * l1 + q2 * l2
+        if s1 * s2 >= 0.0:
+            raise DomainError("chord endpoints must straddle the axis")
+        w1, w2 = abs(s2), abs(s1)
+        x0, x1, x2 = check(
+            normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2))
+        )
+        # hdist(z1, crossing) and hdist(crossing, z2), written out.
+        m = -(-p0 * x0 + p1 * x1 + p2 * x2)
+        if m < 1.0 - TOL_CLAMP * (1.0 + p0 * x0):
+            raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
+        if m < 1.5:
+            e0, e1, e2 = p0 - x0, p1 - x1, p2 - x2
+            c = -e0 * e0 + e1 * e1 + e2 * e2
+            d1 = 0.0 if c <= 0.0 else 2.0 * asinh(0.5 * sqrt(c))
+        else:
+            d1 = acosh(m)
+        m = -(-x0 * q0 + x1 * q1 + x2 * q2)
+        if m < 1.0 - TOL_CLAMP * (1.0 + x0 * q0):
+            raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
+        if m < 1.5:
+            e0, e1, e2 = x0 - q0, x1 - q1, x2 - q2
+            c = -e0 * e0 + e1 * e1 + e2 * e2
+            d2 = 0.0 if c <= 0.0 else 2.0 * asinh(0.5 * sqrt(c))
+        else:
+            d2 = acosh(m)
         worst = max(worst, abs(d1 - d2))
     return worst
 
@@ -577,8 +593,7 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     curves = [(leaf.carrier.axis, leaf.carrier._axis_frame[3]) for leaf in leaves]
     for i, leaf in enumerate(leaves):
         others = curves[:i] + curves[i + 1:]
-        for z in hypercycle_samples(leaf.carrier, 50):
-            z0, z1, z2 = z.v
+        for z0, z1, z2 in hypercycle_samples(leaf.carrier, 50):
             for (l0, l1, l2), so in others:
                 if abs(z0 * l0 + z1 * l1 + z2 * l2 - so) <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")

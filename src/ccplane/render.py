@@ -129,14 +129,14 @@ def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | Sce
 def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
     """Hypercycle sampled at evenly spaced axis arclengths.
 
-    Each sample goes to disk coordinates as ``disk_xy`` takes it there,
+    Each sample, a hyperboloid vector already through HPoint's sheet
+    check, goes to disk coordinates as ``disk_xy`` takes a point there,
     under DiskPoint's check that it lies inside the open unit disk.
     """
     from .lexell import hypercycle_samples
 
     pts = []
-    for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1):
-        v0, v1, v2 = z.v
+    for v0, v1, v2 in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1):
         f = 1.0 / (1.0 + v0)
         u, w = v1 * f, v2 * f
         if not (u * u + w * w < 1.0):

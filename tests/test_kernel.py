@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ccplane import corevec as vec
 from ccplane import kernel as k
+from ccplane.constants import TOL_POINT
 from ccplane.errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -42,6 +43,41 @@ def test_hpoint_rejects_off_sheet():
         hp(1.0, 0.5, 0.0)
     with pytest.raises(InvalidPointError):
         hp(-1.0, 0.0, 0.0)
+
+
+# At v0 = 1 the band is 2 TOL_POINT and |q + 1| is v2^2.
+_BAND_EDGE = math.sqrt(2.0 * TOL_POINT)
+
+
+@pytest.mark.parametrize(
+    "v, accepted",
+    [
+        pytest.param((1.0, 0.0, 0.0), True, id="origin"),
+        pytest.param((COSH1, SINH1, 0.0), True, id="distance-1"),
+        pytest.param((1.0, 0.0, 0.99 * _BAND_EDGE), True, id="inside-band"),
+        pytest.param((1.0, 0.0, 1.01 * _BAND_EDGE), False, id="outside-band"),
+        pytest.param((math.nan, 0.0, 0.0), False, id="nan-v0"),
+        pytest.param((COSH1, math.nan, 0.0), False, id="nan-v1"),
+        pytest.param((-1.0, 0.0, 0.0), False, id="lower-sheet"),
+        pytest.param((-COSH1, SINH1, 0.0), False, id="lower-sheet-off-axis"),
+        pytest.param((0.0, 0.0, 1.0), False, id="v0-zero"),
+        # A null vector, inside the band that widens with v0 (ROADMAP
+        # item 8): today's verdict, pinned until the band is derived.
+        pytest.param((1e8, 0.0, 1e8), True, id="null-vector"),
+    ],
+)
+def test_on_sheet_is_the_hpoint_check(v, accepted):
+    def verdict(check):
+        try:
+            check(v)
+        except InvalidPointError as exc:
+            return str(exc)
+        return True
+
+    assert verdict(k.on_sheet) == verdict(k.HPoint)
+    assert (verdict(k.on_sheet) is True) == accepted
+    if accepted:
+        assert k.on_sheet(v) is v
 
 
 def test_hdist_basic():

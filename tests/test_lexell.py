@@ -1,5 +1,6 @@
 """Area profile, split areas, constant-area locus, foliation, ideal case."""
 
+import ast
 import math
 import random
 import sys
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ccplane import corevec as vec
 from ccplane import kernel as k
-from ccplane import lexell
+from ccplane import lexell, render
 from ccplane.cevians import Triangle
 from ccplane.corevec import mcross, mfoot, minner
 from ccplane.errors import (
@@ -37,8 +39,6 @@ from ccplane.lexell import (
     apex_area_formula,
     apex_triangle,
     area_profile,
-    chord_crossing,
-    chord_split,
     cosh_c_from_angles,
     equal_subarc_check,
     foliation,
@@ -325,7 +325,7 @@ class TestHypercycle:
                 )
             step = 2.0 * SAMPLE_RANGE / 6
             want = [reference(-SAMPLE_RANGE + i * step) for i in range(7)]
-            assert [z.v for z in hypercycle_samples(hc, 7)] == want
+            assert hypercycle_samples(hc, 7) == want
             assert feet == [axis]
 
     def test_nonfinite_offset_rejected(self):
@@ -553,16 +553,68 @@ class TestChordSplit:
                 assert residual(delta) / delta == pytest.approx(slope, rel=1e-4)
 
     def test_same_side_chord_rejected(self):
+        # With the carrier in the mirror's place every chord has both ends
+        # on one side of the axis, and the first one stops the check.
         base = BaseConfig.from_half_distance(0.9)
         locus = lexell_locus(base, _perp_apex(1.2))
-        z1 = hypercycle_point(locus.carrier, -1.0)
-        z2 = hypercycle_point(locus.carrier, 1.0)
-        with pytest.raises(DomainError):
-            chord_split(z1, z2, locus.carrier.axis)
+        same_side = AreaLocus(locus.base, locus.carrier, locus.carrier, locus.area)
+        with pytest.raises(DomainError, match="chord endpoints must straddle the axis"):
+            equal_subarc_check(same_side, 5)
+
+    def test_negative_chord_count_rejected(self):
+        # A negative count measures no chord; it must not read as a
+        # subarc residual of 0.
+        locus = _seeded_locus(0)
+        with pytest.raises(DomainError, match="chord count must be nonnegative: -3"):
+            equal_subarc_check(locus, -3)
+        with pytest.raises(DomainError, match="chord count must be nonnegative: -1"):
+            locus_residuals(locus, chords=-1)
+        assert equal_subarc_check(locus, 0) == 0.0
+        assert locus_residuals(locus, chords=0).subarc_residual == 0.0
 
 
 # References for the one-pass routes: each is the per-point or per-call
 # route the fused code replaced, and the fused code must equal it bit for bit.
+
+
+def chord_crossing(z1: HPoint, z2: HPoint, axis) -> HPoint:
+    """Point where the axis cuts the segment z1 z2, one HPoint per chord.
+
+    With s_i = l . z_i of opposite signs, w = |s2| z1 + |s1| z2 lies on
+    both the axis and the chord; ``equal_subarc_check`` writes this out.
+    """
+    s1 = HYP.side_value(axis, z1)
+    s2 = HYP.side_value(axis, z2)
+    if s1 * s2 >= 0.0:
+        raise DomainError("chord endpoints must straddle the axis")
+    w1, w2 = abs(s2), abs(s1)
+    a, b = z1.v, z2.v
+    return HPoint(
+        vec.mnormalize_point(
+            (w1 * a[0] + w2 * b[0], w1 * a[1] + w2 * b[1], w1 * a[2] + w2 * b[2])
+        )
+    )
+
+
+def chord_split(z1: HPoint, z2: HPoint, axis) -> tuple:
+    """Lengths of the two pieces the axis cuts from segment z1 z2, by ``hdist``."""
+    crossing = chord_crossing(z1, z2, axis)
+    return (k.hdist(z1, crossing), k.hdist(crossing, z2))
+
+
+_OFF_SHEET = "not on the upper hyperboloid sheet: "
+
+
+class _OffSheetNormalize:
+    """``corevec`` as lexell reads it, but ``mnormalize_point`` lands at
+    twice the point it should."""
+
+    def __getattr__(self, name):
+        return getattr(vec, name)
+
+    @staticmethod
+    def mnormalize_point(x):
+        return tuple(2.0 * c for c in vec.mnormalize_point(x))
 
 
 def _reference_point(hc: Hypercycle, s: float) -> tuple:
@@ -605,7 +657,8 @@ def _reference_area(z, a, b) -> float:
 
 def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int) -> tuple:
     a, b = locus.base.a, locus.base.b
-    pts = hypercycle_samples(locus.carrier, samples)
+    step = 2.0 * SAMPLE_RANGE / (samples - 1)
+    pts = [hypercycle_point(locus.carrier, -SAMPLE_RANGE + i * step) for i in range(samples)]
     areas = [_reference_area(z, a, b) for z in pts]
     midline = 0.0
     for z in pts:
@@ -658,10 +711,9 @@ class TestOnePassRoutes:
             rng = random.Random(i)
             for hc in (locus.carrier, locus.mirror, Hypercycle(locus.carrier.axis, 0.0)):
                 ss = [rng.uniform(-6.0, 6.0) for _ in range(25)]
-                assert [z.v for z in hypercycle_points(hc, ss)] == [
-                    _reference_point(hc, s) for s in ss
-                ]
-                assert hypercycle_point(hc, ss[0]).v == _reference_point(hc, ss[0])
+                want = [_reference_point(hc, s) for s in ss]
+                assert hypercycle_points(hc, ss) == want
+                assert [hypercycle_point(hc, s).v for s in ss] == want
         assert hypercycle_points(locus.carrier, []) == []
 
     def test_points_check_every_position_and_point(self):
@@ -677,6 +729,51 @@ class TestOnePassRoutes:
         with pytest.raises(InvalidPointError):
             hypercycle_points(skewed, [0.0])
 
+    @pytest.mark.parametrize(
+        "skew, probe",
+        [
+            ("frame", "residuals"),
+            ("frame", "chords"),
+            ("frame", "foliation"),
+            ("frame", "polyline"),
+            # Samples on the sheet, midpoints and crossings off it.
+            ("normalize", "residuals"),
+            ("normalize", "chords"),
+        ],
+    )
+    def test_probe_points_pass_the_sheet_check(self, skew, probe, monkeypatch):
+        # Every vector the probe reads passes HPoint's check.  "frame"
+        # skews cosh(offset) in every curve's frame, as the frame of
+        # test_points_check_every_position_and_point does, but keeps
+        # sinh(offset), so that a leaf built inside ``foliation`` still
+        # passes ``lexell_locus``; "normalize" scales every vector lexell
+        # normalizes off the sheet.
+        locus = _seeded_locus(0)
+        if skew == "frame":
+            frame = Hypercycle.__dict__["_axis_frame"].func
+
+            def skewed(hc):
+                g0, u0, co, so, reach = frame(hc)
+                return (g0, u0, 2.0 * co, so, reach)
+
+            monkeypatch.setattr(Hypercycle, "_axis_frame", property(skewed))
+        else:
+            monkeypatch.setattr(lexell, "vec", _OffSheetNormalize())
+        limit = max_apex_area(locus.base.half_distance)
+        run = {
+            "residuals": lambda: locus_residuals(locus, samples=20, chords=0),
+            "chords": lambda: equal_subarc_check(locus, 10),
+            "foliation": lambda: foliation(locus.base, [0.25 * limit, 0.5 * limit]),
+            "polyline": lambda: render.polyline_for_hypercycle(locus.carrier),
+        }[probe]
+        with pytest.raises(InvalidPointError, match=f"^{_OFF_SHEET}") as raised:
+            run()
+        # The message is HPoint's for the vector it names.
+        message = str(raised.value)
+        with pytest.raises(InvalidPointError) as built:
+            HPoint(ast.literal_eval(message[len(_OFF_SHEET):]))
+        assert str(built.value) == message
+
     def test_base_areas_match_the_per_sample_deficit(self):
         # Both routes measure the same triangles; on these points the
         # deficit's own rounding stays far below the closed-form bound.
@@ -687,10 +784,10 @@ class TestOnePassRoutes:
             pts = (
                 hypercycle_samples(locus.carrier, 20)
                 + hypercycle_samples(locus.mirror, 7)
-                + [_random_point(rng, 3.0) for _ in range(20)]
+                + [_random_point(rng, 3.0).v for _ in range(20)]
             )
             for area, z in zip(_base_areas(pts, a, b), pts):
-                assert abs(area - _deficit(z, a, b)) <= 1e-12
+                assert abs(area - _deficit(HPoint(z), a, b)) <= 1e-12
 
     def test_base_areas_past_the_recentring_limit(self):
         # Tall apexes put samples past the kernel's recentring limit, where
@@ -701,10 +798,10 @@ class TestOnePassRoutes:
             for height in (2.0, 6.0)
             for z in hypercycle_samples(lexell_locus(base, _perp_apex(height)).carrier, 20)
         ]
-        assert max(z.v[0] for z in pts) > k._RECENTRE_LIMIT
-        assert min(z.v[0] for z in pts) <= k._RECENTRE_LIMIT
+        assert max(z[0] for z in pts) > k._RECENTRE_LIMIT
+        assert min(z[0] for z in pts) <= k._RECENTRE_LIMIT
         for area, z in zip(_base_areas(pts, base.a, base.b), pts):
-            assert abs(area - _deficit(z, base.a, base.b)) <= 1e-12
+            assert abs(area - _deficit(HPoint(z), base.a, base.b)) <= 1e-12
 
     def test_base_areas_match_high_precision_within_their_band(self):
         """Each area is within the band ``_base_areas`` derives,
@@ -718,15 +815,15 @@ class TestOnePassRoutes:
                 a, b = locus.base.a, locus.base.b
                 rng = random.Random(200 + i)
                 pts = hypercycle_samples(locus.carrier, 20) + [
-                    _random_point(rng, 3.0) for _ in range(10)
+                    _random_point(rng, 3.0).v for _ in range(10)
                 ]
                 sa = mpmath.asinh(mpmath.mpf(a.v[1]))
                 sb = mpmath.asinh(mpmath.mpf(b.v[1]))
                 x = max(abs(float(sa)), abs(float(sb)))
                 for area, z in zip(_base_areas(pts, a, b), pts):
-                    h = -mpmath.mpf(z.v[2])
+                    h = -mpmath.mpf(z[2])
                     t = abs(mpmath.asinh(h))
-                    s = mpmath.asinh(mpmath.mpf(z.v[1]) / mpmath.sqrt(1 + h * h))
+                    s = mpmath.asinh(mpmath.mpf(z[1]) / mpmath.sqrt(1 + h * h))
                     r1, r2 = (
                         2 * mpmath.atan(mpmath.tanh(leg / 2) * mpmath.tanh(t / 2))
                         for leg in (sa - s, s - sb)
@@ -737,7 +834,7 @@ class TestOnePassRoutes:
     def test_base_areas_reject_coincident_vertices(self):
         base = BaseConfig.from_half_distance(0.8)
         with pytest.raises(DegenerateInputError):
-            _base_areas([_perp_apex(1.0)], base.a, base.a)
+            _base_areas([_perp_apex(1.0).v], base.a, base.a)
 
     def test_residuals_equal_the_per_sample_route(self):
         for i in range(20):

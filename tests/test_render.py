@@ -9,7 +9,7 @@ import pytest
 from ccplane import kernel as k
 from ccplane import render
 from ccplane.errors import DomainError, GeometryError, OutOfModelError
-from ccplane.kernel import Geometry
+from ccplane.kernel import Geometry, HPoint
 from ccplane.lexell import (
     BaseConfig,
     Hypercycle,
@@ -130,7 +130,10 @@ class TestHypercyclePolyline:
         for _ in range(20):
             g, _, _ = _random_geodesic(rng)
             hc = Hypercycle(g, rng.uniform(-4.0, 4.0))
-            want = [disk_xy(z) for z in hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)]
+            want = [
+                disk_xy(HPoint(z))
+                for z in hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)
+            ]
             assert polyline_for_hypercycle(hc).points == tuple(want)
 
     def test_sample_on_the_boundary_rejected(self):
@@ -138,7 +141,7 @@ class TestHypercyclePolyline:
         # circle; the polyline refuses it as DiskPoint does.
         hc = Hypercycle((0.0, 0.0, 1.0), 40.0)
         with pytest.raises(OutOfModelError):
-            disk_xy(hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)[0])
+            disk_xy(HPoint(hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)[0]))
         with pytest.raises(OutOfModelError, match="outside the open unit disk"):
             polyline_for_hypercycle(hc)
 
