@@ -12,14 +12,12 @@ from .kernel import (
     Geometry,
     HPoint,
     SpherePoint,
-    TangentPoint,
     angle_at,
     disk_to_hpoint,
     hdist,
     hpoint_to_disk,
     midpoint,
     point_along,
-    radial_project,
     reflect_across,
 )
 
@@ -32,14 +30,12 @@ __all__ = [
     "Geometry",
     "HPoint",
     "SpherePoint",
-    "TangentPoint",
     "angle_at",
     "disk_to_hpoint",
     "hdist",
     "hpoint_to_disk",
     "midpoint",
     "point_along",
-    "radial_project",
     "reflect_across",
     "__version__",
 ]

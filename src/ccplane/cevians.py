@@ -16,10 +16,9 @@ is checked along two independent routes.  The ``verify`` campaigns
 measure the frame directly in the model: the sides and cevians are line
 covectors of the plane model, the feet are their meets, and the inside
 test reads the signs of ``side_value``, by one formula on all three
-planes.  The second route,
-``projection_oracle``, runs in the tests only, on hyperbolic frames: a
-central projection onto the tangent plane at O maps the frame to a
-euclidean one with the same ratios.
+planes.  The second route, ``projection_oracle``, runs in the tests
+only, also on all three planes: a central projection onto the tangent
+plane at O maps the frame to a euclidean one with the same ratios.
 
 The converse construction recovers a frame from the six lengths alone.
 The auxiliary quantities G = th(AO)/(alpha+1), H = th(BO)/(beta+1) and
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import math
 
-from . import kernel as k
 from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_CONSTRUCT, TOL_ID
 from .errors import (
     DegenerateInputError,
@@ -354,50 +352,41 @@ class ProjectionOracle(Record):
 
 
 def projection_oracle(frame: CevianFrame) -> ProjectionOracle:
-    """Check a hyperbolic frame against its central projection.
+    """Check a frame against its central projection onto the tangent plane at o.
 
-    Projecting from the Minkowski origin onto the tangent plane at o
-    sends geodesics to straight lines and every cevian length x to a
-    euclidean length tanh(x), so the projected euclidean ratios must
-    reproduce alpha, beta, gamma exactly.
+    In homogeneous coordinates (``model.lift``) a point P goes to
+    X = P/(P . O) on the tangent plane at O, where P . O is the point form
+    p0 o0 + kappa (p1 o1 + p2 o2), that is cosh, cos or 1 of the distance
+    from o.  Lines go to straight lines, and Y = X - O has length t_K of
+    that distance in the line form kappa y0^2 + y1^2 + y2^2.  So the
+    euclidean ratios |Y_A|/|Y_D|, |Y_B|/|Y_E|, |Y_C|/|Y_F| must reproduce
+    alpha, beta, gamma, and each vertex and its foot must lie on one line
+    through O, det(O, Y_A, Y_D) = 0.  No distance is measured on the way.
+    A point at a quarter turn or more from o on the sphere has no image,
+    P . O <= 0, and raises DomainError.
     """
-    if frame.tri.geometry is not Geometry.HYPERBOLIC:
-        raise DomainError("the projection oracle expects a hyperbolic frame")
-    base = frame.o
-    pts = {
-        name: k.radial_project(base, point)
-        for name, point in (
-            ("a", frame.tri.a),
-            ("b", frame.tri.b),
-            ("c", frame.tri.c),
-            ("d", frame.d),
-            ("e", frame.e),
-            ("f", frame.f),
-        )
-    }
-    norms = {name: math.hypot(tp.s, tp.t) for name, tp in pts.items()}
-    ratios = (
-        norms["a"] / norms["d"],
-        norms["b"] / norms["e"],
-        norms["c"] / norms["f"],
-    )
-    deviation = max(
-        abs(ratios[0] - frame.alpha),
-        abs(ratios[1] - frame.beta),
-        abs(ratios[2] - frame.gamma),
-    )
+    tri = frame.tri
+    model = tri.geometry.model
+    kappa = model.kappa
+    o0, o1, o2 = model.lift(frame.o)
+    ys = []
+    for point in (tri.a, frame.d, tri.b, frame.e, tri.c, frame.f):
+        p0, p1, p2 = model.lift(point)
+        c = p0 * o0 + kappa * (p1 * o1 + p2 * o2)
+        if not c > 0.0:
+            raise DomainError("a frame point has no central image at the interior point")
+        y0, y1, y2 = p0 / c - o0, p1 / c - o1, p2 / c - o2
+        ys.append((y0, y1, y2, math.sqrt(kappa * (y0 * y0) + y1 * y1 + y2 * y2)))
+    ratios = []
+    collinearity = 0.0
+    for (v0, v1, v2, nv), (f0, f1, f2, nf) in zip(ys[0::2], ys[1::2]):
+        ratios.append(nv / nf)
+        det = o0 * (v1 * f2 - v2 * f1) + o1 * (v2 * f0 - v0 * f2) + o2 * (v0 * f1 - v1 * f0)
+        collinearity = max(collinearity, abs(det) / (nv * nf))
     r1, r2, r3 = ratios
-    collinearity = max(
-        abs(pts["a"].s * pts["d"].t - pts["a"].t * pts["d"].s)
-        / (norms["a"] * norms["d"]),
-        abs(pts["b"].s * pts["e"].t - pts["b"].t * pts["e"].s)
-        / (norms["b"] * norms["e"]),
-        abs(pts["c"].s * pts["f"].t - pts["c"].t * pts["f"].s)
-        / (norms["c"] * norms["f"]),
-    )
     return ProjectionOracle(
-        ratios=ratios,
-        max_deviation=deviation,
+        ratios=(r1, r2, r3),
+        max_deviation=max(abs(r1 - frame.alpha), abs(r2 - frame.beta), abs(r3 - frame.gamma)),
         euclid_relation_residual=r1 * r2 * r3 - (r1 + r2 + r3 + 2.0),
         collinearity_residual=collinearity,
     )

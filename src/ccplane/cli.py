@@ -268,10 +268,15 @@ def _cmd_render(args, parser) -> int:
 
 
 def _add_apex_flags(sub) -> None:
-    sub.add_argument("--apex-y", type=_parse_apex_height, default=None,
-                     help="apex height on the perpendicular axis (model units)")
-    sub.add_argument("--apex", type=_parse_disk_point, default=None,
-                     help="apex as U,W disk coordinates")
+    # Each flag names a different figure, so two of them together are a
+    # usage error rather than one silently overriding the other.
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--apex-y", type=_parse_apex_height, default=None,
+                       help="apex height on the perpendicular axis (model units)")
+    group.add_argument("--apex", type=_parse_disk_point, default=None,
+                       help="apex as U,W disk coordinates")
+    group.add_argument("--foliate", type=_parse_areas, default=None,
+                       metavar="AREAS", help="comma-separated target areas")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lexell.add_argument("x", type=_parse_finite, help="base half-distance")
     _add_apex_flags(p_lexell)
     p_lexell.add_argument("--samples", type=_count_at_least(2), default=20)
-    p_lexell.add_argument("--foliate", type=_parse_areas, default=None,
-                          metavar="AREAS", help="comma-separated target areas")
     p_lexell.add_argument("--json", metavar="PATH", default=None)
     p_lexell.add_argument("--svg", metavar="PATH", default=None)
     p_lexell.set_defaults(func=_cmd_lexell)
@@ -321,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--x", type=_parse_finite, default=0.8,
                           help="base half-distance")
     _add_apex_flags(p_render)
-    p_render.add_argument("--foliate", type=_parse_areas, default=None,
-                          metavar="AREAS")
     p_render.add_argument("--svg", metavar="PATH", required=True)
     p_render.set_defaults(func=_cmd_render)
 

@@ -31,15 +31,16 @@ builds, meets, measures against and drops feet onto with one formula
 each, parameterised by the curvature.  ``model.line(p, q)`` builds one
 (with its checks) once, so a figure that reads a side line several
 times builds it only once.  A model keeps only what differs between
-the planes: how a homogeneous vector becomes a point, and its distances,
-angles, midpoints and polar coordinates.
+the planes: its two coordinate maps, ``lift`` (a point to its homogeneous
+vector) and ``project`` (a homogeneous vector back to its point), and its
+distances, angles, midpoints and polar coordinates.
 
 Every value type of the package (points, figures, reports, scene
 elements) derives from Record: an immutable class whose fields are its
 ``__slots__``, with equality, hashing and repr over those fields.
 Record writes one function per class, its ``__init__``, from the slot
 list and compiles it as the class is defined.  Each command is a short
-``ccplane`` process that pays for its own import: the 23 constructors
+``ccplane`` process that pays for its own import: the 22 constructors
 compile in about 3 ms, where the standard library's ``dataclasses``
 imports ``inspect``, ``ast`` and ``dis`` and compiles six functions per
 class, about 30 ms or a fifth of each command.
@@ -64,7 +65,6 @@ from .constants import (
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
-    DomainError,
     GeometryError,
     InvalidPointError,
     OutOfModelError,
@@ -171,11 +171,13 @@ def on_sheet(v: Vec3) -> Vec3:
     building an HPoint.  Anything else raises InvalidPointError.
     """
     # The quadratic form carries rounding noise of order eps * v0^2,
-    # so the acceptance band must widen with the point's height.
+    # so the acceptance band must widen with the point's height.  Once
+    # v0^2 overflows the band is infinite and would accept anything,
+    # infinite coordinates included, so it must also be finite.
     v0, v1, v2 = v
     q = -v0 * v0 + v1 * v1 + v2 * v2
     band = TOL_POINT * (1.0 + v0 * v0)
-    if not (abs(q + 1.0) <= band) or v0 <= 0.0:
+    if not (abs(q + 1.0) <= band < math.inf) or v0 <= 0.0:
         raise InvalidPointError(f"not on the upper hyperboloid sheet: {v}")
     return v
 
@@ -214,22 +216,8 @@ class DiskPoint(Record):
             raise OutOfModelError(f"outside the open unit disk: ({self.u}, {self.w})")
 
 
-class TangentPoint(Record):
-    """Cartesian coordinates in a tangent plane at a chosen base point."""
-
-    __slots__ = ("s", "t")
-
-
-
 ORIGIN = HPoint((1.0, 0.0, 0.0))
 NORTH_POLE = SpherePoint((0.0, 0.0, 1.0))
-
-
-def normalize_to_hyperboloid(v: Vec3) -> HPoint:
-    """Scale a timelike vector onto the upper sheet."""
-    if vec.minner(v, v) >= 0.0:
-        raise InvalidPointError(f"not timelike: {v}")
-    return HPoint(vec.mnormalize_point(v))
 
 
 def hdist(p: HPoint, q: HPoint) -> float:
@@ -384,23 +372,6 @@ def _turn(basis: tuple[Vec3, Vec3], theta: float) -> Vec3:
 _ORIGIN_BASIS = tangent_basis(ORIGIN)
 
 
-def radial_project(base: HPoint, p: HPoint) -> TangentPoint:
-    """Central projection of p onto the tangent plane at base.
-
-    The ray from the Minkowski origin through p meets the plane
-    {y: <y, base> = -1} at p / cosh(hdist(base, p)); coordinates are
-    taken in tangent_basis(base), so |result| = tanh(hdist(base, p))
-    and geodesics through base project to straight lines through 0.
-    """
-    d = hdist(base, p)
-    if d > MAX_HYPERBOLIC_SIDE:
-        raise DomainError(f"projection point too far from base: {d}")
-    f = 1.0 / math.cosh(d)
-    pp = (p.v[0] * f, p.v[1] * f, p.v[2] * f)
-    e1, e2 = tangent_basis(base)
-    return TangentPoint(vec.minner(pp, e1), vec.minner(pp, e2))
-
-
 class PlaneModel:
     """Operations of one constant-curvature plane, behind one interface.
 
@@ -411,10 +382,15 @@ class PlaneModel:
     - ``base``: the base point ORIGIN, NORTH_POLE or (0.0, 0.0).
     - ``polar(theta, r)``: the point at distance r from the base point
       in direction theta.
-    - ``coords(p)`` and ``project(v)``: ambient coordinates of a point,
-      and the point on the ray through v (central projection).
-    - ``lift(p)``: homogeneous coordinates P of a point, ``p.v`` on the
-      hyperboloid and the sphere and (1, x, y) in the euclidean plane.
+    - ``lift(p)`` and ``project(x)``: the model's two coordinate maps.
+      ``lift`` gives the homogeneous coordinates P of a point, ``p.v`` on
+      the hyperboloid and the sphere and (1, x, y) in the euclidean plane.
+      ``project`` takes a homogeneous vector back to the point on its ray
+      (central projection): onto the upper sheet (a vector that is not
+      timelike raises InvalidPointError), onto the sphere, or to x0 = 1.
+      So ``project(lift(p))`` is p, and a positive combination of lifted
+      points projects into their convex hull (on the sphere, of points
+      in one open hemisphere).
     - ``line(p, q)``: the oriented line through two distinct points, as
       its unit covector l, which the line operations below take.  A
       figure that reads a line more than once builds it once and keeps it.
@@ -449,12 +425,11 @@ class PlaneModel:
     with component 0 negated, l = (-n0, n1, n2), so l . P = <P, n> to
     the last bit.  Lines l and m meet at l x m, and the foot of p is
     P - (l . P) (kappa l0, l1, l2), whose point form is 1 - kappa (l . P)^2.
-    Each model turns a homogeneous vector back into its point: onto the
-    upper sheet, onto the sphere, or to x0 = 1 (``_normalize``), and
+    The foot goes back to its point through ``project``, and each model
     checks that a meet is a point of the plane (``_meet_point``).
     """
 
-    lift = coords = staticmethod(operator.attrgetter("v"))
+    lift = staticmethod(operator.attrgetter("v"))
 
     def line(self, p, q) -> Vec3:
         p0, p1, p2 = self.lift(p)
@@ -496,7 +471,7 @@ class PlaneModel:
         # TOL_POINT of a pole of the line, equally far from all its points.
         if 1.0 - self.kappa * (h * h) <= 2.0 * TOL_POINT:
             raise DegenerateInputError("every point of the line is equally far from p")
-        return self._normalize((p0 - h * (self.kappa * l0), p1 - h * l1, p2 - h * l2))
+        return self.project((p0 - h * (self.kappa * l0), p1 - h * l1, p2 - h * l2))
 
     def versine(self, d: float) -> float:
         """X(d) = 2 s_K(d/2)^2: cosh d - 1, 1 - cos d or d^2/2."""
@@ -567,10 +542,10 @@ class HyperboloidModel(PlaneModel):
     def polar(self, theta: float, r: float) -> HPoint:
         return point_along(ORIGIN, _turn(_ORIGIN_BASIS, theta), r)
 
-    def project(self, v: Vec3) -> HPoint:
-        return normalize_to_hyperboloid(v)
-
-    def _normalize(self, x: Vec3) -> HPoint:
+    def project(self, x: Vec3) -> HPoint:
+        x0, x1, x2 = x
+        if -x0 * x0 + x1 * x1 + x2 * x2 >= 0.0:
+            raise InvalidPointError(f"not timelike: {x}")
         return HPoint(vec.mnormalize_point(x))
 
     def _meet_point(self, x: Vec3, l: Vec3, s1: HPoint, s2: HPoint) -> HPoint:
@@ -615,7 +590,7 @@ class SphereModel(PlaneModel):
         w = (p.v[0] + q.v[0], p.v[1] + q.v[1], p.v[2] + q.v[2])
         if math.sqrt(vec.sdot(w, w)) <= _CROSS_EPS:
             raise DegenerateInputError("midpoint undefined for antipodal points")
-        return SpherePoint(vec.snormalize(w))
+        return self.project(w)
 
     def polar(self, theta: float, r: float) -> SpherePoint:
         # (cos theta, sin theta, 0) is unit to 2 ulps and exactly tangent
@@ -623,13 +598,7 @@ class SphereModel(PlaneModel):
         n = (math.cos(theta), math.sin(theta), 0.0)
         return SpherePoint(vec.sgeo_point(NORTH_POLE.v, n, r))
 
-    def project(self, v: Vec3) -> SpherePoint:
-        # ``x ** 2`` and ``x * x`` can differ in the last bit; the squares
-        # are kept so that sampled streams stay as they were.
-        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
-        return SpherePoint((v[0] / n, v[1] / n, v[2] / n))
-
-    def _normalize(self, x: Vec3) -> SpherePoint:
+    def project(self, x: Vec3) -> SpherePoint:
         # corevec.snormalize, written out.
         x0, x1, x2 = x
         s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
@@ -694,13 +663,7 @@ class EuclideanModel(PlaneModel):
     def polar(self, theta: float, r: float) -> EuclidPoint:
         return (r * math.cos(theta), r * math.sin(theta))
 
-    def coords(self, p: EuclidPoint) -> EuclidPoint:
-        return p
-
-    def project(self, v: EuclidPoint) -> EuclidPoint:
-        return v
-
-    def _normalize(self, x: Vec3) -> EuclidPoint:
+    def project(self, x: Vec3) -> EuclidPoint:
         return (x[1] / x[0], x[2] / x[0])
 
     def _meet_point(

@@ -106,19 +106,18 @@ def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
 def sample_interior_point(tri: Triangle, rng: random.Random):
     """Point strictly inside the triangle.
 
-    A positive combination of the vertex vectors, renormalized, stays
-    inside on the hyperboloid and the sphere because central projection
-    turns it into a convex combination; in the plane it is one already.
-    Weights are bounded away from zero to keep the point off the sides.
+    A positive combination of the vertices' homogeneous vectors
+    (``model.lift``) is a convex combination in the central projection,
+    in which lines are straight, so ``model.project`` takes it to a point
+    inside the triangle on every plane.  Weights are bounded away from
+    zero to keep the point off the sides.
     """
     w = [0.1 + 0.9 * rng.random() for _ in range(3)]
     s = sum(w)
-    w = [x / s for x in w]
+    w0, w1, w2 = [x / s for x in w]
     model = tri.geometry.model
-    a, b, c = model.coords(tri.a), model.coords(tri.b), model.coords(tri.c)
-    return model.project(
-        tuple(w[0] * a[i] + w[1] * b[i] + w[2] * c[i] for i in range(len(a)))
-    )
+    a, b, c = model.lift(tri.a), model.lift(tri.b), model.lift(tri.c)
+    return model.project(tuple(w0 * a[i] + w1 * b[i] + w2 * c[i] for i in range(3)))
 
 
 def sample_frame(geometry: Geometry, rng: random.Random):

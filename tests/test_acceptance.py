@@ -121,15 +121,17 @@ def test_criterion_03_pqr_system(frames):
 
 
 def test_criterion_04_projection_oracle(frames):
-    worst_dev = worst_rel = 0.0
-    for frame in frames[HYP][:500]:
-        oracle = projection_oracle(frame)
-        worst_dev = max(worst_dev, oracle.max_deviation)
-        worst_rel = max(worst_rel, oracle.euclid_relation_residual)
-    ok = worst_dev <= 1e-9 and worst_rel <= 1e-9
+    worst_dev = worst_rel = worst_col = 0.0
+    for geo in GEOMETRIES:
+        for frame in frames[geo][:500]:
+            oracle = projection_oracle(frame)
+            worst_dev = max(worst_dev, oracle.max_deviation)
+            worst_rel = max(worst_rel, abs(oracle.euclid_relation_residual))
+            worst_col = max(worst_col, oracle.collinearity_residual)
+    ok = worst_dev <= 1e-9 and worst_rel <= 1e-9 and worst_col <= 1e-9
     _report("criterion-04", "projection-oracle", ok,
-            f"ratio deviation {worst_dev:.3e}, euclidean relation {worst_rel:.3e} "
-            "<= 1e-09, 500 hyperbolic frames")
+            f"ratio deviation {worst_dev:.3e}, euclidean relation {worst_rel:.3e}, "
+            f"collinearity {worst_col:.3e} <= 1e-09, 500 frames per geometry")
 
 
 def test_criterion_05_construction_round_trip(frames):

@@ -284,26 +284,59 @@ class TestPqrSystem:
         assert sys_.R == pytest.approx(math.sin(fr.r) / math.tanh(fr.co), abs=0)
 
 
+def _moved_along(model, p, q, delta):
+    """p moved distance delta toward q along their line.
+
+    s_K(d - delta) P + s_K(delta) Q, for d = dist(p, q), is the point at
+    distance delta from p on every plane (in the plane, a point of the
+    segment at x0 = d); ``project`` scales it back to its point.
+    """
+    a, b = model.s_K(model.dist(p, q) - delta), model.s_K(delta)
+    return model.project(tuple(a * x + b * y for x, y in zip(model.lift(p), model.lift(q))))
+
+
+def _replaced(frame, **fields):
+    """The frame with some fields replaced and nothing measured again."""
+    return CevianFrame(**{name: getattr(frame, name) for name in frame._fields} | fields)
+
+
 class TestProjectionOracle:
     def test_ratio_agreement_campaign(self):
-        worst_dev = worst_col = worst_rel = 0.0
-        for i in range(100):
-            fr = sample_frame(HYP, substream("proj", 11, i))
-            po = projection_oracle(fr)
-            worst_dev = max(worst_dev, po.max_deviation)
-            worst_col = max(worst_col, po.collinearity_residual)
-            prod = po.ratios[0] * po.ratios[1] * po.ratios[2]
-            worst_rel = max(
-                worst_rel, abs(po.euclid_relation_residual) / (1.0 + abs(prod))
-            )
-        assert worst_dev < 1e-11
-        assert worst_col < 1e-11
-        assert worst_rel < 1e-12
+        for geometry in Geometry:
+            worst_dev = worst_col = worst_rel = 0.0
+            for i in range(500):
+                fr = sample_frame(geometry, substream("proj", 11, i))
+                po = projection_oracle(fr)
+                worst_dev = max(worst_dev, po.max_deviation)
+                worst_col = max(worst_col, po.collinearity_residual)
+                prod = po.ratios[0] * po.ratios[1] * po.ratios[2]
+                worst_rel = max(
+                    worst_rel, abs(po.euclid_relation_residual) / (1.0 + abs(prod))
+                )
+            assert worst_dev < 1e-11, geometry
+            assert worst_col < 1e-11, geometry
+            assert worst_rel < 1e-12, geometry
 
-    def test_spherical_frame_rejected(self):
+    @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+    def test_sees_a_displaced_foot(self, geometry):
+        # A foot moved 1e-7 along its side leaves the cevian through O,
+        # so its image leaves the line through O and the vertex's image.
+        model = geometry.model
+        for i in range(50):
+            fr = sample_frame(geometry, substream("proj-moved", 1, i))
+            d = _moved_along(model, fr.d, fr.tri.c, 1e-7)
+            assert model.dist(d, fr.d) == pytest.approx(1e-7, rel=1e-6)
+            assert model.line_residual(fr.tri._lines[0], d) <= 1e-12
+            po = projection_oracle(_replaced(fr, d=d))
+            assert max(po.max_deviation, po.collinearity_residual) > 1e-9
+
+    def test_point_without_a_central_image_rejected(self):
+        # Seen from the antipode of O, every frame point is more than a
+        # quarter turn away: P . O < 0, and its ray misses the tangent plane.
         fr = sample_frame(SPH, substream("proj-sph", 1, 0))
-        with pytest.raises(DomainError):
-            projection_oracle(fr)
+        antipode = SpherePoint(tuple(-x for x in fr.o.v))
+        with pytest.raises(DomainError, match="no central image"):
+            projection_oracle(_replaced(fr, o=antipode))
 
 
 class TestConverseConstruction:

@@ -313,6 +313,29 @@ def test_bad_values_are_usage_errors(argv, option, capsys):
     assert f"argument {option}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lexell", "0.8", "--apex-y", "1.0", "--apex=0.1,0.4"],
+        ["lexell", "0.8", "--apex-y", "1.0", "--foliate", "0.5"],
+        ["lexell", "0.8", "--apex=0.1,0.4", "--foliate", "0.5"],
+        ["render", "locus", "--apex-y", "1.0", "--apex=0.1,0.4", "--svg", "x.svg"],
+        ["render", "foliation", "--apex-y", "1.0", "--foliate", "0.5", "--svg", "x.svg"],
+    ],
+)
+def test_conflicting_apex_flags_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
+    # --apex-y, --apex and --foliate each name the figure; given two, the
+    # command would draw one and drop the other without a word.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert "not allowed with argument" in out.err
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_figure_prints_no_json(monkeypatch, capsys, tmp_path):
     # The figure is drawn before the record is printed, so a command
     # whose SVG fails leaves stdout empty instead of a success record.

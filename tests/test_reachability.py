@@ -11,8 +11,9 @@ deleted, given a caller, or listed here; deleting or reviving a listed
 one means updating the list.  Class bodies, lambdas and comprehensions
 are not counted.
 
-A second test reads the same sources and holds the five line
-operations to their one home on ``PlaneModel``.
+Two more tests read the same sources: one holds the five line
+operations to their one home on ``PlaneModel``, the other holds each
+model to two coordinate maps, ``lift`` and ``project``.
 """
 
 import ast
@@ -45,7 +46,6 @@ UNREACHED = {
     "kernel.Record._values": "field tuple behind __eq__ and __hash__",
     "kernel._recentre": "angle_at past v0 = 75: `lexell --apex-y` above about 5 reaches it",
     "kernel.direction": "public primitive; lexell takes its tangents from mcross",
-    "kernel.radial_project": "test oracle for the hyperboloid projection",
     "kernel.tangent_direction": "builds test apexes and points along rays",
     "lexell._check_ideal_angles": "checks the inputs of the two ideal-vertex formulas below",
     "lexell.apex_area_formula": "closed-form reference that the tests hold the deficit to",
@@ -194,3 +194,30 @@ def test_line_operations_have_one_home():
     assert sorted(defined) == sorted(f"kernel.PlaneModel.{op}" for op in LINE_OPERATIONS)
     assert assigned == []
     assert mentions == []
+
+
+# A plane model has two coordinate maps, ``lift`` (point to homogeneous
+# vector) and ``project`` (back).  These names were the ambient coordinate
+# system beside them and the hyperboloid-only projection.
+REMOVED_MAPS = ("coords", "_normalize", "normalize_to_hyperboloid", "radial_project",
+                "TangentPoint")
+
+
+def test_each_model_has_one_pair_of_coordinate_maps():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # Definitions, imports, attributes and class-body assignments;
+            # a local variable of that name is not a coordinate map.
+            names = [getattr(node, "name", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    target.id
+                    for item in node.body if isinstance(item, ast.Assign)
+                    for target in ast.walk(item) if isinstance(target, ast.Name)
+                ]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in REMOVED_MAPS]
+    assert found == []
+    models = {n.rsplit(".", 1)[0] for n in _functions().values()
+              if n.rsplit(".", 1)[1] == "project"}
+    assert models == {"kernel.HyperboloidModel", "kernel.SphereModel", "kernel.EuclideanModel"}

@@ -23,7 +23,6 @@ from ccplane.kernel import (
     Geometry,
     HPoint,
     SpherePoint,
-    TangentPoint,
 )
 from ccplane.lexell import AreaLocus, BaseConfig, Hypercycle, LocusResiduals
 from ccplane.render import (
@@ -52,7 +51,6 @@ SAMPLES = {
     HPoint: {"v": (1.0, 0.0, 0.0)},
     SpherePoint: {"v": (0.0, 0.0, 1.0)},
     DiskPoint: {"u": 0.25, "w": -0.5},
-    TangentPoint: {"s": 0.5, "t": 2.0},
     Triangle: {"geometry": EUC, "a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0)},
     CevianFrame: {
         "tri": TRI, "o": (0.25, 0.25), "d": (0.5, 0.5), "e": (0.0, 0.5),
@@ -121,7 +119,6 @@ EXPECTED_REPR = {
     HPoint: "HPoint(v=(1.0, 0.0, 0.0))",
     SpherePoint: "SpherePoint(v=(0.0, 0.0, 1.0))",
     DiskPoint: "DiskPoint(u=0.25, w=-0.5)",
-    TangentPoint: "TangentPoint(s=0.5, t=2.0)",
     Triangle: _TRI_REPR,
     CevianFrame: (
         f"CevianFrame(tri={_TRI_REPR}, o=(0.25, 0.25), d=(0.5, 0.5), e=(0.0, 0.5), "
@@ -208,7 +205,7 @@ def _ids(cls):
 
 
 def test_every_value_class_is_sampled():
-    assert len(CLASSES) == 23
+    assert len(CLASSES) == 22
     assert set(EXPECTED_REPR) == set(CLASSES)
 
 
@@ -278,9 +275,8 @@ def test_eq_tells_fields_and_classes_apart():
     assert ScenePoint(0.0, 0.0, "A") != ScenePoint(0.0, 0.0, "A", "apex")
     assert Triangle(EUC, (0.0, 0.0), (1.0, 0.0), (0.0, 2.0)) != TRI
     # Same field values, different class.
-    assert DiskPoint(0.25, -0.5) != TangentPoint(0.25, -0.5)
     assert HPoint((1.0, 0.0, 0.0)) != SpherePoint((1.0, 0.0, 0.0))
-    assert len({DiskPoint(0.25, -0.5), TangentPoint(0.25, -0.5)}) == 2
+    assert len({HPoint((1.0, 0.0, 0.0)), SpherePoint((1.0, 0.0, 0.0))}) == 2
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_ids)
