@@ -12,13 +12,9 @@ from .kernel import (
     Geometry,
     HPoint,
     SpherePoint,
-    angle_at,
     disk_to_hpoint,
     hdist,
     hpoint_to_disk,
-    midpoint,
-    point_along,
-    reflect_across,
 )
 
 __version__ = "0.1.0"
@@ -30,12 +26,8 @@ __all__ = [
     "Geometry",
     "HPoint",
     "SpherePoint",
-    "angle_at",
     "disk_to_hpoint",
     "hdist",
     "hpoint_to_disk",
-    "midpoint",
-    "point_along",
-    "reflect_across",
     "__version__",
 ]

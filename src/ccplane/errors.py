@@ -21,10 +21,6 @@ class DegenerateInputError(GeometryError):
     """Coincident points, identical curves or collapsed figures."""
 
 
-class ContractViolationError(GeometryError):
-    """A caller obligation was broken (non-unit tangent, wrong tag)."""
-
-
 class DomainError(GeometryError):
     """Arguments outside the supported range of an operation."""
 

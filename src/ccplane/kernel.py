@@ -1,26 +1,31 @@
-"""Points of the three planes, hyperboloid primitives, and one model per plane.
+"""Points of the three planes, one model per plane, and the disk chart.
 
 The hyperbolic plane is the upper sheet x0 > 0 of <x, x> = -1 in
 Minkowski 3-space with <x, y> = -x0*y0 + x1*y1 + x2*y2.  Distances obey
 cosh d(p, q) = -<p, q>, and moving distance t from p along a unit
-tangent n gives cosh(t) p + sinh(t) n.  The module functions below are
-these hyperboloid primitives (distances, angles, midpoints, the
-exponential map, reflections and the disk chart), which the Lexell
-loci, the renderer and the CLI call directly.  The sphere uses unit
-vectors in ordinary Euclidean 3-space, inside SphereModel.
+tangent n gives cosh(t) p + sinh(t) n.  The sphere uses unit vectors in
+ordinary Euclidean 3-space.  Each plane's distances, angles, midpoints
+and polar coordinates are methods of its model, HyperboloidModel,
+SphereModel or EuclideanModel.  Five module functions remain, each
+because other modules call it on something that is not a model's point:
+``on_sheet`` and ``hdist`` take bare hyperboloid vectors, ``substream``
+seeds the campaigns, and ``disk_to_hpoint`` and ``hpoint_to_disk`` are
+the conformal disk chart that the CLI, the renderer and the Lexell base
+read.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.  ``on_sheet`` holds
-the hyperboloid's acceptance band, the one check behind every HPoint;
-code that reads points only as coordinates, such as the Lexell probe,
-passes its vectors through it and builds no HPoint.
+the hyperboloid's acceptance band, the one check behind every HPoint,
+and ``hdist`` the one hyperbolic distance: code that reads points only
+as coordinates, such as the Lexell probe, passes its vectors through
+both and builds no HPoint.
 
 The checks, distances and angles that every sampled figure runs are
 written out on unpacked coordinates rather than composed from
 ``corevec`` calls: the same operations in the same order, so every
 value equals the ``corevec`` composition to the last bit, at a fraction
 of the call overhead.  ``corevec`` stays the reference for those and the
-home of the rest (exponential map, reflections, midpoints).
+home of the rest (the exponential map, midpoints).
 
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
@@ -59,11 +64,9 @@ from .constants import (
     MAX_HYPERBOLIC_SIDE,
     MAX_SPHERICAL_SIDE,
     TOL_CLAMP,
-    TOL_ID,
     TOL_POINT,
 )
 from .errors import (
-    ContractViolationError,
     DegenerateInputError,
     GeometryError,
     InvalidPointError,
@@ -220,14 +223,14 @@ ORIGIN = HPoint((1.0, 0.0, 0.0))
 NORTH_POLE = SpherePoint((0.0, 0.0, 1.0))
 
 
-def hdist(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance between two points.
+def hdist(p: Vec3, q: Vec3) -> float:
+    """Hyperbolic distance between two vectors of the upper sheet.
 
     Near coincidence acosh(-<p,q>) loses half the digits, so the chord
     form 2*asinh(|p - q|/2) is used there instead.
     """
-    p0, p1, p2 = p.v
-    q0, q1, q2 = q.v
+    p0, p1, p2 = p
+    q0, q1, q2 = q
     m = -(-p0 * q0 + p1 * q1 + p2 * q2)
     # The inner product of two far points carries rounding noise of
     # order eps * p0 * q0, so the invariant clamp widens with height.
@@ -242,93 +245,6 @@ def hdist(p: HPoint, q: HPoint) -> float:
     return math.acosh(m)
 
 
-def _check_unit_tangent(p: HPoint, n: Vec3) -> None:
-    # Tangent components at a far base point grow like cosh(d); both
-    # checks widen with the rounding noise of their inner products.
-    if abs(vec.minner(n, n) - 1.0) > TOL_ID * (1.0 + n[0] * n[0]):
-        raise ContractViolationError(f"direction is not unit spacelike: {n}")
-    if abs(vec.minner(p.v, n)) > TOL_ID * (1.0 + p.v[0] * abs(n[0])):
-        raise ContractViolationError(f"direction is not tangent at the point: {n}")
-
-
-def point_along(p: HPoint, n: Vec3, t: float) -> HPoint:
-    """Point at signed arclength t from p along the unit tangent n."""
-    _check_unit_tangent(p, n)
-    return HPoint(vec.mgeo_point(p.v, n, t))
-
-
-def direction(p: HPoint, q: HPoint) -> Vec3:
-    """Unit tangent at p toward q; the two points must be distinct."""
-    if hdist(p, q) <= TOL_POINT:
-        raise DegenerateInputError("cannot take a direction between coincident points")
-    return vec.mtangent(p.v, q.v)
-
-
-# Beyond this time coordinate (distance ~5 from the origin) tangent
-# components grow large enough for their Gram products to wash out
-# small angles, so the vertex is first moved onto the origin.
-_RECENTRE_LIMIT = 75.0
-_E0: Vec3 = (1.0, 0.0, 0.0)
-
-
-def _recentre(v: Vec3, pts: tuple[Vec3, ...]) -> list[Vec3]:
-    # Point reflection about the midpoint of [v, origin]: an isometry
-    # taking v exactly to the origin.  <v+e0, v+e0> = -(2 + 2 v0), so
-    # the midpoint comes out in closed form with no cancellation.
-    s = math.sqrt(2.0 + 2.0 * v[0])
-    m = ((v[0] + 1.0) / s, v[1] / s, v[2] / s)
-    out = []
-    for x in pts:
-        d = 2.0 * vec.minner(x, m)
-        out.append((-x[0] - d * m[0], -x[1] - d * m[1], -x[2] - d * m[2]))
-    return out
-
-
-def angle_at(v: HPoint, p: HPoint, q: HPoint) -> float:
-    """Interior angle at v between the segments to p and to q."""
-    if hdist(v, p) <= TOL_POINT or hdist(v, q) <= TOL_POINT:
-        raise DegenerateInputError("cannot take a direction between coincident points")
-    if v.v[0] > _RECENTRE_LIMIT:
-        rp, rq = _recentre(v.v, (p.v, q.v))
-        x0, x1, x2 = _tangent_at(_E0, rp)
-        y0, y1, y2 = _tangent_at(_E0, rq)
-    else:
-        x0, x1, x2 = _tangent_at(v.v, p.v)
-        y0, y1, y2 = _tangent_at(v.v, q.v)
-    c = -x0 * y0 + x1 * y1 + x2 * y2
-    w0, w1, w2 = y0 - c * x0, y1 - c * x1, y2 - c * x2
-    s = math.sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0))
-    return math.atan2(s, c)
-
-
-def _tangent_at(p: Vec3, q: Vec3) -> Vec3:
-    # Unit tangent at p toward q, as corevec.mtangent computes it.
-    p0, p1, p2 = p
-    q0, q1, q2 = q
-    m = -p0 * q0 + p1 * q1 + p2 * q2
-    w0, w1, w2 = q0 + m * p0, q1 + m * p1, q2 + m * p2
-    if m > -2.0:
-        s = math.sqrt(-w0 * w0 + w1 * w1 + w2 * w2)
-    else:
-        # Far apart, the squared components of w cancel catastrophically;
-        # the norm is sqrt(m^2 - 1) identically, so use that instead.
-        s = math.sqrt(m * m - 1.0)
-    return (w0 / s, w1 / s, w2 / s)
-
-
-def midpoint(p: HPoint, q: HPoint) -> HPoint:
-    """Point halfway along the segment from p to q."""
-    return HPoint(vec.mmid(p.v, q.v))
-
-
-def reflect_across(l: Vec3, p: HPoint) -> HPoint:
-    """Image of p under the reflection fixing the line with covector l.
-
-    The line's unit spacelike normal is (-l0, l1, l2); see PlaneModel.
-    """
-    return HPoint(vec.mreflect(p.v, (-l[0], l[1], l[2])))
-
-
 def disk_to_hpoint(d: DiskPoint) -> HPoint:
     """Lift conformal disk coordinates onto the hyperboloid."""
     s = d.u * d.u + d.w * d.w
@@ -340,36 +256,6 @@ def hpoint_to_disk(p: HPoint) -> DiskPoint:
     """Project a hyperboloid point into the conformal disk."""
     f = 1.0 / (1.0 + p.v[0])
     return DiskPoint(p.v[1] * f, p.v[2] * f)
-
-
-def tangent_basis(base: HPoint) -> tuple[Vec3, Vec3]:
-    """Deterministic orthonormal basis of the tangent plane at base."""
-    a = (0.0, 1.0, 0.0)
-    c = vec.minner(a, base.v)
-    e1 = vec.mnormalize_space(
-        (a[0] + c * base.v[0], a[1] + c * base.v[1], a[2] + c * base.v[2])
-    )
-    e2 = vec.mcross(base.v, e1)
-    return e1, e2
-
-
-def tangent_direction(base: HPoint, theta: float) -> Vec3:
-    """Unit tangent at base making angle theta with the first basis leg."""
-    return _turn(tangent_basis(base), theta)
-
-
-def _turn(basis: tuple[Vec3, Vec3], theta: float) -> Vec3:
-    e1, e2 = basis
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return (
-        c * e1[0] + s * e2[0],
-        c * e1[1] + s * e2[1],
-        c * e1[2] + s * e2[2],
-    )
-
-
-_ORIGIN_BASIS = tangent_basis(ORIGIN)
 
 
 class PlaneModel:
@@ -420,7 +306,7 @@ class PlaneModel:
     the sphere, and on the hyperboloid points so far out that the rounded
     product is not spacelike.  (The product rounds by about 4 eps p0 q0,
     below _CROSS_EPS out to v0 ~ 300, distance 6.4, past every sampled
-    figure; ``lexell_locus`` checks its far midpoints with ``hdist``.)
+    figure; ``lexell_locus`` checks its far midpoints with ``dist``.)
     On the hyperboloid l is the unit spacelike normal n of the geodesic
     with component 0 negated, l = (-n0, n1, n2), so l . P = <P, n> to
     the last bit.  Lines l and m meet at l x m, and the foot of p is
@@ -515,9 +401,12 @@ class PlaneModel:
         )
 
 
-# Only this model calls module functions, by their module names at call
-# time, so code that wraps those functions also sees these calls.  The
-# sphere and euclidean models keep their arithmetic in their methods.
+# Beyond this time coordinate (distance ~5 from the origin) tangent
+# components grow large enough for their Gram products to wash out
+# small angles, so ``HyperboloidModel.angle`` first moves the vertex
+# onto the origin.
+_RECENTRE_LIMIT = 75.0
+_E0: Vec3 = (1.0, 0.0, 0.0)
 
 
 class HyperboloidModel(PlaneModel):
@@ -530,17 +419,34 @@ class HyperboloidModel(PlaneModel):
     t_K = staticmethod(math.tanh)
     t_K_inv = staticmethod(math.atanh)
 
+    # ``hdist`` is the one module function the model calls, by its module
+    # name at call time, so code that wraps it also sees these calls.
     def dist(self, p: HPoint, q: HPoint) -> float:
-        return hdist(p, q)
+        return hdist(p.v, q.v)
 
     def angle(self, v: HPoint, p: HPoint, q: HPoint) -> float:
-        return angle_at(v, p, q)
+        if hdist(v.v, p.v) <= TOL_POINT or hdist(v.v, q.v) <= TOL_POINT:
+            raise DegenerateInputError("cannot take a direction between coincident points")
+        if v.v[0] > _RECENTRE_LIMIT:
+            rp, rq = self._recentre(v.v, (p.v, q.v))
+            x0, x1, x2 = self._tangent(_E0, rp)
+            y0, y1, y2 = self._tangent(_E0, rq)
+        else:
+            x0, x1, x2 = self._tangent(v.v, p.v)
+            y0, y1, y2 = self._tangent(v.v, q.v)
+        c = -x0 * y0 + x1 * y1 + x2 * y2
+        w0, w1, w2 = y0 - c * x0, y1 - c * x1, y2 - c * x2
+        s = math.sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0))
+        return math.atan2(s, c)
 
     def mid(self, p: HPoint, q: HPoint) -> HPoint:
-        return midpoint(p, q)
+        return HPoint(vec.mmid(p.v, q.v))
 
     def polar(self, theta: float, r: float) -> HPoint:
-        return point_along(ORIGIN, _turn(_ORIGIN_BASIS, theta), r)
+        # (0, cos theta, sin theta) is unit to 2 ulps and exactly tangent
+        # at the origin, so it goes to the exponential map unchecked.
+        n = (0.0, math.cos(theta), math.sin(theta))
+        return HPoint(vec.mgeo_point(ORIGIN.v, n, r))
 
     def project(self, x: Vec3) -> HPoint:
         x0, x1, x2 = x
@@ -555,6 +461,35 @@ class HyperboloidModel(PlaneModel):
         if -x0 * x0 + x1 * x1 + x2 * x2 >= 0.0:
             raise GeometryError("the lines do not meet")
         return HPoint(vec.mnormalize_point(x))
+
+    @staticmethod
+    def _tangent(p: Vec3, q: Vec3) -> Vec3:
+        """Unit tangent at p toward q, as corevec.mtangent computes it."""
+        p0, p1, p2 = p
+        q0, q1, q2 = q
+        m = -p0 * q0 + p1 * q1 + p2 * q2
+        w0, w1, w2 = q0 + m * p0, q1 + m * p1, q2 + m * p2
+        if m > -2.0:
+            s = math.sqrt(-w0 * w0 + w1 * w1 + w2 * w2)
+        else:
+            # Far apart, the squared components of w cancel catastrophically;
+            # the norm is sqrt(m^2 - 1) identically, so use that instead.
+            s = math.sqrt(m * m - 1.0)
+        return (w0 / s, w1 / s, w2 / s)
+
+    @staticmethod
+    def _recentre(v: Vec3, pts: tuple[Vec3, ...]) -> list[Vec3]:
+        """pts under the point reflection about the midpoint of [v, origin]:
+        an isometry taking v exactly to the origin."""
+        # <v+e0, v+e0> = -(2 + 2 v0), so the midpoint comes out in closed
+        # form with no cancellation.
+        s = math.sqrt(2.0 + 2.0 * v[0])
+        m = ((v[0] + 1.0) / s, v[1] / s, v[2] / s)
+        out = []
+        for x in pts:
+            d = 2.0 * vec.minner(x, m)
+            out.append((-x[0] - d * m[0], -x[1] - d * m[1], -x[2] - d * m[2]))
+        return out
 
 
 class SphereModel(PlaneModel):
@@ -655,6 +590,8 @@ class EuclideanModel(PlaneModel):
     def angle(self, v: EuclidPoint, p: EuclidPoint, q: EuclidPoint) -> float:
         ax, ay = p[0] - v[0], p[1] - v[1]
         bx, by = q[0] - v[0], q[1] - v[1]
+        if math.hypot(ax, ay) <= TOL_POINT or math.hypot(bx, by) <= TOL_POINT:
+            raise DegenerateInputError("cannot take a direction between coincident points")
         return abs(math.atan2(ax * by - ay * bx, ax * bx + ay * by))
 
     def mid(self, p: EuclidPoint, q: EuclidPoint) -> EuclidPoint:

@@ -62,13 +62,12 @@ from functools import cached_property
 
 from . import corevec as vec
 from . import kernel as k
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_CLAMP, TOL_ID, TOL_POINT
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID, TOL_POINT
 from .errors import (
     DegenerateInputError,
     DomainError,
     GeometryError,
     InfeasibleAreaError,
-    InvalidPointError,
 )
 from .kernel import Geometry, HPoint, Record, Vec3
 
@@ -198,7 +197,7 @@ class BaseConfig(Record):
         da, db = k.hpoint_to_disk(self.a), k.hpoint_to_disk(self.b)
         if max(abs(da.w), abs(db.w)) > TOL_ID or abs(da.u + db.u) > TOL_ID:
             raise DomainError("base vertices are not symmetric on the real axis")
-        if abs(k.hdist(self.a, self.b) - 2.0 * self.half_distance) > TOL_ID:
+        if abs(_MODEL.dist(self.a, self.b) - 2.0 * self.half_distance) > TOL_ID:
             raise DomainError("half-distance does not match the vertex separation")
 
     @classmethod
@@ -211,8 +210,12 @@ class BaseConfig(Record):
         return _MODEL.line(self.a, self.b)
 
 
-# Perpendicular bisector of every standard-position base: the set x1 = 0.
-_BISECTOR = (0.0, 1.0, 0.0)
+def _bisector_mirror(p: HPoint) -> HPoint:
+    """Mirror image of p across the perpendicular bisector of every
+    standard-position base, the line x1 = 0: v1 changes sign, exactly,
+    and a zero keeps its sign."""
+    v0, v1, v2 = p.v
+    return HPoint((v0, -v1 if v1 else v1, v2))
 
 
 class AreaLocus(Record):
@@ -228,7 +231,8 @@ class AreaLocus(Record):
 
 def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
     """pi minus the angle sum; valid beyond the Triangle side range."""
-    return math.pi - (k.angle_at(p, q, r) + k.angle_at(q, r, p) + k.angle_at(r, p, q))
+    angle = _MODEL.angle
+    return math.pi - (angle(p, q, r) + angle(q, r, p) + angle(r, p, q))
 
 
 def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
@@ -275,7 +279,7 @@ def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
     samples' own rounding, from ``hypercycle_points``, is not in it.
     """
     l0, l1, l2 = _MODEL.line(a, b)
-    e0, e1, e2 = vec.mcross(k.midpoint(a, b).v, (-l0, l1, l2))
+    e0, e1, e2 = vec.mcross(_MODEL.mid(a, b).v, (-l0, l1, l2))
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
     ga = -a0 * e0 + a1 * e1 + a2 * e2
@@ -371,8 +375,8 @@ def apex_triangle(x: float, a: float, t: float) -> tuple[HPoint, HPoint, HPoint]
     va = _MODEL.polar(0.0, x)
     vb = _MODEL.polar(0.0, -x)
     foot = _MODEL.polar(0.0, a)
-    p = k.point_along(foot, (0.0, 0.0, 1.0), t)
-    return (va, vb, p)
+    # (0, 0, 1) is the unit tangent at the foot pointing up, off the base.
+    return (va, vb, HPoint(vec.mgeo_point(foot.v, (0.0, 0.0, 1.0), t)))
 
 
 def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
@@ -386,10 +390,9 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     """
     if _MODEL.line_residual(base.base_line(), p) <= BASE_LINE_TOL:
         raise DegenerateInputError("apex lies on the base line")
-    p_mirror = k.reflect_across(_BISECTOR, p)
-    m1 = k.midpoint(p, base.a)
-    m2 = k.midpoint(p_mirror, base.b)
-    if k.hdist(m1, m2) <= TOL_POINT:
+    m1 = _MODEL.mid(p, base.a)
+    m2 = _MODEL.mid(_bisector_mirror(p), base.b)
+    if _MODEL.dist(m1, m2) <= TOL_POINT:
         raise DegenerateInputError("midpoints coincide; axis is undetermined")
     axis = _MODEL.line(m1, m2)
     # Measure the offset against the base vertices rather than the apex:
@@ -438,8 +441,8 @@ def locus_residuals(
     pts = hypercycle_samples(locus.carrier, samples)
     areas = _base_areas(pts, a, b)
     # The midpoints of z a and z b lie on the axis: ``line_residual``
-    # written out, on midpoints built and checked as ``midpoint`` builds
-    # them.
+    # written out, on midpoints built and checked as the model's ``mid``
+    # builds them.
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
     l0, l1, l2 = locus.carrier.axis
@@ -481,10 +484,8 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     has l . w = |s2| s1 + |s1| s2 = 0 and lies in span(z1, z2), so it is
     on both lines.  A positive combination of two future-timelike
     vectors is future-timelike, so w always normalizes onto the sheet,
-    and the crossing goes through HPoint's sheet check.  Both pieces are
-    measured as ``kernel.hdist`` measures them, with its separation
-    clamp, written out on the vectors: the same operations in the same
-    order, so every imbalance equals the HPoint route's to the last bit.
+    and the crossing goes through HPoint's sheet check.  ``kernel.hdist``
+    measures both pieces on the vectors.
     """
     if n < 0:
         raise DomainError(f"chord count must be nonnegative: {n}")
@@ -494,37 +495,17 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
     l0, l1, l2 = locus.carrier.axis
     normalize, check = vec.mnormalize_point, k.on_sheet
-    asinh, acosh, sqrt = math.asinh, math.acosh, math.sqrt
     worst = 0.0
-    for (p0, p1, p2), (q0, q1, q2) in zip(carrier_pts, mirror_pts):
+    for z1, z2 in zip(carrier_pts, mirror_pts):
+        p0, p1, p2 = z1
+        q0, q1, q2 = z2
         s1 = p0 * l0 + p1 * l1 + p2 * l2
         s2 = q0 * l0 + q1 * l1 + q2 * l2
         if s1 * s2 >= 0.0:
             raise DomainError("chord endpoints must straddle the axis")
         w1, w2 = abs(s2), abs(s1)
-        x0, x1, x2 = check(
-            normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2))
-        )
-        # hdist(z1, crossing) and hdist(crossing, z2), written out.
-        m = -(-p0 * x0 + p1 * x1 + p2 * x2)
-        if m < 1.0 - TOL_CLAMP * (1.0 + p0 * x0):
-            raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
-        if m < 1.5:
-            e0, e1, e2 = p0 - x0, p1 - x1, p2 - x2
-            c = -e0 * e0 + e1 * e1 + e2 * e2
-            d1 = 0.0 if c <= 0.0 else 2.0 * asinh(0.5 * sqrt(c))
-        else:
-            d1 = acosh(m)
-        m = -(-x0 * q0 + x1 * q1 + x2 * q2)
-        if m < 1.0 - TOL_CLAMP * (1.0 + x0 * q0):
-            raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
-        if m < 1.5:
-            e0, e1, e2 = x0 - q0, x1 - q1, x2 - q2
-            c = -e0 * e0 + e1 * e1 + e2 * e2
-            d2 = 0.0 if c <= 0.0 else 2.0 * asinh(0.5 * sqrt(c))
-        else:
-            d2 = acosh(m)
-        worst = max(worst, abs(d1 - d2))
+        x = check(normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2)))
+        worst = max(worst, abs(k.hdist(z1, x) - k.hdist(x, z2)))
     return worst
 
 

@@ -20,9 +20,9 @@ _MIN_ANGLE = 0.15
 
 # First-order rounding bound on |corner_cosines - cos(angle)| for draws
 # from the disks below with every side at least _MIN_SIDE: 2.6e-11 on the
-# hyperboloid (angle_at works on coordinates up to cosh 3 in size),
-# 4.3e-13 on the sphere and 8.9e-13 in the plane.  The derivation is in
-# CHANGES.md; the margin is the largest bound, rounded up.
+# hyperboloid (``HyperboloidModel.angle`` works on coordinates up to
+# cosh 3 in size), 4.3e-13 on the sphere and 8.9e-13 in the plane.  The
+# derivation is in CHANGES.md; the margin is the largest bound, rounded up.
 _PRETEST_MARGIN = 3e-11
 _THIN_COS = math.cos(_MIN_ANGLE) + _PRETEST_MARGIN
 _FAT_COS = math.cos(_MIN_ANGLE) - _PRETEST_MARGIN

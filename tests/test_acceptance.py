@@ -148,9 +148,9 @@ def test_criterion_05_construction_round_trip(frames):
         )
     tri = equilateral_triangle(1.0, HYP)
     model = HYP.model
-    e = k.midpoint(tri.c, tri.a)
+    e = model.mid(tri.c, tri.a)
     o = model.meet(
-        model.line(tri.a, k.midpoint(tri.b, tri.c)), model.line(tri.b, e), tri.b, e
+        model.line(tri.a, model.mid(tri.b, tri.c)), model.line(tri.b, e), tri.b, e
     )
     res = construct_from_ratios(RatioSumInput.from_frame(cevian_frame(tri, o)))
     third = 2.0 * math.pi / 3.0

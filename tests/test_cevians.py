@@ -35,11 +35,6 @@ from ccplane.kernel import (
     Geometry,
     HPoint,
     SpherePoint,
-    angle_at,
-    hdist,
-    point_along,
-    reflect_across,
-    tangent_direction,
 )
 from ccplane.sampling import (
     MAX_TRIANGLE_ATTEMPTS,
@@ -49,6 +44,7 @@ from ccplane.sampling import (
     substream,
 )
 from ccplane.trig import cathetus_from_hypotenuse, menelaus_ratio
+from hyperboloid_oracles import direction, point_along, reflect_across
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
@@ -56,9 +52,9 @@ EUC = Geometry.EUCLIDEAN
 
 
 def fixture_triangle() -> Triangle:
-    a = point_along(ORIGIN, tangent_direction(ORIGIN, 0.2), 0.9)
-    b = point_along(ORIGIN, tangent_direction(ORIGIN, 2.1), 1.4)
-    c = point_along(ORIGIN, tangent_direction(ORIGIN, 4.0), 0.7)
+    a = HYP.model.polar(0.2, 0.9)
+    b = HYP.model.polar(2.1, 1.4)
+    c = HYP.model.polar(4.0, 0.7)
     return Triangle(HYP, a, b, c)
 
 
@@ -69,20 +65,19 @@ def fixture_frame() -> CevianFrame:
 
 class TestTriangle:
     def test_coincident_vertices_rejected(self):
-        a = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 1.0)
+        a = HYP.model.polar(0.0, 1.0)
         with pytest.raises(DegenerateInputError):
             Triangle(HYP, a, a, ORIGIN)
 
     def test_collinear_vertices_rejected(self):
-        u = tangent_direction(ORIGIN, 0.3)
-        pts = [point_along(ORIGIN, u, t) for t in (0.5, 1.0, 2.0)]
+        pts = [HYP.model.polar(0.3, t) for t in (0.5, 1.0, 2.0)]
         with pytest.raises(DegenerateInputError):
             Triangle(HYP, *pts)
 
     def test_oversized_side_rejected(self):
-        a = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 6.0)
-        b = point_along(ORIGIN, tangent_direction(ORIGIN, math.pi), 6.0)
-        c = point_along(ORIGIN, tangent_direction(ORIGIN, math.pi / 2), 1.0)
+        a = HYP.model.polar(0.0, 6.0)
+        b = HYP.model.polar(math.pi, 6.0)
+        c = HYP.model.polar(math.pi / 2, 1.0)
         with pytest.raises(DomainError):
             Triangle(HYP, a, b, c)
         # The octant triangle has three sides of exactly pi/2.
@@ -97,9 +92,10 @@ class TestTriangle:
     def test_side_lengths_match_metric(self):
         tri = fixture_triangle()
         bc, ca, ab = tri.side_lengths()
-        assert bc == pytest.approx(hdist(tri.b, tri.c), abs=0)
-        assert ca == pytest.approx(hdist(tri.c, tri.a), abs=0)
-        assert ab == pytest.approx(hdist(tri.a, tri.b), abs=0)
+        dist = HYP.model.dist
+        assert bc == pytest.approx(dist(tri.b, tri.c), abs=0)
+        assert ca == pytest.approx(dist(tri.c, tri.a), abs=0)
+        assert ab == pytest.approx(dist(tri.a, tri.b), abs=0)
 
 
 # Three vertices 13.5-13.6 from the origin, all within 5e-9 rad of one
@@ -217,8 +213,9 @@ class TestCevianFrame:
             (fr.f, (tri.a, tri.b)),
         ):
             assert HYP.model.line_residual(HYP.model.line(s1, s2), foot) < 1e-12
-            assert hdist(s1, foot) + hdist(foot, s2) == pytest.approx(
-                hdist(s1, s2), abs=1e-12
+            dist = HYP.model.dist
+            assert dist(s1, foot) + dist(foot, s2) == pytest.approx(
+                dist(s1, s2), abs=1e-12
             )
 
     def test_on_side_point_rejected(self):
@@ -368,7 +365,7 @@ class TestConverseConstruction:
         assert res.frame.r == pytest.approx(third, abs=1e-12)
         tri, o = res.frame.tri, res.center
         for u, v in ((tri.a, tri.b), (tri.b, tri.c), (tri.c, tri.a)):
-            assert angle_at(o, u, v) == pytest.approx(2.0 * third, abs=1e-12)
+            assert HYP.model.angle(o, u, v) == pytest.approx(2.0 * third, abs=1e-12)
 
     def test_containment_residual_tiny_for_exact_input(self):
         fr = sample_frame(HYP, substream("construct-exact", 5, 0))
@@ -465,8 +462,6 @@ class TestCevaProduct:
     def test_perturbed_foot_breaks_concurrency(self):
         fr = sample_frame(HYP, substream("ceva-perturb", 4, 0))
         tri = fr.tri
-        from ccplane.kernel import direction
-
         moved = point_along(fr.d, direction(fr.d, tri.b), 1e-3)
         with pytest.raises(DomainError):
             ceva_product(tri, moved, fr.e, fr.f)

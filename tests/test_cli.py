@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import ccplane
-from ccplane import kernel as k
 from ccplane import lexell, render
 from ccplane.cevians import cevian_frame, equilateral_triangle
 from ccplane.cli import main
@@ -36,9 +35,9 @@ def run_cli(*args):
 def median_lengths():
     tri = equilateral_triangle(1.0, Geometry.HYPERBOLIC)
     model = Geometry.HYPERBOLIC.model
-    e = k.midpoint(tri.c, tri.a)
+    e = model.mid(tri.c, tri.a)
     o = model.meet(
-        model.line(tri.a, k.midpoint(tri.b, tri.c)), model.line(tri.b, e), tri.b, e
+        model.line(tri.a, model.mid(tri.b, tri.c)), model.line(tri.b, e), tri.b, e
     )
     fr = cevian_frame(tri, o)
     return [fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of]

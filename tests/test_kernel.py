@@ -10,11 +10,19 @@ from ccplane import corevec as vec
 from ccplane import kernel as k
 from ccplane.constants import TOL_POINT
 from ccplane.errors import (
-    ContractViolationError,
     DegenerateInputError,
     GeometryError,
     InvalidPointError,
     OutOfModelError,
+)
+from ccplane.lexell import _bisector_mirror
+from hyperboloid_oracles import (
+    direction,
+    point_along,
+    polar,
+    reflect_across,
+    tangent_basis,
+    tangent_direction,
 )
 
 COSH1 = 1.5430806348152437
@@ -85,14 +93,15 @@ def test_on_sheet_is_the_hpoint_check(v, accepted):
 def test_hdist_basic():
     p = k.ORIGIN
     q = hp(math.cosh(1), math.sinh(1), 0.0)
-    assert k.hdist(p, q) == pytest.approx(1.0, abs=1e-15)
-    assert k.hdist(p, p) == 0.0
+    assert k.hdist(p.v, q.v) == pytest.approx(1.0, abs=1e-15)
+    assert k.hdist(p.v, p.v) == 0.0
+    assert HYPERBOLIC.dist(p, q) == k.hdist(p.v, q.v)
 
 
 def test_hdist_short_segments_keep_precision():
     for d in (1e-3, 1e-5, 1e-7):
-        q = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), d)
-        assert k.hdist(k.ORIGIN, q) == pytest.approx(d, rel=1e-11)
+        q = HYPERBOLIC.polar(0.0, d)
+        assert HYPERBOLIC.dist(k.ORIGIN, q) == pytest.approx(d, rel=1e-11)
 
 
 def test_far_points_survive_construction():
@@ -100,31 +109,25 @@ def test_far_points_survive_construction():
     # rounding noise; construction and distance must still work, and a
     # local step taken out there stays well conditioned.
     for t in (20.0, 30.0, 40.0):
-        p = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), t)
-        assert k.hdist(k.ORIGIN, p) == pytest.approx(t, rel=1e-12)
-        step = k.point_along(p, k.direction(p, k.ORIGIN), 1.0)
-        assert k.hdist(k.ORIGIN, step) == pytest.approx(t - 1.0, rel=1e-12)
+        p = HYPERBOLIC.polar(0.0, t)
+        assert HYPERBOLIC.dist(k.ORIGIN, p) == pytest.approx(t, rel=1e-12)
+        step = point_along(p, direction(p, k.ORIGIN), 1.0)
+        assert HYPERBOLIC.dist(k.ORIGIN, step) == pytest.approx(t - 1.0, rel=1e-12)
     # A full descent amplifies input rounding by e^(2t), so the round
     # trip is only meaningful at moderate range.
-    p = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 10.0)
-    back = k.point_along(p, k.direction(p, k.ORIGIN), 10.0)
-    assert k.hdist(k.ORIGIN, back) < 1e-6
+    p = HYPERBOLIC.polar(0.0, 10.0)
+    back = point_along(p, direction(p, k.ORIGIN), 10.0)
+    assert HYPERBOLIC.dist(k.ORIGIN, back) < 1e-6
 
 
 def test_reflection_of_far_point_is_exact_mirror():
-    g = (0.0, 1.0, 0.0)
-    p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 1.0), 18.0)
-    r = k.reflect_across(g, p)
-    assert r.v[0] == p.v[0]
-    assert r.v[1] == -p.v[1]
-    assert r.v[2] == p.v[2]
-
-
-def test_point_along_requires_unit_tangent():
-    with pytest.raises(ContractViolationError):
-        k.point_along(k.ORIGIN, (0.0, 2.0, 0.0), 1.0)
-    with pytest.raises(ContractViolationError):
-        k.point_along(k.ORIGIN, (1.0, 1.0, 0.0), 1.0)
+    # The mirror across the bisector x1 = 0, as the Lexell locus takes it
+    # and as the reflection through the line's normal gives it.
+    p = HYPERBOLIC.polar(1.0, 18.0)
+    for r in (_bisector_mirror(p), reflect_across((0.0, 1.0, 0.0), p)):
+        assert r.v[0] == p.v[0]
+        assert r.v[1] == -p.v[1]
+        assert r.v[2] == p.v[2]
 
 
 def test_geodesic_through_axis_points():
@@ -139,9 +142,9 @@ def test_geodesic_through_axis_points():
 
 def test_geodesic_orientation_right_handed():
     # det(p, dir(p, q), normal) > 0 for the returned normal
-    p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 0.7), 0.9)
-    q = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 2.9), 1.4)
-    u = k.direction(p, q)
+    p = HYPERBOLIC.polar(0.7, 0.9)
+    q = HYPERBOLIC.polar(2.9, 1.4)
+    u = direction(p, q)
     n = _normal(HYPERBOLIC.line(p, q))
     det = (
         p.v[0] * (u[1] * n[2] - u[2] * n[1])
@@ -154,57 +157,56 @@ def test_geodesic_orientation_right_handed():
 def test_intersect_coordinate_axes():
     g1 = (0.0, 0.0, 1.0)
     g2 = (0.0, 1.0, 0.0)
-    x = HYPERBOLIC.meet(g1, g2, k.ORIGIN, k.point_along(k.ORIGIN, (0.0, 0.0, 1.0), 1.0))
-    assert k.hdist(x, k.ORIGIN) <= 1e-12
+    x = HYPERBOLIC.meet(g1, g2, k.ORIGIN, point_along(k.ORIGIN, (0.0, 0.0, 1.0), 1.0))
+    assert HYPERBOLIC.dist(x, k.ORIGIN) <= 1e-12
 
 
 def test_intersect_ultraparallel_absent():
     # two distinct perpendiculars to the same axis never meet
-    a1 = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 0.8)
-    a2 = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 1.9)
+    a1 = HYPERBOLIC.polar(0.0, 0.8)
+    a2 = HYPERBOLIC.polar(0.0, 1.9)
     ax = HYPERBOLIC.line(k.ORIGIN, a2)
-    b2 = k.point_along(a2, (0.0, 0.0, 1.0), 1.0)
-    p1 = HYPERBOLIC.line(a1, k.point_along(a1, (0.0, 0.0, 1.0), 1.0))
+    b2 = point_along(a2, (0.0, 0.0, 1.0), 1.0)
+    p1 = HYPERBOLIC.line(a1, point_along(a1, (0.0, 0.0, 1.0), 1.0))
     p2 = HYPERBOLIC.line(a2, b2)
     with pytest.raises(GeometryError, match="do not meet"):
         HYPERBOLIC.meet(p1, p2, a2, b2)
-    assert k.hdist(HYPERBOLIC.meet(p1, ax, k.ORIGIN, a2), a1) <= 1e-12
+    assert HYPERBOLIC.dist(HYPERBOLIC.meet(p1, ax, k.ORIGIN, a2), a1) <= 1e-12
 
 
 def test_intersect_identical_rejected():
-    q = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 1.0)
+    q = HYPERBOLIC.polar(0.0, 1.0)
     g = HYPERBOLIC.line(k.ORIGIN, q)
     with pytest.raises(DegenerateInputError):
         HYPERBOLIC.meet(g, g, k.ORIGIN, q)
 
 
 def test_angle_at_right_angle():
-    p = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 1.3)
-    q = k.point_along(k.ORIGIN, (0.0, 0.0, 1.0), 0.4)
-    assert k.angle_at(k.ORIGIN, p, q) == pytest.approx(math.pi / 2, abs=1e-12)
+    p = HYPERBOLIC.polar(0.0, 1.3)
+    q = point_along(k.ORIGIN, (0.0, 0.0, 1.0), 0.4)
+    assert HYPERBOLIC.angle(k.ORIGIN, p, q) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_angle_sum_below_pi():
-    a = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 0.3), 1.1)
-    b = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 2.1), 0.8)
-    c = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 4.4), 1.6)
-    s = k.angle_at(a, b, c) + k.angle_at(b, c, a) + k.angle_at(c, a, b)
+    a = HYPERBOLIC.polar(0.3, 1.1)
+    b = HYPERBOLIC.polar(2.1, 0.8)
+    c = HYPERBOLIC.polar(4.4, 1.6)
+    angle = HYPERBOLIC.angle
+    s = angle(a, b, c) + angle(b, c, a) + angle(c, a, b)
     assert s < math.pi
 
 
 def test_foot_of_perpendicular_drop():
     g = (0.0, 0.0, 1.0)
-    p = k.point_along(
-        k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 0.7), (0.0, 0.0, 1.0), 0.5
-    )
+    p = point_along(HYPERBOLIC.polar(0.0, 0.7), (0.0, 0.0, 1.0), 0.5)
     f = HYPERBOLIC.foot(p, g)
     assert HYPERBOLIC.line_residual(g, f) <= 1e-12
-    assert math.sinh(k.hdist(p, f)) == pytest.approx(
+    assert math.sinh(HYPERBOLIC.dist(p, f)) == pytest.approx(
         HYPERBOLIC.line_residual(g, p), rel=1e-12
     )
     # the drop meets g at a right angle
-    other = k.point_along(k.ORIGIN, (0.0, 1.0, 0.0), 2.0)
-    assert k.angle_at(f, p, other) == pytest.approx(math.pi / 2, abs=1e-9)
+    other = HYPERBOLIC.polar(0.0, 2.0)
+    assert HYPERBOLIC.angle(f, p, other) == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_geodesic_through_unrepresentable_pair_rejected():
@@ -255,20 +257,21 @@ def test_model_foot_is_the_perpendicular_foot(geometry):
 
 def test_midpoint_on_axis():
     q = hp(math.cosh(2), math.sinh(2), 0.0)
-    m = k.midpoint(k.ORIGIN, q)
+    m = HYPERBOLIC.mid(k.ORIGIN, q)
     assert m.v[0] == pytest.approx(COSH1, rel=1e-15)
     assert m.v[1] == pytest.approx(SINH1, rel=1e-15)
 
 
 def test_reflect_across_fixes_curve_and_inverts_side():
-    g = (0.0, 0.0, 1.0)
-    p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 1.1), 1.2)
-    r = k.reflect_across(g, p)
+    # The Lexell bisector mirror fixes its line x1 = 0 and swaps its sides.
+    g = (0.0, 1.0, 0.0)
+    p = HYPERBOLIC.polar(1.1, 1.2)
+    r = _bisector_mirror(p)
     assert math.asinh(HYPERBOLIC.side_value(g, r)) == pytest.approx(
         -math.asinh(HYPERBOLIC.side_value(g, p)), rel=1e-12
     )
     on = HYPERBOLIC.foot(p, g)
-    assert k.hdist(on, k.reflect_across(g, on)) <= 1e-12
+    assert HYPERBOLIC.dist(on, _bisector_mirror(on)) <= 1e-12
 
 
 def test_disk_round_trip_and_scale():
@@ -278,7 +281,7 @@ def test_disk_round_trip_and_scale():
     assert back.u == pytest.approx(d.u, abs=1e-15)
     assert back.w == pytest.approx(d.w, abs=1e-15)
     r = math.hypot(d.u, d.w)
-    assert k.hdist(k.ORIGIN, p) == pytest.approx(2.0 * math.atanh(r), rel=1e-13)
+    assert HYPERBOLIC.dist(k.ORIGIN, p) == pytest.approx(2.0 * math.atanh(r), rel=1e-13)
 
 
 def test_disk_rejects_boundary():
@@ -313,9 +316,36 @@ def test_hyperboloid_project_rejects_vectors_that_are_not_timelike():
             HYPERBOLIC.project(v)
 
 
+def test_polar_is_the_exponential_map_to_the_bit():
+    # The closed form against the map composed from the origin's tangent
+    # basis, by repr so that signed zeros count: the special directions,
+    # signed zero and negative distances, and a seeded grid out to r = 40,
+    # where the sheet's coordinates reach 1e17.
+    rng = random.Random("polar-oracle")
+    pairs = [(t, r) for t in (0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2, 2 * math.pi)
+             for r in (0.0, -0.0, 1e-300, 1e-8, 0.5, -0.5, 3.0, -7.0, 40.0, -40.0)]
+    pairs += [(rng.uniform(-7.0, 7.0), rng.uniform(-40.0, 40.0)) for _ in range(20000)]
+    for theta, r in pairs:
+        assert repr(HYPERBOLIC.polar(theta, r)) == repr(polar(theta, r)), (theta, r)
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_angle_rejects_a_coincident_point(geometry):
+    # No direction leads from a vertex to itself, so no angle opens there,
+    # whichever leg collapses; a leg just past TOL_POINT still measures.
+    model = geometry.model
+    v, p = model.polar(0.4, 0.3), model.polar(2.0, 0.5)
+    for args in ((v, v, p), (v, p, v), (v, v, v)):
+        with pytest.raises(DegenerateInputError):
+            model.angle(*args)
+    near = model.polar(0.4, 0.3 + 1e-6)
+    assert math.isfinite(model.angle(v, near, p))
+
+
 def test_tangent_basis_orthonormal():
-    base = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 5.1), 2.3)
-    e1, e2 = k.tangent_basis(base)
+    # The basis behind the polar oracle and the test points built off it.
+    base = HYPERBOLIC.polar(5.1, 2.3)
+    e1, e2 = tangent_basis(base)
     assert vec.minner(e1, e1) == pytest.approx(1.0, abs=1e-12)
     assert vec.minner(e2, e2) == pytest.approx(1.0, abs=1e-12)
     assert abs(vec.minner(e1, e2)) <= 1e-12
@@ -424,44 +454,44 @@ def test_sphere_model_near_degenerate_pairs_fail_cleanly():
 def hpoints(draw, radius=3.0):
     theta = draw(st.floats(0.0, 2.0 * math.pi, allow_nan=False))
     r = draw(st.floats(0.0, radius, allow_nan=False))
-    return k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, theta), r)
+    return HYPERBOLIC.polar(theta, r)
 
 
 @given(hpoints(), hpoints())
 @settings(max_examples=80, deadline=None)
 def test_metric_properties(p, q):
-    assert k.hdist(p, q) == pytest.approx(k.hdist(q, p), rel=1e-12, abs=1e-12)
-    assert k.hdist(p, q) >= 0.0
+    dist = HYPERBOLIC.dist
+    assert dist(p, q) == pytest.approx(dist(q, p), rel=1e-12, abs=1e-12)
+    assert dist(p, q) >= 0.0
 
 
 @given(hpoints(), st.floats(0.0, 2.0 * math.pi), st.floats(-4.0, 4.0))
 @settings(max_examples=80, deadline=None)
 def test_point_along_distance_matches_parameter(p, theta, t):
-    q = k.point_along(p, k.tangent_direction(p, theta), t)
-    assert k.hdist(p, q) == pytest.approx(abs(t), rel=1e-9, abs=1e-11)
+    q = point_along(p, tangent_direction(p, theta), t)
+    assert HYPERBOLIC.dist(p, q) == pytest.approx(abs(t), rel=1e-9, abs=1e-11)
 
 
 @given(hpoints(), hpoints())
 @settings(max_examples=80, deadline=None)
 def test_segment_points_lie_on_their_geodesic(p, q):
-    if k.hdist(p, q) < 1e-6:
+    dist = HYPERBOLIC.dist
+    if dist(p, q) < 1e-6:
         return
     g = HYPERBOLIC.line(p, q)
-    m = k.midpoint(p, q)
+    m = HYPERBOLIC.mid(p, q)
     assert HYPERBOLIC.line_residual(g, p) <= 1e-10
     assert HYPERBOLIC.line_residual(g, q) <= 1e-10
     assert HYPERBOLIC.line_residual(g, m) <= 1e-10
-    assert k.hdist(p, m) == pytest.approx(k.hdist(m, q), rel=1e-9, abs=1e-12)
+    assert dist(p, m) == pytest.approx(dist(m, q), rel=1e-9, abs=1e-12)
 
 
-@given(hpoints(), hpoints(), hpoints())
+@given(hpoints(), hpoints())
 @settings(max_examples=60, deadline=None)
-def test_reflection_preserves_distance(p, q, r):
-    if k.hdist(p, q) < 1e-6:
-        return
-    g = HYPERBOLIC.line(p, q)
-    assert k.hdist(k.reflect_across(g, r), k.reflect_across(g, p)) == pytest.approx(
-        k.hdist(r, p), rel=1e-10, abs=1e-11
+def test_reflection_preserves_distance(p, r):
+    dist = HYPERBOLIC.dist
+    assert dist(_bisector_mirror(r), _bisector_mirror(p)) == pytest.approx(
+        dist(r, p), rel=1e-10, abs=1e-11
     )
 
 
@@ -477,15 +507,15 @@ def _oracle_points(seed):
     pts = []
     for _ in range(300):
         p = HYPERBOLIC.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 6.0))
-        near = k.point_along(p, k.tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
-                             10.0 ** rng.uniform(-7.0, math.log10(0.9)))
+        near = point_along(p, tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
+                           10.0 ** rng.uniform(-7.0, math.log10(0.9)))
         pts += [p, near]
     return pts
 
 
 def _reference_angle(v, p, q):
     if v.v[0] > k._RECENTRE_LIMIT:
-        base, (rp, rq) = k._E0, k._recentre(v.v, (p.v, q.v))
+        base, (rp, rq) = k._E0, k.HyperboloidModel._recentre(v.v, (p.v, q.v))
     else:
         base, rp, rq = v.v, p.v, q.v
     u1, u2 = vec.mtangent(base, rp), vec.mtangent(base, rq)
@@ -501,10 +531,10 @@ def test_hyperboloid_kernels_equal_corevec():
     for i in range(0, len(pts) - 4, 2):
         p, near, q, r = pts[i], pts[i + 1], pts[i + 2], pts[i + 4]
         for x, y in ((p, near), (p, q)):
-            assert k.hdist(x, y) == vec.mdist(x.v, y.v)
+            assert HYPERBOLIC.dist(x, y) == vec.mdist(x.v, y.v)
             branches.add(-vec.minner(x.v, y.v) < 1.5)
         for v, a, b in ((p, q, r), (q, r, p), (p, near, q)):
-            assert k.angle_at(v, a, b) == _reference_angle(v, a, b)
+            assert HYPERBOLIC.angle(v, a, b) == _reference_angle(v, a, b)
             recentred += v.v[0] > k._RECENTRE_LIMIT
     assert branches == {True, False}
     assert recentred > 20

@@ -26,10 +26,6 @@ from ccplane.kernel import (
     Geometry,
     HPoint,
     PlaneModel,
-    angle_at,
-    point_along,
-    reflect_across,
-    tangent_direction,
 )
 from ccplane.lexell import (
     SAMPLE_RANGE,
@@ -61,12 +57,14 @@ from ccplane.lexell import (
     BASE_LINE_TOL,
     MAX_APEX_HEIGHT,
     _base_areas,
+    _bisector_mirror,
     _deficit,
     _invert_apex_area,
     _right_area,
 )
 from ccplane.sampling import substream
 from ccplane.trig import clamped_acos
+from hyperboloid_oracles import point_along, polar, reflect_across, tangent_direction
 
 HYP = Geometry.HYPERBOLIC.model
 BISECTOR = (0.0, 1.0, 0.0)
@@ -78,7 +76,8 @@ def _normal(l):
 
 
 def _perp_apex(height: float):
-    return point_along(ORIGIN, tangent_direction(ORIGIN, math.pi / 2.0), height)
+    # The apex that ``lexell --apex-y height`` builds.
+    return HYP.polar(math.pi / 2.0, height)
 
 
 def _spread_band(base: BaseConfig) -> float:
@@ -195,7 +194,7 @@ class TestSplitAreas:
             a = (2.0 * rng.random() - 1.0) * 0.9 * x
             t = 0.2 + 2.8 * rng.random()
             va, vb, p = apex_triangle(x, a, t)
-            foot = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), a)
+            foot = HYP.polar(0.0, a)
             d1, d2 = split_areas(x, a, t)
             worst = max(
                 worst,
@@ -254,11 +253,11 @@ class TestFarVertexAngles:
         # Right triangle with legs 15 (adjacent) and h (opposite): the
         # angle at the far vertex obeys tan = tanh(h)/sinh(15), which a
         # naive tangent Gram computation gets wrong by many orders.
-        far = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 15.0)
+        far = HYP.polar(0.0, 15.0)
         for h in (0.3, 0.7, 1.2):
             p = _perp_apex(h)
             expected = math.atan(math.tanh(h) / math.sinh(15.0))
-            assert angle_at(far, ORIGIN, p) == pytest.approx(expected, rel=1e-9)
+            assert HYP.angle(far, ORIGIN, p) == pytest.approx(expected, rel=1e-9)
 
 
 class TestHypercycle:
@@ -274,12 +273,10 @@ class TestHypercycle:
             assert HYP.line_residual(axis, hypercycle_point(hc, s)) < 1e-12
 
     def test_parameter_is_axis_arclength(self):
-        from ccplane.kernel import hdist
-
         hc = Hypercycle((0.0, 0.0, 1.0), 0.0)
         p0 = hypercycle_point(hc, 0.0)
         p1 = hypercycle_point(hc, 1.5)
-        assert hdist(p0, p1) == pytest.approx(1.5, abs=1e-12)
+        assert HYP.dist(p0, p1) == pytest.approx(1.5, abs=1e-12)
 
     def test_cached_axis_frame_is_bit_identical(self, monkeypatch):
         # Each curve finds the foot of the origin on its axis once; every
@@ -296,10 +293,7 @@ class TestHypercycle:
         monkeypatch.setattr(PlaneModel, "foot", counted_foot)
         rng = random.Random(2024)
         for _ in range(200):
-            p = point_along(
-                ORIGIN, tangent_direction(ORIGIN, rng.uniform(0.0, 2.0 * math.pi)),
-                rng.uniform(0.0, 3.0),
-            )
+            p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 3.0))
             axis = HYP.line(
                 p, point_along(p, tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
                                rng.uniform(0.5, 3.0)),
@@ -370,10 +364,8 @@ class TestHypercycle:
 
 class TestBaseConfig:
     def test_factory_round_trip(self):
-        from ccplane.kernel import hdist
-
         base = BaseConfig.from_half_distance(0.8)
-        assert hdist(base.a, base.b) == pytest.approx(1.6, abs=1e-12)
+        assert HYP.dist(base.a, base.b) == pytest.approx(1.6, abs=1e-12)
         assert HYP.line_residual(base.base_line(), ORIGIN) < 1e-12
 
     def test_out_of_range_rejected(self):
@@ -383,8 +375,8 @@ class TestBaseConfig:
             BaseConfig.from_half_distance(5.5)
 
     def test_asymmetric_vertices_rejected(self):
-        a = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 1.0)
-        b = point_along(ORIGIN, tangent_direction(ORIGIN, 0.3), 1.0)
+        a = HYP.polar(0.0, 1.0)
+        b = HYP.polar(0.3, 1.0)
         with pytest.raises(DomainError):
             BaseConfig(a, b, 1.0)
 
@@ -398,15 +390,15 @@ class TestLexellLocus:
 
     def test_apex_lies_on_its_carrier(self):
         base = BaseConfig.from_half_distance(1.1)
-        p = point_along(ORIGIN, tangent_direction(ORIGIN, 0.9), 1.4)
+        p = HYP.polar(0.9, 1.4)
         locus = lexell_locus(base, p)
         assert hypercycle_residual(locus.carrier, p) < 1e-12
 
     def test_mirrored_apex_gives_matching_locus(self):
         base = BaseConfig.from_half_distance(0.8)
-        p = point_along(ORIGIN, tangent_direction(ORIGIN, 1.1), 1.3)
+        p = HYP.polar(1.1, 1.3)
         l1 = lexell_locus(base, p)
-        l2 = lexell_locus(base, reflect_across(BISECTOR, p))
+        l2 = lexell_locus(base, _bisector_mirror(p))
         assert l1.area == pytest.approx(l2.area, abs=1e-12)
         assert abs(l1.carrier.offset) == pytest.approx(
             abs(l2.carrier.offset), abs=1e-12
@@ -420,7 +412,7 @@ class TestLexellLocus:
             while True:
                 r = 2.0 * rng.random()
                 th = 2.0 * math.pi * rng.random()
-                p = point_along(ORIGIN, tangent_direction(ORIGIN, th), r)
+                p = HYP.polar(th, r)
                 if HYP.line_residual(base.base_line(), p) > 0.05:
                     break
             res = locus_residuals(lexell_locus(base, p), samples=20, chords=20, seed=i)
@@ -474,7 +466,7 @@ class TestLexellLocus:
 
     def test_apex_on_base_line_rejected(self):
         base = BaseConfig.from_half_distance(0.8)
-        on_line = point_along(ORIGIN, tangent_direction(ORIGIN, 0.0), 0.3)
+        on_line = HYP.polar(0.0, 0.3)
         with pytest.raises(DegenerateInputError):
             lexell_locus(base, on_line)
 
@@ -520,7 +512,7 @@ class TestChordSplit:
                 assert HYP.line_residual(locus.carrier.axis, x) < 1e-12
                 assert HYP.line_residual(HYP.line(z1, z2), x) < 1e-12
                 d1, d2 = chord_split(z1, z2, locus.carrier.axis)
-                assert (d1, d2) == (k.hdist(z1, x), k.hdist(x, z2))
+                assert (d1, d2) == (HYP.dist(z1, x), HYP.dist(x, z2))
 
     def test_one_substream_per_check(self, monkeypatch):
         seeded = []
@@ -597,9 +589,9 @@ def chord_crossing(z1: HPoint, z2: HPoint, axis) -> HPoint:
 
 
 def chord_split(z1: HPoint, z2: HPoint, axis) -> tuple:
-    """Lengths of the two pieces the axis cuts from segment z1 z2, by ``hdist``."""
+    """Lengths of the two pieces the axis cuts from segment z1 z2, by ``dist``."""
     crossing = chord_crossing(z1, z2, axis)
-    return (k.hdist(z1, crossing), k.hdist(crossing, z2))
+    return (HYP.dist(z1, crossing), HYP.dist(crossing, z2))
 
 
 _OFF_SHEET = "not on the upper hyperboloid sheet: "
@@ -645,7 +637,7 @@ def _reference_subarc(locus: AreaLocus, n: int, seed: int) -> float:
 def _reference_area(z, a, b) -> float:
     # The Fermi-coordinate area of z a b over line ab, one sample at a time.
     n = _normal(HYP.line(a, b))
-    e = mcross(k.midpoint(a, b).v, n)
+    e = mcross(HYP.mid(a, b).v, n)
     if minner(a.v, e) < 0.0:
         e = tuple(-c for c in e)
     sa, sb = math.asinh(minner(a.v, e)), math.asinh(minner(b.v, e))
@@ -664,8 +656,8 @@ def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int)
     for z in pts:
         midline = max(
             midline,
-            HYP.line_residual(locus.carrier.axis, k.midpoint(z, a)),
-            HYP.line_residual(locus.carrier.axis, k.midpoint(z, b)),
+            HYP.line_residual(locus.carrier.axis, HYP.mid(z, a)),
+            HYP.line_residual(locus.carrier.axis, HYP.mid(z, b)),
         )
     return (
         max(areas) - min(areas),
@@ -698,10 +690,7 @@ def _reference_invert(x: float, target: float) -> float:
 
 
 def _random_point(rng, r_max: float):
-    return point_along(
-        ORIGIN, tangent_direction(ORIGIN, rng.uniform(0.0, 2.0 * math.pi)),
-        rng.uniform(0.05, r_max),
-    )
+    return HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.05, r_max))
 
 
 class TestOnePassRoutes:
@@ -1074,3 +1063,59 @@ class TestIdealCase:
             sinh_c_from_angles(2.0, 2.0)
         with pytest.raises(DomainError):
             cosh_c_from_angles(0.0, 1.0)
+
+
+class TestClosedFormsMatchTheirOracles:
+    # The model's polar coordinates and the bisector mirror are written in
+    # closed form; each must equal, by repr, so signed zeros included, the
+    # composition it stands for (tests/hyperboloid_oracles.py): the
+    # exponential map from the origin's tangent basis and the reflection
+    # through the bisector's unit normal.
+
+    @staticmethod
+    def _hold(p):
+        assert repr(_bisector_mirror(p)) == repr(reflect_across(BISECTOR, p)), p
+
+    def test_on_a_seeded_grid(self):
+        rng = random.Random("mirror-oracle")
+        for _ in range(5000):
+            theta, r = rng.uniform(-7.0, 7.0), rng.uniform(-8.0, 8.0)
+            p = HYP.polar(theta, r)
+            assert repr(p) == repr(polar(theta, r))
+            self._hold(p)
+            self._hold(_disk_apex(rng.uniform(0.0, 0.999), rng.uniform(0.0, 2.0 * math.pi)))
+        # Apexes with v1 = 0, of either sign, keep that zero's sign.
+        for w in (-0.6, -0.1, 0.3, 0.9):
+            p = k.disk_to_hpoint(k.DiskPoint(0.0, w))
+            self._hold(p)
+            self._hold(HPoint((p.v[0], -0.0, p.v[2])))
+        assert repr(_bisector_mirror(HPoint((1.0, -0.0, 0.0))).v) == "(1.0, -0.0, 0.0)"
+
+    def test_on_campaign_apexes(self, monkeypatch):
+        from ccplane.verify import run_verification
+
+        seen = []
+        locus = lexell.lexell_locus
+
+        def recording(base, p):
+            seen.append((base, p))
+            return locus(base, p)
+
+        monkeypatch.setattr(lexell, "lexell_locus", recording)
+        run_verification("lexell", Geometry.HYPERBOLIC, 300, 7)
+        assert len(seen) == 300
+        for base, p in seen:
+            x = base.half_distance
+            assert (repr(base.a), repr(base.b)) == (repr(polar(0.0, x)), repr(polar(0.0, -x)))
+            self._hold(p)
+
+    def test_on_apex_y_apexes(self):
+        import argparse
+
+        from ccplane.cli import _lexell_apex
+
+        for i in range(1, 801):
+            y = 0.05 * i
+            p = _lexell_apex(argparse.Namespace(apex_y=y, apex=None))
+            assert repr(p) == repr(polar(math.pi / 2.0, y))
+            self._hold(p)

@@ -11,9 +11,10 @@ deleted, given a caller, or listed here; deleting or reviving a listed
 one means updating the list.  Class bodies, lambdas and comprehensions
 are not counted.
 
-Two more tests read the same sources: one holds the five line
-operations to their one home on ``PlaneModel``, the other holds each
-model to two coordinate maps, ``lift`` and ``project``.
+Three more tests read the same sources: one holds the five line
+operations to their one home on ``PlaneModel``, one holds each model to
+two coordinate maps, ``lift`` and ``project``, and one holds ``kernel``
+to five free functions beside the models.
 """
 
 import ast
@@ -34,7 +35,9 @@ UNREACHED = {
     "cevians.projection_oracle": "test oracle: the projection used to derive the ratio sums",
     "corevec.mdist": "L0 kernel timed by perfbench; kernel.hdist writes it out inline",
     "corevec.mfoot": "L0 kernel timed by perfbench; PlaneModel.foot writes it out inline",
-    "corevec.mtangent": "L0 kernel timed by perfbench; kernel._tangent_at writes it out inline",
+    "corevec.mnormalize_space": "builds perfbench's L0 line normal; mtangent calls it",
+    "corevec.mreflect": "L0 kernel timed by perfbench; the Lexell bisector mirror is its sign flip",
+    "corevec.mtangent": "L0 kernel timed by perfbench; HyperboloidModel._tangent writes it out",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
     "corevec.sdist": "L0 kernel timed by perfbench; SphereModel.dist writes it out inline",
     "corevec.stangent": "test_kernel's reference for SphereModel's tangents",
@@ -44,9 +47,9 @@ UNREACHED = {
     "kernel.Record.__repr__": "value repr, held by test_records; no command prints a record",
     "kernel.Record.__setattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record._values": "field tuple behind __eq__ and __hash__",
-    "kernel._recentre": "angle_at past v0 = 75: `lexell --apex-y` above about 5 reaches it",
-    "kernel.direction": "public primitive; lexell takes its tangents from mcross",
-    "kernel.tangent_direction": "builds test apexes and points along rays",
+    "kernel.HyperboloidModel._recentre": (
+        "HyperboloidModel.angle past v0 = 75: `lexell --apex-y` above about 5 reaches it"
+    ),
     "lexell._check_ideal_angles": "checks the inputs of the two ideal-vertex formulas below",
     "lexell.apex_area_formula": "closed-form reference that the tests hold the deficit to",
     "lexell.apex_triangle": "builds the split configuration for the split-area tests",
@@ -221,3 +224,31 @@ def test_each_model_has_one_pair_of_coordinate_maps():
     models = {n.rsplit(".", 1)[0] for n in _functions().values()
               if n.rsplit(".", 1)[1] == "project"}
     assert models == {"kernel.HyperboloidModel", "kernel.SphereModel", "kernel.EuclideanModel"}
+
+
+# The hyperbolic plane's operations live on HyperboloidModel, as the
+# sphere's live on SphereModel.  The free functions left in ``kernel`` are
+# the sheet check and the distance, which take bare vectors, the seeded
+# streams and the disk chart; the names below were the hyperboloid's
+# second interface beside its model.
+KERNEL_FUNCTIONS = ("on_sheet", "substream", "hdist", "disk_to_hpoint", "hpoint_to_disk")
+MOVED_TO_MODEL = ("angle_at", "midpoint", "point_along", "reflect_across", "direction",
+                  "tangent_direction", "tangent_basis")
+
+
+def test_kernel_keeps_five_free_functions():
+    tree = ast.parse((SRC / "kernel.py").read_text(encoding="utf-8"))
+    public = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    assert sorted(public) == sorted(KERNEL_FUNCTIONS)
+    # No module reaches for the old names, as an attribute or an import.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.name if isinstance(node, ast.alias) else getattr(node, "attr", None)
+            if name in MOVED_TO_MODEL:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert found == []

@@ -33,17 +33,15 @@ from ccplane.render import (
     validate_scene,
 )
 from ccplane.sampling import sample_frame, substream
+from hyperboloid_oracles import point_along, tangent_direction
 
 HYP = Geometry.HYPERBOLIC.model
 
 
 def _random_geodesic(rng):
-    p = k.point_along(
-        k.ORIGIN, k.tangent_direction(k.ORIGIN, rng.uniform(0.0, 2.0 * math.pi)),
-        rng.uniform(0.2, 2.5),
-    )
-    q = k.point_along(
-        p, k.tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
+    p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.2, 2.5))
+    q = point_along(
+        p, tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
         rng.uniform(0.5, 2.0),
     )
     return HYP.line(p, q), p, q
@@ -73,7 +71,7 @@ class TestArcGeometry:
             assert abs(arc.cx**2 + arc.cy**2 - (arc.r**2 + 1.0)) < 1e-9
 
     def test_through_origin_becomes_chord(self):
-        p = k.point_along(k.ORIGIN, k.tangent_direction(k.ORIGIN, 0.7), 1.0)
+        p = HYP.polar(0.7, 1.0)
         g = HYP.line(k.ORIGIN, p)
         arc = arc_for_geodesic(g)
         assert isinstance(arc, SceneChord)

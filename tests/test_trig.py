@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from ccplane import kernel as k
 from ccplane import trig
 from ccplane.errors import DomainError
 from ccplane.kernel import Geometry
@@ -171,5 +170,5 @@ def test_right_angle_cosine_law_consistency():
     cfg = trig.build_right_triangle(1.7, 0.6, HYP)
     assert model.dist(model.base, foot) == cfg.adjacent
     assert model.dist(foot, ray_point) == cfg.opposite
-    gamma = k.angle_at(foot, model.base, ray_point)
+    gamma = model.angle(foot, model.base, ray_point)
     assert gamma == pytest.approx(math.pi / 2, abs=1e-10)
