@@ -14,9 +14,10 @@ euclidean plane), the frame satisfies
 equivalently 1/(alpha+1) + 1/(beta+1) + 1/(gamma+1) = 1.  The relation
 is checked along two independent routes.  The ``verify`` campaigns
 measure the frame directly in the model: the sides and cevians are line
-covectors of the plane model, the feet are their meets, and the inside
-test reads the signs of ``side_value``, by one formula on all three
-planes.  The second route, ``projection_oracle``, runs in the tests
+covectors of the plane model, the feet are their meets, the angles p, q
+and r at O are measured between the cevian lines (``line_angle``), and
+the inside test reads the signs of ``side_value``, by one formula on all
+three planes.  The second route, ``projection_oracle``, runs in the tests
 only, also on all three planes: a central projection onto the tangent
 plane at O maps the frame to a euclidean one with the same ratios.
 
@@ -94,7 +95,8 @@ class CevianFrame(Record):
 
     Feet: d on BC, e on CA, f on AB.  Lengths are the six cevian
     segments around o; p, q, r are the angles BOF, AOF, BOD at o,
-    which always close up to a straight angle.
+    measured between the cevian lines AD, BE and CF that meet there,
+    and they close up to a straight angle.
     """
 
     __slots__ = (
@@ -103,7 +105,8 @@ class CevianFrame(Record):
     )
 
     def __post_init__(self) -> None:
-        if abs(self.p + self.q + self.r - math.pi) > TOL_ID:
+        # Written as ``not x <= y`` so that a NaN angle fails it.
+        if not abs(self.p + self.q + self.r - math.pi) <= TOL_ID:
             raise GeometryError("angles at the interior point do not close up")
 
     def legs(self) -> tuple[float, ...]:
@@ -144,9 +147,10 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
             raise DegenerateInputError("interior point lies on a side or vertex, or is not finite")
         if not s_o * model.side_value(line, opposite) > 0.0:
             raise DomainError("point outside the triangle is out of scope")
-    d = model.meet(model.line(a, o), bc, b, c)
-    e = model.meet(model.line(b, o), ca, c, a)
-    f = model.meet(model.line(c, o), ab, a, b)
+    la, lb, lc = model.line(a, o), model.line(b, o), model.line(c, o)
+    d = model.meet(la, bc, b, c)
+    e = model.meet(lb, ca, c, a)
+    f = model.meet(lc, ab, a, b)
     legs = _foot_legs(tri, d, e, f)
     if legs is None:
         raise GeometryError("computed foot left its side segment")
@@ -171,9 +175,9 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
         alpha=stretch_ratio(geometry, ao, od),
         beta=stretch_ratio(geometry, bo, oe),
         gamma=stretch_ratio(geometry, co, of),
-        p=model.angle(o, b, f),
-        q=model.angle(o, a, f),
-        r=model.angle(o, b, d),
+        p=math.pi - model.line_angle(lb, lc),
+        q=math.pi - model.line_angle(la, lc),
+        r=math.pi - model.line_angle(lb, la),
     )
     object.__setattr__(frame, "_legs", legs)
     return frame

@@ -35,10 +35,14 @@ covector of the line in homogeneous coordinates, which ``PlaneModel``
 builds, meets, measures against and drops feet onto with one formula
 each, parameterised by the curvature.  ``model.line(p, q)`` builds one
 (with its checks) once, so a figure that reads a side line several
-times builds it only once.  A model keeps only what differs between
-the planes: its two coordinate maps, ``lift`` (a point to its homogeneous
-vector) and ``project`` (a homogeneous vector back to its point), and its
-distances, angles, midpoints and polar coordinates.
+times builds it only once, and ``model.line_angle(l, m)`` measures the
+angle between two lines it has built.  A model keeps only what differs
+between the planes: its two coordinate maps, ``lift`` (a point to its
+homogeneous vector) and ``project`` (a homogeneous vector back to its
+point), and its distances, midpoints and polar coordinates.  The
+hyperboloid also keeps its own angle at a point, which moves a far
+vertex to the origin first; the sphere and the plane measure an angle
+between the lines through its vertex.
 
 Every value type of the package (points, figures, reports, scene
 elements) derives from Record: an immutable class whose fields are its
@@ -264,7 +268,10 @@ class PlaneModel:
     Points are HPoint on the hyperboloid, SpherePoint on the sphere and
     (x, y) tuples in the euclidean plane; ``point_type`` is that type.
 
-    - ``dist(p, q)``, ``angle(v, p, q)`` (at v), ``mid(p, q)``.
+    - ``dist(p, q)``, ``angle(v, p, q)`` (at v), ``mid(p, q)``.  On the
+      sphere and the plane ``angle`` is ``line_angle`` between the lines
+      from v to p and from v to q; the hyperboloid measures it between
+      unit tangents, moving a far vertex to the origin first.
     - ``base``: the base point ORIGIN, NORTH_POLE or (0.0, 0.0).
     - ``polar(theta, r)``: the point at distance r from the base point
       in direction theta.
@@ -283,6 +290,8 @@ class PlaneModel:
     - ``meet(l, m, s1, s2)``: where line l meets line m = line(s1, s2);
       on the sphere, the one of the antipodal pair on [s1, s2].  Lines
       that do not meet (ultraparallel, parallel) raise GeometryError.
+    - ``line_angle(l, m)``: the angle between the directions of l and m
+      where they meet, in [0, pi].
     - ``side_value(l, p)``: l . P, s_K of the signed distance from p to l.
     - ``line_residual(l, p)``: |l . P|, zero exactly when p is on line l.
     - ``foot(p, l)``: the point of line l nearest p.
@@ -348,6 +357,36 @@ class PlaneModel:
         if x0 * x0 + x1 * x1 + x2 * x2 <= _CROSS_EPS_SQUARED:
             raise DegenerateInputError("identical lines")
         return self._meet_point((x0, x1, x2), l, s1, s2)
+
+    def line_angle(self, l: Vec3, m: Vec3) -> float:
+        """Angle between the directions of unit lines l and m where they meet.
+
+        atan2(sqrt(F(l x m)), G(l, m)), with G = diag(kappa, 1, 1) the
+        line form and F = diag(1, kappa, kappa) the point form.  G(l, m)
+        is the cosine of the angle: the unit lines are the unit normals of
+        their directions, turned the same way.  F is the adjugate of G, so
+        the Lagrange identity holds in these forms,
+
+            F(l x m) = G(l, l) G(m, m) - G(l, m)^2,
+
+        which for unit lines is 1 - cos^2, the squared sine.  So the
+        angle needs no tangent and no point: its one cross product, l x m,
+        is where the lines meet.  F(l x m) < 0 means that they do not meet
+        (ultraparallel on the hyperboloid) and raises GeometryError.
+        """
+        a0, a1, a2 = l
+        b0, b1, b2 = m
+        x0 = a1 * b2 - a2 * b1
+        x1 = a2 * b0 - a0 * b2
+        x2 = a0 * b1 - a1 * b0
+        kappa = self.kappa
+        f = x0 * x0 + kappa * (x1 * x1 + x2 * x2)
+        if f < 0.0:
+            raise GeometryError("the lines do not meet")
+        return math.atan2(math.sqrt(f), kappa * (a0 * b0) + a1 * b1 + a2 * b2)
+
+    def angle(self, v, p, q) -> float:
+        return self.line_angle(self.line(v, p), self.line(v, q))
 
     def foot(self, p, l: Vec3):
         p0, p1, p2 = self.lift(p)
@@ -513,14 +552,6 @@ class SphereModel(PlaneModel):
         c2 = p0 * q1 - p1 * q0
         return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), p0 * q0 + p1 * q1 + p2 * q2)
 
-    def angle(self, v: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
-        x0, x1, x2 = self._tangent(v, p)
-        y0, y1, y2 = self._tangent(v, q)
-        c = x0 * y0 + x1 * y1 + x2 * y2
-        w0, w1, w2 = y0 - c * x0, y1 - c * x1, y2 - c * x2
-        s = math.sqrt(max(w0 * w0 + w1 * w1 + w2 * w2, 0.0))
-        return math.atan2(s, c)
-
     def mid(self, p: SpherePoint, q: SpherePoint) -> SpherePoint:
         w = (p.v[0] + q.v[0], p.v[1] + q.v[1], p.v[2] + q.v[2])
         if math.sqrt(vec.sdot(w, w)) <= _CROSS_EPS:
@@ -552,21 +583,6 @@ class SphereModel(PlaneModel):
             return SpherePoint((x0, x1, x2))
         return SpherePoint((-x0, -x1, -x2))
 
-    @staticmethod
-    def _tangent(p: SpherePoint, q: SpherePoint) -> Vec3:
-        """Unit tangent at p toward q."""
-        p0, p1, p2 = p.v
-        q0, q1, q2 = q.v
-        c0 = p1 * q2 - p2 * q1
-        c1 = p2 * q0 - p0 * q2
-        c2 = p0 * q1 - p1 * q0
-        if math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) <= _CROSS_EPS:
-            raise DegenerateInputError("direction undefined for coincident or antipodal points")
-        m = p0 * q0 + p1 * q1 + p2 * q2
-        w0, w1, w2 = q0 - m * p0, q1 - m * p1, q2 - m * p2
-        s = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-        return (w0 / s, w1 / s, w2 / s)
-
 
 EuclidPoint = tuple[float, float]
 # Lines whose unit normals make a smaller sine than this are parallel.
@@ -586,13 +602,6 @@ class EuclideanModel(PlaneModel):
 
     def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
         return math.hypot(p[0] - q[0], p[1] - q[1])
-
-    def angle(self, v: EuclidPoint, p: EuclidPoint, q: EuclidPoint) -> float:
-        ax, ay = p[0] - v[0], p[1] - v[1]
-        bx, by = q[0] - v[0], q[1] - v[1]
-        if math.hypot(ax, ay) <= TOL_POINT or math.hypot(bx, by) <= TOL_POINT:
-            raise DegenerateInputError("cannot take a direction between coincident points")
-        return abs(math.atan2(ax * by - ay * bx, ax * bx + ay * by))
 
     def mid(self, p: EuclidPoint, q: EuclidPoint) -> EuclidPoint:
         return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))

@@ -21,7 +21,8 @@ _MIN_ANGLE = 0.15
 # First-order rounding bound on |corner_cosines - cos(angle)| for draws
 # from the disks below with every side at least _MIN_SIDE: 2.6e-11 on the
 # hyperboloid (``HyperboloidModel.angle`` works on coordinates up to
-# cosh 3 in size), 4.3e-13 on the sphere and 8.9e-13 in the plane.  The
+# cosh 3 in size), 2.9e-13 on the sphere and 8.9e-13 in the plane, where
+# the angle is ``line_angle`` between the lines through the vertex.  The
 # derivation is in CHANGES.md; the margin is the largest bound, rounded up.
 _PRETEST_MARGIN = 3e-11
 _THIN_COS = math.cos(_MIN_ANGLE) + _PRETEST_MARGIN
@@ -38,9 +39,11 @@ _EUC_RADIUS = 3.0
 
 # Area-uniform distance from the base point for a uniform draw u: the
 # disk area grows like cosh r - 1, 1 - cos r and r^2 respectively.
+_HYP_AREA = math.cosh(_HYP_RADIUS) - 1.0
+_SPH_AREA = 1.0 - math.cos(_SPH_RADIUS)
 _DISK_RADIUS = {
-    Geometry.HYPERBOLIC: lambda u: math.acosh(1.0 + u * (math.cosh(_HYP_RADIUS) - 1.0)),
-    Geometry.SPHERICAL: lambda u: math.acos(1.0 - u * (1.0 - math.cos(_SPH_RADIUS))),
+    Geometry.HYPERBOLIC: lambda u: math.acosh(1.0 + u * _HYP_AREA),
+    Geometry.SPHERICAL: lambda u: math.acos(1.0 - u * _SPH_AREA),
     Geometry.EUCLIDEAN: lambda u: _EUC_RADIUS * math.sqrt(u),
 }
 
@@ -114,10 +117,13 @@ def sample_interior_point(tri: Triangle, rng: random.Random):
     """
     w = [0.1 + 0.9 * rng.random() for _ in range(3)]
     s = sum(w)
-    w0, w1, w2 = [x / s for x in w]
+    w0, w1, w2 = w[0] / s, w[1] / s, w[2] / s
     model = tri.geometry.model
-    a, b, c = model.lift(tri.a), model.lift(tri.b), model.lift(tri.c)
-    return model.project(tuple(w0 * a[i] + w1 * b[i] + w2 * c[i] for i in range(3)))
+    a0, a1, a2 = model.lift(tri.a)
+    b0, b1, b2 = model.lift(tri.b)
+    c0, c1, c2 = model.lift(tri.c)
+    return model.project((w0 * a0 + w1 * b0 + w2 * c0, w0 * a1 + w1 * b1 + w2 * c1,
+                          w0 * a2 + w1 * b2 + w2 * c2))
 
 
 def sample_frame(geometry: Geometry, rng: random.Random):

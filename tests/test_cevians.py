@@ -44,6 +44,7 @@ from ccplane.sampling import (
     substream,
 )
 from ccplane.trig import cathetus_from_hypotenuse, menelaus_ratio
+from angle_oracles import point_route_angles
 from hyperboloid_oracles import direction, point_along, reflect_across
 
 HYP = Geometry.HYPERBOLIC
@@ -229,6 +230,80 @@ class TestCevianFrame:
         outside = reflect_across(HYP.model.line(tri.b, tri.c), tri.a)
         with pytest.raises(DomainError):
             cevian_frame(tri, outside)
+
+    def test_nan_angle_fails_the_close_up_gate(self):
+        fr = fixture_frame()
+        for name in ("p", "q", "r"):
+            with pytest.raises(GeometryError, match="do not close up"):
+                _replaced(fr, **{name: math.nan})
+
+
+def _exact_angle(mpmath, geometry, v, p, q):
+    """The angle at v between the rays toward p and q, at 50 digits.
+
+    Between the tangents at v, P - (<V, P>/<V, V>) V in the form of the
+    curved plane, and between P - V in the plane.  Scaling a point's
+    homogeneous vector leaves both unchanged, so the rounding that takes
+    a point off its surface does not enter.
+    """
+    with mpmath.workdps(50):
+        V, P, Q = ([mpmath.mpf(x) for x in geometry.model.lift(x)] for x in (v, p, q))
+        sign = -1 if geometry is HYP else 1
+
+        def form(x, y):
+            return (0 if geometry is EUC else sign * x[0] * y[0]) + x[1] * y[1] + x[2] * y[2]
+
+        if geometry is EUC:
+            tp, tq = [a - b for a, b in zip(P, V)], [a - b for a, b in zip(Q, V)]
+        else:
+            tp, tq = ([a - form(V, X) / form(V, V) * b for a, b in zip(X, V)] for X in (P, Q))
+        return mpmath.acos(form(tp, tq) / mpmath.sqrt(form(tp, tp) * form(tq, tq)))
+
+
+class TestFrameAngles:
+    # cevian_frame measures p, q and r between the cevian lines it builds
+    # for its feet; the point route measures the same angles at o from the
+    # points b, f, a and d (``angle_oracles``).
+
+    @pytest.mark.parametrize("geometry,tol", [(HYP, 1e-12), (SPH, 1e-13), (EUC, 1e-13)])
+    def test_angles_match_the_point_route(self, geometry, tol):
+        # The point route's direction toward a point turns by its rounding
+        # over the leg's length, so its error grows as the shortest leg at
+        # o shrinks: at substream 1660 on the hyperboloid, a leg OD of
+        # 0.038 put it 3.8e-12 off BOD, and the line route 9e-14.
+        for i in range(2000):
+            fr = sample_frame(geometry, substream("frame-angles", 0, i))
+            scaled = tol / min(1.0, fr.ao, fr.bo, fr.od, fr.of)
+            for line_route, point_route in zip((fr.p, fr.q, fr.r), point_route_angles(fr)):
+                assert abs(line_route - point_route) <= scaled, (i, line_route, point_route)
+
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_line_route_is_no_less_accurate(self, geometry):
+        # Both routes against the angles BOF = pi - BOC, AOF = pi - AOC and
+        # BOD = pi - BOA of the frame's own vertices and interior point.
+        mpmath = pytest.importorskip("mpmath")
+        worst_line = worst_point = 0.0
+        for i in range(200):
+            fr = sample_frame(geometry, substream("frame-angles-mp", 0, i))
+            tri, o = fr.tri, fr.o
+            with mpmath.workdps(50):
+                exact = [mpmath.pi - _exact_angle(mpmath, geometry, o, x, y)
+                         for x, y in ((tri.b, tri.c), (tri.a, tri.c), (tri.b, tri.a))]
+                for x, line_route, point_route in zip(exact, (fr.p, fr.q, fr.r),
+                                                      point_route_angles(fr)):
+                    worst_line = max(worst_line, float(abs(line_route - x)))
+                    worst_point = max(worst_point, float(abs(point_route - x)))
+        assert worst_line <= worst_point
+
+    def test_hyperbolic_frame_makes_twelve_hdist_calls(self, monkeypatch):
+        # Six legs for the feet's between-check and six cevian segments;
+        # the angles take no distance.
+        tri = fixture_triangle()
+        o = sample_interior_point(tri, substream("fixture", 1, 0))
+        calls = []
+        monkeypatch.setattr(kernel, "hdist", _counting(calls, kernel.hdist))
+        cevian_frame(tri, o)
+        assert len(calls) == 12
 
 
 class TestRatioSumRelation:

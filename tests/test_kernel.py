@@ -16,6 +16,7 @@ from ccplane.errors import (
     OutOfModelError,
 )
 from ccplane.lexell import _bisector_mirror
+from angle_oracles import POINT_ANGLE, sphere_angle
 from hyperboloid_oracles import (
     direction,
     point_along,
@@ -330,6 +331,43 @@ def test_polar_is_the_exponential_map_to_the_bit():
 
 
 @pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_line_angle_matches_the_point_route(geometry):
+    # Random vertices out to the sampler's disk radii.  The angle between
+    # the lines from v to p and to q is the angle at v, symmetric in the
+    # two lines to the bit; the point route's error grows as 1/leg.
+    model = geometry.model
+    reach = {k.Geometry.HYPERBOLIC: 3.0, k.Geometry.SPHERICAL: 0.6,
+             k.Geometry.EUCLIDEAN: 3.0}[geometry]
+    rng = random.Random(f"line-angle-{geometry.value}")
+    for _ in range(2000):
+        v = model.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, reach))
+        p = model.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, reach))
+        q = model.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, reach))
+        l, m = model.line(v, p), model.line(v, q)
+        angle = model.line_angle(l, m)
+        assert angle == model.line_angle(m, l)
+        if geometry is not k.Geometry.HYPERBOLIC:
+            assert angle == model.angle(v, p, q)
+        legs = min(model.dist(v, p), model.dist(v, q))
+        assert abs(angle - POINT_ANGLE[geometry](v, p, q)) <= 1e-13 / legs
+
+
+def test_line_angle_rejects_lines_that_do_not_meet():
+    # Two geodesics perpendicular to the x-axis at distances 1 and 2 from
+    # the origin are ultraparallel; the axis itself meets both at a right
+    # angle.
+    axis = HYPERBOLIC.line(HYPERBOLIC.polar(math.pi, 1.0), HYPERBOLIC.polar(0.0, 1.0))
+    feet = [HYPERBOLIC.polar(0.0, t) for t in (1.0, 2.0)]
+    near, far = (
+        HYPERBOLIC.line(x, point_along(x, tangent_direction(x, math.pi / 2), 1.0))
+        for x in feet
+    )
+    assert HYPERBOLIC.line_angle(axis, near) == pytest.approx(math.pi / 2, abs=1e-12)
+    with pytest.raises(GeometryError, match="do not meet"):
+        HYPERBOLIC.line_angle(near, far)
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
 def test_angle_rejects_a_coincident_point(geometry):
     # No direction leads from a vertex to itself, so no angle opens there,
     # whichever leg collapses; a leg just past TOL_POINT still measures.
@@ -541,6 +579,8 @@ def test_hyperboloid_kernels_equal_corevec():
 
 
 def test_sphere_kernels_equal_corevec():
+    # The sphere measures its angles between lines; the tangent route it
+    # replaced stays a test oracle, held here to corevec's tangents.
     rng = random.Random("oracle-sph")
     pts = [_sphere_point(rng) for _ in range(300)]
     pts += [_moved(rng, p, 10.0 ** rng.uniform(-7.0, 0.0)) for p in pts[:100]]
@@ -550,7 +590,7 @@ def test_sphere_kernels_equal_corevec():
         u1, u2 = vec.stangent(p.v, q.v), vec.stangent(p.v, r.v)
         c = vec.sdot(u1, u2)
         w = (u2[0] - c * u1[0], u2[1] - c * u1[1], u2[2] - c * u1[2])
-        assert SPHERE.angle(p, q, r) == math.atan2(math.sqrt(max(vec.sdot(w, w), 0.0)), c)
+        assert sphere_angle(p, q, r) == math.atan2(math.sqrt(max(vec.sdot(w, w), 0.0)), c)
 
 
 # The five line operations are written once, on PlaneModel.  On the curved

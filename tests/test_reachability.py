@@ -11,10 +11,11 @@ deleted, given a caller, or listed here; deleting or reviving a listed
 one means updating the list.  Class bodies, lambdas and comprehensions
 are not counted.
 
-Three more tests read the same sources: one holds the five line
+Four more tests read the same sources: one holds the five line
 operations to their one home on ``PlaneModel``, one holds each model to
-two coordinate maps, ``lift`` and ``project``, and one holds ``kernel``
-to five free functions beside the models.
+two coordinate maps, ``lift`` and ``project``, one holds ``kernel`` to
+five free functions beside the models, and one holds the angles to
+``PlaneModel`` and the hyperboloid's own.
 """
 
 import ast
@@ -40,13 +41,16 @@ UNREACHED = {
     "corevec.mtangent": "L0 kernel timed by perfbench; HyperboloidModel._tangent writes it out",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
     "corevec.sdist": "L0 kernel timed by perfbench; SphereModel.dist writes it out inline",
-    "corevec.stangent": "test_kernel's reference for SphereModel's tangents",
+    "corevec.stangent": "test oracle for the point-route angle",
     "kernel.Record.__delattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record.__eq__": "value equality, held by test_records; no command compares records",
     "kernel.Record.__hash__": "value hashing, held by test_records; no command hashes records",
     "kernel.Record.__repr__": "value repr, held by test_records; no command prints a record",
     "kernel.Record.__setattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record._values": "field tuple behind __eq__ and __hash__",
+    "kernel.PlaneModel.angle": (
+        "the sampler's exact-angle test on the sphere and the plane; rare draws reach it"
+    ),
     "kernel.HyperboloidModel._recentre": (
         "HyperboloidModel.angle past v0 = 75: `lexell --apex-y` above about 5 reaches it"
     ),
@@ -252,3 +256,13 @@ def test_kernel_keeps_five_free_functions():
             if name in MOVED_TO_MODEL:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert found == []
+
+
+# The angle between two lines is written once, on PlaneModel, and the
+# sphere and the plane measure the angle at a point through it.  Only the
+# hyperboloid keeps an angle of its own, which recentres a far vertex.
+def test_angles_have_one_home():
+    names = _functions().values()
+    assert sorted(n for n in names if n.endswith(".angle")) == [
+        "kernel.HyperboloidModel.angle", "kernel.PlaneModel.angle"]
+    assert [n for n in names if n.endswith(".line_angle")] == ["kernel.PlaneModel.line_angle"]
