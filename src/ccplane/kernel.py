@@ -4,9 +4,10 @@ The hyperbolic plane is the upper sheet x0 > 0 of <x, x> = -1 in
 Minkowski 3-space with <x, y> = -x0*y0 + x1*y1 + x2*y2.  Distances obey
 cosh d(p, q) = -<p, q>, and moving distance t from p along a unit
 tangent n gives cosh(t) p + sinh(t) n.  The sphere uses unit vectors in
-ordinary Euclidean 3-space.  Each plane's distances, angles, midpoints
-and polar coordinates are methods of its model, HyperboloidModel,
-SphereModel or EuclideanModel.  Five module functions remain, each
+ordinary Euclidean 3-space.  Each plane's operations are methods of its
+model, HyperboloidModel, SphereModel or EuclideanModel, and those written
+once for all three are methods of their base, PlaneModel.  Five module
+functions remain, each
 because other modules call it on something that is not a model's point:
 ``on_sheet`` and ``hdist`` take bare hyperboloid vectors, ``substream``
 seeds the campaigns, and ``disk_to_hpoint`` and ``hpoint_to_disk`` are
@@ -20,12 +21,12 @@ and ``hdist`` the one hyperbolic distance: code that reads points only
 as coordinates, such as the Lexell probe, passes its vectors through
 both and builds no HPoint.
 
-The checks, distances and angles that every sampled figure runs are
-written out on unpacked coordinates rather than composed from
-``corevec`` calls: the same operations in the same order, so every
-value equals the ``corevec`` composition to the last bit, at a fraction
-of the call overhead.  ``corevec`` stays the reference for those and the
-home of the rest (the exponential map, midpoints).
+The checks and distances that every sampled figure runs are written
+out on unpacked coordinates rather than composed from ``corevec`` calls:
+the same operations in the same order, so every value equals the
+``corevec`` composition to the last bit, at a fraction of the call
+overhead.  ``corevec`` stays the reference for those and the home of the
+rest (the exponential map, the sheet normalization).
 
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
@@ -36,13 +37,14 @@ builds, meets, measures against and drops feet onto with one formula
 each, parameterised by the curvature.  ``model.line(p, q)`` builds one
 (with its checks) once, so a figure that reads a side line several
 times builds it only once, and ``model.line_angle(l, m)`` measures the
-angle between two lines it has built.  A model keeps only what differs
-between the planes: its two coordinate maps, ``lift`` (a point to its
+angle between two lines it has built.  The angle at a point is the one
+between the lines through it, and the midpoint of p and q is P + Q
+projected back, on every plane.  A model keeps only what differs between
+the planes: its two coordinate maps, ``lift`` (a point to its
 homogeneous vector) and ``project`` (a homogeneous vector back to its
-point), and its distances, midpoints and polar coordinates.  The
-hyperboloid also keeps its own angle at a point, which moves a far
-vertex to the origin first; the sphere and the plane measure an angle
-between the lines through its vertex.
+point), its distances and polar coordinates, and where two lines meet.
+The hyperboloid also moves a far vertex onto the origin before it
+measures the angle there.
 
 Every value type of the package (points, figures, reports, scene
 elements) derives from Record: an immutable class whose fields are its
@@ -268,10 +270,13 @@ class PlaneModel:
     Points are HPoint on the hyperboloid, SpherePoint on the sphere and
     (x, y) tuples in the euclidean plane; ``point_type`` is that type.
 
-    - ``dist(p, q)``, ``angle(v, p, q)`` (at v), ``mid(p, q)``.  On the
-      sphere and the plane ``angle`` is ``line_angle`` between the lines
-      from v to p and from v to q; the hyperboloid measures it between
-      unit tangents, moving a far vertex to the origin first.
+    - ``dist(p, q)``, ``angle(v, p, q)`` (at v), ``mid(p, q)``.  ``angle``
+      is ``line_angle`` between the lines from v to p and from v to q;
+      the hyperboloid first moves a vertex past ``_RECENTRE_LIMIT`` onto
+      the origin.  ``mid`` is ``project(lift(p) + lift(q))``: P + Q lies on
+      the ray of the midpoint, with point form 4 C(d/2)^2 (C = cosh, cos
+      or 1), so only sphere antipodes, whose sum vanishes, raise
+      DegenerateInputError.
     - ``base``: the base point ORIGIN, NORTH_POLE or (0.0, 0.0).
     - ``polar(theta, r)``: the point at distance r from the base point
       in direction theta.
@@ -320,8 +325,9 @@ class PlaneModel:
     with component 0 negated, l = (-n0, n1, n2), so l . P = <P, n> to
     the last bit.  Lines l and m meet at l x m, and the foot of p is
     P - (l . P) (kappa l0, l1, l2), whose point form is 1 - kappa (l . P)^2.
-    The foot goes back to its point through ``project``, and each model
-    checks that a meet is a point of the plane (``_meet_point``).
+    The foot and the midpoint go back to their points through
+    ``project``, and each model checks that a meet is a point of the plane
+    (``_meet_point``).
     """
 
     lift = staticmethod(operator.attrgetter("v"))
@@ -388,6 +394,16 @@ class PlaneModel:
     def angle(self, v, p, q) -> float:
         return self.line_angle(self.line(v, p), self.line(v, q))
 
+    def mid(self, p, q):
+        p0, p1, p2 = self.lift(p)
+        q0, q1, q2 = self.lift(q)
+        w0, w1, w2 = p0 + q0, p1 + q1, p2 + q2
+        # Beyond antipodes, the form also cancels away for hyperbolic
+        # pairs so far out (v0 ~ 1e16) that it rounds to nothing.
+        if not w0 * w0 + self.kappa * (w1 * w1 + w2 * w2) > _CROSS_EPS_SQUARED:
+            raise DegenerateInputError("points are antipodal or too far apart to have a midpoint")
+        return self.project((w0, w1, w2))
+
     def foot(self, p, l: Vec3):
         p0, p1, p2 = self.lift(p)
         l0, l1, l2 = l
@@ -440,12 +456,12 @@ class PlaneModel:
         )
 
 
-# Beyond this time coordinate (distance ~5 from the origin) tangent
-# components grow large enough for their Gram products to wash out
-# small angles, so ``HyperboloidModel.angle`` first moves the vertex
-# onto the origin.
+# Beyond this time coordinate (distance ~5 from the origin) the lines
+# through a vertex have components of size v0, so F(l x m), the squared
+# sine of the angle between them, rounds by about eps v0^2 and washes out
+# small angles; ``HyperboloidModel.angle`` first moves the vertex onto
+# the origin, where the lines through it are exact cross products.
 _RECENTRE_LIMIT = 75.0
-_E0: Vec3 = (1.0, 0.0, 0.0)
 
 
 class HyperboloidModel(PlaneModel):
@@ -464,22 +480,10 @@ class HyperboloidModel(PlaneModel):
         return hdist(p.v, q.v)
 
     def angle(self, v: HPoint, p: HPoint, q: HPoint) -> float:
-        if hdist(v.v, p.v) <= TOL_POINT or hdist(v.v, q.v) <= TOL_POINT:
-            raise DegenerateInputError("cannot take a direction between coincident points")
         if v.v[0] > _RECENTRE_LIMIT:
             rp, rq = self._recentre(v.v, (p.v, q.v))
-            x0, x1, x2 = self._tangent(_E0, rp)
-            y0, y1, y2 = self._tangent(_E0, rq)
-        else:
-            x0, x1, x2 = self._tangent(v.v, p.v)
-            y0, y1, y2 = self._tangent(v.v, q.v)
-        c = -x0 * y0 + x1 * y1 + x2 * y2
-        w0, w1, w2 = y0 - c * x0, y1 - c * x1, y2 - c * x2
-        s = math.sqrt(max(-w0 * w0 + w1 * w1 + w2 * w2, 0.0))
-        return math.atan2(s, c)
-
-    def mid(self, p: HPoint, q: HPoint) -> HPoint:
-        return HPoint(vec.mmid(p.v, q.v))
+            v, p, q = ORIGIN, HPoint(rp), HPoint(rq)
+        return PlaneModel.angle(self, v, p, q)
 
     def polar(self, theta: float, r: float) -> HPoint:
         # (0, cos theta, sin theta) is unit to 2 ulps and exactly tangent
@@ -500,21 +504,6 @@ class HyperboloidModel(PlaneModel):
         if -x0 * x0 + x1 * x1 + x2 * x2 >= 0.0:
             raise GeometryError("the lines do not meet")
         return HPoint(vec.mnormalize_point(x))
-
-    @staticmethod
-    def _tangent(p: Vec3, q: Vec3) -> Vec3:
-        """Unit tangent at p toward q, as corevec.mtangent computes it."""
-        p0, p1, p2 = p
-        q0, q1, q2 = q
-        m = -p0 * q0 + p1 * q1 + p2 * q2
-        w0, w1, w2 = q0 + m * p0, q1 + m * p1, q2 + m * p2
-        if m > -2.0:
-            s = math.sqrt(-w0 * w0 + w1 * w1 + w2 * w2)
-        else:
-            # Far apart, the squared components of w cancel catastrophically;
-            # the norm is sqrt(m^2 - 1) identically, so use that instead.
-            s = math.sqrt(m * m - 1.0)
-        return (w0 / s, w1 / s, w2 / s)
 
     @staticmethod
     def _recentre(v: Vec3, pts: tuple[Vec3, ...]) -> list[Vec3]:
@@ -551,12 +540,6 @@ class SphereModel(PlaneModel):
         c1 = p2 * q0 - p0 * q2
         c2 = p0 * q1 - p1 * q0
         return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), p0 * q0 + p1 * q1 + p2 * q2)
-
-    def mid(self, p: SpherePoint, q: SpherePoint) -> SpherePoint:
-        w = (p.v[0] + q.v[0], p.v[1] + q.v[1], p.v[2] + q.v[2])
-        if math.sqrt(vec.sdot(w, w)) <= _CROSS_EPS:
-            raise DegenerateInputError("midpoint undefined for antipodal points")
-        return self.project(w)
 
     def polar(self, theta: float, r: float) -> SpherePoint:
         # (cos theta, sin theta, 0) is unit to 2 ulps and exactly tangent
@@ -602,9 +585,6 @@ class EuclideanModel(PlaneModel):
 
     def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
         return math.hypot(p[0] - q[0], p[1] - q[1])
-
-    def mid(self, p: EuclidPoint, q: EuclidPoint) -> EuclidPoint:
-        return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
 
     def polar(self, theta: float, r: float) -> EuclidPoint:
         return (r * math.cos(theta), r * math.sin(theta))

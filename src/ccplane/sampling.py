@@ -19,11 +19,11 @@ _MIN_SIDE = 0.05
 _MIN_ANGLE = 0.15
 
 # First-order rounding bound on |corner_cosines - cos(angle)| for draws
-# from the disks below with every side at least _MIN_SIDE: 2.6e-11 on the
-# hyperboloid (``HyperboloidModel.angle`` works on coordinates up to
-# cosh 3 in size), 2.9e-13 on the sphere and 8.9e-13 in the plane, where
-# the angle is ``line_angle`` between the lines through the vertex.  The
-# derivation is in CHANGES.md; the margin is the largest bound, rounded up.
+# from the disks below with every side at least _MIN_SIDE, where the angle
+# is ``line_angle`` between the lines through the vertex: 2.2e-11 on the
+# hyperboloid (coordinates up to cosh 3 in size), 2.9e-13 on the sphere
+# and 8.9e-13 in the plane.  The derivation is in CHANGES.md; the margin
+# is the largest bound, rounded up.
 _PRETEST_MARGIN = 3e-11
 _THIN_COS = math.cos(_MIN_ANGLE) + _PRETEST_MARGIN
 _FAT_COS = math.cos(_MIN_ANGLE) - _PRETEST_MARGIN

@@ -12,13 +12,15 @@ keeps these; a change that moves a report rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each moved report in CHANGES.md.
+which prints each moved entry, old and new, to stderr, and lists each
+moved report in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -144,6 +146,16 @@ def test_locus_command_is_unchanged(golden, key, tmp_path):
     assert command_outcome(LOCUS_COMMANDS[key], tmp_path) == golden["loci"]["commands"][key]
 
 
+def _changes(old, new, path=()):
+    """(key path, old value, new value) of every entry that differs."""
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key), new.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            yield from _changes(a, b, (*path, key))
+        elif a != b:
+            yield (*path, key), a, b
+
+
 def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         data = {
@@ -157,6 +169,9 @@ def _regenerate() -> None:
                 },
             },
         }
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for path, a, b in _changes(old, data):
+        print(f"{' '.join(path)}\n  - {a!r}\n  + {b!r}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

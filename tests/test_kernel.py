@@ -16,7 +16,7 @@ from ccplane.errors import (
     OutOfModelError,
 )
 from ccplane.lexell import _bisector_mirror
-from angle_oracles import POINT_ANGLE, sphere_angle
+from angle_oracles import POINT_ANGLE, hyperboloid_angle, sphere_angle
 from hyperboloid_oracles import (
     direction,
     point_along,
@@ -263,6 +263,43 @@ def test_midpoint_on_axis():
     assert m.v[1] == pytest.approx(SINH1, rel=1e-15)
 
 
+# The midpoints the three models wrote out before ``PlaneModel.mid``.
+_PLANE_MID = {
+    k.Geometry.HYPERBOLIC: lambda p, q: k.HPoint(vec.mmid(p.v, q.v)),
+    k.Geometry.SPHERICAL: lambda p, q: k.Geometry.SPHERICAL.model.project(
+        tuple(a + b for a, b in zip(p.v, q.v))),
+    k.Geometry.EUCLIDEAN: lambda p, q: (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])),
+}
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_mid_is_the_per_plane_midpoint_to_the_bit(geometry):
+    # One formula, project(lift(p) + lift(q)), gives each plane's own
+    # midpoint, by repr so that signed zeros count, out to the Lexell
+    # apexes on the hyperboloid (distance 30 from the base point).
+    model = geometry.model
+    reach = {k.Geometry.HYPERBOLIC: 30.0, k.Geometry.SPHERICAL: 3.0,
+             k.Geometry.EUCLIDEAN: 30.0}[geometry]
+    rng = random.Random(f"mid-{geometry.value}")
+    pairs = [(model.base, model.polar(0.0, 1.0)), (model.polar(-0.0, 0.5), model.base)]
+    pairs += [
+        tuple(model.polar(rng.uniform(-7.0, 7.0), rng.uniform(0.0, reach)) for _ in range(2))
+        for _ in range(2000)
+    ]
+    for p, q in pairs:
+        assert repr(model.mid(p, q)) == repr(_PLANE_MID[geometry](p, q)), (p, q)
+
+
+def test_mid_rejects_a_pair_whose_sum_rounds_off_the_sheet():
+    # At height 38.5 over a base vertex the rounded sum is a null vector,
+    # no point of the plane, and mid refuses it.
+    apex, base = HYPERBOLIC.polar(math.pi / 2.0, 38.5), HYPERBOLIC.polar(0.0, 0.3)
+    s = tuple(a + b for a, b in zip(apex.v, base.v))
+    assert vec.minner(s, s) == 0.0
+    with pytest.raises(DegenerateInputError, match="too far apart to have a midpoint"):
+        HYPERBOLIC.mid(apex, base)
+
+
 def test_reflect_across_fixes_curve_and_inverts_side():
     # The Lexell bisector mirror fixes its line x1 = 0 and swaps its sides.
     g = (0.0, 1.0, 0.0)
@@ -346,8 +383,7 @@ def test_line_angle_matches_the_point_route(geometry):
         l, m = model.line(v, p), model.line(v, q)
         angle = model.line_angle(l, m)
         assert angle == model.line_angle(m, l)
-        if geometry is not k.Geometry.HYPERBOLIC:
-            assert angle == model.angle(v, p, q)
+        assert angle == model.angle(v, p, q)
         legs = min(model.dist(v, p), model.dist(v, q))
         assert abs(angle - POINT_ANGLE[geometry](v, p, q)) <= 1e-13 / legs
 
@@ -553,7 +589,7 @@ def _oracle_points(seed):
 
 def _reference_angle(v, p, q):
     if v.v[0] > k._RECENTRE_LIMIT:
-        base, (rp, rq) = k._E0, k.HyperboloidModel._recentre(v.v, (p.v, q.v))
+        base, (rp, rq) = k.ORIGIN.v, k.HyperboloidModel._recentre(v.v, (p.v, q.v))
     else:
         base, rp, rq = v.v, p.v, q.v
     u1, u2 = vec.mtangent(base, rp), vec.mtangent(base, rq)
@@ -563,7 +599,17 @@ def _reference_angle(v, p, q):
 
 
 def test_hyperboloid_kernels_equal_corevec():
-    # test_line_operations_equal_corevec holds the line operations.
+    # test_line_operations_equal_corevec holds the line operations.  The
+    # model measures its angles between lines; the tangent route it
+    # replaced stays a test oracle, held here to corevec's tangents, to the
+    # bit.  The model is held to the oracle.  Past the recentring limit
+    # both measure at the origin, and the worst gap on these points is
+    # 4.4e-16.  Below it the lines through v have components of size v0,
+    # and a leg of length d spans a line of unscaled size sinh d, so the
+    # line route's direction rounds by about eps v0^2 / d: the worst gap is
+    # 57 u v0^2 / d = 6.3e-15 v0^2 / d (u = 2^-53), 1.5e-5 for a leg of
+    # 3.7e-7 at v0 = 70, where a 50-digit angle puts the line route 1.5e-5
+    # off and the tangent route 3.4e-7.
     pts = _oracle_points("oracle-hyp")
     branches, recentred = set(), 0
     for i in range(0, len(pts) - 4, 2):
@@ -572,8 +618,15 @@ def test_hyperboloid_kernels_equal_corevec():
             assert HYPERBOLIC.dist(x, y) == vec.mdist(x.v, y.v)
             branches.add(-vec.minner(x.v, y.v) < 1.5)
         for v, a, b in ((p, q, r), (q, r, p), (p, near, q)):
-            assert HYPERBOLIC.angle(v, a, b) == _reference_angle(v, a, b)
-            recentred += v.v[0] > k._RECENTRE_LIMIT
+            oracle = hyperboloid_angle(v, a, b)
+            assert oracle == _reference_angle(v, a, b)
+            gap = abs(HYPERBOLIC.angle(v, a, b) - oracle)
+            if v.v[0] > k._RECENTRE_LIMIT:
+                recentred += 1
+                assert gap <= 1e-15
+            else:
+                leg = min(HYPERBOLIC.dist(v, a), HYPERBOLIC.dist(v, b))
+                assert gap <= 1e-14 * v.v[0] ** 2 / leg
     assert branches == {True, False}
     assert recentred > 20
 

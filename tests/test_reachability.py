@@ -14,8 +14,8 @@ are not counted.
 Four more tests read the same sources: one holds the five line
 operations to their one home on ``PlaneModel``, one holds each model to
 two coordinate maps, ``lift`` and ``project``, one holds ``kernel`` to
-five free functions beside the models, and one holds the angles to
-``PlaneModel`` and the hyperboloid's own.
+five free functions beside the models, and one holds the angle and the
+midpoint to their one home on ``PlaneModel``.
 """
 
 import ast
@@ -36,9 +36,10 @@ UNREACHED = {
     "cevians.projection_oracle": "test oracle: the projection used to derive the ratio sums",
     "corevec.mdist": "L0 kernel timed by perfbench; kernel.hdist writes it out inline",
     "corevec.mfoot": "L0 kernel timed by perfbench; PlaneModel.foot writes it out inline",
+    "corevec.mmid": "L0 kernel timed by perfbench; PlaneModel.mid writes it out",
     "corevec.mnormalize_space": "builds perfbench's L0 line normal; mtangent calls it",
     "corevec.mreflect": "L0 kernel timed by perfbench; the Lexell bisector mirror is its sign flip",
-    "corevec.mtangent": "L0 kernel timed by perfbench; HyperboloidModel._tangent writes it out",
+    "corevec.mtangent": "L0 kernel timed by perfbench; the tangent-route angle oracle writes it out",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
     "corevec.sdist": "L0 kernel timed by perfbench; SphereModel.dist writes it out inline",
     "corevec.stangent": "test oracle for the point-route angle",
@@ -48,9 +49,6 @@ UNREACHED = {
     "kernel.Record.__repr__": "value repr, held by test_records; no command prints a record",
     "kernel.Record.__setattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record._values": "field tuple behind __eq__ and __hash__",
-    "kernel.PlaneModel.angle": (
-        "the sampler's exact-angle test on the sphere and the plane; rare draws reach it"
-    ),
     "kernel.HyperboloidModel._recentre": (
         "HyperboloidModel.angle past v0 = 75: `lexell --apex-y` above about 5 reaches it"
     ),
@@ -258,11 +256,23 @@ def test_kernel_keeps_five_free_functions():
     assert found == []
 
 
-# The angle between two lines is written once, on PlaneModel, and the
-# sphere and the plane measure the angle at a point through it.  Only the
-# hyperboloid keeps an angle of its own, which recentres a far vertex.
+# The angle between two lines is written once, on PlaneModel, and every
+# plane measures the angle at a point through it: the hyperboloid keeps
+# only its recentring of a far vertex, and no model builds tangents.  The
+# midpoint is written once too, on PlaneModel.
 def test_angles_have_one_home():
     names = _functions().values()
     assert sorted(n for n in names if n.endswith(".angle")) == [
         "kernel.HyperboloidModel.angle", "kernel.PlaneModel.angle"]
     assert [n for n in names if n.endswith(".line_angle")] == ["kernel.PlaneModel.line_angle"]
+    assert [n for n in names if n.endswith(".mid")] == ["kernel.PlaneModel.mid"]
+    assert [n for n in names if n.endswith("._tangent")] == []
+    tree = ast.parse((SRC / "kernel.py").read_text(encoding="utf-8"))
+    (angle,) = [
+        item for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "HyperboloidModel"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "angle"
+    ]
+    assert [node.attr for node in ast.walk(angle)
+            if isinstance(node, ast.Attribute) and node.attr == "atan2"] == []
