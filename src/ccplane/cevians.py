@@ -41,7 +41,6 @@ from .errors import (
     InfeasibleInputError,
 )
 from .kernel import Geometry, Record
-from .trig import clamped_acos
 
 # Feet are accepted as lying on a side up to this residual.
 _SIDE_EPS = 1e-7
@@ -252,14 +251,22 @@ class ConstructionResult(Record):
     aux_a, aux_b, aux_c are the euclidean helper sides G, H, I;
     ``aux_area`` is their Heron area and ``sine_factor`` the reciprocal
     circumdiameter, so each recovered sine is sine_factor times the
-    matching helper side.
+    matching helper side.  The rebuilt triangle and its center are
+    ``frame.tri`` and ``frame.o``.
     """
 
     __slots__ = (
-        "triangle", "center", "frame", "aux_a", "aux_b", "aux_c", "aux_area",
-        "sine_factor", "angle_bof", "angle_aof", "angle_bod",
-        "relation_residual", "containment_residual",
+        "frame", "aux_a", "aux_b", "aux_c", "aux_area", "sine_factor",
+        "angle_bof", "angle_aof", "angle_bod", "relation_residual",
+        "containment_residual",
     )
+
+
+def clamped_acos(x: float) -> float:
+    """acos with the argument clamped just past [-1, 1]."""
+    if abs(x) > 1.0 + TOL_CLAMP:
+        raise DomainError(f"acos argument out of range: {x}")
+    return math.acos(min(1.0, max(-1.0, x)))
 
 
 def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
@@ -329,11 +336,8 @@ def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
             f"laid-off feet miss the opposite sides by {containment_residual:.3e}"
         )
     triangle = Triangle(Geometry.HYPERBOLIC, laid["a"], laid["b"], laid["c"])
-    frame = cevian_frame(triangle, center)
     return ConstructionResult(
-        triangle=triangle,
-        center=center,
-        frame=frame,
+        frame=cevian_frame(triangle, center),
         aux_a=aux_a,
         aux_b=aux_b,
         aux_c=aux_c,

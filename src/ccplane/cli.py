@@ -8,8 +8,8 @@ output files are written before anything goes to stdout.
 Each command is a short process that compiles what it imports, so each
 handler imports the layers it runs: a campaign loads only its theorem's
 layers, ``render frame`` never loads ``lexell``, a locus never loads
-``sampling`` or ``cevians``, and only a figure (``render``, ``--svg``)
-or the axis angles of ``lexell`` load ``render``.
+``sampling`` or ``cevians``, only a figure (``render``, ``--svg``)
+loads ``render``, and only ``verify menelaus`` loads ``trig``.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ def _cmd_construct(args, parser) -> int:
         abs(frame.q - result.angle_aof),
         abs(frame.r - result.angle_bod),
     )
-    da = k.hpoint_to_disk(result.triangle.a)
-    db = k.hpoint_to_disk(result.triangle.b)
-    dc = k.hpoint_to_disk(result.triangle.c)
+    da = k.hpoint_to_disk(frame.tri.a)
+    db = k.hpoint_to_disk(frame.tri.b)
+    dc = k.hpoint_to_disk(frame.tri.c)
     record = {
         "delta": result.sine_factor,
         "heron_area": result.aux_area,
@@ -184,14 +184,12 @@ def _cmd_construct(args, parser) -> int:
         "roundtrip_angle_residual": angle_residual,
         **_UNITS,
     }
-    _report(record, args, lambda render: render.scene_for_construction(result))
+    _report(record, args, lambda render: render.scene_for_frame(frame))
     return 0
 
 
 def _axis_angles(axis) -> tuple[float, float]:
-    from .render import ideal_endpoints
-
-    (x1, y1), (x2, y2) = ideal_endpoints(axis)
+    (x1, y1), (x2, y2) = k.ideal_endpoints(axis)
     return tuple(sorted((math.atan2(y1, x1), math.atan2(y2, x2))))
 
 

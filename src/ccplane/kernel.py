@@ -6,13 +6,13 @@ cosh d(p, q) = -<p, q>, and moving distance t from p along a unit
 tangent n gives cosh(t) p + sinh(t) n.  The sphere uses unit vectors in
 ordinary Euclidean 3-space.  Each plane's operations are methods of its
 model, HyperboloidModel, SphereModel or EuclideanModel, and those written
-once for all three are methods of their base, PlaneModel.  Five module
-functions remain, each
-because other modules call it on something that is not a model's point:
-``on_sheet`` and ``hdist`` take bare hyperboloid vectors, ``substream``
-seeds the campaigns, and ``disk_to_hpoint`` and ``hpoint_to_disk`` are
-the conformal disk chart that the CLI, the renderer and the Lexell base
-read.
+once for all three are methods of their base, PlaneModel.  Six module
+functions remain, each because other modules call it on something that
+is not a model's point: ``on_sheet`` and ``hdist`` take bare hyperboloid
+vectors, ``substream`` seeds the campaigns, and ``disk_to_hpoint``,
+``hpoint_to_disk`` and ``ideal_endpoints`` (the chart's boundary map, a
+line's two ends on the unit circle) are the conformal disk chart that
+the CLI, the renderer and the Lexell base read.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.  ``on_sheet`` holds
@@ -26,7 +26,10 @@ out on unpacked coordinates rather than composed from ``corevec`` calls:
 the same operations in the same order, so every value equals the
 ``corevec`` composition to the last bit, at a fraction of the call
 overhead.  ``corevec`` stays the reference for those and the home of the
-rest (the exponential map, the sheet normalization).
+rest (the exponential map, the sheet normalization).  The sheet
+normalization runs in two places only, ``HyperboloidModel.project`` and
+the chart's ``disk_to_hpoint``: every point a model builds from a
+homogeneous vector, meets included, comes back through ``project``.
 
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
@@ -264,6 +267,22 @@ def hpoint_to_disk(p: HPoint) -> DiskPoint:
     return DiskPoint(p.v[1] * f, p.v[2] * f)
 
 
+def ideal_endpoints(l: Vec3) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Boundary-circle points, in disk coordinates, of the geodesic with
+    line covector l: the disk chart's boundary map.
+
+    A lightlike direction (1, x, y) lies on the geodesic when
+    l0 + l1 x + l2 y = 0; with a unit covector the line always cuts
+    the unit circle twice.
+    """
+    l0, l1, l2 = l
+    q = l1 * l1 + l2 * l2
+    fx, fy = -l0 * l1 / q, -l0 * l2 / q
+    # q - l0^2 = 1 exactly (unit line form), so the half-chord is 1/q.
+    hx, hy = -l2 / q, l1 / q
+    return ((fx + hx, fy + hy), (fx - hx, fy - hy))
+
+
 class PlaneModel:
     """Operations of one constant-curvature plane, behind one interface.
 
@@ -320,14 +339,14 @@ class PlaneModel:
     the sphere, and on the hyperboloid points so far out that the rounded
     product is not spacelike.  (The product rounds by about 4 eps p0 q0,
     below _CROSS_EPS out to v0 ~ 300, distance 6.4, past every sampled
-    figure; ``lexell_locus`` checks its far midpoints with ``dist``.)
+    figure.)
     On the hyperboloid l is the unit spacelike normal n of the geodesic
     with component 0 negated, l = (-n0, n1, n2), so l . P = <P, n> to
     the last bit.  Lines l and m meet at l x m, and the foot of p is
     P - (l . P) (kappa l0, l1, l2), whose point form is 1 - kappa (l . P)^2.
-    The foot and the midpoint go back to their points through
-    ``project``, and each model checks that a meet is a point of the plane
-    (``_meet_point``).
+    The foot, the midpoint and the meet go back to their points through
+    ``project``; a model's ``_meet_point`` first checks that the lines
+    meet, and the sphere's picks one of the antipodal pair.
     """
 
     lift = staticmethod(operator.attrgetter("v"))
@@ -503,7 +522,7 @@ class HyperboloidModel(PlaneModel):
         x0, x1, x2 = x
         if -x0 * x0 + x1 * x1 + x2 * x2 >= 0.0:
             raise GeometryError("the lines do not meet")
-        return HPoint(vec.mnormalize_point(x))
+        return self.project(x)
 
     @staticmethod
     def _recentre(v: Vec3, pts: tuple[Vec3, ...]) -> list[Vec3]:
@@ -554,16 +573,15 @@ class SphereModel(PlaneModel):
         return SpherePoint((x0 / s, x1 / s, x2 / s))
 
     def _meet_point(self, x: Vec3, l: Vec3, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
-        x0, x1, x2 = x
-        s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        x0, x1, x2 = x0 / s, x1 / s, x2 / s
-        # The circles meet at x and -x; x is the one nearer the arc [s1, s2]
-        # when |s1 x| + |x s2| <= pi, which holds exactly when x . (s1 + s2)
+        p = self.project(x)
+        x0, x1, x2 = p.v
+        # The circles meet at p and -p; p is the one nearer the arc [s1, s2]
+        # when |s1 p| + |p s2| <= pi, which holds exactly when p . (s1 + s2)
         # >= 0, since cos a + cos b = 2 cos((a + b)/2) cos((a - b)/2).
-        # Ties go to x.
+        # Ties go to p.
         u, v = s1.v, s2.v
         if x0 * (u[0] + v[0]) + x1 * (u[1] + v[1]) + x2 * (u[2] + v[2]) >= 0.0:
-            return SpherePoint((x0, x1, x2))
+            return p
         return SpherePoint((-x0, -x1, -x2))
 
 

@@ -62,7 +62,7 @@ from functools import cached_property
 
 from . import corevec as vec
 from . import kernel as k
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID, TOL_POINT
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -392,8 +392,7 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
         raise DegenerateInputError("apex lies on the base line")
     m1 = _MODEL.mid(p, base.a)
     m2 = _MODEL.mid(_bisector_mirror(p), base.b)
-    if _MODEL.dist(m1, m2) <= TOL_POINT:
-        raise DegenerateInputError("midpoints coincide; axis is undetermined")
+    # Coincident midpoints span no line: ``line`` raises DegenerateInputError.
     axis = _MODEL.line(m1, m2)
     # Measure the offset against the base vertices rather than the apex:
     # l . p cancels catastrophically for a far apex, while a and b stay

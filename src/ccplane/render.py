@@ -16,9 +16,9 @@ from . import kernel as k
 from .errors import DomainError, GeometryError, OutOfModelError
 from .kernel import Geometry, HPoint, Record, Vec3
 
-# CevianFrame and ConstructionResult (cevians) and AreaLocus, BaseConfig
-# and Hypercycle (lexell) appear in annotations only, which are never
-# evaluated: a frame figure does not load lexell, nor a locus cevians.
+# CevianFrame (cevians) and AreaLocus, BaseConfig and Hypercycle (lexell)
+# appear in annotations only, which are never evaluated: a frame figure
+# does not load lexell, nor a locus cevians.
 
 # The disk draws the hyperbolic plane; its model builds the segment lines.
 _MODEL = Geometry.HYPERBOLIC.model
@@ -86,21 +86,6 @@ def disk_xy(p: HPoint) -> XY:
     return (d.u, d.w)
 
 
-def ideal_endpoints(l: Vec3) -> tuple[XY, XY]:
-    """Boundary-circle points of the geodesic with line covector l.
-
-    A lightlike direction (1, x, y) lies on the geodesic when
-    l0 + l1 x + l2 y = 0; with a unit covector the line always cuts
-    the unit circle twice.
-    """
-    l0, l1, l2 = l
-    q = l1 * l1 + l2 * l2
-    fx, fy = -l0 * l1 / q, -l0 * l2 / q
-    # q - l0^2 = 1 exactly (unit line form), so the half-chord is 1/q.
-    hx, hy = -l2 / q, l1 / q
-    return ((fx + hx, fy + hy), (fx - hx, fy - hy))
-
-
 def _arc_or_chord(l: Vec3, start: XY, end: XY, style: str) -> SceneArc | SceneChord:
     # The geodesic's circle has center -(l1, l2)/l0 and radius 1/|l0|,
     # so |c|^2 - r^2 = (l1^2 + l2^2 - l0^2)/l0^2 = 1 up to rounding.  It
@@ -117,7 +102,7 @@ def _arc_or_chord(l: Vec3, start: XY, end: XY, style: str) -> SceneArc | SceneCh
 def arc_for_geodesic(l: Vec3, style: str = "side") -> SceneArc | SceneChord:
     """Full geodesic, given by its line covector, as a boundary-to-boundary
     arc or diameter."""
-    u, v = ideal_endpoints(l)
+    u, v = k.ideal_endpoints(l)
     return _arc_or_chord(l, u, v, style)
 
 
@@ -180,11 +165,6 @@ def scene_for_frame(frame: CevianFrame) -> RenderScene:
             SceneTriangle((disk_xy(tri.a), disk_xy(tri.b), disk_xy(tri.c))),
         ),
     )
-
-
-def scene_for_construction(result: ConstructionResult) -> RenderScene:
-    """Figure for a frame reconstructed from six cevian lengths."""
-    return scene_for_frame(result.frame)
 
 
 def _curve_label(p: HPoint, label: str) -> ScenePoint:

@@ -22,16 +22,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .constants import TOL_CLAMP
 from .errors import DomainError
 from .kernel import Geometry, Record
-
-
-def clamped_acos(x: float) -> float:
-    """acos with the argument clamped just past [-1, 1]."""
-    if abs(x) > 1.0 + TOL_CLAMP:
-        raise DomainError(f"acos argument out of range: {x}")
-    return math.acos(min(1.0, max(-1.0, x)))
 
 
 def _check_right_triangle(b: float, alpha: float, geometry: Geometry) -> None:

@@ -438,7 +438,7 @@ class TestConverseConstruction:
         assert res.frame.p == pytest.approx(third, abs=1e-12)
         assert res.frame.q == pytest.approx(third, abs=1e-12)
         assert res.frame.r == pytest.approx(third, abs=1e-12)
-        tri, o = res.frame.tri, res.center
+        tri, o = res.frame.tri, res.frame.o
         for u, v in ((tri.a, tri.b), (tri.b, tri.c), (tri.c, tri.a)):
             assert HYP.model.angle(o, u, v) == pytest.approx(2.0 * third, abs=1e-12)
 

@@ -427,17 +427,17 @@ _CONSTRUCT = ["construct", "0.57028982711412934", "0.57028982711412934",
     "argv, layers",
     [
         (["verify", "menelaus", "--trials", "5"], {"trig"}),
-        (["verify", "lambert", "--trials", "5"], {"trig", "cevians"}),
-        (["verify", "euler-ratio", "--trials", "5"], {"trig", "cevians", "sampling"}),
-        (["verify", "ceva", "--trials", "5"], {"trig", "cevians", "sampling"}),
-        (["verify", "pqr", "--trials", "5"], {"trig", "cevians", "sampling"}),
+        (["verify", "lambert", "--trials", "5"], {"cevians"}),
+        (["verify", "euler-ratio", "--trials", "5"], {"cevians", "sampling"}),
+        (["verify", "ceva", "--trials", "5"], {"cevians", "sampling"}),
+        (["verify", "pqr", "--trials", "5"], {"cevians", "sampling"}),
         (["verify", "lexell", "--trials", "2"], {"lexell"}),
         (["render", "frame", "--seed", "5", "--svg", "{svg}"],
-         {"trig", "cevians", "sampling", "render"}),
-        ([*_CONSTRUCT, "--svg", "{svg}"], {"trig", "cevians", "render"}),
-        (_CONSTRUCT, {"trig", "cevians"}),
+         {"cevians", "sampling", "render"}),
+        ([*_CONSTRUCT, "--svg", "{svg}"], {"cevians", "render"}),
+        (_CONSTRUCT, {"cevians"}),
         (["lexell", "0.8", "--apex-y", "1.0", "--svg", "{svg}"], {"lexell", "render"}),
-        (["lexell", "0.8", "--apex=0.1,0.4"], {"lexell", "render"}),
+        (["lexell", "0.8", "--apex=0.1,0.4"], {"lexell"}),
         (["lexell", "0.8", "--foliate", "0.3,0.8,1.2"], {"lexell"}),
         (["render", "locus", "--x", "0.8", "--apex-y", "1.0", "--svg", "{svg}"],
          {"lexell", "render"}),

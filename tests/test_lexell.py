@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ccplane import corevec as vec
 from ccplane import kernel as k
 from ccplane import lexell, render
-from ccplane.cevians import Triangle
+from ccplane.cevians import Triangle, clamped_acos
 from ccplane.corevec import mcross, mfoot, minner
 from ccplane.errors import (
     DegenerateInputError,
@@ -63,7 +63,6 @@ from ccplane.lexell import (
     _right_area,
 )
 from ccplane.sampling import substream
-from ccplane.trig import clamped_acos
 from hyperboloid_oracles import point_along, polar, reflect_across, tangent_direction
 
 HYP = Geometry.HYPERBOLIC.model
@@ -469,6 +468,18 @@ class TestLexellLocus:
         on_line = HYP.polar(0.0, 0.3)
         with pytest.raises(DegenerateInputError):
             lexell_locus(base, on_line)
+
+    def test_coincident_midpoints_rejected(self):
+        # An apex straight above B: its bisector mirror P' sits straight
+        # above A, and A, B are exact mirror images, so P + A and P' + B
+        # agree to the last bit.  The axis through the two midpoints is
+        # then no line, and ``line`` refuses it.
+        base = BaseConfig.from_half_distance(0.8)
+        b1 = base.b.v[1]
+        apex = HPoint((math.sqrt(1.0 + b1 * b1 + 0.16), b1, 0.4))
+        assert HYP.mid(apex, base.a) == HYP.mid(_bisector_mirror(apex), base.b)
+        with pytest.raises(DegenerateInputError):
+            lexell_locus(base, apex)
 
     def test_tall_apexes_fail_only_as_geometry_errors(self):
         # Heights up to MAX_APEX_HEIGHT are accepted input; where the axis

@@ -11,11 +11,12 @@ deleted, given a caller, or listed here; deleting or reviving a listed
 one means updating the list.  Class bodies, lambdas and comprehensions
 are not counted.
 
-Four more tests read the same sources: one holds the five line
+Five more tests read the same sources: one holds the five line
 operations to their one home on ``PlaneModel``, one holds each model to
 two coordinate maps, ``lift`` and ``project``, one holds ``kernel`` to
-five free functions beside the models, and one holds the angle and the
-midpoint to their one home on ``PlaneModel``.
+six free functions beside the models, one holds the angle and the
+midpoint to their one home on ``PlaneModel``, and one holds the sheet
+normalization to ``HyperboloidModel.project`` and the disk chart.
 """
 
 import ast
@@ -230,15 +231,21 @@ def test_each_model_has_one_pair_of_coordinate_maps():
 
 # The hyperbolic plane's operations live on HyperboloidModel, as the
 # sphere's live on SphereModel.  The free functions left in ``kernel`` are
-# the sheet check and the distance, which take bare vectors, the seeded
-# streams and the disk chart; the names below were the hyperboloid's
-# second interface beside its model.
-KERNEL_FUNCTIONS = ("on_sheet", "substream", "hdist", "disk_to_hpoint", "hpoint_to_disk")
+# below, each with the reason it is not a model's method; the names in
+# MOVED_TO_MODEL were the hyperboloid's second interface beside its model.
+KERNEL_FUNCTIONS = {
+    "on_sheet": "the sheet check, on bare vectors",
+    "hdist": "the hyperbolic distance, on bare vectors",
+    "substream": "the seeded streams of the campaigns",
+    "disk_to_hpoint": "the disk chart, from the disk",
+    "hpoint_to_disk": "the disk chart, into the disk",
+    "ideal_endpoints": "the disk chart's boundary map",
+}
 MOVED_TO_MODEL = ("angle_at", "midpoint", "point_along", "reflect_across", "direction",
                   "tangent_direction", "tangent_basis")
 
 
-def test_kernel_keeps_five_free_functions():
+def test_kernel_keeps_its_free_functions():
     tree = ast.parse((SRC / "kernel.py").read_text(encoding="utf-8"))
     public = [
         node.name for node in tree.body
@@ -246,6 +253,9 @@ def test_kernel_keeps_five_free_functions():
         and not node.name.startswith("_")
     ]
     assert sorted(public) == sorted(KERNEL_FUNCTIONS)
+    # The boundary map has this one home; the renderer and the CLI read it.
+    names = _functions().values()
+    assert [n for n in names if n.endswith(".ideal_endpoints")] == ["kernel.ideal_endpoints"]
     # No module reaches for the old names, as an attribute or an import.
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -276,3 +286,27 @@ def test_angles_have_one_home():
     ]
     assert [node.attr for node in ast.walk(angle)
             if isinstance(node, ast.Attribute) and node.attr == "atan2"] == []
+
+
+# Every point a model builds from a homogeneous vector (feet, midpoints,
+# meets) comes back through its ``project``, so the hyperboloid's sheet
+# normalization is written in ``kernel`` only there and in the disk
+# chart's lift.
+def test_sheet_normalization_only_in_project():
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = getattr(child, "attr", None) or getattr(child, "id", None)
+            if name == "mnormalize_point":
+                found.add(where or "<module>")
+            visit(child, where)
+
+    visit(ast.parse((SRC / "kernel.py").read_text(encoding="utf-8")), "")
+    assert found == {"HyperboloidModel.project", "disk_to_hpoint"}

@@ -18,7 +18,6 @@ from ccplane.cevians import (
 )
 from ccplane.errors import DegenerateInputError, InvalidPointError
 from ccplane.kernel import (
-    ORIGIN,
     DiskPoint,
     Geometry,
     HPoint,
@@ -61,7 +60,7 @@ SAMPLES = {
     PqrSystem: {"P": 1.0, "Q": 2.0, "R": 3.0, "residuals": (0.0, 0.5, 1.0)},
     RatioSumInput: {"ao": 0.5, "bo": 0.75, "co": 1.0, "od": 0.25, "oe": 0.125, "of": 2.0},
     ConstructionResult: {
-        "triangle": TRI, "center": ORIGIN, "frame": FRAME, "aux_a": 0.5,
+        "frame": FRAME, "aux_a": 0.5,
         "aux_b": 0.75, "aux_c": 1.0, "aux_area": 0.125, "sine_factor": 2.0,
         "angle_bof": 1.0, "angle_aof": 1.5, "angle_bod": 0.5,
         "relation_residual": 0.0, "containment_residual": 1e-17,
@@ -128,9 +127,8 @@ EXPECTED_REPR = {
     PqrSystem: "PqrSystem(P=1.0, Q=2.0, R=3.0, residuals=(0.0, 0.5, 1.0))",
     RatioSumInput: "RatioSumInput(ao=0.5, bo=0.75, co=1.0, od=0.25, oe=0.125, of=2.0)",
     ConstructionResult: (
-        f"ConstructionResult(triangle={_TRI_REPR}, center=HPoint(v=(1.0, 0.0, 0.0)), "
-        f"frame=CevianFrame(tri={_TRI_REPR}, o=(0.25, 0.25), d=(0.5, 0.5), "
-        "e=(0.0, 0.5), f=(0.5, 0.0), ao=1.0, bo=2.0, co=3.0, od=4.0, oe=5.0, of=6.0, "
+        f"ConstructionResult(frame=CevianFrame(tri={_TRI_REPR}, o=(0.25, 0.25), "
+        "d=(0.5, 0.5), e=(0.0, 0.5), f=(0.5, 0.0), ao=1.0, bo=2.0, co=3.0, od=4.0, oe=5.0, of=6.0, "
         "alpha=0.25, beta=0.5, gamma=0.75, p=1.0, q=1.0, r=1.1415926535897931), "
         "aux_a=0.5, aux_b=0.75, aux_c=1.0, aux_area=0.125, sine_factor=2.0, "
         "angle_bof=1.0, angle_aof=1.5, angle_bod=0.5, relation_residual=0.0, "

@@ -24,7 +24,6 @@ from ccplane.render import (
     arc_for_geodesic,
     arc_for_segment,
     disk_xy,
-    ideal_endpoints,
     polyline_for_hypercycle,
     scene_for_foliation,
     scene_for_frame,
@@ -53,7 +52,7 @@ class TestIdealEndpoints:
         for _ in range(100):
             g, _, _ = _random_geodesic(rng)
             l0, l1, l2 = g
-            for x, y in ideal_endpoints(g):
+            for x, y in k.ideal_endpoints(g):
                 assert abs(x * x + y * y - 1.0) < 1e-12
                 assert abs(l0 + l1 * x + l2 * y) < 1e-12
 
