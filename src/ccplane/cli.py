@@ -146,12 +146,10 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_construct(args, parser) -> int:
     from .cevians import RatioSumInput, construct_from_ratios
 
-    ao, bo, co, od, oe, of = args.lengths
-    result = construct_from_ratios(RatioSumInput(ao, bo, co, od, oe, of))
+    result = construct_from_ratios(RatioSumInput(*args.lengths))
     frame = result.frame
-    inputs = (ao, bo, co, od, oe, of)
     measured = (frame.ao, frame.bo, frame.co, frame.od, frame.oe, frame.of)
-    length_residual = max(abs(m - i) for m, i in zip(measured, inputs))
+    length_residual = max(abs(m - i) for m, i in zip(measured, args.lengths))
     angle_residual = max(
         abs(frame.p - result.angle_bof),
         abs(frame.q - result.angle_aof),
@@ -238,6 +236,14 @@ def _cmd_lexell(args, parser) -> int:
 
 
 def _cmd_render(args, parser) -> int:
+    # The apex and --foliate flags name a figure too: an apex a locus,
+    # areas a foliation, neither a frame.  Naming another figure is a
+    # usage error, so neither kind of flag is dropped without a word.
+    flagged = ("foliation" if args.foliate is not None else
+               "frame" if args.apex_y is None and args.apex is None else "locus")
+    if args.figure != flagged:
+        parser.error(f"the flags name a {flagged}, not a {args.figure}: a locus takes "
+                     "--apex-y or --apex, a foliation --foliate AREAS, a frame neither")
     from .render import scene_for_foliation, scene_for_frame, scene_for_locus, scene_to_svg
 
     if args.figure == "frame":
@@ -245,22 +251,15 @@ def _cmd_render(args, parser) -> int:
 
         frame = sample_frame(Geometry.HYPERBOLIC, k.substream("render-frame", args.seed))
         scene = scene_for_frame(frame)
-    elif args.figure == "locus":
-        if args.apex_y is None and args.apex is None:
-            parser.error("locus figures need an apex: --apex-y or --apex")
-        from .lexell import BaseConfig, lexell_locus
-
-        base = BaseConfig.from_half_distance(args.x)
-        apex = _lexell_apex(args)
-        scene = scene_for_locus(lexell_locus(base, apex), apex)
     else:
-        if args.foliate is None:
-            parser.error("foliation figures need --foliate AREAS")
-        from .lexell import BaseConfig, foliation
+        from .lexell import BaseConfig, foliation, lexell_locus
 
         base = BaseConfig.from_half_distance(args.x)
-        leaves = tuple(foliation(base, list(args.foliate)))
-        scene = scene_for_foliation(base, leaves)
+        if args.figure == "locus":
+            apex = _lexell_apex(args)
+            scene = scene_for_locus(lexell_locus(base, apex), apex)
+        else:
+            scene = scene_for_foliation(base, tuple(foliation(base, list(args.foliate))))
     _write_file(scene_to_svg(scene), args.svg)
     return 0
 

@@ -92,17 +92,20 @@ def menelaus_ratio(total: float, diff: float, geometry: Geometry) -> float:
     """Transversal ratio sinh(total)/sinh(diff), sin/sin on the sphere.
 
     ``total`` is b + c and ``diff`` is b - c for a hypotenuse b and
-    adjacent cathetus c; the euclidean form is the plain quotient.
+    adjacent cathetus c; the euclidean form is the plain quotient.  Both
+    legs are within the plane's ``side_limit``, so ``total`` may not pass
+    twice that: below pi on the sphere, where 2*nextafter(pi/2, 0) is
+    nextafter(pi, 0), at most 20 on the hyperboloid, and unbounded in the
+    euclidean plane.
     """
     if not diff > 0.0:
         raise DomainError(f"difference of lengths must be positive: {diff}")
     if not total > diff:
         raise DomainError(f"sum must exceed the difference: {total} <= {diff}")
-    if geometry is Geometry.SPHERICAL:
-        if total >= math.pi:
-            raise DomainError(f"spherical sum must stay below pi: {total}")
-    sh = geometry.model.s_K
-    return sh(total) / sh(diff)
+    model = geometry.model
+    if total > 2.0 * model.side_limit:
+        raise DomainError(f"sum {total} above twice the working range {model.side_limit}")
+    return model.s_K(total) / model.s_K(diff)
 
 
 def menelaus_rhs(alpha: float) -> float:

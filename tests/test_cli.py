@@ -315,6 +315,31 @@ def test_bad_values_are_usage_errors(argv, option, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["render", "frame", "--seed", "1", "--foliate", "0.3", "--svg", "f.svg"],
+        ["render", "frame", "--apex-y", "2", "--svg", "f.svg"],
+        ["render", "frame", "--apex=0.1,0.4", "--svg", "f.svg"],
+        ["render", "locus", "--svg", "f.svg"],
+        ["render", "locus", "--foliate", "0.5", "--svg", "f.svg"],
+        ["render", "foliation", "--apex-y", "1.0", "--svg", "f.svg"],
+        ["render", "foliation", "--svg", "f.svg"],
+    ],
+)
+def test_render_flags_must_name_its_figure(argv, capsys, tmp_path, monkeypatch):
+    # An apex names a locus, --foliate a foliation and neither a frame; a
+    # figure drawn from other flags would drop them without a word.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert f"not a {argv[1]}" in out.err
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["lexell", "0.8", "--apex-y", "1.0", "--apex=0.1,0.4"],
         ["lexell", "0.8", "--apex-y", "1.0", "--foliate", "0.5"],
         ["lexell", "0.8", "--apex=0.1,0.4", "--foliate", "0.5"],

@@ -7,8 +7,13 @@ Its ``loci`` entries cover the Lexell figures: the ``verify lexell``
 report at 200 trials for seeds 0 and 7, and for each of eight fixed
 inputs the exit code, stdout and SVG sha256 of ``lexell X --apex=U,W
 --svg``, ``lexell X --foliate AREAS --svg``, ``render locus`` and
-``render foliation``.  A change that is meant to keep every output
-keeps these; a change that moves a report rewrites the file with
+``render foliation``.  Its ``construct`` entries hold the exit code,
+stdout and SVG sha256 of ``construct LENGTHS --svg`` for the README's
+median lengths, for the ``repr`` lengths of six sampled hyperbolic
+frames (substream ``golden-construct``) and for ``1 1 1 1 1 1``, which
+fails the ratio-sum relation and exits 1.  A change that is meant to
+keep every output keeps these; a change that moves a report rewrites
+the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,7 +32,8 @@ from pathlib import Path
 import pytest
 
 from ccplane.cli import main
-from ccplane.kernel import Geometry
+from ccplane.kernel import Geometry, substream
+from ccplane.sampling import sample_frame
 from ccplane.verify import SUPPORTED, json_document, report_record, run_verification
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -95,6 +101,26 @@ LOCUS_COMMANDS = {
 }
 
 
+# The README's median segments of the equilateral triangle of side 1.
+README_LENGTHS = ("0.57028982711412934", "0.57028982711412934", "0.57028982711412934",
+                  "0.26373540186720129", "0.26373540186720112", "0.26373540186720129")
+CONSTRUCT_FRAMES = 6
+
+
+def construct_commands() -> dict[str, list[str]]:
+    """The ``construct`` commands pinned in golden.json, keyed by input."""
+    commands = {"construct/readme": ["construct", *README_LENGTHS]}
+    for i in range(CONSTRUCT_FRAMES):
+        fr = sample_frame(Geometry.HYPERBOLIC, substream("golden-construct", 0, i))
+        lengths = (fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of)
+        commands[f"construct/frame-{i}"] = ["construct", *(repr(v) for v in lengths)]
+    commands["construct/infeasible"] = ["construct", *"1 1 1 1 1 1".split()]
+    return commands
+
+
+CONSTRUCT_COMMANDS = construct_commands()
+
+
 def command_outcome(argv: list[str], directory: Path) -> dict:
     """Exit code, stdout and SVG sha256 of one ``ccplane`` command."""
     path = directory / "figure.svg"
@@ -122,6 +148,7 @@ def test_golden_file_covers_every_campaign(golden):
     assert sorted(golden["frame_svg_sha256"]) == sorted(str(s) for s in FRAME_SEEDS)
     assert sorted(golden["loci"]["reports"]) == sorted(str(s) for s in SEEDS)
     assert sorted(golden["loci"]["commands"]) == sorted(LOCUS_COMMANDS)
+    assert sorted(golden["construct"]) == sorted(CONSTRUCT_COMMANDS)
 
 
 @pytest.mark.parametrize("theorem,geometry,seed", CAMPAIGNS,
@@ -146,6 +173,11 @@ def test_locus_command_is_unchanged(golden, key, tmp_path):
     assert command_outcome(LOCUS_COMMANDS[key], tmp_path) == golden["loci"]["commands"][key]
 
 
+@pytest.mark.parametrize("key", sorted(CONSTRUCT_COMMANDS))
+def test_construct_command_is_unchanged(golden, key, tmp_path):
+    assert command_outcome(CONSTRUCT_COMMANDS[key], tmp_path) == golden["construct"][key]
+
+
 def _changes(old, new, path=()):
     """(key path, old value, new value) of every entry that differs."""
     for key in sorted(set(old) | set(new)):
@@ -167,6 +199,10 @@ def _regenerate() -> None:
                     key: command_outcome(argv, Path(tmp))
                     for key, argv in LOCUS_COMMANDS.items()
                 },
+            },
+            "construct": {
+                key: command_outcome(argv, Path(tmp))
+                for key, argv in CONSTRUCT_COMMANDS.items()
             },
         }
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}

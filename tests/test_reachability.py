@@ -11,12 +11,13 @@ deleted, given a caller, or listed here; deleting or reviving a listed
 one means updating the list.  Class bodies, lambdas and comprehensions
 are not counted.
 
-Five more tests read the same sources: one holds the five line
+Six more tests read the same sources: one holds the five line
 operations to their one home on ``PlaneModel``, one holds each model to
 two coordinate maps, ``lift`` and ``project``, one holds ``kernel`` to
 six free functions beside the models, one holds the angle and the
-midpoint to their one home on ``PlaneModel``, and one holds the sheet
-normalization to ``HyperboloidModel.project`` and the disk chart.
+midpoint to their one home on ``PlaneModel``, one holds the sheet
+normalization to ``HyperboloidModel.project`` and the disk chart, and one
+counts the places in each module that name a plane.
 """
 
 import ast
@@ -310,3 +311,26 @@ def test_sheet_normalization_only_in_project():
 
     visit(ast.parse((SRC / "kernel.py").read_text(encoding="utf-8")), "")
     assert found == {"HyperboloidModel.project", "disk_to_hpoint"}
+
+
+# The places that name a plane (``Geometry.HYPERBOLIC``, ``SPHERICAL`` or
+# ``EUCLIDEAN``), per module.  Every other function reads its plane from
+# its input, as ``cevian_frame`` reads it from its triangle.  Removing a
+# fork lowers a count here; adding one must say why.
+GEOMETRY_TAGS = {
+    "verify": 4, "cevians": 3, "cli": 3, "kernel": 3, "sampling": 3, "lexell": 2, "render": 2,
+}
+
+
+def test_geometry_tags_per_module():
+    members = {"HYPERBOLIC", "SPHERICAL", "EUCLIDEAN"}
+    counts = {}
+    for path in sorted(SRC.glob("*.py")):
+        n = sum(
+            1 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in members
+            and isinstance(node.value, ast.Name) and node.value.id == "Geometry"
+        )
+        if n:
+            counts[path.stem] = n
+    assert counts == GEOMETRY_TAGS

@@ -108,6 +108,18 @@ def test_menelaus_ratio_rejects_bad_lengths():
         trig.menelaus_ratio(3.2, 0.1, SPH)
 
 
+def test_menelaus_sum_bound_is_twice_the_side_limit():
+    # b + c stays within two legs of at most side_limit each.  On the
+    # sphere that is the old "below pi" bound to the bit.
+    with pytest.raises(DomainError):
+        trig.menelaus_ratio(math.pi, 0.1, SPH)
+    assert trig.menelaus_ratio(math.nextafter(math.pi, 0.0), 0.1, SPH) > 0.0
+    with pytest.raises(DomainError):
+        trig.menelaus_ratio(20.5, 0.1, HYP)
+    assert trig.menelaus_ratio(20.0, 0.1, HYP) > 0.0
+    assert trig.menelaus_ratio(1e6, 0.1, EUC) == pytest.approx(1e7)
+
+
 def test_cathetus_rejects_out_of_range():
     with pytest.raises(DomainError):
         trig.cathetus_from_hypotenuse(-1.0, 0.5, HYP)
