@@ -168,6 +168,11 @@ def run_verification(
         raise DomainError(f"need at least one trial: {trials}")
     if tolerance is None:
         tolerance = default_tolerance(theorem, geometry)
+    elif not 0.0 < tolerance < math.inf:
+        # The CLI's bound: no campaign passes under a gate of zero or NaN,
+        # every finite residual passes under inf, and neither NaN nor inf
+        # has a JSON form for the report.
+        raise DomainError(f"tolerance must be positive and finite: {tolerance}")
     trial = _CAMPAIGNS[theorem]()
     label = f"verify-{theorem}-{geometry.value}"
     worst = 0.0

@@ -807,3 +807,53 @@ def test_perpendiculars_to_one_line(geometry):
     else:
         with pytest.raises(GeometryError, match="do not meet"):
             model.meet(p1, p2, c2, f2)
+
+
+def _reference_corner_cosines(model, polar):
+    """The pretest's law of cosines composed from ``model.versine`` calls.
+
+    ``corner_cosines`` computes each X(dr) in place, with ``versine``'s own
+    operations in its order, so it must equal this to the last bit.
+    """
+    (t1, r1), (t2, r2), (t3, r3) = polar
+    x, s_K, kappa = model.versine, model.s_K, model.kappa
+    k1, k2, k3 = s_K(r1), s_K(r2), s_K(r3)
+    w = math.sin(0.5 * (t2 - t3))
+    xa = x(r2 - r3) + 2.0 * k2 * k3 * (w * w)
+    w = math.sin(0.5 * (t3 - t1))
+    xb = x(r3 - r1) + 2.0 * k3 * k1 * (w * w)
+    w = math.sin(0.5 * (t1 - t2))
+    xc = x(r1 - r2) + 2.0 * k1 * k2 * (w * w)
+    pa, pb, pc = xa * (2.0 - kappa * xa), xb * (2.0 - kappa * xb), xc * (2.0 - kappa * xc)
+    if not (pa > 0.0 and pb > 0.0 and pc > 0.0):
+        return None
+    sa, sb, sc = math.sqrt(pa), math.sqrt(pb), math.sqrt(pc)
+    return (
+        (xb + xc - kappa * xb * xc - xa) / sb / sc,
+        (xc + xa - kappa * xc * xa - xb) / sc / sa,
+        (xa + xb - kappa * xa * xb - xc) / sa / sb,
+    )
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_corner_cosines_equal_the_versine_reference_to_the_bit(geometry):
+    from ccplane import sampling
+
+    model = geometry.model
+    radius = sampling._DISK_RADIUS[geometry]
+    rng = random.Random(f"pretest-reference:{geometry.value}")
+    for _ in range(2500):
+        polar = [sampling._polar_draw(radius, rng) for _ in range(3)]
+        got = model.corner_cosines(polar)
+        assert got is not None
+        assert repr(got) == repr(_reference_corner_cosines(model, polar))
+
+
+@pytest.mark.parametrize("geometry", list(k.Geometry))
+def test_corner_cosines_of_a_coincident_vertex_pair_are_none(geometry):
+    # The same (theta, r) twice, and the base point under two headings.
+    model = geometry.model
+    for polar in ([(0.3, 1.0), (0.3, 1.0), (1.2, 0.5)],
+                  [(0.0, 0.0), (2.0, 0.0), (1.2, 0.5)]):
+        assert model.corner_cosines(polar) is None
+        assert _reference_corner_cosines(model, polar) is None

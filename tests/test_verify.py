@@ -57,6 +57,14 @@ class TestTolerance:
         assert not rep.passed
         assert rep.tolerance == 1e-30
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -0.5])
+    def test_tolerance_outside_the_cli_range_rejected(self, tolerance):
+        # The range ``--tolerance`` accepts: a NaN gate no campaign passes,
+        # an inf gate every finite residual passes (and neither writes as
+        # JSON), and a gate at or below zero every campaign fails.
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            run_verification("ceva", HYP, trials=1, tolerance=tolerance)
+
 
 class TestCampaigns:
     @pytest.mark.parametrize(
