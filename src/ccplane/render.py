@@ -223,7 +223,8 @@ def scene_for_foliation(base: BaseConfig, leaves: tuple[AreaLocus, ...]) -> Rend
 
 
 def _check_inside(x: float, y: float, what: str) -> None:
-    if x * x + y * y > 1.0 + _DISK_SLACK:
+    # Written ``not <=`` so that a NaN coordinate fails too.
+    if not x * x + y * y <= 1.0 + _DISK_SLACK:
         raise GeometryError(f"{what} outside the closed unit disk: ({x}, {y})")
 
 
@@ -233,6 +234,9 @@ def validate_scene(scene: RenderScene) -> None:
     Coordinates stay in the closed unit disk (arc centers excepted:
     orthogonal circles keep their centers outside), every arc circle is
     orthogonal to the boundary, and arc endpoints lie on their circle.
+    Every comparison is written ``not <=``, so a NaN anywhere fails it.
+    Polyline vertices, a hundred or more per locus figure, are compared
+    inline; ``_check_inside`` raises for the first that fails.
     """
     for pt in scene.points:
         _check_inside(pt.x, pt.y, f"point {pt.label!r}")
@@ -245,17 +249,19 @@ def validate_scene(scene: RenderScene) -> None:
         # cx, cy and r are quotients of a covector that is unit only up to
         # rounding; for near-diameters that noise outgrows _ORTHO_TOL.
         ortho = abs(arc.cx * arc.cx + arc.cy * arc.cy - (arc.r * arc.r + 1.0))
-        if ortho > _ORTHO_TOL + _ORTHO_NOISE * (1.0 + arc.r * arc.r):
+        if not ortho <= _ORTHO_TOL + _ORTHO_NOISE * (1.0 + arc.r * arc.r):
             raise GeometryError(f"arc circle not orthogonal to the boundary: {ortho}")
         for ex, ey in ((arc.x1, arc.y1), (arc.x2, arc.y2)):
             gap = abs(math.hypot(ex - arc.cx, ey - arc.cy) - arc.r)
-            if gap > _ORTHO_TOL:
+            if not gap <= _ORTHO_TOL:
                 raise GeometryError(f"arc endpoint off its circle by {gap}")
+    bound = 1.0 + _DISK_SLACK
     for pl in scene.polylines:
         if len(pl.points) < 2:
             raise GeometryError("polyline needs at least two points")
         for x, y in pl.points:
-            _check_inside(x, y, "polyline vertex")
+            if not x * x + y * y <= bound:
+                _check_inside(x, y, "polyline vertex")
     for tr in scene.triangles:
         for x, y in tr.vertices:
             _check_inside(x, y, "triangle vertex")
@@ -297,11 +303,22 @@ def _arc_path(arc: SceneArc) -> str:
     )
 
 
+def _svg_points(points: tuple[XY, ...]) -> str:
+    # One % call formats the whole list; "%.4f" writes the bytes that an
+    # f-string's ":.4f" writes, so only the call count changes.
+    c, r = _SVG_CENTER, _SVG_RADIUS
+    coords = []
+    for x, y in points:
+        coords += (c + r * x, c - r * y)
+    return " ".join(["%.4f,%.4f"] * len(points)) % tuple(coords)
+
+
 def scene_to_svg(scene: RenderScene) -> str:
     """Serialize a validated scene as a standalone SVG document.
 
     Disk point (x, y) is drawn at (C + R x, C - R y), C = _SVG_CENTER and
-    R = _SVG_RADIUS, with four decimals.
+    R = _SVG_RADIUS, with four decimals.  A polygon's or polyline's point
+    list is formatted by one % call, not one format per vertex.
     """
     validate_scene(scene)
     c, r = _SVG_CENTER, _SVG_RADIUS
@@ -312,8 +329,7 @@ def scene_to_svg(scene: RenderScene) -> str:
         f'<circle class="boundary" cx="{c:.4f}" cy="{c:.4f}" r="{r:.4f}"/>',
     ]
     for tr in scene.triangles:
-        coords = " ".join([f"{c + r * x:.4f},{c - r * y:.4f}" for x, y in tr.vertices])
-        parts.append(f'<polygon class="{tr.style}" points="{coords}"/>')
+        parts.append(f'<polygon class="{tr.style}" points="{_svg_points(tr.vertices)}"/>')
     for arc in scene.arcs:
         parts.append(_arc_path(arc))
     for ch in scene.chords:
@@ -322,8 +338,7 @@ def scene_to_svg(scene: RenderScene) -> str:
             f'x2="{c + r * ch.x2:.4f}" y2="{c - r * ch.y2:.4f}"/>'
         )
     for pl in scene.polylines:
-        coords = " ".join([f"{c + r * x:.4f},{c - r * y:.4f}" for x, y in pl.points])
-        parts.append(f'<polyline class="{pl.style}" points="{coords}"/>')
+        parts.append(f'<polyline class="{pl.style}" points="{_svg_points(pl.points)}"/>')
     for pt in scene.points:
         x, y = c + r * pt.x, c - r * pt.y
         if pt.style != "curve":

@@ -11,9 +11,20 @@ inputs the exit code, stdout and SVG sha256 of ``lexell X --apex=U,W
 stdout and SVG sha256 of ``construct LENGTHS --svg`` for the README's
 median lengths, for the ``repr`` lengths of six sampled hyperbolic
 frames (substream ``golden-construct``) and for ``1 1 1 1 1 1``, which
-fails the ratio-sum relation and exits 1.  A change that is meant to
-keep every output keeps these; a change that moves a report rewrites
-the file with
+fails the ratio-sum relation and exits 1.
+
+``golden_loci_grid.json`` pins the loci grid: ``lexell X --apex-y Y``,
+the same with ``--svg`` and ``render locus --x X --apex-y Y --svg``, for
+X in {0.3, 0.8, 1.5, 3, 5} and Y = 1..40 in steps of 0.5, 1,185
+commands.  Each entry holds the exit code and the sha256 of stderr and
+of the SVG (null where none is written); ``lexell`` entries keep their
+stdout in full, so a moved ``offset`` or ``area`` shows its value, and
+``render`` entries its sha256.  The grid is chosen by its ranges, not by
+what passes: the tall apexes that exit 1 today (ROADMAP item 2) are
+pinned with their messages.
+
+A change that is meant to keep every output keeps these; a change that
+moves a report rewrites both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,6 +48,7 @@ from ccplane.sampling import sample_frame
 from ccplane.verify import SUPPORTED, json_document, report_record, run_verification
 
 GOLDEN = Path(__file__).with_name("golden.json")
+GRID_GOLDEN = Path(__file__).with_name("golden_loci_grid.json")
 TRIALS = 50
 SEEDS = (0, 7)
 FRAME_SEEDS = range(10)
@@ -101,6 +113,23 @@ LOCUS_COMMANDS = {
 }
 
 
+# The loci grid: five base half-distances, apex heights 1..40 by 0.5.
+GRID_XS = (0.3, 0.8, 1.5, 3.0, 5.0)
+GRID_YS = tuple(1.0 + 0.5 * i for i in range(79))
+GRID_KINDS = ("lexell", "lexell-svg", "render-locus")
+
+
+def grid_command(kind: str, x: float, y: float) -> list[str]:
+    """One loci grid command, without its ``--svg`` path."""
+    if kind == "render-locus":
+        return ["render", "locus", f"--x={x!r}", f"--apex-y={y!r}"]
+    return ["lexell", repr(x), f"--apex-y={y!r}"]
+
+
+def grid_key(kind: str, x: float, y: float) -> str:
+    return f"{kind}/{x!r}/{y!r}"
+
+
 # The README's median segments of the equilateral triangle of side 1.
 README_LENGTHS = ("0.57028982711412934", "0.57028982711412934", "0.57028982711412934",
                   "0.26373540186720129", "0.26373540186720112", "0.26373540186720129")
@@ -132,6 +161,37 @@ def command_outcome(argv: list[str], directory: Path) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "svg_sha256": svg}
 
 
+def _sha256(data) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+def grid_outcome(kind: str, x: float, y: float, directory: Path) -> dict:
+    """Exit code and output digests of one loci grid command."""
+    path = directory / "figure.svg"
+    path.unlink(missing_ok=True)
+    argv = grid_command(kind, x, y)
+    if kind != "lexell":
+        argv += ["--svg", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    outcome = {
+        "exit": code,
+        "stderr_sha256": _sha256(err.getvalue().encode()),
+        "svg_sha256": _sha256(path.read_bytes() if path.exists() else None),
+    }
+    if kind == "render-locus":
+        outcome["stdout_sha256"] = _sha256(out.getvalue().encode())
+    else:
+        outcome["stdout"] = out.getvalue()
+    return outcome
+
+
+def grid_outcomes(kind: str, x: float, directory: Path) -> dict[str, dict]:
+    """Outcomes of one command kind at one half-distance, keyed by grid_key."""
+    return {grid_key(kind, x, y): grid_outcome(kind, x, y, directory) for y in GRID_YS}
+
+
 def lexell_report(seed: int) -> str:
     return json_document(
         report_record(run_verification("lexell", Geometry.HYPERBOLIC, LEXELL_TRIALS, seed))
@@ -143,12 +203,23 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def grid_golden():
+    return json.loads(GRID_GOLDEN.read_text())
+
+
 def test_golden_file_covers_every_campaign(golden):
     assert sorted(golden["reports"]) == sorted(campaign_key(*c) for c in CAMPAIGNS)
     assert sorted(golden["frame_svg_sha256"]) == sorted(str(s) for s in FRAME_SEEDS)
     assert sorted(golden["loci"]["reports"]) == sorted(str(s) for s in SEEDS)
     assert sorted(golden["loci"]["commands"]) == sorted(LOCUS_COMMANDS)
     assert sorted(golden["construct"]) == sorted(CONSTRUCT_COMMANDS)
+
+
+def test_grid_file_covers_the_grid(grid_golden):
+    keys = [grid_key(kind, x, y) for kind in GRID_KINDS for x in GRID_XS for y in GRID_YS]
+    assert len(keys) == 1185
+    assert sorted(grid_golden) == sorted(keys)
 
 
 @pytest.mark.parametrize("theorem,geometry,seed", CAMPAIGNS,
@@ -178,6 +249,14 @@ def test_construct_command_is_unchanged(golden, key, tmp_path):
     assert command_outcome(CONSTRUCT_COMMANDS[key], tmp_path) == golden["construct"][key]
 
 
+@pytest.mark.parametrize("kind", GRID_KINDS)
+@pytest.mark.parametrize("x", GRID_XS)
+def test_loci_grid_is_unchanged(grid_golden, kind, x, tmp_path):
+    outcomes = grid_outcomes(kind, x, tmp_path)
+    moved = [key for key, outcome in outcomes.items() if outcome != grid_golden[key]]
+    assert not moved, f"moved grid entries: {moved}"
+
+
 def _changes(old, new, path=()):
     """(key path, old value, new value) of every entry that differs."""
     for key in sorted(set(old) | set(new)):
@@ -205,10 +284,17 @@ def _regenerate() -> None:
                 for key, argv in CONSTRUCT_COMMANDS.items()
             },
         }
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    for path, a, b in _changes(old, data):
-        print(f"{' '.join(path)}\n  - {a!r}\n  + {b!r}", file=sys.stderr)
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        grid = {
+            key: outcome
+            for kind in GRID_KINDS
+            for x in GRID_XS
+            for key, outcome in grid_outcomes(kind, x, Path(tmp)).items()
+        }
+    for path, new in ((GOLDEN, data), (GRID_GOLDEN, grid)):
+        old = json.loads(path.read_text()) if path.exists() else {}
+        for keys, a, b in _changes(old, new):
+            print(f"{' '.join(keys)}\n  - {a!r}\n  + {b!r}", file=sys.stderr)
+        path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -38,6 +38,10 @@ UNREACHED = {
     "cevians.projection_oracle": "test oracle: the projection used to derive the ratio sums",
     "corevec.mdist": "L0 kernel timed by perfbench; kernel.hdist writes it out inline",
     "corevec.mfoot": "L0 kernel timed by perfbench; PlaneModel.foot writes it out inline",
+    "corevec.minner": (
+        "L0 kernel timed by perfbench; mnormalize_point writes the form out, "
+        "and its one caller, HyperboloidModel._recentre, is listed below"
+    ),
     "corevec.mmid": "L0 kernel timed by perfbench; PlaneModel.mid writes it out",
     "corevec.mnormalize_space": "builds perfbench's L0 line normal; mtangent calls it",
     "corevec.mreflect": "L0 kernel timed by perfbench; the Lexell bisector mirror is its sign flip",

@@ -204,6 +204,38 @@ class TestValidateScene:
             validate_scene(RenderScene(arcs=(arc,)))
 
 
+_NAN = float("nan")
+
+
+class TestValidateSceneRejectsNan:
+    # A NaN compares false with everything, so a check written ``x > bound``
+    # lets it through into the SVG as "nan"; each element kind must refuse it.
+    def test_point(self):
+        with pytest.raises(GeometryError, match="point 'X'"):
+            validate_scene(RenderScene(points=(render.ScenePoint(_NAN, 0.0, "X"),)))
+
+    def test_chord_endpoint(self):
+        chord = SceneChord(-0.5, 0.0, 0.5, _NAN)
+        with pytest.raises(GeometryError, match="chord endpoint"):
+            validate_scene(RenderScene(chords=(chord,)))
+
+    def test_arc_center(self):
+        # Endpoints inside the disk; only the circle's center is NaN.
+        arc = SceneArc(0.5, 0.0, 0.0, 0.5, _NAN, 1.0, 1.0)
+        with pytest.raises(GeometryError, match="not orthogonal"):
+            validate_scene(RenderScene(arcs=(arc,)))
+
+    def test_polyline_vertex(self):
+        polyline = render.ScenePolyline(((0.0, 0.0), (0.1, _NAN), (0.2, 0.2)))
+        with pytest.raises(GeometryError, match=r"polyline vertex .*\(0\.1, nan\)"):
+            validate_scene(RenderScene(polylines=(polyline,)))
+
+    def test_triangle_vertex(self):
+        triangle = render.SceneTriangle(((0.0, 0.0), (_NAN, 0.1), (0.2, 0.0)))
+        with pytest.raises(GeometryError, match="triangle vertex"):
+            scene_to_svg(RenderScene(triangles=(triangle,)))
+
+
 class TestSvg:
     def test_well_formed_and_deterministic(self):
         frame = sample_frame(Geometry.HYPERBOLIC, substream("render-svg", 5))
