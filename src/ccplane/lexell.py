@@ -39,7 +39,12 @@ asymptotic to the base line, and the area at distance c is
 
 Each curve is evaluated in one pass: ``hypercycle_points`` reads the
 curve's cached frame once and builds every point a caller asks for, and
-it is the only place the curve formula is written.  It returns plain
+its loop, ``_curve_points``, is the only place the curve formula is
+written.  A locus's
+axis frame is built once: the mirror, and the axis curve a figure
+labels, take the carrier's axis foot and tangent (``at_offset``), and
+``hypercycle_points_and_mirror`` evaluates the carrier and its mirror
+over shared positions in one pass.  Points come back as plain
 3-vectors, each passed through HPoint's sheet check (``k.on_sheet``):
 the locus probe, the foliation's leaf scan and the render polylines
 read only coordinates, so they build no HPoint, and the probe's
@@ -98,7 +103,8 @@ class Hypercycle(Record):
     """Points at constant signed distance ``offset`` from ``axis``, a
     line covector of the hyperbolic model (``PlaneModel.line``)."""
 
-    # ``__dict__`` holds the cached ``_axis_frame``.
+    # ``__dict__`` holds the cached ``_axis_frame``; a curve made by
+    # ``at_offset`` holds it from the start, on its source's axis frame.
     __slots__ = ("axis", "offset", "__dict__")
 
     def __post_init__(self) -> None:
@@ -109,19 +115,27 @@ class Hypercycle(Record):
     def _axis_frame(self) -> tuple[Vec3, Vec3, float, float, float]:
         """Foot g0 of the model origin on the axis, the axis tangent there,
         cosh and sinh of the offset, and the reach: a bound on |s| within
-        which every point's coordinates fit HPoint's check."""
+        which every point's coordinates fit HPoint's check.  g0 and the
+        tangent depend on the axis alone: a locus's mirror and its
+        figure's axis curve take them from the carrier (``at_offset``)."""
         g0 = _MODEL.foot(k.ORIGIN, self.axis).v
         l0, l1, l2 = self.axis
+        return self._offset_frame(g0, vec.mcross(g0, (-l0, l1, l2)))
+
+    def _offset_frame(self, g0: Vec3, u0: Vec3) -> tuple[Vec3, Vec3, float, float, float]:
         co = math.cosh(self.offset)
         # g0, u0 and the normal have coordinates of at most g0[0], so a
         # point's are at most 3 g0[0] cosh(offset) e^|s|.
-        return (
-            g0,
-            vec.mcross(g0, (-l0, l1, l2)),
-            co,
-            math.sinh(self.offset),
-            _LOG_COORD_MAX - math.log(3.0 * g0[0] * co),
-        )
+        reach = _LOG_COORD_MAX - math.log(3.0 * g0[0] * co)
+        return (g0, u0, co, math.sinh(self.offset), reach)
+
+    def at_offset(self, offset: float) -> "Hypercycle":
+        """The curve at ``offset`` from the same axis, on this curve's axis
+        frame: it computes only cosh, sinh and the reach of its own offset,
+        so its frame equals one built from scratch."""
+        hc = Hypercycle(self.axis, offset)
+        hc.__dict__["_axis_frame"] = hc._offset_frame(*self._axis_frame[:2])
+        return hc
 
 
 def hypercycle_residual(hc: Hypercycle, p: HPoint) -> float:
@@ -138,18 +152,41 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[Vec3]:
     cosh(offset) * gamma(s) + sinh(offset) * n, which stays at signed
     distance ``offset`` for every s; s = 0 is nearest the model origin.
     The curve's frame (the axis foot g0 and tangent u0, cosh and sinh
-    of the offset) is cached and read once per call, so a point costs
-    one cosh(s) and one sinh(s) in closed form:
-    gamma(s) = cosh(s) * g0 + sinh(s) * u0.  A position whose point has
-    coordinates no float holds raises DomainError before it is built,
-    and every point goes through HPoint's sheet check, ``k.on_sheet``,
-    so each vector is one that ``HPoint`` accepts.
+    of the offset) is cached and read once per call, and so is the
+    offset term sinh(offset) * n, so a point costs one cosh(s) and one
+    sinh(s) in closed form: gamma(s) = cosh(s) * g0 + sinh(s) * u0.  A
+    position whose point has coordinates no float holds raises
+    DomainError before it is built, and every point goes through
+    HPoint's sheet check, ``k.on_sheet``, so each vector is one that
+    ``HPoint`` accepts.
     """
+    return _curve_points(hc, positions, None)
+
+
+def hypercycle_points_and_mirror(
+    hc: Hypercycle, positions
+) -> tuple[list[Vec3], list[Vec3]]:
+    """Points of hc and of its mirror image across the axis, the curve at
+    -offset (a locus's carrier and mirror), over the same positions.
+
+    One pass serves both: cosh(-o) = cosh(o) and sinh(-o) = -sinh(o)
+    exactly, so each position's cosh(offset) * gamma(s) is computed once
+    and the two points add +sinh(offset) * n and -sinh(offset) * n; each
+    equals, bit for bit, the point ``hypercycle_points`` builds on its
+    own curve.  Each position checks hc's point and then the mirror's.
+    """
+    mirrored: list[Vec3] = []
+    return _curve_points(hc, positions, mirrored), mirrored
+
+
+def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> list[Vec3]:
+    # The curve formula of ``hypercycle_points``; with ``mirrored`` a
+    # list, the mirror's points are appended to it.
     g0, u0, co, so, reach = hc._axis_frame
     g00, g01, g02 = g0
     u00, u01, u02 = u0
-    l0, n1, n2 = hc.axis
-    n0 = -l0
+    l0, l1, l2 = hc.axis
+    t0, t1, t2 = so * -l0, so * l1, so * l2
     cosh, sinh, check = math.cosh, math.sinh, k.on_sheet
     pts = []
     append = pts.append
@@ -158,15 +195,12 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[Vec3]:
             raise DomainError(f"axis position {s} puts the point beyond float range")
         ch = cosh(s)
         sh = sinh(s)
-        append(
-            check(
-                (
-                    co * (ch * g00 + sh * u00) + so * n0,
-                    co * (ch * g01 + sh * u01) + so * n1,
-                    co * (ch * g02 + sh * u02) + so * n2,
-                )
-            )
-        )
+        x0 = co * (ch * g00 + sh * u00)
+        x1 = co * (ch * g01 + sh * u01)
+        x2 = co * (ch * g02 + sh * u02)
+        append(check((x0 + t0, x1 + t1, x2 + t2)))
+        if mirrored is not None:
+            mirrored.append(check((x0 - t0, x1 - t1, x2 - t2)))
     return pts
 
 
@@ -175,13 +209,17 @@ def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
     return HPoint(hypercycle_points(hc, (s,))[0])
 
 
-def hypercycle_samples(hc: Hypercycle, n: int) -> list[Vec3]:
-    """n checked vectors at evenly spaced axis positions from -SAMPLE_RANGE
-    to SAMPLE_RANGE; see ``hypercycle_points``."""
+def sample_positions(n: int) -> list[float]:
+    """n evenly spaced axis positions from -SAMPLE_RANGE to SAMPLE_RANGE."""
     if n < 2:
         raise DomainError("need at least two sample points")
     step = 2.0 * SAMPLE_RANGE / (n - 1)
-    return hypercycle_points(hc, [-SAMPLE_RANGE + i * step for i in range(n)])
+    return [-SAMPLE_RANGE + i * step for i in range(n)]
+
+
+def hypercycle_samples(hc: Hypercycle, n: int) -> list[Vec3]:
+    """n checked vectors at the ``sample_positions``; see ``hypercycle_points``."""
+    return hypercycle_points(hc, sample_positions(n))
 
 
 class BaseConfig(Record):
@@ -409,7 +447,7 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
         axis = (-axis[0], -axis[1], -axis[2])
         offset = -offset
     carrier = Hypercycle(axis, offset)
-    mirror = Hypercycle(axis, -offset)
+    mirror = carrier.at_offset(-offset)
     # The apex must sit on its own carrier; its inner product carries
     # rounding noise growing with height, so the band scales with it.
     band = TOL_ID * (1.0 + p.v[0])
@@ -493,7 +531,7 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
     mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
     l0, l1, l2 = locus.carrier.axis
-    normalize, check = vec.mnormalize_point, k.on_sheet
+    normalize, check, hdist = vec.mnormalize_point, k.on_sheet, k.hdist
     worst = 0.0
     for z1, z2 in zip(carrier_pts, mirror_pts):
         p0, p1, p2 = z1
@@ -504,7 +542,7 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
             raise DomainError("chord endpoints must straddle the axis")
         w1, w2 = abs(s2), abs(s1)
         x = check(normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2)))
-        worst = max(worst, abs(k.hdist(z1, x) - k.hdist(x, z2)))
+        worst = max(worst, abs(hdist(z1, x) - hdist(x, z2)))
     return worst
 
 

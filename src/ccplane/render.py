@@ -112,16 +112,18 @@ def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | Sce
 
 
 def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
-    """Hypercycle sampled at evenly spaced axis arclengths.
-
-    Each sample, a hyperboloid vector already through HPoint's sheet
-    check, goes to disk coordinates as ``disk_xy`` takes a point there,
-    under DiskPoint's check that it lies inside the open unit disk.
-    """
+    """Hypercycle sampled at evenly spaced axis arclengths; see ``_polyline``."""
     from .lexell import hypercycle_samples
 
+    return _polyline(hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1), style)
+
+
+def _polyline(vectors: list[Vec3], style: str) -> ScenePolyline:
+    """Polyline through hyperboloid vectors already through HPoint's sheet
+    check: each goes to disk coordinates as ``disk_xy`` takes a point
+    there, under DiskPoint's check that it lies inside the open unit disk."""
     pts = []
-    for v0, v1, v2 in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1):
+    for v0, v1, v2 in vectors:
         f = 1.0 / (1.0 + v0)
         u, w = v1 * f, v2 * f
         if not (u * u + w * w < 1.0):
@@ -176,36 +178,37 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     """Base, axis, carrier and mirror hypercycles, and the apex.
 
     The mirror through the base vertices is labeled C, the carrier the
-    apex rides on C′, and the equidistant axis geodesic G.
+    apex rides on C′, and the equidistant axis geodesic G.  G is drawn
+    on the carrier's axis frame, and the two polylines come from one
+    pass over their shared positions (``hypercycle_points_and_mirror``).
     """
-    from .lexell import SAMPLE_RANGE, Hypercycle, hypercycle_point
+    from .lexell import (
+        SAMPLE_RANGE,
+        hypercycle_point,
+        hypercycle_points_and_mirror,
+        sample_positions,
+    )
 
     base_line = arc_for_geodesic(locus.base.base_line(), style="base")
     axis = arc_for_geodesic(locus.carrier.axis, style="axis")
     elements = (base_line, axis)
     label_s = 0.85 * SAMPLE_RANGE
+    a, b, p = _point(locus.base.a, "A"), _point(locus.base.b, "B"), _point(apex, "P")
+    points = (
+        a, b, p,
+        _curve_label(hypercycle_point(locus.mirror, label_s), "C"),
+        _curve_label(hypercycle_point(locus.carrier, label_s), "C′"),
+        _curve_label(hypercycle_point(locus.carrier.at_offset(0.0), label_s), "G"),
+    )
+    carrier, mirror = hypercycle_points_and_mirror(
+        locus.carrier, sample_positions(HYPERCYCLE_SEGMENTS + 1)
+    )
     return RenderScene(
-        points=(
-            _point(locus.base.a, "A"),
-            _point(locus.base.b, "B"),
-            _point(apex, "P"),
-            _curve_label(hypercycle_point(locus.mirror, label_s), "C"),
-            _curve_label(hypercycle_point(locus.carrier, label_s), "C′"),
-            _curve_label(
-                hypercycle_point(Hypercycle(locus.carrier.axis, 0.0), label_s), "G"
-            ),
-        ),
+        points=points,
         arcs=tuple(e for e in elements if isinstance(e, SceneArc)),
         chords=tuple(e for e in elements if isinstance(e, SceneChord)),
-        polylines=(
-            polyline_for_hypercycle(locus.carrier, style="carrier"),
-            polyline_for_hypercycle(locus.mirror, style="mirror"),
-        ),
-        triangles=(
-            SceneTriangle(
-                (disk_xy(locus.base.a), disk_xy(locus.base.b), disk_xy(apex))
-            ),
-        ),
+        polylines=(_polyline(carrier, "carrier"), _polyline(mirror, "mirror")),
+        triangles=(SceneTriangle(((a.x, a.y), (b.x, b.y), (p.x, p.y))),),
     )
 
 

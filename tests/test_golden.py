@@ -11,17 +11,26 @@ inputs the exit code, stdout and SVG sha256 of ``lexell X --apex=U,W
 stdout and SVG sha256 of ``construct LENGTHS --svg`` for the README's
 median lengths, for the ``repr`` lengths of six sampled hyperbolic
 frames (substream ``golden-construct``) and for ``1 1 1 1 1 1``, which
-fails the ratio-sum relation and exits 1.
+fails the ratio-sum relation and exits 1.  Its ``loci`` ``residuals``
+entries hold the ``repr`` of ``locus_residuals`` with the library
+defaults (20 samples, 100 chords, seed 0) for each of the eight inputs:
+the probe the loci benchmark times, whose chords no command runs.
+
+Its ``sweep`` entries are the byte-identity sweep: every ``ccplane``
+line of the README's shell blocks, ``render frame --seed S`` for
+S = 0..39, and every ``SUPPORTED`` campaign at 2,000 trials (lexell
+200) for seeds 11 and 12.  Each holds the exit code and the sha256 of
+stderr and of the SVG; ``verify`` and ``lexell`` entries keep their
+stdout in full, so a moved ``max_residual`` or ``offset`` shows its
+value, and the others its sha256.
 
 ``golden_loci_grid.json`` pins the loci grid: ``lexell X --apex-y Y``,
 the same with ``--svg`` and ``render locus --x X --apex-y Y --svg``, for
 X in {0.3, 0.8, 1.5, 3, 5} and Y = 1..40 in steps of 0.5, 1,185
-commands.  Each entry holds the exit code and the sha256 of stderr and
-of the SVG (null where none is written); ``lexell`` entries keep their
-stdout in full, so a moved ``offset`` or ``area`` shows its value, and
-``render`` entries its sha256.  The grid is chosen by its ranges, not by
-what passes: the tall apexes that exit 1 today (ROADMAP item 2) are
-pinned with their messages.
+commands, with the same outcome fields as the sweep (null where no SVG
+is written).  The grid is chosen by its ranges, not by what passes: the
+tall apexes that exit 1 today (ROADMAP item 2) are pinned with their
+messages.
 
 A change that is meant to keep every output keeps these; a change that
 moves a report rewrites both files with
@@ -36,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -43,12 +53,14 @@ from pathlib import Path
 import pytest
 
 from ccplane.cli import main
-from ccplane.kernel import Geometry, substream
+from ccplane.kernel import DiskPoint, Geometry, disk_to_hpoint, substream
+from ccplane.lexell import BaseConfig, lexell_locus, locus_residuals
 from ccplane.sampling import sample_frame
 from ccplane.verify import SUPPORTED, json_document, report_record, run_verification
 
 GOLDEN = Path(__file__).with_name("golden.json")
 GRID_GOLDEN = Path(__file__).with_name("golden_loci_grid.json")
+README = Path(__file__).parents[1] / "README.md"
 TRIALS = 50
 SEEDS = (0, 7)
 FRAME_SEEDS = range(10)
@@ -113,6 +125,50 @@ LOCUS_COMMANDS = {
 }
 
 
+def locus_probe(index: int) -> str:
+    """``repr`` of the default probe of one fixed input's locus."""
+    x, (u, w), _ = LOCUS_INPUTS[index]
+    locus = lexell_locus(BaseConfig.from_half_distance(x), disk_to_hpoint(DiskPoint(u, w)))
+    return repr(locus_residuals(locus, samples=20))
+
+
+# The sweep: the README's commands, frame figures and long campaigns.
+SWEEP_FRAME_SEEDS = range(40)
+SWEEP_SEEDS = (11, 12)
+SWEEP_TRIALS = 2000
+
+
+def readme_commands() -> dict[str, list[str]]:
+    """The ``ccplane`` lines of the README's ``sh`` blocks, keyed by line."""
+    commands, in_block = {}, False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = line == "```sh"
+        elif in_block and line.startswith("ccplane "):
+            argv = shlex.split(line, comments=True)[1:]
+            commands[f"readme/{shlex.join(argv)}"] = argv
+    return commands
+
+
+def sweep_commands() -> dict[str, list[str]]:
+    """The sweep's commands, keyed for golden.json."""
+    commands = readme_commands()
+    for s in SWEEP_FRAME_SEEDS:
+        commands[f"render-frame/{s}"] = ["render", "frame", "--seed", str(s), "--svg", "-"]
+    for theorem, geometries in SUPPORTED.items():
+        trials = str(LEXELL_TRIALS if theorem == "lexell" else SWEEP_TRIALS)
+        for geometry in geometries:
+            for seed in SWEEP_SEEDS:
+                commands[f"verify/{theorem}/{geometry.value}/{seed}"] = [
+                    "verify", theorem, "--geometry", geometry.value, "--trials", trials,
+                    "--seed", str(seed),
+                ]
+    return commands
+
+
+SWEEP_COMMANDS = sweep_commands()
+
+
 # The loci grid: five base half-distances, apex heights 1..40 by 0.5.
 GRID_XS = (0.3, 0.8, 1.5, 3.0, 5.0)
 GRID_YS = tuple(1.0 + 0.5 * i for i in range(79))
@@ -165,26 +221,38 @@ def _sha256(data) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
-def grid_outcome(kind: str, x: float, y: float, directory: Path) -> dict:
-    """Exit code and output digests of one loci grid command."""
+def sweep_outcome(argv: list[str], directory: Path) -> dict:
+    """Exit code and output digests of one ``ccplane`` command.
+
+    ``--svg PATH`` writes to a file in ``directory`` instead of PATH.
+    ``verify`` and ``lexell`` keep their stdout in full, other commands
+    its sha256.
+    """
     path = directory / "figure.svg"
     path.unlink(missing_ok=True)
-    argv = grid_command(kind, x, y)
-    if kind != "lexell":
-        argv += ["--svg", str(path)]
+    argv = [str(path) if prev == "--svg" else a for prev, a in zip([None, *argv], argv)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     outcome = {
         "exit": code,
         "stderr_sha256": _sha256(err.getvalue().encode()),
         "svg_sha256": _sha256(path.read_bytes() if path.exists() else None),
     }
-    if kind == "render-locus":
-        outcome["stdout_sha256"] = _sha256(out.getvalue().encode())
-    else:
+    if argv[0] in ("verify", "lexell"):
         outcome["stdout"] = out.getvalue()
+    else:
+        outcome["stdout_sha256"] = _sha256(out.getvalue().encode())
     return outcome
+
+
+def grid_outcome(kind: str, x: float, y: float, directory: Path) -> dict:
+    """Exit code and output digests of one loci grid command."""
+    svg = [] if kind == "lexell" else ["--svg", "-"]
+    return sweep_outcome(grid_command(kind, x, y) + svg, directory)
 
 
 def grid_outcomes(kind: str, x: float, directory: Path) -> dict[str, dict]:
@@ -213,6 +281,9 @@ def test_golden_file_covers_every_campaign(golden):
     assert sorted(golden["frame_svg_sha256"]) == sorted(str(s) for s in FRAME_SEEDS)
     assert sorted(golden["loci"]["reports"]) == sorted(str(s) for s in SEEDS)
     assert sorted(golden["loci"]["commands"]) == sorted(LOCUS_COMMANDS)
+    assert sorted(golden["loci"]["residuals"]) == [str(i) for i in range(len(LOCUS_INPUTS))]
+    assert sorted(golden["sweep"]) == sorted(SWEEP_COMMANDS)
+    assert len(readme_commands()) == 12
     assert sorted(golden["construct"]) == sorted(CONSTRUCT_COMMANDS)
 
 
@@ -244,6 +315,11 @@ def test_locus_command_is_unchanged(golden, key, tmp_path):
     assert command_outcome(LOCUS_COMMANDS[key], tmp_path) == golden["loci"]["commands"][key]
 
 
+@pytest.mark.parametrize("index", range(len(LOCUS_INPUTS)))
+def test_locus_probe_is_unchanged(golden, index):
+    assert locus_probe(index) == golden["loci"]["residuals"][str(index)]
+
+
 @pytest.mark.parametrize("key", sorted(CONSTRUCT_COMMANDS))
 def test_construct_command_is_unchanged(golden, key, tmp_path):
     assert command_outcome(CONSTRUCT_COMMANDS[key], tmp_path) == golden["construct"][key]
@@ -255,6 +331,23 @@ def test_loci_grid_is_unchanged(grid_golden, kind, x, tmp_path):
     outcomes = grid_outcomes(kind, x, tmp_path)
     moved = [key for key, outcome in outcomes.items() if outcome != grid_golden[key]]
     assert not moved, f"moved grid entries: {moved}"
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k in SWEEP_COMMANDS if not k.startswith("render-frame/"))
+)
+def test_sweep_command_is_unchanged(golden, key, tmp_path):
+    assert sweep_outcome(SWEEP_COMMANDS[key], tmp_path) == golden["sweep"][key]
+
+
+def test_sweep_frames_are_unchanged(golden, tmp_path):
+    moved = [
+        key
+        for key, argv in SWEEP_COMMANDS.items()
+        if key.startswith("render-frame/")
+        and sweep_outcome(argv, tmp_path) != golden["sweep"][key]
+    ]
+    assert not moved, f"moved sweep entries: {moved}"
 
 
 def _changes(old, new, path=()):
@@ -278,10 +371,14 @@ def _regenerate() -> None:
                     key: command_outcome(argv, Path(tmp))
                     for key, argv in LOCUS_COMMANDS.items()
                 },
+                "residuals": {str(i): locus_probe(i) for i in range(len(LOCUS_INPUTS))},
             },
             "construct": {
                 key: command_outcome(argv, Path(tmp))
                 for key, argv in CONSTRUCT_COMMANDS.items()
+            },
+            "sweep": {
+                key: sweep_outcome(argv, Path(tmp)) for key, argv in SWEEP_COMMANDS.items()
             },
         }
         grid = {

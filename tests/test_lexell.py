@@ -39,6 +39,7 @@ from ccplane.lexell import (
     equal_subarc_check,
     foliation,
     hypercycle_point,
+    hypercycle_points_and_mirror,
     hypercycle_points,
     hypercycle_residual,
     hypercycle_samples,
@@ -46,6 +47,7 @@ from ccplane.lexell import (
     lexell_locus,
     locus_residuals,
     max_apex_area,
+    sample_positions,
     sinh_c_from_angles,
     split_area_limits,
     split_areas,
@@ -463,6 +465,24 @@ class TestLexellLocus:
                 assert abs(spread(delta) - slope * delta) <= 2.0 * band
             assert spread(1e-5 * TOL_AREA) > band
 
+    def test_one_axis_foot_per_locus(self, monkeypatch):
+        # The mirror and the figure's axis curve G take the carrier's
+        # frame: a locus, its default probe and its figure find the foot
+        # of the origin on the axis once.
+        feet = []
+        foot = PlaneModel.foot
+
+        def counted_foot(model, p, g):
+            feet.append(g)
+            return foot(model, p, g)
+
+        monkeypatch.setattr(PlaneModel, "foot", counted_foot)
+        apex = _disk_apex(0.5, 1.0)
+        locus = lexell_locus(BaseConfig.from_half_distance(0.8), apex)
+        locus_residuals(locus)
+        render.scene_for_locus(locus, apex)
+        assert feet == [locus.carrier.axis]
+
     def test_apex_on_base_line_rejected(self):
         base = BaseConfig.from_half_distance(0.8)
         on_line = HYP.polar(0.0, 0.3)
@@ -706,15 +726,30 @@ def _random_point(rng, r_max: float):
 
 class TestOnePassRoutes:
     def test_points_equal_the_per_point_closed_form(self):
+        # The mirror and the axis curve take the carrier's axis frame; each
+        # frame must equal one built from scratch, and the paired pass must
+        # give each curve's own points, bit for bit.
         for i in range(30):
             locus = _seeded_locus(i)
+            axis, o = locus.carrier.axis, locus.carrier.offset
             rng = random.Random(i)
-            for hc in (locus.carrier, locus.mirror, Hypercycle(locus.carrier.axis, 0.0)):
+            axis_curve = locus.carrier.at_offset(0.0)
+            for hc in (locus.mirror, axis_curve):
+                fresh = Hypercycle(hc.axis, hc.offset)
+                assert repr(hc._axis_frame) == repr(fresh._axis_frame)
+            assert locus.mirror == Hypercycle(axis, -o)
+            for hc in (locus.carrier, locus.mirror, axis_curve):
                 ss = [rng.uniform(-6.0, 6.0) for _ in range(25)]
                 want = [_reference_point(hc, s) for s in ss]
                 assert hypercycle_points(hc, ss) == want
                 assert [hypercycle_point(hc, s).v for s in ss] == want
+            ss = [rng.uniform(-6.0, 6.0) for _ in range(25)]
+            assert hypercycle_points_and_mirror(locus.carrier, ss) == (
+                [_reference_point(Hypercycle(axis, o), s) for s in ss],
+                [_reference_point(Hypercycle(axis, -o), s) for s in ss],
+            )
         assert hypercycle_points(locus.carrier, []) == []
+        assert hypercycle_points_and_mirror(locus.carrier, []) == ([], [])
 
     def test_points_check_every_position_and_point(self):
         hc = Hypercycle((0.0, 0.0, 1.0), 300.0)
@@ -728,6 +763,16 @@ class TestOnePassRoutes:
         skewed.__dict__["_axis_frame"] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 2.0, 0.5, 100.0)
         with pytest.raises(InvalidPointError):
             hypercycle_points(skewed, [0.0])
+        # The paired pass checks each mirror point too: with g0 not
+        # orthogonal to the normal, the point at s = 0 lies on the sheet
+        # and its mirror image does not.
+        lopsided = Hypercycle((0.0, 0.0, 1.0), 0.5)
+        lopsided.__dict__["_axis_frame"] = (
+            (math.sqrt(1.0625), 0.0, 0.25), (0.0, 1.0, 0.0), 1.0, -0.5, 100.0
+        )
+        assert len(hypercycle_points(lopsided, [0.0])) == 1
+        with pytest.raises(InvalidPointError, match=r"0\.75\)$"):
+            hypercycle_points_and_mirror(lopsided, [0.0])
 
     @pytest.mark.parametrize(
         "skew, probe",
@@ -736,6 +781,7 @@ class TestOnePassRoutes:
             ("frame", "chords"),
             ("frame", "foliation"),
             ("frame", "polyline"),
+            ("frame", "polyline pair"),
             # Samples on the sheet, midpoints and crossings off it.
             ("normalize", "residuals"),
             ("normalize", "chords"),
@@ -765,6 +811,9 @@ class TestOnePassRoutes:
             "chords": lambda: equal_subarc_check(locus, 10),
             "foliation": lambda: foliation(locus.base, [0.25 * limit, 0.5 * limit]),
             "polyline": lambda: render.polyline_for_hypercycle(locus.carrier),
+            "polyline pair": lambda: hypercycle_points_and_mirror(
+                locus.carrier, sample_positions(render.HYPERCYCLE_SEGMENTS + 1)
+            ),
         }[probe]
         with pytest.raises(InvalidPointError, match=f"^{_OFF_SHEET}") as raised:
             run()
