@@ -25,12 +25,11 @@ from .kernel import Geometry
 from .verify import (
     SUPPORTED,
     THEOREMS,
+    UNITS,
     json_document,
     report_record,
     run_verification,
 )
-
-_UNITS = {"units": "model-units", "angle_units": "radians"}
 
 
 def _parse_geometry(value: str) -> Geometry:
@@ -180,7 +179,7 @@ def _cmd_construct(args, parser) -> int:
         "containment_residual": result.containment_residual,
         "roundtrip_length_residual": length_residual,
         "roundtrip_angle_residual": angle_residual,
-        **_UNITS,
+        **UNITS,
     }
     _report(record, args, lambda render: render.scene_for_frame(frame))
     return 0
@@ -211,7 +210,7 @@ def _cmd_lexell(args, parser) -> int:
             "leaf_count": len(leaves),
             "areas": [leaf.area for leaf in leaves],
             "offsets": [leaf.carrier.offset for leaf in leaves],
-            **_UNITS,
+            **UNITS,
         }
         _report(record, args, lambda render: render.scene_for_foliation(base, tuple(leaves)))
         return 0
@@ -229,7 +228,7 @@ def _cmd_lexell(args, parser) -> int:
         "area": locus.area,
         "area_spread": residuals.area_spread,
         "samples": args.samples,
-        **_UNITS,
+        **UNITS,
     }
     _report(record, args, lambda render: render.scene_for_locus(locus, apex))
     return 0 if residuals.area_spread <= TOL_AREA else 1

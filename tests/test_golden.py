@@ -1,28 +1,29 @@
-"""Golden outputs: campaign reports and rendered frames, byte for byte.
+"""Golden outputs: campaign reports and rendered figures, byte for byte.
+
+Every command entry below has one shape, a command outcome: the exit
+code and the sha256 of stderr and of the SVG, with the stdout of
+``verify`` and ``lexell`` kept in full, so a moved ``max_residual`` or
+``offset`` shows its value, and the sha256 of any other stdout.
 
 ``golden.json`` beside this file holds the JSON report of every
-``SUPPORTED`` campaign at 50 trials for seeds 0 and 7, and the sha256 of
-the SVG that ``ccplane render frame --seed S`` writes for S = 0..9.
-Its ``loci`` entries cover the Lexell figures: the ``verify lexell``
-report at 200 trials for seeds 0 and 7, and for each of eight fixed
-inputs the exit code, stdout and SVG sha256 of ``lexell X --apex=U,W
---svg``, ``lexell X --foliate AREAS --svg``, ``render locus`` and
-``render foliation``.  Its ``construct`` entries hold the exit code,
-stdout and SVG sha256 of ``construct LENGTHS --svg`` for the README's
-median lengths, for the ``repr`` lengths of six sampled hyperbolic
-frames (substream ``golden-construct``) and for ``1 1 1 1 1 1``, which
-fails the ratio-sum relation and exits 1.  Its ``loci`` ``residuals``
-entries hold the ``repr`` of ``locus_residuals`` with the library
-defaults (20 samples, 100 chords, seed 0) for each of the eight inputs:
-the probe the loci benchmark times, whose chords no command runs.
+``SUPPORTED`` campaign at 50 trials for seeds 0 and 7.  Its ``loci``
+entries cover the Lexell figures: the ``verify lexell`` report at 200
+trials for seeds 0 and 7, and for each of eight fixed inputs the
+outcome of ``lexell X --apex=U,W --svg``, ``lexell X --foliate AREAS
+--svg``, ``render locus --svg`` and ``render foliation --svg``.  Its
+``construct`` entries hold the outcome of ``construct LENGTHS --svg``
+for the README's median lengths, for the ``repr`` lengths of six sampled
+hyperbolic frames (substream ``golden-construct``) and for
+``1 1 1 1 1 1``, which fails the ratio-sum relation and exits 1.  Its
+``loci`` ``residuals`` entries hold the ``repr`` of ``locus_residuals``
+with the library defaults (20 samples, 100 chords, seed 0) for each of
+the eight inputs: the probe the loci benchmark times, whose chords no
+command runs.
 
-Its ``sweep`` entries are the byte-identity sweep: every ``ccplane``
-line of the README's shell blocks, ``render frame --seed S`` for
-S = 0..39, and every ``SUPPORTED`` campaign at 2,000 trials (lexell
-200) for seeds 11 and 12.  Each holds the exit code and the sha256 of
-stderr and of the SVG; ``verify`` and ``lexell`` entries keep their
-stdout in full, so a moved ``max_residual`` or ``offset`` shows its
-value, and the others its sha256.
+Its ``sweep`` entries are the byte-identity sweep: the outcome of every
+``ccplane`` line of the README's shell blocks, of ``render frame --seed
+S --svg`` for S = 0..39, and of every ``SUPPORTED`` campaign at 2,000
+trials (lexell 200) for seeds 11 and 12.
 
 ``golden_loci_grid.json`` pins the loci grid: ``lexell X --apex-y Y``,
 the same with ``--svg`` and ``render locus --x X --apex-y Y --svg``, for
@@ -63,7 +64,6 @@ GRID_GOLDEN = Path(__file__).with_name("golden_loci_grid.json")
 README = Path(__file__).parents[1] / "README.md"
 TRIALS = 50
 SEEDS = (0, 7)
-FRAME_SEEDS = range(10)
 
 LEXELL_TRIALS = 200
 
@@ -97,12 +97,6 @@ def report_document(theorem, geometry, seed) -> str:
     return json_document(report_record(run_verification(theorem, geometry, TRIALS, seed)))
 
 
-def frame_digest(seed: int, directory: Path) -> str:
-    path = directory / f"frame-{seed}.svg"
-    assert main(["render", "frame", "--seed", str(seed), "--svg", str(path)]) == 0
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _flag_list(values) -> str:
     return ",".join(repr(v) for v in values)
 
@@ -113,10 +107,11 @@ def locus_commands(index: int) -> dict[str, list[str]]:
     apex = f"--apex={u!r},{w!r}"
     foliate = f"--foliate={_flag_list(areas)}"
     return {
-        f"lexell-apex/{index}": ["lexell", repr(x), apex],
-        f"lexell-foliate/{index}": ["lexell", repr(x), foliate],
-        f"render-locus/{index}": ["render", "locus", f"--x={x!r}", apex],
-        f"render-foliation/{index}": ["render", "foliation", f"--x={x!r}", foliate],
+        f"lexell-apex/{index}": ["lexell", repr(x), apex, "--svg", "-"],
+        f"lexell-foliate/{index}": ["lexell", repr(x), foliate, "--svg", "-"],
+        f"render-locus/{index}": ["render", "locus", f"--x={x!r}", apex, "--svg", "-"],
+        f"render-foliation/{index}": ["render", "foliation", f"--x={x!r}", foliate,
+                                      "--svg", "-"],
     }
 
 
@@ -200,21 +195,10 @@ def construct_commands() -> dict[str, list[str]]:
         lengths = (fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of)
         commands[f"construct/frame-{i}"] = ["construct", *(repr(v) for v in lengths)]
     commands["construct/infeasible"] = ["construct", *"1 1 1 1 1 1".split()]
-    return commands
+    return {key: [*argv, "--svg", "-"] for key, argv in commands.items()}
 
 
 CONSTRUCT_COMMANDS = construct_commands()
-
-
-def command_outcome(argv: list[str], directory: Path) -> dict:
-    """Exit code, stdout and SVG sha256 of one ``ccplane`` command."""
-    path = directory / "figure.svg"
-    path.unlink(missing_ok=True)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([*argv, "--svg", str(path)])
-    svg = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-    return {"exit": code, "stdout": out.getvalue(), "svg_sha256": svg}
 
 
 def _sha256(data) -> str | None:
@@ -278,7 +262,6 @@ def grid_golden():
 
 def test_golden_file_covers_every_campaign(golden):
     assert sorted(golden["reports"]) == sorted(campaign_key(*c) for c in CAMPAIGNS)
-    assert sorted(golden["frame_svg_sha256"]) == sorted(str(s) for s in FRAME_SEEDS)
     assert sorted(golden["loci"]["reports"]) == sorted(str(s) for s in SEEDS)
     assert sorted(golden["loci"]["commands"]) == sorted(LOCUS_COMMANDS)
     assert sorted(golden["loci"]["residuals"]) == [str(i) for i in range(len(LOCUS_INPUTS))]
@@ -300,11 +283,6 @@ def test_report_is_unchanged(golden, theorem, geometry, seed):
     assert report_document(theorem, geometry, seed) == golden["reports"][key]
 
 
-@pytest.mark.parametrize("seed", FRAME_SEEDS)
-def test_frame_svg_is_unchanged(golden, seed, tmp_path):
-    assert frame_digest(seed, tmp_path) == golden["frame_svg_sha256"][str(seed)]
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lexell_report_is_unchanged(golden, seed):
     assert lexell_report(seed) == golden["loci"]["reports"][str(seed)]
@@ -312,7 +290,7 @@ def test_lexell_report_is_unchanged(golden, seed):
 
 @pytest.mark.parametrize("key", sorted(LOCUS_COMMANDS))
 def test_locus_command_is_unchanged(golden, key, tmp_path):
-    assert command_outcome(LOCUS_COMMANDS[key], tmp_path) == golden["loci"]["commands"][key]
+    assert sweep_outcome(LOCUS_COMMANDS[key], tmp_path) == golden["loci"]["commands"][key]
 
 
 @pytest.mark.parametrize("index", range(len(LOCUS_INPUTS)))
@@ -322,7 +300,7 @@ def test_locus_probe_is_unchanged(golden, index):
 
 @pytest.mark.parametrize("key", sorted(CONSTRUCT_COMMANDS))
 def test_construct_command_is_unchanged(golden, key, tmp_path):
-    assert command_outcome(CONSTRUCT_COMMANDS[key], tmp_path) == golden["construct"][key]
+    assert sweep_outcome(CONSTRUCT_COMMANDS[key], tmp_path) == golden["construct"][key]
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
@@ -364,17 +342,16 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         data = {
             "reports": {campaign_key(*c): report_document(*c) for c in CAMPAIGNS},
-            "frame_svg_sha256": {str(s): frame_digest(s, Path(tmp)) for s in FRAME_SEEDS},
             "loci": {
                 "reports": {str(s): lexell_report(s) for s in SEEDS},
                 "commands": {
-                    key: command_outcome(argv, Path(tmp))
+                    key: sweep_outcome(argv, Path(tmp))
                     for key, argv in LOCUS_COMMANDS.items()
                 },
                 "residuals": {str(i): locus_probe(i) for i in range(len(LOCUS_INPUTS))},
             },
             "construct": {
-                key: command_outcome(argv, Path(tmp))
+                key: sweep_outcome(argv, Path(tmp))
                 for key, argv in CONSTRUCT_COMMANDS.items()
             },
             "sweep": {

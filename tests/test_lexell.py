@@ -1151,20 +1151,12 @@ class TestClosedFormsMatchTheirOracles:
             self._hold(HPoint((p.v[0], -0.0, p.v[2])))
         assert repr(_bisector_mirror(HPoint((1.0, -0.0, 0.0))).v) == "(1.0, -0.0, 0.0)"
 
-    def test_on_campaign_apexes(self, monkeypatch):
-        from ccplane.verify import run_verification
+    def test_on_campaign_apexes(self):
+        from ccplane.verify import _CAMPAIGNS
 
-        seen = []
-        locus = lexell.lexell_locus
-
-        def recording(base, p):
-            seen.append((base, p))
-            return locus(base, p)
-
-        monkeypatch.setattr(lexell, "lexell_locus", recording)
-        run_verification("lexell", Geometry.HYPERBOLIC, 300, 7)
-        assert len(seen) == 300
-        for base, p in seen:
+        draw, _ = _CAMPAIGNS["lexell"]()
+        for i in range(300):
+            base, p, _ = draw(Geometry.HYPERBOLIC, k.substream("verify-lexell-hyperbolic", 7, i))
             x = base.half_distance
             assert (repr(base.a), repr(base.b)) == (repr(polar(0.0, x)), repr(polar(0.0, -x)))
             self._hold(p)

@@ -6,7 +6,7 @@ import pytest
 
 from ccplane import cevians, verify
 from ccplane.errors import DomainError
-from ccplane.kernel import Geometry
+from ccplane.kernel import Geometry, substream
 from ccplane.verify import (
     SUPPORTED,
     THEOREMS,
@@ -40,9 +40,32 @@ class TestSupportMap:
         with pytest.raises(DomainError):
             run_verification("pythagoras", HYP, trials=1)
 
+    def test_unhashable_theorem_rejected(self):
+        with pytest.raises(DomainError, match="unknown theorem"):
+            run_verification(["ceva"], HYP, trials=1)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
             run_verification("ceva", HYP, trials=0)
+
+    def test_geometry_name_rejected(self):
+        # Geometry is a str enum, so "hyperbolic" is in SUPPORTED["ceva"].
+        with pytest.raises(DomainError, match="not a Geometry member"):
+            run_verification("ceva", "hyperbolic", trials=1)
+
+    @pytest.mark.parametrize(
+        "trials,seed", [(2.0, 0), (True, 0), (1, True), (1, 0.0), (1, "0")],
+        ids=["float-trials", "bool-trials", "bool-seed", "float-seed", "str-seed"],
+    )
+    def test_trials_and_seed_must_be_ints(self, trials, seed):
+        # A bool is an int, but the report would print it as true.
+        with pytest.raises(DomainError, match="trials and seed must be ints"):
+            run_verification("ceva", HYP, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize("tolerance", [True, "1e-9"])
+    def test_tolerance_must_be_a_number(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            run_verification("ceva", HYP, trials=1, tolerance=tolerance)
 
 
 class TestTolerance:
@@ -77,6 +100,25 @@ class TestCampaigns:
         assert rep.max_residual <= rep.tolerance
         assert rep.trials == 20
 
+    @pytest.mark.parametrize(
+        "theorem,geometry",
+        [(t, g) for t in THEOREMS for g in SUPPORTED[t]],
+    )
+    def test_a_trial_redrawn_by_index_measures_the_same(self, theorem, geometry):
+        # The stage boundary: trial i's figure is drawn from its own
+        # substream, and measuring it draws nothing, so measuring it again
+        # gives the same residual, and the worst of them is the report's.
+        trials, seed = 12, 5
+        draw, measure = verify._CAMPAIGNS[theorem]()
+        label = f"verify-{theorem}-{geometry.value}"
+        residuals = []
+        for i in range(trials):
+            figure = draw(geometry, substream(label, seed, i))
+            residuals.append(measure(*figure))
+            assert measure(*figure) == residuals[-1]
+        rep = run_verification(theorem, geometry, trials, seed)
+        assert max(residuals) == rep.max_residual
+
     def test_same_seed_reproduces_exactly(self):
         a = run_verification("euler-ratio", HYP, trials=30, seed=11)
         b = run_verification("euler-ratio", HYP, trials=30, seed=11)
@@ -92,7 +134,7 @@ class TestCampaigns:
         # One bad trial among good ones: the fold must not drop it, as
         # max(0.0, nan) == 0.0 would.
         residuals = iter([1e-15, bad, 1e-15])
-        campaign = lambda: lambda geometry, rng: next(residuals)
+        campaign = lambda: (lambda geometry, rng: (next(residuals),), lambda r: r)
         monkeypatch.setitem(verify._CAMPAIGNS, "ceva", campaign)
         rep = run_verification("ceva", HYP, trials=3)
         assert rep.max_residual == math.inf
@@ -115,7 +157,7 @@ class TestCampaigns:
         assert len(calls) == 7
 
     def test_all_nan_campaign_fails(self, monkeypatch):
-        campaign = lambda: lambda geometry, rng: math.nan
+        campaign = lambda: (lambda geometry, rng: (), lambda: math.nan)
         monkeypatch.setitem(verify._CAMPAIGNS, "ceva", campaign)
         rep = run_verification("ceva", HYP, trials=5)
         assert rep.max_residual == math.inf
