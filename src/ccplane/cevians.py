@@ -17,9 +17,9 @@ measure the frame directly in the model: the sides and cevians are line
 covectors of the plane model, the feet are their meets, the angles p, q
 and r at O are measured between the cevian lines (``line_angle``), and
 the inside test reads the signs of ``side_value``, by one formula on all
-three planes.  The second route, ``projection_oracle``, runs in the tests
-only, also on all three planes: a central projection onto the tangent
-plane at O maps the frame to a euclidean one with the same ratios.
+three planes.  The second route is a test oracle, also on all three
+planes: a central projection onto the tangent plane at O maps the frame
+to a euclidean one with the same ratios.
 
 The converse construction recovers a frame from the six lengths alone.
 The auxiliary quantities G = th(AO)/(alpha+1), H = th(BO)/(beta+1) and
@@ -238,12 +238,6 @@ class RatioSumInput(Record):
             if not 0.0 < value <= MAX_HYPERBOLIC_SIDE:
                 raise DomainError(f"length {name}={value} outside (0, {MAX_HYPERBOLIC_SIDE}]")
 
-    @classmethod
-    def from_frame(cls, frame: CevianFrame) -> "RatioSumInput":
-        if frame.tri.geometry is not Geometry.HYPERBOLIC:
-            raise DomainError("length extraction expects a hyperbolic frame")
-        return cls(frame.ao, frame.bo, frame.co, frame.od, frame.oe, frame.of)
-
 
 class ConstructionResult(Record):
     """Frame rebuilt from six lengths, with the auxiliary data used.
@@ -348,55 +342,6 @@ def construct_from_ratios(inp: RatioSumInput) -> ConstructionResult:
         angle_bod=angle_bod,
         relation_residual=relation_residual,
         containment_residual=containment_residual,
-    )
-
-
-class ProjectionOracle(Record):
-    """Frame ratios recomputed through the tangent-plane projection."""
-
-    __slots__ = (
-        "ratios", "max_deviation", "euclid_relation_residual", "collinearity_residual",
-    )
-
-
-def projection_oracle(frame: CevianFrame) -> ProjectionOracle:
-    """Check a frame against its central projection onto the tangent plane at o.
-
-    In homogeneous coordinates (``model.lift``) a point P goes to
-    X = P/(P . O) on the tangent plane at O, where P . O is the point form
-    p0 o0 + kappa (p1 o1 + p2 o2), that is cosh, cos or 1 of the distance
-    from o.  Lines go to straight lines, and Y = X - O has length t_K of
-    that distance in the line form kappa y0^2 + y1^2 + y2^2.  So the
-    euclidean ratios |Y_A|/|Y_D|, |Y_B|/|Y_E|, |Y_C|/|Y_F| must reproduce
-    alpha, beta, gamma, and each vertex and its foot must lie on one line
-    through O, det(O, Y_A, Y_D) = 0.  No distance is measured on the way.
-    A point at a quarter turn or more from o on the sphere has no image,
-    P . O <= 0, and raises DomainError.
-    """
-    tri = frame.tri
-    model = tri.geometry.model
-    kappa = model.kappa
-    o0, o1, o2 = model.lift(frame.o)
-    ys = []
-    for point in (tri.a, frame.d, tri.b, frame.e, tri.c, frame.f):
-        p0, p1, p2 = model.lift(point)
-        c = p0 * o0 + kappa * (p1 * o1 + p2 * o2)
-        if not c > 0.0:
-            raise DomainError("a frame point has no central image at the interior point")
-        y0, y1, y2 = p0 / c - o0, p1 / c - o1, p2 / c - o2
-        ys.append((y0, y1, y2, math.sqrt(kappa * (y0 * y0) + y1 * y1 + y2 * y2)))
-    ratios = []
-    collinearity = 0.0
-    for (v0, v1, v2, nv), (f0, f1, f2, nf) in zip(ys[0::2], ys[1::2]):
-        ratios.append(nv / nf)
-        det = o0 * (v1 * f2 - v2 * f1) + o1 * (v2 * f0 - v0 * f2) + o2 * (v0 * f1 - v1 * f0)
-        collinearity = max(collinearity, abs(det) / (nv * nf))
-    r1, r2, r3 = ratios
-    return ProjectionOracle(
-        ratios=(r1, r2, r3),
-        max_deviation=max(abs(r1 - frame.alpha), abs(r2 - frame.beta), abs(r3 - frame.gamma)),
-        euclid_relation_residual=r1 * r2 * r3 - (r1 + r2 + r3 + 2.0),
-        collinearity_residual=collinearity,
     )
 
 

@@ -144,12 +144,6 @@ def sdist(p, q):
     return math.atan2(math.sqrt(sdot(c, c)), sdot(p, q))
 
 
-def stangent(p, q):
-    """Unit tangent vector at p pointing toward q on the sphere."""
-    m = sdot(p, q)
-    return snormalize((q[0] - m * p[0], q[1] - m * p[1], q[2] - m * p[2]))
-
-
 def sgeo_point(p, n, t):
     """cos(t) p + sin(t) n, renormalized onto the sphere."""
     ct = math.cos(t)

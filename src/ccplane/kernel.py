@@ -56,7 +56,7 @@ Record writes one function per class, its ``__init__``, from the slot
 list and compiles it as the class is defined; it writes each field
 through the slot's member descriptor, at about half the cost of
 ``object.__setattr__`` by name.  Each command is a short ``ccplane``
-process that pays for its own import: the 22 constructors compile in
+process that pays for its own import: the 21 constructors compile in
 about 1.3 ms (2-vCPU Xeon, CPython 3.11), where the standard library's
 ``dataclasses`` imports ``inspect``, ``ast`` and ``dis`` and compiles six
 functions per class, about 30 ms or a fifth of each command.

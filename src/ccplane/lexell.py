@@ -23,7 +23,8 @@ so f is the cosine of one right piece's area R.  Then
 and tan^2(R/2) = (1 - f)/(1 + f) = tanh^2(x/2) * tanh^2(y/2): the same
 formula, reached without subtracting two nearly equal numbers.  Near
 the base, where f is 1 - O(y^2), arccos(f) keeps only half its digits;
-the closed form keeps them all.
+the closed form keeps them all, so no command evaluates f: the tests
+keep it as the oracle they hold the closed form to.
 
 The apexes producing a given area form two hypercycle arcs: curves at
 constant distance from a geodesic axis.  The axis through the midpoints
@@ -83,7 +84,9 @@ MAX_APEX_HEIGHT = 40.0
 # Parameter range for sampling points along a hypercycle.
 SAMPLE_RANGE = 3.0
 
-# Half-length of the truncated base approximating ideal base vertices.
+# Headroom past MAX_HYPERBOLIC_SIDE for the half-base of the apex-area
+# supremum and its inverse (``max_apex_area``, ``_invert_apex_area``): a
+# base truncated this far out stands in for one with ideal vertices.
 IDEAL_TRUNCATION = 15.0
 
 # An apex whose ``line_residual`` against the base line is at most this
@@ -335,37 +338,10 @@ def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
     return areas
 
 
-def triangle_area(tri: Triangle) -> float:
-    """Angle-deficit area of a hyperbolic triangle."""
-    if tri.geometry is not Geometry.HYPERBOLIC:
-        raise DomainError("angle-deficit area applies to hyperbolic triangles")
-    return _deficit(tri.a, tri.b, tri.c)
-
-
 def _right_area(a: float, b: float) -> float:
     """Area of the right triangle with legs a and b: tan(R/2) = tanh(a/2)
     tanh(b/2).  ``math.inf`` stands for an ideal leg."""
     return 2.0 * math.atan(math.tanh(0.5 * a) * math.tanh(0.5 * b))
-
-
-def area_profile(x: float, u: float) -> float:
-    """The paper's f(u) for half-base x: the cosine of one right piece's
-    area, so f(cosh y) = cos(apex_area_formula(x, y) / 2)."""
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
-        raise DomainError(f"half-base {x} out of range")
-    if u < 1.0:
-        raise DomainError(f"profile argument must be cosh of a height: {u}")
-    cx = math.cosh(x)
-    return (cx * u - 1.0) * (cx + u) / ((cx * u) ** 2 - 1.0)
-
-
-def apex_area_formula(x: float, y: float) -> float:
-    """Area over base 2x with the apex at height y on the bisector."""
-    if not 0.0 < y <= MAX_APEX_HEIGHT:
-        raise DomainError(f"apex height {y} outside (0, {MAX_APEX_HEIGHT}]")
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
-        raise DomainError(f"half-base {x} out of range")
-    return 2.0 * _right_area(x, y)
 
 
 def max_apex_area(x: float) -> float:
@@ -373,48 +349,6 @@ def max_apex_area(x: float) -> float:
     if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
         raise DomainError(f"half-base {x} out of range")
     return 2.0 * _right_area(x, math.inf)
-
-
-def split_areas(x: float, a: float, t: float) -> tuple[float, float]:
-    """Areas of the two right pieces cut by the apex perpendicular.
-
-    The foot sits at signed offset a from the base midpoint, positive
-    toward vertex A; the piece at A has leg x - a, the piece at B has
-    leg x + a.  Returned in that order.
-    """
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE:
-        raise DomainError(f"half-base {x} outside (0, {MAX_HYPERBOLIC_SIDE}]")
-    if abs(a) >= x:
-        raise DomainError(f"foot offset {a} must satisfy |a| < {x}")
-    if not 0.0 <= t <= MAX_APEX_HEIGHT:
-        raise DomainError(f"apex height {t} outside [0, {MAX_APEX_HEIGHT}]")
-    return (_right_area(x - a, t), _right_area(x + a, t))
-
-
-def split_area_limits(x: float, a: float) -> tuple[float, float]:
-    """Heights-to-infinity limits of the two split pieces."""
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE:
-        raise DomainError(f"half-base {x} outside (0, {MAX_HYPERBOLIC_SIDE}]")
-    if abs(a) >= x:
-        raise DomainError(f"foot offset {a} must satisfy |a| < {x}")
-    return (_right_area(x - a, math.inf), _right_area(x + a, math.inf))
-
-
-def apex_triangle(x: float, a: float, t: float) -> tuple[HPoint, HPoint, HPoint]:
-    """Vertices (A, B, P) of the split configuration, A at +x.
-
-    The base lies on the disk's real axis; the apex P sits at height t
-    above the foot point at signed offset a.
-    """
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE:
-        raise DomainError(f"half-base {x} outside (0, {MAX_HYPERBOLIC_SIDE}]")
-    if not 0.0 < t <= MAX_APEX_HEIGHT:
-        raise DomainError(f"apex height {t} outside (0, {MAX_APEX_HEIGHT}]")
-    va = _MODEL.polar(0.0, x)
-    vb = _MODEL.polar(0.0, -x)
-    foot = _MODEL.polar(0.0, a)
-    # (0, 0, 1) is the unit tangent at the foot pointing up, off the base.
-    return (va, vb, HPoint(vec.mgeo_point(foot.v, (0.0, 0.0, 1.0), t)))
 
 
 def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
@@ -549,7 +483,7 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
 def _invert_apex_area(x: float, target: float) -> float:
     """Bisector height whose apex area over base 2x is ``target``.
 
-    The exact inverse of ``apex_area_formula``: T = 4 atan(tanh(x/2)
+    The exact inverse of 2 * ``_right_area``(x, y): T = 4 atan(tanh(x/2)
     tanh(y/2)) gives y = 2 atanh(q) with q = tan(T/4) / tanh(x/2).  A
     target below ``max_apex_area(x)`` has q < 1 except through rounding
     at the supremum, which raises InfeasibleAreaError.  q < 1 keeps y at
@@ -616,51 +550,3 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
                 if abs(z0 * l0 + z1 * l1 + z2 * l2 - so) <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")
     return leaves
-
-
-def ideal_limit_area(c: float) -> float:
-    """Area of the triangle with two boundary vertices, apex distance c.
-
-    The perpendicular from the apex splits it into two right pieces with
-    one ideal leg each, of area pi/2 - arctan(1/sinh c); constant on
-    every hypercycle asymptotic to the base line.
-    """
-    if not c > 0.0:
-        raise DomainError(f"apex distance must be positive: {c}")
-    return 2.0 * _right_area(math.inf, c)
-
-
-def sinh_c_from_angles(alpha: float, beta: float) -> float:
-    """sinh of the finite side of a triangle with angles alpha, beta, 0."""
-    _check_ideal_angles(alpha, beta)
-    return (math.cos(alpha) + math.cos(beta)) / (math.sin(alpha) * math.sin(beta))
-
-
-def cosh_c_from_angles(alpha: float, beta: float) -> float:
-    """cosh of the finite side of a triangle with angles alpha, beta, 0."""
-    _check_ideal_angles(alpha, beta)
-    return (1.0 + math.cos(alpha) * math.cos(beta)) / (
-        math.sin(alpha) * math.sin(beta)
-    )
-
-
-def _check_ideal_angles(alpha: float, beta: float) -> None:
-    if not (0.0 < alpha < math.pi and 0.0 < beta < math.pi):
-        raise DomainError("angles must lie in (0, pi)")
-    if alpha + beta > math.pi:
-        raise DomainError("angle sum above pi leaves no room for the ideal vertex")
-
-
-def truncated_ideal_area(c: float, truncation: float = IDEAL_TRUNCATION) -> float:
-    """Synthetic stand-in for ideal_limit_area with far-out base vertices.
-
-    The base vertices sit at +-truncation on the base line instead of
-    on the boundary; the apex sits at height c over the midpoint.
-    """
-    if not c > 0.0:
-        raise DomainError(f"apex distance must be positive: {c}")
-    if not 0.0 < truncation <= 20.0:
-        raise DomainError(f"truncation {truncation} outside (0, 20]")
-    va = _MODEL.polar(0.0, truncation)
-    vb = _MODEL.polar(0.0, -truncation)
-    return _deficit(_MODEL.polar(math.pi / 2.0, c), va, vb)

@@ -35,13 +35,6 @@ def _check_right_triangle(b: float, alpha: float, geometry: Geometry) -> None:
         raise DomainError(f"base angle must lie in (0, pi/2): {alpha}")
 
 
-def cathetus_from_hypotenuse(b: float, alpha: float, geometry: Geometry) -> float:
-    """Leg adjacent to alpha in a right triangle with hypotenuse b."""
-    _check_right_triangle(b, alpha, geometry)
-    model = geometry.model
-    return model.t_K_inv(math.cos(alpha) * model.t_K(b))
-
-
 class RightTriangleConfig(Record):
     """Right triangle measured off a synthetic construction.
 
@@ -77,7 +70,7 @@ def build_right_triangle(
     This is the synthetic route: place the apex, walk distance b along
     the ray at angle alpha, and drop a perpendicular foot onto the
     baseline.  Lengths are read back off the model, independently of
-    the closed-form cathetus law.
+    the closed-form cathetus law, which the tests hold them to.
     """
     _check_right_triangle(b, alpha, geometry)
     model = geometry.model

@@ -18,7 +18,6 @@ import ccplane
 from ccplane import kernel as k
 from ccplane.cevians import (
     RatioSumInput,
-    Triangle,
     ceva_product,
     cevian_frame,
     construct_from_ratios,
@@ -26,26 +25,20 @@ from ccplane.cevians import (
     euler_relation_residual,
     lambert_median_report,
     pqr_system,
-    projection_oracle,
     unit_sum_residual,
 )
 from ccplane.kernel import Geometry
-from ccplane.lexell import (
-    BaseConfig,
-    apex_area_formula,
-    apex_triangle,
-    area_profile,
-    lexell_locus,
-    locus_residuals,
-    sinh_c_from_angles,
-    cosh_c_from_angles,
-    split_area_limits,
-    split_areas,
-    triangle_area,
-    truncated_ideal_area,
-)
+from ccplane.lexell import BaseConfig, _deficit, _right_area, lexell_locus, locus_residuals
 from ccplane.sampling import sample_frame, substream
 from ccplane.trig import build_right_triangle, menelaus_ratio, menelaus_rhs
+from cevian_oracles import projection_oracle
+from lexell_oracles import (
+    apex_triangle,
+    area_profile,
+    cosh_c_from_angles,
+    sinh_c_from_angles,
+    truncated_ideal_area,
+)
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
@@ -137,7 +130,8 @@ def test_criterion_04_projection_oracle(frames):
 def test_criterion_05_construction_round_trip(frames):
     worst = 0.0
     for frame in frames[HYP][:500]:
-        rebuilt = construct_from_ratios(RatioSumInput.from_frame(frame)).frame
+        lengths = RatioSumInput(frame.ao, frame.bo, frame.co, frame.od, frame.oe, frame.of)
+        rebuilt = construct_from_ratios(lengths).frame
         worst = max(
             worst,
             abs(rebuilt.ao - frame.ao), abs(rebuilt.bo - frame.bo),
@@ -152,7 +146,8 @@ def test_criterion_05_construction_round_trip(frames):
     o = model.meet(
         model.line(tri.a, model.mid(tri.b, tri.c)), model.line(tri.b, e), tri.b, e
     )
-    res = construct_from_ratios(RatioSumInput.from_frame(cevian_frame(tri, o)))
+    fr = cevian_frame(tri, o)
+    res = construct_from_ratios(RatioSumInput(fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of))
     third = 2.0 * math.pi / 3.0
     eq_gap = max(
         abs(math.pi - res.angle_bof - third),
@@ -212,7 +207,7 @@ def test_criterion_07_lambert():
 
 
 def _profile_band(x: float, u: float) -> float:
-    """Rounding band of |area_profile(x, u) - cos(apex_area_formula(x, y)/2)|.
+    """Rounding band of |area_profile(x, u) - cos(_right_area(x, y))|.
 
     With u = cosh(y), the two sides agree in exact arithmetic.  To first
     order in eps, with each library function within 2 ulps (2 eps
@@ -239,7 +234,7 @@ def test_criterion_08_area_function():
         for i in range(80):
             y = math.acosh(1.01 * (20.0 / 1.01) ** (i / 79.0))
             u = math.cosh(y)
-            areas.append(apex_area_formula(x, y))
+            areas.append(2.0 * _right_area(x, y))
             gap = abs(area_profile(x, u) - math.cos(0.5 * areas[-1]))
             worst_ratio = max(worst_ratio, gap / _profile_band(x, u))
         growing = growing and all(b > a for a, b in zip(areas, areas[1:]))
@@ -249,8 +244,8 @@ def test_criterion_08_area_function():
         x = rng.uniform(0.2, 2.0)
         y = rng.uniform(0.1, 3.0)
         a_pt, b_pt, p_pt = apex_triangle(x, 0.0, y)
-        synthetic = triangle_area(Triangle(HYP, a_pt, b_pt, p_pt))
-        worst_area = max(worst_area, abs(apex_area_formula(x, y) - synthetic))
+        synthetic = _deficit(a_pt, b_pt, p_pt)
+        worst_area = max(worst_area, abs(2.0 * _right_area(x, y) - synthetic))
     ok = worst_ratio <= 1.0 and growing and worst_area <= 1e-8
     _report("criterion-08", "area-function", ok,
             f"profile vs cos(area/2) {worst_ratio:.3f} of its band <= 1, areas "
@@ -266,16 +261,16 @@ def test_criterion_09_split_areas():
         x = rng.uniform(0.3, 1.8)
         a = rng.uniform(-0.9, 0.9) * x
         t = rng.uniform(0.1, 3.0)
-        d1, d2 = split_areas(x, a, t)
+        d1, d2 = _right_area(x - a, t), _right_area(x + a, t)
         a_pt, b_pt, p_pt = apex_triangle(x, a, t)
-        synthetic = triangle_area(Triangle(HYP, a_pt, b_pt, p_pt))
+        synthetic = _deficit(a_pt, b_pt, p_pt)
         worst = max(worst, abs(d1 + d2 - synthetic))
         if i < 20:
             pairs.append((x, a))
     worst_limit = 0.0
     for x, a in pairs:
-        at_20 = sum(split_areas(x, a, 20.0))
-        limit = sum(split_area_limits(x, a))
+        at_20 = _right_area(x - a, 20.0) + _right_area(x + a, 20.0)
+        limit = _right_area(x - a, math.inf) + _right_area(x + a, math.inf)
         worst_limit = max(worst_limit, abs(at_20 - limit))
     ok = worst <= 1e-8 and worst_limit <= 1e-6
     _report("criterion-09", "split-areas", ok,

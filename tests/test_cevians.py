@@ -18,7 +18,6 @@ from ccplane.cevians import (
     euler_relation_residual,
     lambert_median_report,
     pqr_system,
-    projection_oracle,
     stretch_ratio,
     unit_sum_residual,
 )
@@ -43,8 +42,9 @@ from ccplane.sampling import (
     sample_triangle,
     substream,
 )
-from ccplane.trig import cathetus_from_hypotenuse, menelaus_ratio
+from ccplane.trig import build_right_triangle, menelaus_ratio
 from angle_oracles import point_route_angles
+from cevian_oracles import projection_oracle
 from hyperboloid_oracles import direction, point_along, reflect_across
 
 HYP = Geometry.HYPERBOLIC
@@ -416,7 +416,8 @@ class TestConverseConstruction:
         worst_len = worst_ang = 0.0
         for i in range(100):
             fr = sample_frame(HYP, substream("construct", 11, i))
-            rebuilt = construct_from_ratios(RatioSumInput.from_frame(fr)).frame
+            lengths = RatioSumInput(fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of)
+            rebuilt = construct_from_ratios(lengths).frame
             for name in ("ao", "bo", "co", "od", "oe", "of"):
                 worst_len = max(worst_len, abs(getattr(rebuilt, name) - getattr(fr, name)))
             worst_ang = max(
@@ -433,7 +434,7 @@ class TestConverseConstruction:
         # come out pi/3 each, while consecutive vertex rays around the
         # center open up 2*pi/3.
         fr = _equilateral_frame(2.0)
-        res = construct_from_ratios(RatioSumInput.from_frame(fr))
+        res = construct_from_ratios(RatioSumInput(fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of))
         third = math.pi / 3.0
         assert res.frame.p == pytest.approx(third, abs=1e-12)
         assert res.frame.q == pytest.approx(third, abs=1e-12)
@@ -444,7 +445,7 @@ class TestConverseConstruction:
 
     def test_containment_residual_tiny_for_exact_input(self):
         fr = sample_frame(HYP, substream("construct-exact", 5, 0))
-        res = construct_from_ratios(RatioSumInput.from_frame(fr))
+        res = construct_from_ratios(RatioSumInput(fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of))
         assert res.containment_residual < 1e-12
         assert abs(res.relation_residual) < 1e-12
 
@@ -468,14 +469,9 @@ class TestConverseConstruction:
         with pytest.raises(DomainError):
             RatioSumInput(1.0, 1.0, 1.0, 1.0, 1.0, 11.0)
 
-    def test_from_frame_requires_hyperbolic(self):
-        fr = sample_frame(SPH, substream("construct-sph", 1, 0))
-        with pytest.raises(DomainError):
-            RatioSumInput.from_frame(fr)
-
     def test_sine_factor_reproduces_sines(self):
         fr = fixture_frame()
-        res = construct_from_ratios(RatioSumInput.from_frame(fr))
+        res = construct_from_ratios(RatioSumInput(fr.ao, fr.bo, fr.co, fr.od, fr.oe, fr.of))
         assert res.sine_factor * res.aux_a == pytest.approx(
             math.sin(res.angle_bof), abs=1e-13
         )
@@ -614,7 +610,7 @@ class TestStretchRatio:
         limit = geometry.model.side_limit
         above = math.nextafter(limit, math.inf)
         stretch_ratio(geometry, limit, 0.5)
-        cathetus_from_hypotenuse(limit, 0.5, geometry)
+        build_right_triangle(limit, 0.5, geometry)
         with pytest.raises(DomainError):
             stretch_ratio(geometry, above, 0.5)
         with pytest.raises(DomainError):
@@ -622,7 +618,7 @@ class TestStretchRatio:
         with pytest.raises(DomainError):
             equilateral_triangle(above, geometry)
         with pytest.raises(DomainError):
-            cathetus_from_hypotenuse(above, 0.5, geometry)
+            build_right_triangle(above, 0.5, geometry)
 
 
 class TestEquilateralMedians:

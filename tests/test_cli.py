@@ -19,7 +19,7 @@ from ccplane.cli import main
 from ccplane.constants import TOL_AREA
 from ccplane.errors import GeometryError
 from ccplane.kernel import Geometry
-from ccplane.lexell import LocusResiduals, apex_area_formula
+from ccplane.lexell import LocusResiduals, _right_area
 
 
 def run_cli(*args):
@@ -161,7 +161,7 @@ class TestLexellCommand:
         out = run_cli("lexell", "0.8", "--apex-y", "1.0")
         assert out.returncode == 0
         rec = json.loads(out.stdout)
-        assert rec["area"] == pytest.approx(apex_area_formula(0.8, 1.0), abs=1e-12)
+        assert rec["area"] == pytest.approx(2.0 * _right_area(0.8, 1.0), abs=1e-12)
         assert rec["area_spread"] <= 1e-8
         assert rec["offset"] > 0.0
         assert rec["samples"] == 20

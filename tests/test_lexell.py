@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ccplane import corevec as vec
 from ccplane import kernel as k
 from ccplane import lexell, render
-from ccplane.cevians import Triangle, clamped_acos
+from ccplane.cevians import clamped_acos
 from ccplane.corevec import mcross, mfoot, minner
 from ccplane.errors import (
     DegenerateInputError,
@@ -32,10 +32,6 @@ from ccplane.lexell import (
     AreaLocus,
     BaseConfig,
     Hypercycle,
-    apex_area_formula,
-    apex_triangle,
-    area_profile,
-    cosh_c_from_angles,
     equal_subarc_check,
     foliation,
     hypercycle_point,
@@ -43,16 +39,10 @@ from ccplane.lexell import (
     hypercycle_points,
     hypercycle_residual,
     hypercycle_samples,
-    ideal_limit_area,
     lexell_locus,
     locus_residuals,
     max_apex_area,
     sample_positions,
-    sinh_c_from_angles,
-    split_area_limits,
-    split_areas,
-    triangle_area,
-    truncated_ideal_area,
 )
 from ccplane.constants import TOL_AREA
 from ccplane.lexell import (
@@ -66,6 +56,13 @@ from ccplane.lexell import (
 )
 from ccplane.sampling import substream
 from hyperboloid_oracles import point_along, polar, reflect_across, tangent_direction
+from lexell_oracles import (
+    apex_triangle,
+    area_profile,
+    cosh_c_from_angles,
+    sinh_c_from_angles,
+    truncated_ideal_area,
+)
 
 HYP = Geometry.HYPERBOLIC.model
 BISECTOR = (0.0, 1.0, 0.0)
@@ -116,16 +113,10 @@ class TestAreaProfile:
         for x in (0.3, 1.0, 2.5):
             assert area_profile(x, 1.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_domain_rejections(self):
-        with pytest.raises(DomainError):
-            area_profile(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            area_profile(1.0, 0.5)
-
 
 class TestApexArea:
     def test_frozen_value(self):
-        assert apex_area_formula(0.8, 1.0) == pytest.approx(
+        assert 2.0 * _right_area(0.8, 1.0) == pytest.approx(
             0.6952371307430942, abs=1e-15
         )
 
@@ -136,28 +127,22 @@ class TestApexArea:
             x = 0.2 + 2.8 * rng.random()
             y = 0.2 + 2.8 * rng.random()
             va, vb, p = apex_triangle(x, 0.0, y)
-            worst = max(worst, abs(apex_area_formula(x, y) - _deficit(p, va, vb)))
+            worst = max(worst, abs(2.0 * _right_area(x, y) - _deficit(p, va, vb)))
         assert worst < 1e-12
 
     def test_strictly_increasing_in_height(self):
         for x in (0.4, 1.0, 2.2):
-            values = [apex_area_formula(x, 0.05 * (j + 1)) for j in range(60)]
+            values = [2.0 * _right_area(x, 0.05 * (j + 1)) for j in range(60)]
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_small_height_limit(self):
-        assert apex_area_formula(1.0, 1e-7) < 1e-6
+        assert 2.0 * _right_area(1.0, 1e-7) < 1e-6
 
     def test_supremum_bounds_all_heights(self):
         for x in (0.5, 1.0, 3.0):
             sup = max_apex_area(x)
-            assert apex_area_formula(x, 20.0) < sup
-            assert abs(sup - apex_area_formula(x, 39.0)) < 1e-12
-
-    def test_domain_rejections(self):
-        with pytest.raises(DomainError):
-            apex_area_formula(1.0, 0.0)
-        with pytest.raises(DomainError):
-            apex_area_formula(1.0, 41.0)
+            assert 2.0 * _right_area(x, 20.0) < sup
+            assert abs(sup - 2.0 * _right_area(x, 39.0)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -166,26 +151,27 @@ class TestApexArea:
         dy=st.floats(min_value=1e-3, max_value=3.0),
     )
     def test_monotone_property(self, x, y1, dy):
-        assert apex_area_formula(x, y1 + dy) > apex_area_formula(x, y1)
+        assert 2.0 * _right_area(x, y1 + dy) > 2.0 * _right_area(x, y1)
 
 
 class TestSplitAreas:
     def test_frozen_values(self):
-        d1, d2 = split_areas(1.0, 0.3, 0.7)
+        d1, d2 = _right_area(1.0 - 0.3, 0.7), _right_area(1.0 + 0.3, 0.7)
         assert d1 == pytest.approx(0.2253386358938389, abs=1e-15)
         assert d2 == pytest.approx(0.3799536317391303, abs=1e-15)
-        l1, l2 = split_area_limits(1.0, 0.3)
+        l1, l2 = _right_area(1.0 - 0.3, math.inf), _right_area(1.0 + 0.3, math.inf)
         assert l1 == pytest.approx(0.6489720817836955, abs=1e-15)
         assert l2 == pytest.approx(1.0386561395143918, abs=1e-15)
 
     def test_symmetric_split_halves_the_apex_area(self):
+        a = 0.0
         for x, t in ((0.7, 0.9), (1.5, 2.0)):
-            d1, d2 = split_areas(x, 0.0, t)
+            d1, d2 = _right_area(x - a, t), _right_area(x + a, t)
             assert d1 == pytest.approx(d2, abs=1e-15)
-            assert d1 + d2 == pytest.approx(apex_area_formula(x, t), abs=1e-14)
+            assert d1 + d2 == pytest.approx(2.0 * _right_area(x, t), abs=1e-14)
 
     def test_zero_height_gives_zero_areas(self):
-        assert split_areas(1.0, 0.4, 0.0) == (0.0, 0.0)
+        assert (_right_area(1.0 - 0.4, 0.0), _right_area(1.0 + 0.4, 0.0)) == (0.0, 0.0)
 
     def test_sum_matches_synthetic_and_pieces_match_right_triangles(self):
         worst = 0.0
@@ -196,7 +182,7 @@ class TestSplitAreas:
             t = 0.2 + 2.8 * rng.random()
             va, vb, p = apex_triangle(x, a, t)
             foot = HYP.polar(0.0, a)
-            d1, d2 = split_areas(x, a, t)
+            d1, d2 = _right_area(x - a, t), _right_area(x + a, t)
             worst = max(
                 worst,
                 abs(d1 + d2 - _deficit(p, va, vb)),
@@ -209,7 +195,7 @@ class TestSplitAreas:
         heights = [0.2 * (j + 1) for j in range(30)]
         firsts, seconds = [], []
         for t in heights:
-            d1, d2 = split_areas(1.2, 0.5, t)
+            d1, d2 = _right_area(1.2 - 0.5, t), _right_area(1.2 + 0.5, t)
             firsts.append(d1)
             seconds.append(d2)
         assert all(b > a for a, b in zip(firsts, firsts[1:]))
@@ -217,28 +203,16 @@ class TestSplitAreas:
 
     def test_tall_apex_approaches_ideal_limits(self):
         for x, a in ((0.5, 0.2), (1.0, -0.7), (2.0, 1.1), (3.0, 0.0)):
-            d1, d2 = split_areas(x, a, 20.0)
-            l1, l2 = split_area_limits(x, a)
+            d1, d2 = _right_area(x - a, 20.0), _right_area(x + a, 20.0)
+            l1, l2 = _right_area(x - a, math.inf), _right_area(x + a, math.inf)
             assert d1 + d2 == pytest.approx(l1 + l2, abs=1e-7)
             assert d1 < l1 and d2 < l2
 
-    def test_foot_outside_base_rejected(self):
-        with pytest.raises(DomainError):
-            split_areas(1.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            split_area_limits(1.0, -1.2)
-
 
 class TestTriangleArea:
-    def test_requires_hyperbolic(self):
-        tri = Triangle(Geometry.EUCLIDEAN, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-        with pytest.raises(DomainError):
-            triangle_area(tri)
-
     def test_thin_triangle_has_small_area(self):
         va, vb, p = apex_triangle(1.0, 0.0, 1e-4)
-        tri = Triangle(Geometry.HYPERBOLIC, va, vb, p)
-        assert 0.0 < triangle_area(tri) < 1e-3
+        assert 0.0 < _deficit(va, vb, p) < 1e-3
 
     def test_area_below_pi(self):
         for i in range(20):
@@ -246,7 +220,7 @@ class TestTriangleArea:
             x = 0.3 + 2.0 * rng.random()
             t = 0.3 + 3.0 * rng.random()
             va, vb, p = apex_triangle(x, 0.0, t)
-            assert 0.0 < triangle_area(Triangle(Geometry.HYPERBOLIC, va, vb, p)) < math.pi
+            assert 0.0 < _deficit(va, vb, p) < math.pi
 
 
 class TestFarVertexAngles:
@@ -386,7 +360,7 @@ class TestLexellLocus:
     def test_on_axis_apex_reproduces_apex_formula(self):
         base = BaseConfig.from_half_distance(0.8)
         locus = lexell_locus(base, _perp_apex(1.0))
-        assert locus.area == pytest.approx(apex_area_formula(0.8, 1.0), abs=1e-12)
+        assert locus.area == pytest.approx(2.0 * _right_area(0.8, 1.0), abs=1e-12)
         assert locus.carrier.offset == pytest.approx(0.5668110250377684, abs=1e-12)
 
     def test_apex_lies_on_its_carrier(self):
@@ -914,7 +888,7 @@ class TestOnePassRoutes:
             yield x, targets + [limit * (1.0 - 1e-9), 1e-14]
 
     def test_inverse_round_trips_within_its_derived_bound(self):
-        """apex_area_formula(x, _invert_apex_area(x, T)) is T within 9 eps T.
+        """2.0 * _right_area(x, _invert_apex_area(x, T)) is T within 9 eps T.
 
         Both directions use the same float tanh(x/2), so it cancels.  The
         inverse takes tan(T/4) (T/4 is exact), one division and atanh; the
@@ -928,7 +902,7 @@ class TestOnePassRoutes:
         eps = sys.float_info.epsilon
         for x, targets in self._inverse_targets():
             for target in targets:
-                forward = apex_area_formula(x, _invert_apex_area(x, target))
+                forward = 2.0 * _right_area(x, _invert_apex_area(x, target))
                 assert abs(forward - target) <= 9.0 * eps * target
         for x in (0.3, 5.0):
             target = max_apex_area(x) + 0.1
@@ -966,9 +940,9 @@ class TestOnePassRoutes:
         for x in (0.01, 0.3, 0.8, 1.5, 5.0, 20.0):
             explicit = 4.0 * math.atan(math.tanh(0.5 * x))
             assert max_apex_area(x) == 2.0 * _right_area(x, math.inf) == explicit
-            assert ideal_limit_area(x) == 2.0 * _right_area(math.inf, x) == explicit
+            assert 2.0 * _right_area(math.inf, x) == explicit
         for x, a in ((0.5, 0.2), (1.0, -0.7), (2.0, 1.1), (3.0, 0.0)):
-            assert split_area_limits(x, a) == (
+            assert (_right_area(x - a, math.inf), _right_area(x + a, math.inf)) == (
                 2.0 * math.atan(math.tanh(0.5 * (x - a))),
                 2.0 * math.atan(math.tanh(0.5 * (x + a))),
             )
@@ -977,7 +951,7 @@ class TestOnePassRoutes:
 class TestFoliation:
     def test_inverse_recovers_forward_height(self):
         base = BaseConfig.from_half_distance(0.8)
-        target = apex_area_formula(0.8, 1.0)
+        target = 2.0 * _right_area(0.8, 1.0)
         leaves = foliation(base, [target])
         assert len(leaves) == 1
         assert leaves[0].area == pytest.approx(target, abs=1e-9)
@@ -1042,12 +1016,12 @@ class TestFoliation:
             x = rng.uniform(0.05, 5.0)
             base = BaseConfig.from_half_distance(x)
             limit = max_apex_area(x)
-            smallest = apex_area_formula(x, low * (1.0 + 64.0 * eps))
+            smallest = 2.0 * _right_area(x, low * (1.0 + 64.0 * eps))
             targets = [smallest] + [limit * rng.random() for _ in range(4)]
             for leaf, target in zip(foliation(base, targets), sorted(targets)):
                 assert abs(leaf.area - target) <= TOL_AREA
             with pytest.raises(InfeasibleAreaError, match="on the base line"):
-                foliation(base, [apex_area_formula(x, low * (1.0 - 64.0 * eps))])
+                foliation(base, [2.0 * _right_area(x, low * (1.0 - 64.0 * eps))])
 
     def test_leaf_area_gate(self, monkeypatch):
         # A leaf built at the wrong height measures the wrong area.
@@ -1067,7 +1041,9 @@ class TestFoliation:
 
 class TestIdealCase:
     def test_frozen_values(self):
-        assert ideal_limit_area(1.0) == pytest.approx(1.731538966479317, abs=1e-15)
+        assert 2.0 * _right_area(math.inf, 1.0) == pytest.approx(
+            1.731538966479317, abs=1e-15
+        )
         assert sinh_c_from_angles(0.6, 0.9) == pytest.approx(
             3.2714147607748343, abs=1e-13
         )
@@ -1094,35 +1070,30 @@ class TestIdealCase:
         )
 
     def test_area_approaches_pi(self):
-        assert ideal_limit_area(30.0) == pytest.approx(math.pi, abs=1e-12)
+        assert 2.0 * _right_area(math.inf, 30.0) == pytest.approx(math.pi, abs=1e-12)
 
     def test_matches_apex_supremum(self):
         # Two ways to the same quantity: the apex-height supremum over a
         # base of half-length c, and the two-ideal-vertex area at apex
         # distance c.  Both reduce to 2*arctan(sinh c).
         for c in (0.4, 1.0, 2.3):
-            assert max_apex_area(c) == pytest.approx(ideal_limit_area(c), abs=1e-12)
+            assert max_apex_area(c) == pytest.approx(
+                2.0 * _right_area(math.inf, c), abs=1e-12
+            )
 
     def test_truncated_synthetic_agrees(self):
         for c in (0.3, 0.7, 1.2, 2.0):
             assert truncated_ideal_area(c) == pytest.approx(
-                ideal_limit_area(c), abs=2e-6
+                2.0 * _right_area(math.inf, c), abs=2e-6
             )
 
     def test_longer_truncation_converges_further(self):
         for c in (0.7, 2.0):
-            gap15 = abs(truncated_ideal_area(c, 15.0) - ideal_limit_area(c))
-            gap20 = abs(truncated_ideal_area(c, 20.0) - ideal_limit_area(c))
+            ideal = 2.0 * _right_area(math.inf, c)
+            gap15 = abs(truncated_ideal_area(c, 15.0) - ideal)
+            gap20 = abs(truncated_ideal_area(c, 20.0) - ideal)
             assert gap20 < gap15 / 100.0
             assert gap20 < 1e-8
-
-    def test_domain_rejections(self):
-        with pytest.raises(DomainError):
-            ideal_limit_area(0.0)
-        with pytest.raises(DomainError):
-            sinh_c_from_angles(2.0, 2.0)
-        with pytest.raises(DomainError):
-            cosh_c_from_angles(0.0, 1.0)
 
 
 class TestClosedFormsMatchTheirOracles:

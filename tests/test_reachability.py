@@ -8,8 +8,9 @@ in process through ``cli.main``, every ``ccplane`` line of the README
 it never enters must be exactly ``UNREACHED``, each with the reason it
 stays.  A function that no command needs fails this test until it is
 deleted, given a caller, or listed here; deleting or reviving a listed
-one means updating the list.  Class bodies, lambdas and comprehensions
-are not counted.
+one means updating the list.  A function that only the tests call is a
+test oracle and lives under ``tests/``, so no reason here names one.
+Class bodies, lambdas and comprehensions are not counted.
 
 Six more tests read the same sources: one holds the five line
 operations to their one home on ``PlaneModel``, one holds each model to
@@ -34,8 +35,6 @@ TRIALS = 20
 FRAME_SEEDS = 20
 
 UNREACHED = {
-    "cevians.RatioSumInput.from_frame": "test oracle: builds the converse input from a sampled frame",
-    "cevians.projection_oracle": "test oracle: the projection used to derive the ratio sums",
     "corevec.mdist": "L0 kernel timed by perfbench; kernel.hdist writes it out inline",
     "corevec.mfoot": "L0 kernel timed by perfbench; PlaneModel.foot writes it out inline",
     "corevec.minner": (
@@ -48,7 +47,6 @@ UNREACHED = {
     "corevec.mtangent": "L0 kernel timed by perfbench; the tangent-route angle oracle writes it out",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
     "corevec.sdist": "L0 kernel timed by perfbench; SphereModel.dist writes it out inline",
-    "corevec.stangent": "test oracle for the point-route angle",
     "kernel.Record.__delattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record.__eq__": "value equality, held by test_records; no command compares records",
     "kernel.Record.__hash__": "value hashing, held by test_records; no command hashes records",
@@ -58,19 +56,7 @@ UNREACHED = {
     "kernel.HyperboloidModel._recentre": (
         "HyperboloidModel.angle past v0 = 75: `lexell --apex-y` above about 5 reaches it"
     ),
-    "lexell._check_ideal_angles": "checks the inputs of the two ideal-vertex formulas below",
-    "lexell.apex_area_formula": "closed-form reference that the tests hold the deficit to",
-    "lexell.apex_triangle": "builds the split configuration for the split-area tests",
-    "lexell.area_profile": "the paper's form of the area, a test reference",
-    "lexell.cosh_c_from_angles": "ideal-vertex identity of the paper, checked by tests",
-    "lexell.ideal_limit_area": "the two-ideal-vertex area of the paper, checked by tests",
-    "lexell.sinh_c_from_angles": "ideal-vertex identity of the paper, checked by tests",
-    "lexell.split_area_limits": "ideal limits of split_areas, checked by tests",
-    "lexell.split_areas": "the paper's split areas; the locus probe sums the same pieces",
-    "lexell.triangle_area": "deficit area of a Triangle, checked by tests",
-    "lexell.truncated_ideal_area": "far-vertex stand-in for ideal_limit_area, checked by tests",
     "sampling._angles_ok": "exact-angle fallback inside the pre-test margin; rare draws reach it",
-    "trig.cathetus_from_hypotenuse": "right-triangle law checked by tests",
 }
 
 # Runs in a fresh interpreter: argv[1] is the source directory, argv[2]
@@ -148,6 +134,7 @@ def _functions() -> dict[tuple[str, int], str]:
 
 
 def test_every_function_is_reached_or_listed(tmp_path):
+    assert [name for name, why in UNREACHED.items() if "test oracle" in why] == []
     env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
         [
@@ -322,7 +309,7 @@ def test_sheet_normalization_only_in_project():
 # its input, as ``cevian_frame`` reads it from its triangle.  Removing a
 # fork lowers a count here; adding one must say why.
 GEOMETRY_TAGS = {
-    "verify": 4, "cevians": 3, "cli": 3, "kernel": 3, "sampling": 3, "lexell": 2, "render": 2,
+    "verify": 4, "cli": 3, "kernel": 3, "sampling": 3, "cevians": 2, "render": 2, "lexell": 1,
 }
 
 

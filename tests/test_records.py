@@ -11,7 +11,6 @@ from ccplane.cevians import (
     ConstructionResult,
     LambertReport,
     PqrSystem,
-    ProjectionOracle,
     RatioSumInput,
     Triangle,
     equilateral_triangle,
@@ -21,6 +20,7 @@ from ccplane.kernel import (
     DiskPoint,
     Geometry,
     HPoint,
+    Record,
     SpherePoint,
 )
 from ccplane.lexell import AreaLocus, BaseConfig, Hypercycle, LocusResiduals
@@ -64,10 +64,6 @@ SAMPLES = {
         "aux_b": 0.75, "aux_c": 1.0, "aux_area": 0.125, "sine_factor": 2.0,
         "angle_bof": 1.0, "angle_aof": 1.5, "angle_bod": 0.5,
         "relation_residual": 0.0, "containment_residual": 1e-17,
-    },
-    ProjectionOracle: {
-        "ratios": (2.0, 2.0, 2.0), "max_deviation": 0.0,
-        "euclid_relation_residual": 1e-16, "collinearity_residual": 0.0,
     },
     LambertReport: {
         "geometry": Geometry.HYPERBOLIC, "side": 1.0, "alpha": 2.0,
@@ -134,10 +130,6 @@ EXPECTED_REPR = {
         "angle_bof=1.0, angle_aof=1.5, angle_bod=0.5, relation_residual=0.0, "
         "containment_residual=1e-17)"
     ),
-    ProjectionOracle: (
-        "ProjectionOracle(ratios=(2.0, 2.0, 2.0), max_deviation=0.0, "
-        "euclid_relation_residual=1e-16, collinearity_residual=0.0)"
-    ),
     LambertReport: (
         "LambertReport(geometry=<Geometry.HYPERBOLIC: 'hyperbolic'>, side=1.0, "
         "alpha=2.0, ad_over_od=3.0, median_residual=0.0)"
@@ -203,7 +195,9 @@ def _ids(cls):
 
 
 def test_every_value_class_is_sampled():
-    assert len(CLASSES) == 22
+    # The samples cover every Record class of the package and no other.
+    assert len(CLASSES) == 21
+    assert set(CLASSES) == set(Record.__subclasses__())
     assert set(EXPECTED_REPR) == set(CLASSES)
 
 
