@@ -6,10 +6,15 @@ produce byte-identical JSON, and a command that fails prints none:
 output files are written before anything goes to stdout.
 
 Each command is a short process that compiles what it imports, so each
-handler imports the layers it runs: a campaign loads only its theorem's
-layers, ``render frame`` never loads ``lexell``, a locus never loads
-``sampling`` or ``cevians``, only a figure (``render``, ``--svg``)
-loads ``render``, and only ``verify menelaus`` loads ``trig``.
+handler imports the layers it runs: only ``ccplane verify`` loads the
+campaign engine, ``verify``, and a campaign only its theorem's layers,
+with the models in ``planes`` only on the sphere or the euclidean plane;
+only ``ccplane construct`` loads the converse construction,
+``construct``; ``render frame`` never loads ``lexell``, a locus never
+loads ``sampling`` or ``cevians``, only a figure (``render``,
+``--svg``) loads ``render``, and only ``verify menelaus`` loads
+``trig``.  The JSON writer, ``json_document``, lives here, since every
+command prints its record through it.
 """
 
 from __future__ import annotations
@@ -19,17 +24,9 @@ import math
 import sys
 
 from . import kernel as k
-from .constants import TOL_AREA
-from .errors import GeometryError
+from .constants import THEOREMS, TOL_AREA, UNITS
+from .errors import DomainError, GeometryError
 from .kernel import Geometry
-from .verify import (
-    SUPPORTED,
-    THEOREMS,
-    UNITS,
-    json_document,
-    report_record,
-    run_verification,
-)
 
 
 def _parse_geometry(value: str) -> Geometry:
@@ -106,6 +103,41 @@ def _write_file(text: str, path: str) -> None:
         raise _UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _json_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite value has no JSON form: {v}")
+        return format(v, ".17g")
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_json_value(x) for x in v) + "]"
+    if isinstance(v, dict):
+        return _render_object(v)
+    raise DomainError(f"unsupported JSON value type: {type(v).__name__}")
+
+
+def _render_object(record: dict) -> str:
+    parts = [
+        f"{_json_value(key)}: {_json_value(record[key])}" for key in sorted(record)
+    ]
+    return "{" + ", ".join(parts) + "}"
+
+
+def json_document(record: dict) -> str:
+    """One-line JSON with sorted keys and 17-significant-digit floats.
+
+    Identical input produces byte-identical output, which is what makes
+    report diffs meaningful in CI.
+    """
+    return _render_object(record) + "\n"
+
+
 def _emit(document: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(document)
@@ -131,6 +163,8 @@ def _report(record: dict, args, scene) -> None:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import SUPPORTED, report_record, run_verification
+
     if args.geometry not in SUPPORTED[args.theorem]:
         parser.error(
             f"{args.theorem} is not supported on {args.geometry.value} geometry"
@@ -143,7 +177,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_construct(args, parser) -> int:
-    from .cevians import RatioSumInput, construct_from_ratios
+    from .construct import RatioSumInput, construct_from_ratios
 
     result = construct_from_ratios(RatioSumInput(*args.lengths))
     frame = result.frame

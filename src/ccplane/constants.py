@@ -1,4 +1,5 @@
-"""Shared tolerances and working ranges."""
+"""Shared tolerances, working ranges, and the names every command reads:
+the theorem ids and the units of every JSON record."""
 
 import math
 
@@ -21,3 +22,10 @@ TOL_AREA = 1e-8
 # Side lengths accepted by triangle builders.
 MAX_HYPERBOLIC_SIDE = 10.0
 MAX_SPHERICAL_SIDE = math.pi / 2
+
+# The theorem ids of the ``verify`` campaigns.
+THEOREMS = ("menelaus", "euler-ratio", "ceva", "lambert", "lexell", "pqr")
+
+# The units every JSON record of the package states, campaign reports and
+# the CLI's records alike.
+UNITS = {"units": "model-units", "angle_units": "radians"}

@@ -5,14 +5,15 @@ Minkowski 3-space with <x, y> = -x0*y0 + x1*y1 + x2*y2.  Distances obey
 cosh d(p, q) = -<p, q>, and moving distance t from p along a unit
 tangent n gives cosh(t) p + sinh(t) n.  The sphere uses unit vectors in
 ordinary Euclidean 3-space.  Each plane's operations are methods of its
-model, HyperboloidModel, SphereModel or EuclideanModel, and those written
-once for all three are methods of their base, PlaneModel.  Six module
-functions remain, each because other modules call it on something that
-is not a model's point: ``on_sheet`` and ``hdist`` take bare hyperboloid
-vectors, ``substream`` seeds the campaigns, and ``disk_to_hpoint``,
-``hpoint_to_disk`` and ``ideal_endpoints`` (the chart's boundary map, a
-line's two ends on the unit circle) are the conformal disk chart that
-the CLI, the renderer and the Lexell base read.
+model, HyperboloidModel here or SphereModel and EuclideanModel in
+``planes``, and those written once for all three are methods of their
+base, PlaneModel.  Six module functions remain, each because other
+modules call it on something that is not a model's point: ``on_sheet``
+and ``hdist`` take bare hyperboloid vectors, ``substream`` seeds the
+campaigns, and ``disk_to_hpoint``, ``hpoint_to_disk`` and
+``ideal_endpoints`` (the chart's boundary map, a line's two ends on the
+unit circle) are the conformal disk chart that the CLI, the renderer and
+the Lexell base read.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.  ``on_sheet`` holds
@@ -34,14 +35,18 @@ homogeneous vector, meets included, comes back through ``project``.
 Each Geometry member carries a PlaneModel (``geometry.model``) that
 offers the same operations in all three planes, so code written once
 against it runs unchanged on the hyperbolic plane, the sphere and the
-euclidean plane.  Lines are one kind of value on every plane: the unit
-covector of the line in homogeneous coordinates, which ``PlaneModel``
-builds, meets, measures against and drops feet onto with one formula
-each, parameterised by the curvature.  ``model.line(p, q)`` builds one
-(with its checks) once, so a figure that reads a side line several
-times builds it only once, and ``model.line_angle(l, m)`` measures the
-angle between two lines it has built.  The angle at a point is the one
-between the lines through it, and the midpoint of p and q is P + Q
+euclidean plane.  ``Geometry.HYPERBOLIC.model`` is a plain attribute,
+set once this module has built the hyperboloid's model; on the other two
+members ``model`` is a cached property whose first read imports
+``planes`` and builds that plane's model, so a hyperbolic command never
+compiles ``planes``.  Lines are one kind of value on every plane: the
+unit covector of the line in homogeneous coordinates, which
+``PlaneModel`` builds, meets, measures against and drops feet onto with
+one formula each, parameterised by the curvature.  ``model.line(p, q)``
+builds one (with its checks) once, so a figure that reads a side line
+several times builds it only once, and ``model.line_angle(l, m)``
+measures the angle between two lines it has built.  The angle at a point
+is the one between the lines through it, and the midpoint of p and q is P + Q
 projected back, on every plane.  A model keeps only what differs between
 the planes: its two coordinate maps, ``lift`` (a point to its
 homogeneous vector) and ``project`` (a homogeneous vector back to its
@@ -71,12 +76,7 @@ import random
 from enum import Enum
 
 from . import corevec as vec
-from .constants import (
-    MAX_HYPERBOLIC_SIDE,
-    MAX_SPHERICAL_SIDE,
-    TOL_CLAMP,
-    TOL_POINT,
-)
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_CLAMP, TOL_POINT
 from .errors import (
     DegenerateInputError,
     GeometryError,
@@ -165,9 +165,14 @@ class Geometry(str, Enum):
     SPHERICAL = "spherical"
     EUCLIDEAN = "euclidean"
 
-    # Set on each member once the models exist (end of module): a plain
-    # attribute, since every figure reads it on its hot path.
-    model: PlaneModel
+    # The hyperboloid's model is set on its member at the end of the
+    # module, a plain attribute on every figure's hot path; the other two
+    # are built on their first read and kept.
+    @functools.cached_property
+    def model(self) -> PlaneModel:
+        from . import planes
+
+        return planes.MODELS[self]()
 
 
 def substream(label: str, seed: int, index: int = 0) -> random.Random:
@@ -548,95 +553,4 @@ class HyperboloidModel(PlaneModel):
         return out
 
 
-class SphereModel(PlaneModel):
-    point_type = SpherePoint
-    kappa = 1.0
-    base = NORTH_POLE
-    # pi/2 itself is out: tan, on which the stretch ratio and the cathetus
-    # law rest, has its pole there.
-    side_limit = math.nextafter(MAX_SPHERICAL_SIDE, 0.0)
-    s_K = staticmethod(math.sin)
-    s_K_inv = staticmethod(math.asin)
-    t_K = staticmethod(math.tan)
-    t_K_inv = staticmethod(math.atan)
-
-    def dist(self, p: SpherePoint, q: SpherePoint) -> float:
-        # atan2(|p x q|, p . q): stable at both ends of [0, pi].
-        p0, p1, p2 = p.v
-        q0, q1, q2 = q.v
-        c0 = p1 * q2 - p2 * q1
-        c1 = p2 * q0 - p0 * q2
-        c2 = p0 * q1 - p1 * q0
-        return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), p0 * q0 + p1 * q1 + p2 * q2)
-
-    def polar(self, theta: float, r: float) -> SpherePoint:
-        # (cos theta, sin theta, 0) is unit to 2 ulps and exactly tangent
-        # at the pole, so it goes to the exponential map unchecked.
-        n = (math.cos(theta), math.sin(theta), 0.0)
-        return SpherePoint(vec.sgeo_point(NORTH_POLE.v, n, r))
-
-    def project(self, x: Vec3) -> SpherePoint:
-        # corevec.snormalize, written out.
-        x0, x1, x2 = x
-        s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        return SpherePoint((x0 / s, x1 / s, x2 / s))
-
-    def _meet_point(self, x: Vec3, l: Vec3, s1: SpherePoint, s2: SpherePoint) -> SpherePoint:
-        p = self.project(x)
-        x0, x1, x2 = p.v
-        # The circles meet at p and -p; p is the one nearer the arc [s1, s2]
-        # when |s1 p| + |p s2| <= pi, which holds exactly when p . (s1 + s2)
-        # >= 0, since cos a + cos b = 2 cos((a + b)/2) cos((a - b)/2).
-        # Ties go to p.
-        u, v = s1.v, s2.v
-        if x0 * (u[0] + v[0]) + x1 * (u[1] + v[1]) + x2 * (u[2] + v[2]) >= 0.0:
-            return p
-        return SpherePoint((-x0, -x1, -x2))
-
-
-EuclidPoint = tuple[float, float]
-# Lines whose unit normals make a smaller sine than this are parallel.
-_PARALLEL_EPS = 1e-14
-
-
-class EuclideanModel(PlaneModel):
-    point_type = tuple
-    kappa = 0.0
-    base = (0.0, 0.0)
-    side_limit = math.inf
-    # The identity, as a builtin call: unary plus returns a float unchanged
-    # (signed zeros and NaN included), at half the cost of a def.
-    s_K = s_K_inv = t_K = t_K_inv = staticmethod(operator.pos)
-    # (1.0,) + p = (1.0, x, y), also as a builtin call.
-    lift = staticmethod(functools.partial(operator.add, (1.0,)))
-
-    def dist(self, p: EuclidPoint, q: EuclidPoint) -> float:
-        return math.hypot(p[0] - q[0], p[1] - q[1])
-
-    def polar(self, theta: float, r: float) -> EuclidPoint:
-        return (r * math.cos(theta), r * math.sin(theta))
-
-    def project(self, x: Vec3) -> EuclidPoint:
-        return (x[1] / x[0], x[2] / x[0])
-
-    def _meet_point(
-        self, x: Vec3, l: Vec3, s1: EuclidPoint, s2: EuclidPoint
-    ) -> EuclidPoint:
-        # x0 is the sine between the unit normals of l and m.  With
-        # m = line(s1, s2), x is proportional to b S1 - a S2 for a = l . S1
-        # and b = l . S2, so x / x0 = S1 + t (S2 - S1) with t = a / (a - b):
-        # the same point, laid off from s1 along m, so that an error in t
-        # moves it along m by that error times |s1 s2|.
-        if not abs(x[0]) > _PARALLEL_EPS:
-            raise GeometryError("parallel lines do not meet")
-        l0, l1, l2 = l
-        (ax, ay), (bx, by) = s1, s2
-        a = l0 + ax * l1 + ay * l2
-        b = l0 + bx * l1 + by * l2
-        t = a / (a - b)
-        return (ax + t * (bx - ax), ay + t * (by - ay))
-
-
 Geometry.HYPERBOLIC.model = HyperboloidModel()
-Geometry.SPHERICAL.model = SphereModel()
-Geometry.EUCLIDEAN.model = EuclideanModel()

@@ -84,10 +84,10 @@ MAX_APEX_HEIGHT = 40.0
 # Parameter range for sampling points along a hypercycle.
 SAMPLE_RANGE = 3.0
 
-# Headroom past MAX_HYPERBOLIC_SIDE for the half-base of the apex-area
-# supremum and its inverse (``max_apex_area``, ``_invert_apex_area``): a
-# base truncated this far out stands in for one with ideal vertices.
-IDEAL_TRUNCATION = 15.0
+# The longest half-base: a base is a side, at most MAX_HYPERBOLIC_SIDE
+# long.  It bounds ``BaseConfig`` and the apex-area supremum and its
+# inverse (``max_apex_area``, ``_invert_apex_area``) alike.
+MAX_HALF_BASE = MAX_HYPERBOLIC_SIDE / 2.0
 
 # An apex whose ``line_residual`` against the base line is at most this
 # lies on the line.  For an apex at height y on the bisector it is sinh(y).
@@ -231,10 +231,8 @@ class BaseConfig(Record):
     __slots__ = ("a", "b", "half_distance")
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.half_distance <= MAX_HYPERBOLIC_SIDE / 2.0:
-            raise DomainError(
-                f"half-distance {self.half_distance} outside (0, {MAX_HYPERBOLIC_SIDE / 2.0}]"
-            )
+        if not 0.0 < self.half_distance <= MAX_HALF_BASE:
+            raise DomainError(f"half-distance {self.half_distance} outside (0, {MAX_HALF_BASE}]")
         da, db = k.hpoint_to_disk(self.a), k.hpoint_to_disk(self.b)
         if max(abs(da.w), abs(db.w)) > TOL_ID or abs(da.u + db.u) > TOL_ID:
             raise DomainError("base vertices are not symmetric on the real axis")
@@ -243,8 +241,8 @@ class BaseConfig(Record):
 
     @classmethod
     def from_half_distance(cls, x: float) -> "BaseConfig":
-        if not 0.0 < x <= MAX_HYPERBOLIC_SIDE / 2.0:
-            raise DomainError(f"half-distance {x} outside (0, {MAX_HYPERBOLIC_SIDE / 2.0}]")
+        if not 0.0 < x <= MAX_HALF_BASE:
+            raise DomainError(f"half-distance {x} outside (0, {MAX_HALF_BASE}]")
         return cls(a=_MODEL.polar(0.0, x), b=_MODEL.polar(0.0, -x), half_distance=x)
 
     def base_line(self) -> Vec3:
@@ -346,7 +344,7 @@ def _right_area(a: float, b: float) -> float:
 
 def max_apex_area(x: float) -> float:
     """Supremum of apex areas over base 2x: the height goes to infinity."""
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
+    if not 0.0 < x <= MAX_HALF_BASE:
         raise DomainError(f"half-base {x} out of range")
     return 2.0 * _right_area(x, math.inf)
 
@@ -489,7 +487,7 @@ def _invert_apex_area(x: float, target: float) -> float:
     at the supremum, which raises InfeasibleAreaError.  q < 1 keeps y at
     most 2 atanh(1 - 2**-53) ~ 37.4, below MAX_APEX_HEIGHT.
     """
-    if not 0.0 < x <= MAX_HYPERBOLIC_SIDE + IDEAL_TRUNCATION:
+    if not 0.0 < x <= MAX_HALF_BASE:
         raise DomainError(f"half-base {x} out of range")
     q = math.tan(0.25 * target) / math.tanh(0.5 * x)
     if not q < 1.0:

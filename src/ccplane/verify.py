@@ -5,9 +5,11 @@ figure, the inputs of its construction, from the trial's seed-split
 substream; the measure builds that figure and returns the worst residual
 of one identity, and draws nothing, so trial i can be drawn again from
 ``substream(f"verify-{theorem}-{geometry.value}", seed, i)`` and
-measured alone.  The worst trial folds into a report whose JSON form is
-byte-identical across runs: keys are sorted and every float is written
-with 17 significant digits.
+measured alone.  The worst trial folds into a report, and
+``report_record`` flattens it into the record whose JSON form the CLI
+writes (``cli.json_document``), byte-identical across runs.  Only
+``ccplane verify`` imports this module: the theorem ids and the units
+it reads live in ``constants``, where every command finds them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import math
 from typing import Callable
 
 from . import kernel as k
+from .constants import THEOREMS, UNITS
 from .errors import DomainError
 from .kernel import Geometry, Record, substream
-
-THEOREMS = ("menelaus", "euler-ratio", "ceva", "lambert", "lexell", "pqr")
 
 # Lexell's constant-area locus is a pair of hyperbolic hypercycles.
 SUPPORTED: dict[str, tuple[Geometry, ...]] = {
@@ -35,11 +36,6 @@ def default_tolerance(theorem: str, geometry: Geometry) -> float:
     if theorem == "lexell":
         return 1e-8
     return 1e-9
-
-
-# The units every JSON record of the package states, campaign reports and
-# the CLI's records alike.
-UNITS = {"units": "model-units", "angle_units": "radians"}
 
 
 class VerifyReport(Record):
@@ -224,37 +220,3 @@ def report_record(rep: VerifyReport) -> dict:
         **UNITS,
     }
 
-
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite value has no JSON form: {v}")
-        return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return _render_object(v)
-    raise DomainError(f"unsupported JSON value type: {type(v).__name__}")
-
-
-def _render_object(record: dict) -> str:
-    parts = [
-        f"{_json_value(key)}: {_json_value(record[key])}" for key in sorted(record)
-    ]
-    return "{" + ", ".join(parts) + "}"
-
-
-def json_document(record: dict) -> str:
-    """One-line JSON with sorted keys and 17-significant-digit floats.
-
-    Identical input produces byte-identical output, which is what makes
-    report diffs meaningful in CI.
-    """
-    return _render_object(record) + "\n"

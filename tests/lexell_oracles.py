@@ -14,7 +14,7 @@ import math
 
 from ccplane import corevec as vec
 from ccplane.kernel import Geometry, HPoint
-from ccplane.lexell import IDEAL_TRUNCATION, _deficit
+from ccplane.lexell import _deficit
 
 HYP = Geometry.HYPERBOLIC.model
 
@@ -51,7 +51,7 @@ def apex_triangle(x, a, t):
     )
 
 
-def truncated_ideal_area(c, truncation=IDEAL_TRUNCATION):
+def truncated_ideal_area(c, truncation=15.0):
     """Deficit of the triangle with base vertices at +-truncation on the
     base line and the apex at height c over the midpoint: a stand-in for
     the two-ideal-vertex area 2 * _right_area(inf, c).  At truncation 15

@@ -17,16 +17,15 @@ import pytest
 import ccplane
 from ccplane import kernel as k
 from ccplane.cevians import (
-    RatioSumInput,
     ceva_product,
     cevian_frame,
-    construct_from_ratios,
     equilateral_triangle,
     euler_relation_residual,
     lambert_median_report,
     pqr_system,
     unit_sum_residual,
 )
+from ccplane.construct import RatioSumInput, construct_from_ratios
 from ccplane.kernel import Geometry
 from ccplane.lexell import BaseConfig, _deficit, _right_area, lexell_locus, locus_residuals
 from ccplane.sampling import sample_frame, substream

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from ccplane.cevians import (
     CevianFrame,
-    RatioSumInput,
     Triangle,
     ceva_product,
     cevian_frame,
-    construct_from_ratios,
     equilateral_triangle,
     euler_relation_residual,
     lambert_median_report,
@@ -21,6 +19,7 @@ from ccplane.cevians import (
     stretch_ratio,
     unit_sum_residual,
 )
+from ccplane.construct import RatioSumInput, construct_from_ratios
 from ccplane import kernel, sampling
 from ccplane.errors import (
     DegenerateInputError,

@@ -416,10 +416,11 @@ def test_cli_import_skips_the_class_generator():
     assert out.stdout == "[]\n"
 
 
-# The ccplane modules every command loads: the command line and the
-# campaign table it offers, the point types with their vector kernels,
-# the constants and the errors.
-_BASE_MODULES = {"cli", "constants", "corevec", "errors", "kernel", "verify"}
+# The ccplane modules every command loads: the command line with its
+# JSON writer, the point types with the hyperboloid's model and their
+# vector kernels, the constants (theorem ids and units included) and the
+# errors.  The campaign engine, ``verify``, is a layer of ``verify *``.
+_BASE_MODULES = {"cli", "constants", "corevec", "errors", "kernel"}
 
 # Runs one command in a fresh interpreter and prints its exit code and
 # the ccplane modules it loaded.
@@ -451,16 +452,20 @@ _CONSTRUCT = ["construct", "0.57028982711412934", "0.57028982711412934",
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (["verify", "menelaus", "--trials", "5"], {"trig"}),
-        (["verify", "lambert", "--trials", "5"], {"cevians"}),
-        (["verify", "euler-ratio", "--trials", "5"], {"cevians", "sampling"}),
-        (["verify", "ceva", "--trials", "5"], {"cevians", "sampling"}),
-        (["verify", "pqr", "--trials", "5"], {"cevians", "sampling"}),
-        (["verify", "lexell", "--trials", "2"], {"lexell"}),
+        (["verify", "menelaus", "--trials", "5"], {"verify", "trig"}),
+        (["verify", "lambert", "--trials", "5"], {"verify", "cevians"}),
+        (["verify", "euler-ratio", "--trials", "5"], {"verify", "cevians", "sampling"}),
+        (["verify", "ceva", "--trials", "5"], {"verify", "cevians", "sampling"}),
+        (["verify", "pqr", "--trials", "5"], {"verify", "cevians", "sampling"}),
+        (["verify", "lexell", "--trials", "2"], {"verify", "lexell"}),
+        (["verify", "ceva", "--geometry", "spherical", "--trials", "5"],
+         {"verify", "cevians", "sampling", "planes"}),
+        (["verify", "menelaus", "--geometry", "euclidean", "--trials", "5"],
+         {"verify", "trig", "planes"}),
         (["render", "frame", "--seed", "5", "--svg", "{svg}"],
          {"cevians", "sampling", "render"}),
-        ([*_CONSTRUCT, "--svg", "{svg}"], {"cevians", "render"}),
-        (_CONSTRUCT, {"cevians"}),
+        ([*_CONSTRUCT, "--svg", "{svg}"], {"cevians", "construct", "render"}),
+        (_CONSTRUCT, {"cevians", "construct"}),
         (["lexell", "0.8", "--apex-y", "1.0", "--svg", "{svg}"], {"lexell", "render"}),
         (["lexell", "0.8", "--apex=0.1,0.4"], {"lexell"}),
         (["lexell", "0.8", "--foliate", "0.3,0.8,1.2"], {"lexell"}),
@@ -470,7 +475,8 @@ _CONSTRUCT = ["construct", "0.57028982711412934", "0.57028982711412934",
          {"lexell", "render"}),
     ],
     ids=["verify-menelaus", "verify-lambert", "verify-euler-ratio", "verify-ceva",
-         "verify-pqr", "verify-lexell", "render-frame", "construct-svg", "construct",
+         "verify-pqr", "verify-lexell", "verify-ceva-spherical", "verify-menelaus-euclidean",
+         "render-frame", "construct-svg", "construct",
          "lexell-apex-y-svg", "lexell-apex", "lexell-foliate", "render-locus",
          "render-foliation"],
 )
@@ -488,4 +494,32 @@ def test_verify_import_loads_no_layer():
     # campaign table alone loads none of them.
     probe = ("import sys, ccplane.verify; "
              "print(0, *(m for m in sys.modules if m.startswith('ccplane.')))")
-    assert _fresh_modules(probe) == ("0", _BASE_MODULES - {"cli"})
+    assert _fresh_modules(probe) == ("0", _BASE_MODULES - {"cli"} | {"verify"})
+
+
+def test_kernel_import_loads_no_other_plane():
+    # The sphere's and the euclidean plane's models compile on first use:
+    # ``kernel``, the point types and the hyperboloid's model, holds
+    # neither of them and loads no module that does.
+    probe = ("import sys, ccplane.kernel as k; "
+             "print(0, *(m for m in sys.modules if m.startswith('ccplane.')), "
+             "*(n for n in ('SphereModel', 'EuclideanModel') if hasattr(k, n)))")
+    assert _fresh_modules(probe) == ("0", {"constants", "corevec", "errors", "kernel"})
+
+
+def test_other_planes_build_their_models_once_on_first_use():
+    # The first read of a model on the sphere or the euclidean plane loads
+    # ``planes``; every later read returns the model that read built.
+    probe = """
+import sys
+from ccplane.kernel import Geometry
+before = "ccplane.planes" in sys.modules
+sphere = Geometry.SPHERICAL.model
+print(0, f"before={before}", f"after={'ccplane.planes' in sys.modules}",
+      f"sphere={sphere is Geometry.SPHERICAL.model}",
+      f"plane={Geometry.EUCLIDEAN.model is Geometry.EUCLIDEAN.model}",
+      f"distinct={sphere is not Geometry.EUCLIDEAN.model}", type(sphere).__module__)
+"""
+    assert _fresh_modules(probe) == ("0", {
+        "before=False", "after=True", "sphere=True", "plane=True", "distinct=True", "planes",
+    })

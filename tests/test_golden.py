@@ -53,11 +53,11 @@ from pathlib import Path
 
 import pytest
 
-from ccplane.cli import main
+from ccplane.cli import json_document, main
 from ccplane.kernel import DiskPoint, Geometry, disk_to_hpoint, substream
 from ccplane.lexell import BaseConfig, lexell_locus, locus_residuals
 from ccplane.sampling import sample_frame
-from ccplane.verify import SUPPORTED, json_document, report_record, run_verification
+from ccplane.verify import SUPPORTED, report_record, run_verification
 
 GOLDEN = Path(__file__).with_name("golden.json")
 GRID_GOLDEN = Path(__file__).with_name("golden_loci_grid.json")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ccplane import corevec as vec
 from ccplane import kernel as k
 from ccplane import lexell, render
-from ccplane.cevians import clamped_acos
+from ccplane.construct import clamped_acos
 from ccplane.corevec import mcross, mfoot, minner
 from ccplane.errors import (
     DegenerateInputError,
@@ -48,6 +48,7 @@ from ccplane.constants import TOL_AREA
 from ccplane.lexell import (
     BASE_LINE_TOL,
     MAX_APEX_HEIGHT,
+    MAX_HALF_BASE,
     _base_areas,
     _bisector_mirror,
     _deficit,
@@ -882,7 +883,7 @@ class TestOnePassRoutes:
     @staticmethod
     def _inverse_targets():
         rng = random.Random(3)
-        for x in (0.01, 0.3, 0.8, 1.5, 5.0, 20.0):
+        for x in (0.01, 0.3, 0.8, 1.5, 3.0, 5.0):
             limit = max_apex_area(x)
             targets = [limit * rng.random() for _ in range(10)]
             yield x, targets + [limit * (1.0 - 1e-9), 1e-14]
@@ -910,7 +911,8 @@ class TestOnePassRoutes:
                 InfeasibleAreaError,
                 f"target area {target} rounds to the apex-area supremum {max_apex_area(x)}",
             )
-        for x in (0.0, -1.0, 30.0):
+        # The half-base is bounded as BaseConfig bounds it.
+        for x in (0.0, -1.0, math.nextafter(MAX_HALF_BASE, math.inf), 20.0, 30.0):
             assert _outcome(_invert_apex_area, x, 0.5) == (
                 DomainError, f"half-base {x} out of range"
             )
@@ -939,8 +941,14 @@ class TestOnePassRoutes:
     def test_limits_are_the_right_area_with_an_ideal_leg(self):
         for x in (0.01, 0.3, 0.8, 1.5, 5.0, 20.0):
             explicit = 4.0 * math.atan(math.tanh(0.5 * x))
-            assert max_apex_area(x) == 2.0 * _right_area(x, math.inf) == explicit
-            assert 2.0 * _right_area(math.inf, x) == explicit
+            assert 2.0 * _right_area(x, math.inf) == 2.0 * _right_area(math.inf, x) == explicit
+            # The supremum is bounded by the longest half-base, as BaseConfig is.
+            if x <= MAX_HALF_BASE:
+                assert max_apex_area(x) == explicit
+            else:
+                assert _outcome(max_apex_area, x) == (
+                    DomainError, f"half-base {x} out of range"
+                )
         for x, a in ((0.5, 0.2), (1.0, -0.7), (2.0, 1.1), (3.0, 0.0)):
             assert (_right_area(x - a, math.inf), _right_area(x + a, math.inf)) == (
                 2.0 * math.atan(math.tanh(0.5 * (x - a))),

@@ -8,13 +8,12 @@ import pytest
 
 from ccplane.cevians import (
     CevianFrame,
-    ConstructionResult,
     LambertReport,
     PqrSystem,
-    RatioSumInput,
     Triangle,
     equilateral_triangle,
 )
+from ccplane.construct import ConstructionResult, RatioSumInput
 from ccplane.errors import DegenerateInputError, InvalidPointError
 from ccplane.kernel import (
     DiskPoint,

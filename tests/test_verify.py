@@ -5,6 +5,7 @@ import math
 import pytest
 
 from ccplane import cevians, verify
+from ccplane.cli import json_document
 from ccplane.errors import DomainError
 from ccplane.kernel import Geometry, substream
 from ccplane.verify import (
@@ -12,7 +13,6 @@ from ccplane.verify import (
     THEOREMS,
     VerifyReport,
     default_tolerance,
-    json_document,
     report_record,
     run_verification,
 )
