@@ -219,14 +219,12 @@ def pqr_system(frame: CevianFrame) -> PqrSystem:
     )
 
 
-def ceva_product(
-    tri: Triangle, d, e, f, require_concurrent: bool = True, legs=None
-) -> float:
+def ceva_product(tri: Triangle, d, e, f, legs=None) -> float:
     """Product sh(DB)/sh(DC) * sh(EC)/sh(EA) * sh(FA)/sh(FB) of the feet.
 
     sh is sinh, sin, or the identity per geometry.  The feet must lie on
-    their side segments; with ``require_concurrent`` the three cevians
-    must meet in one point, verified by pairwise intersection agreement.
+    their side segments, and the three cevians must meet in one point,
+    verified by pairwise intersection agreement.
     ``legs`` are the feet's distances to their sides' ends when they are
     measured and checked already: ``frame.legs()`` for a cevian frame's
     feet.  Otherwise they are measured here.
@@ -240,15 +238,14 @@ def ceva_product(
         legs = _foot_legs(tri, d, e, f)
         if legs is None:
             raise DomainError("a foot lies outside its side segment")
-    if require_concurrent:
-        # Each cevian line is built once and met with the other two.
-        ad, be, cf = model.line(a, d), model.line(b, e), model.line(c, f)
-        x = model.meet(ad, be, b, e)
-        y = model.meet(be, cf, c, f)
-        z = model.meet(cf, ad, a, d)
-        spread = max(model.dist(x, y), model.dist(y, z), model.dist(z, x))
-        if not spread <= TOL_ID:
-            raise DomainError(f"cevians are not concurrent (spread {spread:.3e})")
+    # Each cevian line is built once and met with the other two.
+    ad, be, cf = model.line(a, d), model.line(b, e), model.line(c, f)
+    x = model.meet(ad, be, b, e)
+    y = model.meet(be, cf, c, f)
+    z = model.meet(cf, ad, a, d)
+    spread = max(model.dist(x, y), model.dist(y, z), model.dist(z, x))
+    if not spread <= TOL_ID:
+        raise DomainError(f"cevians are not concurrent (spread {spread:.3e})")
     sh = model.s_K
     db, dc, ec, ea, fa, fb = legs
     return sh(db) / sh(dc) * sh(ec) / sh(ea) * sh(fa) / sh(fb)

@@ -333,7 +333,8 @@ class PlaneModel:
     - ``versine(d)``: X(d) = 2 s_K(d/2)^2, that is cosh d - 1, 1 - cos d
       or d^2/2, in which the three planes share their trigonometry.
     - ``corner_cosines(polar)``: the law of cosines on three vertices
-      given as ``polar`` arguments, with no point built.
+      given as ``polar`` arguments, with no point built; the sampler's
+      angle floor reads these cosines alone.
     - ``s_K``/``t_K``: sinh/sin/identity and tanh/tan/identity, with
       ``s_K_inv`` and ``t_K_inv`` their inverses; ``kappa`` is the
       curvature.
@@ -455,9 +456,10 @@ class PlaneModel:
         """Cosines of the corners at the three (theta, r) vertices, in order.
 
         The law of cosines of M^2_kappa, written in X = ``versine``.  The
-        sampler runs this on every draw, so each X(dr) is computed in
-        place, with ``versine``'s own operations in its order; ``versine``
-        is the reference it equals to the last bit.
+        sampler runs this on every draw, and these cosines alone decide its
+        angle floor.  So each X(dr) is computed in place, with
+        ``versine``'s own operations in its order; ``versine`` is the
+        reference it equals to the last bit.
         Between vertices i and j (dr = r_i - r_j, dt = theta_i - theta_j),
 
             X = X(dr) + 2 s_K(r_i) s_K(r_j) sin(dt/2)^2,

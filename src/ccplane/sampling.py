@@ -3,6 +3,10 @@
 Every draw comes from a ``substream`` (defined in ``kernel`` and
 importable from here): an independent stream per campaign, trial index
 and geometry that reproduces exactly across platforms and processes.
+A triangle draw meets its angle floor or not on its polar coordinates,
+by the law of cosines the three planes share
+(``PlaneModel.corner_cosines``), and only a draw that meets it builds
+its points.
 """
 
 from __future__ import annotations
@@ -14,19 +18,12 @@ from .cevians import Triangle, cevian_frame
 from .errors import GeometryError, InfeasibleGeometryError
 from .kernel import Geometry, substream
 
-# Rejection thresholds keeping sampled triangles numerically honest.
+# Rejection thresholds keeping sampled triangles numerically honest.  The
+# angle floor is read on the law-of-cosines cosine: a corner is fat enough
+# when its cosine is at most _MAX_COS.
 _MIN_SIDE = 0.05
 _MIN_ANGLE = 0.15
-
-# First-order rounding bound on |corner_cosines - cos(angle)| for draws
-# from the disks below with every side at least _MIN_SIDE, where the angle
-# is ``line_angle`` between the lines through the vertex: 2.2e-11 on the
-# hyperboloid (coordinates up to cosh 3 in size), 2.9e-13 on the sphere
-# and 8.9e-13 in the plane.  The derivation is in CHANGES.md; the margin
-# is the largest bound, rounded up.
-_PRETEST_MARGIN = 3e-11
-_THIN_COS = math.cos(_MIN_ANGLE) + _PRETEST_MARGIN
-_FAT_COS = math.cos(_MIN_ANGLE) - _PRETEST_MARGIN
+_MAX_COS = math.cos(_MIN_ANGLE)
 
 # Triangles drawn before the sampler gives up.  About one in four is
 # kept on the hyperbolic plane, so a working stream never comes close.
@@ -53,29 +50,16 @@ def _polar_draw(radius, rng: random.Random) -> tuple[float, float]:
     return rng.random() * 2.0 * math.pi, r
 
 
-def _angles_ok(tri: Triangle) -> bool:
-    angle = tri.geometry.model.angle
-    corners = (
-        (tri.a, tri.b, tri.c),
-        (tri.b, tri.c, tri.a),
-        (tri.c, tri.a, tri.b),
-    )
-    return all(angle(v, p, q) >= _MIN_ANGLE for v, p, q in corners)
-
-
 def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
     """Random nondegenerate triangle, rejection-sampled for fat corners.
 
     Each draw takes its three vertices in polar coordinates around the
-    base point and first runs the model's law of cosines on them
-    (``corner_cosines``), with no point built.  A corner thinner than
-    _MIN_ANGLE by more than _PRETEST_MARGIN (in cosine) rejects the draw
-    at once; when every corner is fatter by that margin, the exact angle
-    test is skipped.  Inside the margin, or when the pre-test is
-    undefined (coincident vertices), the exact ``angle`` test decides.
-    The margin bounds the gap between the two cosines, so every draw is
-    kept or rejected exactly as the exact test alone would decide.  Kept
-    draws are still built as a validated Triangle and pass the side floor.
+    base point and runs the model's law of cosines on them
+    (``corner_cosines``), with no point built.  The draw is kept only
+    when no side vanishes and every corner's cosine is at most
+    cos(_MIN_ANGLE); otherwise it is rejected at once.  A kept draw is
+    then built as a validated Triangle, and redrawn when that fails or a
+    side is shorter than _MIN_SIDE.
 
     Raises InfeasibleGeometryError after MAX_TRIANGLE_ATTEMPTS rejected
     draws; errors other than GeometryError propagate at once.
@@ -86,21 +70,14 @@ def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
         polar = [_polar_draw(radius, rng), _polar_draw(radius, rng),
                  _polar_draw(radius, rng)]
         cosines = model.corner_cosines(polar)
-        exact = True
-        if cosines is not None:
-            thinnest = max(cosines)
-            if thinnest > _THIN_COS:
-                continue
-            exact = thinnest >= _FAT_COS
+        if cosines is None or max(cosines) > _MAX_COS:
+            continue
         try:
             tri = Triangle(geometry, *(model.polar(t, r) for t, r in polar))
         except GeometryError:
             continue
-        if min(tri.side_lengths()) < _MIN_SIDE:
-            continue
-        if exact and not _angles_ok(tri):
-            continue
-        return tri
+        if min(tri.side_lengths()) >= _MIN_SIDE:
+            return tri
     raise InfeasibleGeometryError(
         f"no acceptable {geometry.value} triangle in {MAX_TRIANGLE_ATTEMPTS} attempts"
     )
