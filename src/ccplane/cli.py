@@ -1,9 +1,12 @@
 """Command-line front end: campaigns, constructions, loci, figures.
 
-Exit codes: 0 success, 1 infeasible input, failed verification or an
-output path that cannot be written, 2 usage error.  Identical flags
-produce byte-identical JSON, and a command that fails prints none:
-output files are written before anything goes to stdout.
+Exit codes: 0 success, 1 infeasible input, failed verification, a
+measured residual above its gate (``lexell``'s area spread,
+``construct``'s round trip) or an output path that cannot be written,
+2 usage error.  Identical flags produce byte-identical JSON.  A
+command whose residual is above its gate still writes its record and
+figure; any other failure prints none, since output files are written
+before anything goes to stdout.
 
 Each command is a short process that compiles what it imports, so each
 handler imports the layers it runs: only ``ccplane verify`` loads the
@@ -24,7 +27,7 @@ import math
 import sys
 
 from . import kernel as k
-from .constants import THEOREMS, TOL_AREA, UNITS
+from .constants import THEOREMS, TOL_AREA, TOL_CONSTRUCT, UNITS
 from .errors import DomainError, GeometryError
 from .kernel import Geometry
 
@@ -216,7 +219,9 @@ def _cmd_construct(args, parser) -> int:
         **UNITS,
     }
     _report(record, args, lambda render: render.scene_for_frame(frame))
-    return 0
+    # Each round-trip residual is the construction's measured check; the
+    # record and figure are written either way.
+    return 0 if length_residual <= TOL_CONSTRUCT and angle_residual <= TOL_CONSTRUCT else 1
 
 
 def _axis_angles(axis) -> tuple[float, float]:

@@ -45,7 +45,11 @@ written.  A locus's
 axis frame is built once: the mirror, and the axis curve a figure
 labels, take the carrier's axis foot and tangent (``at_offset``), and
 ``hypercycle_points_and_mirror`` evaluates the carrier and its mirror
-over shared positions in one pass.  Points come back as plain
+over shared positions in one pass.  Each curve also caches one standard
+sample set, ``Hypercycle.samples`` (HYPERCYCLE_SEGMENTS + 1 points over
+the sample range, evaluated on first read): the foliation's leaf scan
+and the leaf's polyline read the same points, so a drawn foliation
+evaluates each leaf once.  Points come back as plain
 3-vectors, each passed through HPoint's sheet check (``k.on_sheet``):
 the locus probe, the foliation's leaf scan and the render polylines
 read only coordinates, so they build no HPoint, and the probe's
@@ -84,6 +88,10 @@ MAX_APEX_HEIGHT = 40.0
 # Parameter range for sampling points along a hypercycle.
 SAMPLE_RANGE = 3.0
 
+# Segments of a hypercycle's standard sample set, ``Hypercycle.samples``:
+# a figure's polyline and the foliation's leaf scan both read it.
+HYPERCYCLE_SEGMENTS = 64
+
 # The longest half-base: a base is a side, at most MAX_HYPERBOLIC_SIDE
 # long.  It bounds ``BaseConfig`` and the apex-area supremum and its
 # inverse (``max_apex_area``, ``_invert_apex_area``) alike.
@@ -106,8 +114,9 @@ class Hypercycle(Record):
     """Points at constant signed distance ``offset`` from ``axis``, a
     line covector of the hyperbolic model (``PlaneModel.line``)."""
 
-    # ``__dict__`` holds the cached ``_axis_frame``; a curve made by
-    # ``at_offset`` holds it from the start, on its source's axis frame.
+    # ``__dict__`` holds the cached ``_axis_frame`` and ``samples``; a
+    # curve made by ``at_offset`` holds its frame from the start, on its
+    # source's axis frame, and builds its own samples.
     __slots__ = ("axis", "offset", "__dict__")
 
     def __post_init__(self) -> None:
@@ -124,6 +133,13 @@ class Hypercycle(Record):
         g0 = _MODEL.foot(k.ORIGIN, self.axis).v
         l0, l1, l2 = self.axis
         return self._offset_frame(g0, vec.mcross(g0, (-l0, l1, l2)))
+
+    @cached_property
+    def samples(self) -> tuple[Vec3, ...]:
+        """The curve's standard sample set: HYPERCYCLE_SEGMENTS + 1 checked
+        vectors at the ``sample_positions``, from one ``hypercycle_samples``
+        pass on first read."""
+        return tuple(hypercycle_samples(self, HYPERCYCLE_SEGMENTS + 1))
 
     def _offset_frame(self, g0: Vec3, u0: Vec3) -> tuple[Vec3, Vec3, float, float, float]:
         co = math.cosh(self.offset)
@@ -505,7 +521,8 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     the base line by more than BASE_LINE_TOL, which ``lexell_locus``
     requires.  Each leaf's measured area must meet its target within
     TOL_AREA.  Leaves come back sorted by area with strictly growing
-    offsets, and sampled points of one leaf never lie on another.
+    offsets, and no point of a leaf's standard sample set
+    (``Hypercycle.samples``, which its figure draws) lies on another leaf.
     """
     x = base.half_distance
     limit = max_apex_area(x)
@@ -543,7 +560,7 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
     curves = [(leaf.carrier.axis, leaf.carrier._axis_frame[3]) for leaf in leaves]
     for i, leaf in enumerate(leaves):
         others = curves[:i] + curves[i + 1:]
-        for z0, z1, z2 in hypercycle_samples(leaf.carrier, 50):
+        for z0, z1, z2 in leaf.carrier.samples:
             for (l0, l1, l2), so in others:
                 if abs(z0 * l0 + z1 * l1 + z2 * l2 - so) <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")

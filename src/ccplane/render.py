@@ -4,13 +4,17 @@ Everything here works in conformal disk coordinates.  Geodesics become
 circular arcs meeting the unit circle at right angles (or straight
 chords through the center); hypercycles are drawn as sampled polylines
 since they meet the boundary obliquely and no single circular arc
-shared with the validation rule applies.
+shared with the validation rule applies.  A hypercycle's polyline runs
+through the curve's own standard sample set, ``Hypercycle.samples``;
+``lexell`` alone fixes its size (``HYPERCYCLE_SEGMENTS``), and a locus
+figure's carrier and mirror take that count from there.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 
 from . import kernel as k
 from .errors import DomainError, GeometryError, OutOfModelError
@@ -29,7 +33,6 @@ _DISK_SLACK = 1e-9
 _ORTHO_TOL = 1e-6
 # Rounding of |c|^2 - r^2 - 1 stays below this times (1 + r^2).
 _ORTHO_NOISE = 8.0 * sys.float_info.epsilon
-HYPERCYCLE_SEGMENTS = 64
 
 XY = tuple[float, float]
 
@@ -112,13 +115,12 @@ def arc_for_segment(p: HPoint, q: HPoint, style: str = "side") -> SceneArc | Sce
 
 
 def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePolyline:
-    """Hypercycle sampled at evenly spaced axis arclengths; see ``_polyline``."""
-    from .lexell import hypercycle_samples
+    """Hypercycle through its cached standard sample set, ``hc.samples``
+    (evenly spaced axis arclengths); see ``_polyline``."""
+    return _polyline(hc.samples, style)
 
-    return _polyline(hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1), style)
 
-
-def _polyline(vectors: list[Vec3], style: str) -> ScenePolyline:
+def _polyline(vectors: Sequence[Vec3], style: str) -> ScenePolyline:
     """Polyline through hyperboloid vectors already through HPoint's sheet
     check: each goes to disk coordinates as ``disk_xy`` takes a point
     there, under DiskPoint's check that it lies inside the open unit disk."""
@@ -183,6 +185,7 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     pass over their shared positions (``hypercycle_points_and_mirror``).
     """
     from .lexell import (
+        HYPERCYCLE_SEGMENTS,
         SAMPLE_RANGE,
         hypercycle_point,
         hypercycle_points_and_mirror,

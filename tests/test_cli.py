@@ -16,7 +16,7 @@ import ccplane
 from ccplane import lexell, render
 from ccplane.cevians import cevian_frame, equilateral_triangle
 from ccplane.cli import main
-from ccplane.constants import TOL_AREA
+from ccplane.constants import TOL_AREA, TOL_CONSTRUCT
 from ccplane.errors import GeometryError
 from ccplane.kernel import Geometry
 from ccplane.lexell import LocusResiduals, _right_area
@@ -154,6 +154,25 @@ class TestConstructCommand:
         assert out.returncode == 0
         root = ET.fromstring(path.read_text())
         assert root.tag.endswith("svg")
+
+    def test_round_trip_over_the_gate_exits_one(self, monkeypatch, capsys, tmp_path):
+        # Vertex A laid off a relative 1e-7 too far out rebuilds a frame
+        # whose AO misses its length by 5.7e-8, inside the 1e-6
+        # containment gate: the record and the figure are still written,
+        # and the command exits 1.
+        model = Geometry.HYPERBOLIC.model
+        polar = model.polar
+
+        def stretched(theta, r):
+            return polar(theta, r * (1.0 + 1e-7) if theta == 0.0 else r)
+
+        monkeypatch.setattr(model, "polar", stretched)
+        svg = tmp_path / "frame.svg"
+        assert main([*_CONSTRUCT, "--svg", str(svg)]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert TOL_CONSTRUCT < rec["roundtrip_length_residual"] < 1e-7
+        assert rec["roundtrip_angle_residual"] <= TOL_CONSTRUCT
+        assert ET.fromstring(svg.read_text()).tag.endswith("svg")
 
 
 class TestLexellCommand:

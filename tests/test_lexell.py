@@ -298,6 +298,23 @@ class TestHypercycle:
             assert hypercycle_samples(hc, 7) == want
             assert feet == [axis]
 
+    def test_samples_are_the_standard_set_cached(self):
+        # ``samples`` is evaluated once per curve and equals, bit for bit,
+        # the standard set built afresh; a curve made by ``at_offset``
+        # takes its source's frame but never its samples.
+        rng = random.Random(32)
+        for _ in range(50):
+            p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 3.0))
+            axis = HYP.line(p, HYP.polar(rng.uniform(0.0, 2.0 * math.pi), 1.0))
+            hc = Hypercycle(axis, rng.uniform(-5.0, 5.0))
+            want = hypercycle_samples(hc, lexell.HYPERCYCLE_SEGMENTS + 1)
+            assert repr(hc.samples) == repr(tuple(want))
+            assert hc.samples is hc.samples
+            other = hc.at_offset(rng.uniform(-5.0, 5.0))
+            assert "samples" not in other.__dict__
+            fresh = Hypercycle(other.axis, other.offset)
+            assert repr(other.samples) == repr(fresh.samples)
+
     def test_nonfinite_offset_rejected(self):
         axis = (0.0, 0.0, 1.0)
         for offset in (math.nan, math.inf, -math.inf):
@@ -787,7 +804,7 @@ class TestOnePassRoutes:
             "foliation": lambda: foliation(locus.base, [0.25 * limit, 0.5 * limit]),
             "polyline": lambda: render.polyline_for_hypercycle(locus.carrier),
             "polyline pair": lambda: hypercycle_points_and_mirror(
-                locus.carrier, sample_positions(render.HYPERCYCLE_SEGMENTS + 1)
+                locus.carrier, sample_positions(lexell.HYPERCYCLE_SEGMENTS + 1)
             ),
         }[probe]
         with pytest.raises(InvalidPointError, match=f"^{_OFF_SHEET}") as raised:
@@ -1037,6 +1054,40 @@ class TestFoliation:
         monkeypatch.setattr(lexell, "_invert_apex_area", lambda x, t: invert(x, t) + 1e-3)
         with pytest.raises(GeometryError, match=r"leaf for target area 0\.5 measures area 0\.50"):
             foliation(BaseConfig.from_half_distance(0.8), [0.5])
+
+    def test_a_drawn_foliation_evaluates_each_leaf_once(self, monkeypatch):
+        # The leaf scan and the figure read each carrier's cached sample
+        # set, so the curve loop runs once per leaf, not once for the scan
+        # and once more for the polyline.
+        calls = []
+        curve_points = lexell._curve_points
+
+        def counted(hc, positions, mirrored):
+            calls.append(hc)
+            return curve_points(hc, positions, mirrored)
+
+        monkeypatch.setattr(lexell, "_curve_points", counted)
+        base = BaseConfig.from_half_distance(0.8)
+        leaves = foliation(base, [0.3, 0.8, 1.2])
+        scene = render.scene_for_foliation(base, tuple(leaves))
+        assert calls == [leaf.carrier for leaf in leaves]
+        for leaf, polyline in zip(leaves, scene.polylines):
+            assert polyline == render.polyline_for_hypercycle(leaf.carrier)
+
+    @pytest.mark.parametrize("x", [0.05, 0.3, 0.8, 1.5, 3.0, 4.5, 5.0])
+    def test_dense_leaf_scan_accepts_leaves_up_to_the_supremum(self, x):
+        # The leaf scan reads each leaf's 65-point standard sample set;
+        # it must accept every foliation a 50-point scan accepted, up to
+        # targets 1e-13 short of the supremum, where a carrier's offset
+        # exceeds fifteen.
+        base = BaseConfig.from_half_distance(x)
+        limit = max_apex_area(x)
+        fractions = [1e-3, 0.01, 0.1, 0.3, 0.5, 0.7] + [1.0 - 10.0**-j for j in range(1, 14)]
+        targets = [f * limit for f in fractions]
+        leaves = foliation(base, targets)
+        assert len(leaves) == len(targets)
+        for leaf, target in zip(leaves, targets):
+            assert abs(leaf.area - target) <= TOL_AREA
 
     def test_unreachable_area_rejected(self):
         base = BaseConfig.from_half_distance(0.8)

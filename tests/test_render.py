@@ -11,6 +11,7 @@ from ccplane import render
 from ccplane.errors import DomainError, GeometryError, OutOfModelError
 from ccplane.kernel import Geometry, HPoint
 from ccplane.lexell import (
+    HYPERCYCLE_SEGMENTS,
     BaseConfig,
     Hypercycle,
     foliation,
@@ -118,7 +119,7 @@ class TestHypercyclePolyline:
     def test_sample_count_and_containment(self):
         hc = Hypercycle((0.0, 0.0, 1.0), 0.6)
         pl = polyline_for_hypercycle(hc)
-        assert len(pl.points) == render.HYPERCYCLE_SEGMENTS + 1
+        assert len(pl.points) == HYPERCYCLE_SEGMENTS + 1
         for x, y in pl.points:
             assert x * x + y * y < 1.0
 
@@ -129,7 +130,7 @@ class TestHypercyclePolyline:
             hc = Hypercycle(g, rng.uniform(-4.0, 4.0))
             want = [
                 disk_xy(HPoint(z))
-                for z in hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)
+                for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1)
             ]
             assert polyline_for_hypercycle(hc).points == tuple(want)
 
@@ -138,7 +139,7 @@ class TestHypercyclePolyline:
         # circle; the polyline refuses it as DiskPoint does.
         hc = Hypercycle((0.0, 0.0, 1.0), 40.0)
         with pytest.raises(OutOfModelError):
-            disk_xy(HPoint(hypercycle_samples(hc, render.HYPERCYCLE_SEGMENTS + 1)[0]))
+            disk_xy(HPoint(hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1)[0]))
         with pytest.raises(OutOfModelError, match="outside the open unit disk"):
             polyline_for_hypercycle(hc)
 
