@@ -16,8 +16,9 @@ is checked along two independent routes.  The ``verify`` campaigns
 measure the frame directly in the model: the sides and cevians are line
 covectors of the plane model, the feet are their meets, the angles p, q
 and r at O are measured between the cevian lines (``line_angle``), and
-the inside test reads the signs of ``side_value``, by one formula on all
-three planes.  The second route is a test oracle, also on all three
+the inside test compares the sign of o's ``side_value`` on each side
+line with the triangle's orientation, by one formula on all three
+planes.  The second route is a test oracle, also on all three
 planes: a central projection onto the tangent plane at O maps the frame
 to a euclidean one with the same ratios.
 
@@ -51,7 +52,7 @@ def stretch_ratio(geometry: Geometry, numerator: float, denominator: float) -> f
 class Triangle(Record):
     """Nondegenerate triangle with vertices a, b, c in one geometry."""
 
-    __slots__ = ("geometry", "a", "b", "c", "_sides", "_lines")
+    __slots__ = ("geometry", "a", "b", "c", "_sides", "_lines", "_orientation")
 
     def __post_init__(self) -> None:
         model = self.geometry.model
@@ -73,7 +74,14 @@ class Triangle(Record):
         # ceva_product read these same lines.
         lines = (model.line(b, c), model.line(c, a), model.line(a, b))
         object.__setattr__(self, "_lines", lines)
-        if model.line_residual(lines[2], c) <= 1e-12:
+        # The orientation: c's side value on line ab.  Each vertex's side
+        # value on its opposite line is det(A, B, C) over that line's
+        # positive norm, so all three share this sign; the collinearity
+        # floor holds this one away from zero, and the inside test of
+        # cevian_frame reads it in place of the other two.
+        orientation = model.side_value(lines[2], c)
+        object.__setattr__(self, "_orientation", orientation)
+        if abs(orientation) <= 1e-12:
             raise DegenerateInputError("collinear vertices")
 
     def side_lengths(self) -> tuple[float, float, float]:
@@ -130,13 +138,16 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     model = geometry.model
     a, b, c = tri.a, tri.b, tri.c
     bc, ca, ab = tri._lines
-    # Both tests are written as ``not x > y`` so that a NaN point fails
-    # the first one here rather than some later check.
-    for line, opposite in ((bc, a), (ca, b), (ab, c)):
+    orientation = tri._orientation
+    # o is inside when its side value on each side line has the sign of
+    # the triangle's orientation.  Both tests are written as ``not x > y``
+    # so that a NaN point fails the first one here rather than some later
+    # check.
+    for line in tri._lines:
         s_o = model.side_value(line, o)
         if not abs(s_o) > 1e-12:
             raise DegenerateInputError("interior point lies on a side or vertex, or is not finite")
-        if not s_o * model.side_value(line, opposite) > 0.0:
+        if not s_o * orientation > 0.0:
             raise DomainError("point outside the triangle is out of scope")
     la, lb, lc = model.line(a, o), model.line(b, o), model.line(c, o)
     d = model.meet(la, bc, b, c)

@@ -223,11 +223,6 @@ def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> lis
     return pts
 
 
-def hypercycle_point(hc: Hypercycle, s: float) -> HPoint:
-    """Point over the axis position s, as an HPoint; see ``hypercycle_points``."""
-    return HPoint(hypercycle_points(hc, (s,))[0])
-
-
 def sample_positions(n: int) -> list[float]:
     """n evenly spaced axis positions from -SAMPLE_RANGE to SAMPLE_RANGE."""
     if n < 2:

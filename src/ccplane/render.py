@@ -120,10 +120,11 @@ def polyline_for_hypercycle(hc: Hypercycle, style: str = "carrier") -> ScenePoly
     return _polyline(hc.samples, style)
 
 
-def _polyline(vectors: Sequence[Vec3], style: str) -> ScenePolyline:
-    """Polyline through hyperboloid vectors already through HPoint's sheet
-    check: each goes to disk coordinates as ``disk_xy`` takes a point
-    there, under DiskPoint's check that it lies inside the open unit disk."""
+def _disk_points(vectors: Sequence[Vec3]) -> list[XY]:
+    """Disk coordinates of hyperboloid vectors already through HPoint's
+    sheet check: each goes there as ``disk_xy`` takes a point, under
+    DiskPoint's check that it lies inside the open unit disk, and builds
+    neither point."""
     pts = []
     for v0, v1, v2 in vectors:
         f = 1.0 / (1.0 + v0)
@@ -131,7 +132,12 @@ def _polyline(vectors: Sequence[Vec3], style: str) -> ScenePolyline:
         if not (u * u + w * w < 1.0):
             raise OutOfModelError(f"outside the open unit disk: ({u}, {w})")
         pts.append((u, w))
-    return ScenePolyline(tuple(pts), style=style)
+    return pts
+
+
+def _polyline(vectors: Sequence[Vec3], style: str) -> ScenePolyline:
+    """Polyline through checked hyperboloid vectors; see ``_disk_points``."""
+    return ScenePolyline(tuple(_disk_points(vectors)), style=style)
 
 
 def _point(p: HPoint, label: str) -> ScenePoint:
@@ -171,8 +177,8 @@ def scene_for_frame(frame: CevianFrame) -> RenderScene:
     )
 
 
-def _curve_label(p: HPoint, label: str) -> ScenePoint:
-    x, y = disk_xy(p)
+def _curve_label(v: Vec3, label: str) -> ScenePoint:
+    ((x, y),) = _disk_points((v,))
     return ScenePoint(x, y, label, style="curve")
 
 
@@ -183,11 +189,13 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     apex rides on C′, and the equidistant axis geodesic G.  G is drawn
     on the carrier's axis frame, and the two polylines come from one
     pass over their shared positions (``hypercycle_points_and_mirror``).
+    Each label is one checked curve vector taken to the disk as the
+    polylines' vertices are.
     """
     from .lexell import (
         HYPERCYCLE_SEGMENTS,
         SAMPLE_RANGE,
-        hypercycle_point,
+        hypercycle_points,
         hypercycle_points_and_mirror,
         sample_positions,
     )
@@ -195,13 +203,13 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     base_line = arc_for_geodesic(locus.base.base_line(), style="base")
     axis = arc_for_geodesic(locus.carrier.axis, style="axis")
     elements = (base_line, axis)
-    label_s = 0.85 * SAMPLE_RANGE
+    label_at = (0.85 * SAMPLE_RANGE,)
     a, b, p = _point(locus.base.a, "A"), _point(locus.base.b, "B"), _point(apex, "P")
     points = (
         a, b, p,
-        _curve_label(hypercycle_point(locus.mirror, label_s), "C"),
-        _curve_label(hypercycle_point(locus.carrier, label_s), "C′"),
-        _curve_label(hypercycle_point(locus.carrier.at_offset(0.0), label_s), "G"),
+        _curve_label(hypercycle_points(locus.mirror, label_at)[0], "C"),
+        _curve_label(hypercycle_points(locus.carrier, label_at)[0], "C′"),
+        _curve_label(hypercycle_points(locus.carrier.at_offset(0.0), label_at)[0], "G"),
     )
     carrier, mirror = hypercycle_points_and_mirror(
         locus.carrier, sample_positions(HYPERCYCLE_SEGMENTS + 1)

@@ -72,8 +72,10 @@ def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
         cosines = model.corner_cosines(polar)
         if cosines is None or max(cosines) > _MAX_COS:
             continue
+        (t0, r0), (t1, r1), (t2, r2) = polar
         try:
-            tri = Triangle(geometry, *(model.polar(t, r) for t, r in polar))
+            tri = Triangle(geometry, model.polar(t0, r0), model.polar(t1, r1),
+                           model.polar(t2, r2))
         except GeometryError:
             continue
         if min(tri.side_lengths()) >= _MIN_SIDE:
@@ -92,9 +94,13 @@ def sample_interior_point(tri: Triangle, rng: random.Random):
     inside the triangle on every plane.  Weights are bounded away from
     zero to keep the point off the sides.
     """
-    w = [0.1 + 0.9 * rng.random() for _ in range(3)]
-    s = sum(w)
-    w0, w1, w2 = w[0] / s, w[1] / s, w[2] / s
+    w0 = 0.1 + 0.9 * rng.random()
+    w1 = 0.1 + 0.9 * rng.random()
+    w2 = 0.1 + 0.9 * rng.random()
+    # Left to right, as CPython 3.11's ``sum`` adds floats: the reference
+    # streams and the goldens were written that way.
+    s = w0 + w1 + w2
+    w0, w1, w2 = w0 / s, w1 / s, w2 / s
     model = tri.geometry.model
     a0, a1, a2 = model.lift(tri.a)
     b0, b1, b2 = model.lift(tri.b)

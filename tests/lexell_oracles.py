@@ -8,13 +8,17 @@ and the area of a triangle whose base vertices sit far out on the base
 line in place of the ideal ones.  The tests hold the closed forms and
 the measured deficit to these.  Inputs are not checked: each caller
 draws them inside the forms' domains.
+
+``hypercycle_point`` is the one-point form of ``hypercycle_points`` as an
+HPoint, which the tests use to place single curve points; no command
+builds one.
 """
 
 import math
 
 from ccplane import corevec as vec
 from ccplane.kernel import Geometry, HPoint
-from ccplane.lexell import _deficit
+from ccplane.lexell import _deficit, hypercycle_points
 
 HYP = Geometry.HYPERBOLIC.model
 
@@ -61,3 +65,8 @@ def truncated_ideal_area(c, truncation=15.0):
     va = HYP.polar(0.0, truncation)
     vb = HYP.polar(0.0, -truncation)
     return _deficit(HYP.polar(math.pi / 2.0, c), va, vb)
+
+
+def hypercycle_point(hc, s):
+    """Point over the axis position s, as an HPoint; see ``hypercycle_points``."""
+    return HPoint(hypercycle_points(hc, (s,))[0])

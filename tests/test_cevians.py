@@ -45,7 +45,7 @@ from ccplane.sampling import (
 from ccplane.trig import build_right_triangle, menelaus_ratio
 from angle_oracles import point_route_angles
 from cevian_oracles import projection_oracle
-from hyperboloid_oracles import direction, point_along, reflect_across
+from hyperboloid_oracles import direction, point_along
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
@@ -165,6 +165,18 @@ class TestSideLines:
         ceva_product(fr.tri, fr.d, fr.e, fr.f)
         assert (len(triangles), len(lines)) == (1, 9)
 
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_frame_reads_three_side_values(self, geometry, monkeypatch):
+        # o's value on each side line; the vertices' side is the orientation
+        # the triangle measured as it was built.
+        frames = [sample_frame(geometry, substream("side-values", i, 0)) for i in range(4)]
+        calls = []
+        monkeypatch.setattr(kernel.PlaneModel, "side_value",
+                            _counting(calls, kernel.PlaneModel.side_value))
+        for fr in frames:
+            assert cevian_frame(fr.tri, fr.o) == fr
+        assert len(calls) == 3 * len(frames)
+
     def test_nan_foot_fails_the_ceva_checks(self):
         tri = sample_triangle(EUC, substream("nan-foot", 1, 0))
         fr = cevian_frame(tri, sample_interior_point(tri, substream("nan-foot", 1, 1)))
@@ -225,10 +237,27 @@ class TestCevianFrame:
         with pytest.raises(DegenerateInputError):
             cevian_frame(tri, fr.d)
 
-    def test_exterior_point_rejected(self):
-        tri = fixture_triangle()
-        outside = reflect_across(HYP.model.line(tri.b, tri.c), tri.a)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("side", range(3))
+    @pytest.mark.parametrize("order", ["abc", "acb"])
+    @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
+    def test_exterior_point_rejected(self, geometry, order, side):
+        # Weights (1, 1, -0.2), the negative one on the vertex facing
+        # ``side``, put the point just across that side line and inside
+        # the other two, so only that side's test can reject it.  The two
+        # vertex orders give triangles of opposite orientation.
+        model = geometry.model
+        drawn = sample_triangle(geometry, substream("exterior", 0, 0))
+        a, b, c = (drawn.a, drawn.b, drawn.c) if order == "abc" else (drawn.a, drawn.c, drawn.b)
+        tri = Triangle(geometry, a, b, c)
+        lifted = [model.lift(v) for v in (a, b, c)]
+        weights = [1.0, 1.0, 1.0]
+        weights[side] = -0.2
+        outside = model.project(tuple(
+            sum(w * v[i] for w, v in zip(weights, lifted)) for i in range(3)))
+        inside = model.project(tuple(
+            sum(abs(w) * v[i] for w, v in zip(weights, lifted)) for i in range(3)))
+        cevian_frame(tri, inside)
+        with pytest.raises(DomainError, match="outside the triangle"):
             cevian_frame(tri, outside)
 
     def test_nan_angle_fails_the_close_up_gate(self):

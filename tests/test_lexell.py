@@ -34,7 +34,6 @@ from ccplane.lexell import (
     Hypercycle,
     equal_subarc_check,
     foliation,
-    hypercycle_point,
     hypercycle_points_and_mirror,
     hypercycle_points,
     hypercycle_residual,
@@ -61,6 +60,7 @@ from lexell_oracles import (
     apex_triangle,
     area_profile,
     cosh_c_from_angles,
+    hypercycle_point,
     sinh_c_from_angles,
     truncated_ideal_area,
 )

@@ -1,6 +1,8 @@
 """Verification campaigns: support map, determinism, JSON shape."""
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,34 @@ class TestCampaigns:
             assert measure(*figure) == residuals[-1]
         rep = run_verification(theorem, geometry, trials, seed)
         assert max(residuals) == rep.max_residual
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    @pytest.mark.parametrize("theorem", ["euler-ratio", "ceva", "pqr"])
+    def test_a_frame_trial_enters_no_generator_or_comprehension(self, theorem, geometry):
+        # A generator's frame is entered once per item it yields, and a
+        # comprehension is a function call of its own: on a per-trial path
+        # both cost more than the statements they stand for.  One trial is
+        # the campaign's draw, then its measure, under a profile hook.
+        src = str(Path(cevians.__file__).parent)
+        kinds = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+        entered = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name in kinds
+                    and code.co_filename.startswith(src)):
+                entered.append(f"{Path(code.co_filename).name}:{code.co_firstlineno} "
+                               f"{code.co_name}")
+
+        draw, measure = verify._CAMPAIGNS[theorem]()
+        rng = substream(f"verify-{theorem}-{geometry.value}", 0, 0)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            measure(*draw(geometry, rng))
+        finally:
+            sys.setprofile(previous)
+        assert entered == []
 
     def test_same_seed_reproduces_exactly(self):
         a = run_verification("euler-ratio", HYP, trials=30, seed=11)
