@@ -47,11 +47,16 @@ def mnormalize_point(v):
 
     The form is ``minner(v, v)`` written out on unpacked coordinates,
     the same operations in the same order, so the result is bit for bit
-    that of the composed call at a fraction of its cost.
+    that of the composed call at a fraction of its cost.  The band is one
+    comparison chain, -band <= q - 1 <= band, which is |q - 1| <= band
+    with no call: both are false for a NaN.
     """
     v0, v1, v2 = v
-    q = -(-v0 * v0 + v1 * v1 + v2 * v2)
-    if abs(q - 1.0) <= _FORM_NOISE * (1.0 + v0 * v0):
+    # n = -v0^2 is the form's first term, and 1 - n is 1 + v0^2 exactly.
+    n = -v0 * v0
+    q = -(n + v1 * v1 + v2 * v2)
+    band = _FORM_NOISE * (1.0 - n)
+    if -band <= q - 1.0 <= band:
         if v0 < 0.0:
             return (-v0, -v1, -v2)
         return (v0, v1, v2)

@@ -91,6 +91,9 @@ Vec3 = tuple[float, float, float]
 _CROSS_EPS = 1e-10
 _CROSS_EPS_SQUARED = _CROSS_EPS * _CROSS_EPS
 
+# The sheet band's ceiling: a module name reads faster than ``math.inf``.
+_INF = math.inf
+
 
 class Record:
     """Immutable value whose fields are the public names in ``__slots__``.
@@ -191,16 +194,20 @@ def on_sheet(v: Vec3) -> Vec3:
 
     HPoint's check, and the one place its band is written: code that
     reads a point only as its coordinates checks them here without
-    building an HPoint.  Anything else raises InvalidPointError.
+    building an HPoint.  Anything else raises InvalidPointError.  The
+    band is one comparison chain, -band <= q + 1 <= band < inf, which
+    is |q + 1| <= band < inf with no call: both are false for a NaN.
     """
     # The quadratic form carries rounding noise of order eps * v0^2,
     # so the acceptance band must widen with the point's height.  Once
     # v0^2 overflows the band is infinite and would accept anything,
     # infinite coordinates included, so it must also be finite.
+    # n = -v0^2 is the form's first term, and 1 - n is 1 + v0^2 exactly.
     v0, v1, v2 = v
-    q = -v0 * v0 + v1 * v1 + v2 * v2
-    band = TOL_POINT * (1.0 + v0 * v0)
-    if not (abs(q + 1.0) <= band < math.inf) or v0 <= 0.0:
+    n = -v0 * v0
+    q = n + v1 * v1 + v2 * v2
+    band = TOL_POINT * (1.0 - n)
+    if not (-band <= q + 1.0 <= band < _INF) or v0 <= 0.0:
         raise InvalidPointError(f"not on the upper hyperboloid sheet: {v}")
     return v
 
@@ -251,10 +258,12 @@ def hdist(p: Vec3, q: Vec3) -> float:
     """
     p0, p1, p2 = p
     q0, q1, q2 = q
-    m = -(-p0 * q0 + p1 * q1 + p2 * q2)
+    t = -p0 * q0
+    m = -(t + p1 * q1 + p2 * q2)
     # The inner product of two far points carries rounding noise of
-    # order eps * p0 * q0, so the invariant clamp widens with height.
-    if m < 1.0 - TOL_CLAMP * (1.0 + p0 * q0):
+    # order eps * p0 * q0, so the invariant clamp widens with height;
+    # 1 - t is 1 + p0 * q0 exactly.
+    if m < 1.0 - TOL_CLAMP * (1.0 - t):
         raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
     if m < 1.5:
         d0, d1, d2 = p0 - q0, p1 - q1, p2 - q2

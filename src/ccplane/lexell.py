@@ -210,7 +210,7 @@ def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> lis
     pts = []
     append = pts.append
     for s in positions:
-        if not abs(s) <= reach:
+        if not -reach <= s <= reach:
             raise DomainError(f"axis position {s} puts the point beyond float range")
         ch = cosh(s)
         sh = sinh(s)
@@ -431,11 +431,12 @@ def locus_residuals(
     for z0, z1, z2 in pts:
         ma0, ma1, ma2 = check(normalize((z0 + a0, z1 + a1, z2 + a2)))
         mb0, mb1, mb2 = check(normalize((z0 + b0, z1 + b1, z2 + b2)))
-        midline = max(
-            midline,
-            abs(ma0 * l0 + ma1 * l1 + ma2 * l2),
-            abs(mb0 * l0 + mb1 * l1 + mb2 * l2),
-        )
+        d = abs(ma0 * l0 + ma1 * l1 + ma2 * l2)
+        if d > midline:
+            midline = d
+        d = abs(mb0 * l0 + mb1 * l1 + mb2 * l2)
+        if d > midline:
+            midline = d
     subarc = equal_subarc_check(locus, chords, seed=seed) if chords else 0.0
     return LocusResiduals(
         area_spread=max(areas) - min(areas),
@@ -485,7 +486,10 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
             raise DomainError("chord endpoints must straddle the axis")
         w1, w2 = abs(s2), abs(s1)
         x = check(normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2)))
-        worst = max(worst, abs(hdist(z1, x) - hdist(x, z2)))
+        d = abs(hdist(z1, x) - hdist(x, z2))
+        # The fold ``max`` makes: a NaN never replaces the worst so far.
+        if d > worst:
+            worst = d
     return worst
 
 
@@ -557,6 +561,6 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
         others = curves[:i] + curves[i + 1:]
         for z0, z1, z2 in leaf.carrier.samples:
             for (l0, l1, l2), so in others:
-                if abs(z0 * l0 + z1 * l1 + z2 * l2 - so) <= TOL_ID:
+                if -TOL_ID <= z0 * l0 + z1 * l1 + z2 * l2 - so <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")
     return leaves

@@ -160,13 +160,15 @@ class TestConstructCommand:
         # whose AO misses its length by 5.7e-8, inside the 1e-6
         # containment gate: the record and the figure are still written,
         # and the command exits 1.
-        model = Geometry.HYPERBOLIC.model
-        polar = model.polar
+        # Patched on the class: an instance attribute would outlive the
+        # undo and shadow later class-level patches.
+        cls = type(Geometry.HYPERBOLIC.model)
+        polar = cls.polar
 
-        def stretched(theta, r):
-            return polar(theta, r * (1.0 + 1e-7) if theta == 0.0 else r)
+        def stretched(self, theta, r):
+            return polar(self, theta, r * (1.0 + 1e-7) if theta == 0.0 else r)
 
-        monkeypatch.setattr(model, "polar", stretched)
+        monkeypatch.setattr(cls, "polar", stretched)
         svg = tmp_path / "frame.svg"
         assert main([*_CONSTRUCT, "--svg", str(svg)]) == 1
         rec = json.loads(capsys.readouterr().out)

@@ -4,6 +4,13 @@ import random
 import pytest
 
 from ccplane import corevec as vec
+from hyperboloid_oracles import (
+    BAND_EDGE_IDS,
+    EDGE_VECTORS,
+    band_edges,
+    outcome_bits,
+    vector_with_form,
+)
 
 
 def _random_hyperboloid(rng):
@@ -65,6 +72,31 @@ def test_mnormalize_point_matches_minner_form_bit_for_bit():
         assert repr(got) == repr(_normalize_reference(v))
         assert got[0] > 0.0
     assert len(cases) == 4 and min(cases.values()) > 200
+
+
+def _normalize_form(v):
+    # The value the sheet normalization holds within its band: q - 1.
+    v0, v1, v2 = v
+    return -(-v0 * v0 + v1 * v1 + v2 * v2) - 1.0
+
+
+@pytest.mark.parametrize("edge", range(6), ids=BAND_EDGE_IDS)
+@pytest.mark.parametrize("v0", [1e8, 1e12, -1e12])
+def test_mnormalize_point_band_edges_match_the_abs_form(v0, edge):
+    # q - 1 lands exactly on -band or band, or one ulp either side: v is
+    # returned untouched (or negated) inside the band and divided outside.
+    band = vec._FORM_NOISE * (1.0 + v0 * v0)
+    target = band_edges(band)[edge]
+    v = vector_with_form(v0, _normalize_form, target, -target - 1.0)
+    got = outcome_bits(vec.mnormalize_point, v)
+    assert got == outcome_bits(_normalize_reference, v)
+    untouched = outcome_bits(lambda: tuple(abs(v0) / v0 * c for c in v))
+    assert (got == untouched) == (abs(target) <= band)
+
+
+@pytest.mark.parametrize("v", EDGE_VECTORS, ids=repr)
+def test_mnormalize_point_edge_vectors_match_the_abs_form(v):
+    assert outcome_bits(vec.mnormalize_point, v) == outcome_bits(_normalize_reference, v)
 
 
 def test_mnormalize_point_rejects_spacelike():

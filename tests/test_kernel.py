@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ccplane import corevec as vec
 from ccplane import kernel as k
-from ccplane.constants import TOL_POINT
+from ccplane.constants import TOL_CLAMP, TOL_POINT
 from ccplane.errors import (
     DegenerateInputError,
     GeometryError,
@@ -18,12 +18,17 @@ from ccplane.errors import (
 from ccplane.lexell import _bisector_mirror
 from angle_oracles import POINT_ANGLE, hyperboloid_angle
 from hyperboloid_oracles import (
+    BAND_EDGE_IDS,
+    EDGE_VECTORS,
+    band_edges,
     direction,
+    outcome_bits,
     point_along,
     polar,
     reflect_across,
     tangent_basis,
     tangent_direction,
+    vector_with_form,
 )
 
 COSH1 = 1.5430806348152437
@@ -89,6 +94,89 @@ def test_on_sheet_is_the_hpoint_check(v, accepted):
     assert (verdict(k.on_sheet) is True) == accepted
     if accepted:
         assert k.on_sheet(v) is v
+
+
+def _on_sheet_reference(v):
+    # The sheet check in its abs form: the oracle for the comparison chain.
+    v0, v1, v2 = v
+    q = -v0 * v0 + v1 * v1 + v2 * v2
+    band = TOL_POINT * (1.0 + v0 * v0)
+    if not (abs(q + 1.0) <= band < math.inf) or v0 <= 0.0:
+        raise InvalidPointError(f"not on the upper hyperboloid sheet: {v}")
+    return v
+
+
+def _sheet_form(v):
+    # The value the sheet check holds within its band: q + 1.
+    v0, v1, v2 = v
+    return (-v0 * v0 + v1 * v1 + v2 * v2) + 1.0
+
+
+@pytest.mark.parametrize("edge", range(6), ids=BAND_EDGE_IDS)
+@pytest.mark.parametrize("v0", [1e6, 1e12])
+def test_on_sheet_band_edges_match_the_abs_form(v0, edge):
+    # q + 1 lands exactly on -band or band, or one ulp either side.
+    band = TOL_POINT * (1.0 + v0 * v0)
+    target = band_edges(band)[edge]
+    v = vector_with_form(v0, _sheet_form, target, target - 1.0)
+    got = outcome_bits(k.on_sheet, v)
+    assert got == outcome_bits(_on_sheet_reference, v)
+    # v is returned exactly when q + 1 is within the band.
+    assert (got == outcome_bits(lambda: v)) == (abs(target) <= band)
+
+
+@pytest.mark.parametrize("v", EDGE_VECTORS, ids=repr)
+def test_on_sheet_edge_vectors_match_the_abs_form(v):
+    assert outcome_bits(k.on_sheet, v) == outcome_bits(_on_sheet_reference, v)
+
+
+def _hdist_reference(p, q):
+    # hdist with the product p0 q0 written twice, as the form and the
+    # clamp each read it.
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    m = -(-p0 * q0 + p1 * q1 + p2 * q2)
+    if m < 1.0 - TOL_CLAMP * (1.0 + p0 * q0):
+        raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
+    if m < 1.5:
+        d0, d1, d2 = p0 - q0, p1 - q1, p2 - q2
+        c = -d0 * d0 + d1 * d1 + d2 * d2
+        if c <= 0.0:
+            return 0.0
+        return 2.0 * math.asinh(0.5 * math.sqrt(c))
+    return math.acosh(m)
+
+
+_FAR = polar(0.0, 30.0).v
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        pytest.param(k.ORIGIN.v, k.ORIGIN.v, id="coincident"),
+        pytest.param(k.ORIGIN.v, polar(0.4, 1e-9).v, id="chord-form"),
+        pytest.param(polar(1.0, 2.0).v, polar(-2.0, 3.0).v, id="acosh-form"),
+        pytest.param(_FAR, polar(math.pi, 30.0).v, id="far-apart"),
+        pytest.param(_FAR, _FAR, id="far-coincident"),
+        pytest.param(k.ORIGIN.v, (0.5, 0.0, 0.0), id="clamp-raises"),
+        pytest.param((-1.0, 0.0, 0.0), k.ORIGIN.v, id="opposite-sheets"),
+        pytest.param((math.nan, 0.0, 0.0), k.ORIGIN.v, id="nan-p0"),
+        pytest.param(k.ORIGIN.v, (-math.nan, 0.0, 0.0), id="nan-q0"),
+        pytest.param(k.ORIGIN.v, (math.inf, 1.0, 0.0), id="inf-q0"),
+        pytest.param((1e200, 0.0, 0.0), (1e200, 0.0, 0.0), id="product-overflows"),
+        pytest.param((-0.0, 0.0, 1.0), (0.0, 1.0, 0.0), id="signed-zeros"),
+    ],
+)
+def test_hdist_matches_the_two_product_form(p, q):
+    assert outcome_bits(k.hdist, p, q) == outcome_bits(_hdist_reference, p, q)
+
+
+def test_hdist_matches_the_two_product_form_on_random_pairs():
+    rng = random.Random(34)
+    for _ in range(500):
+        p = polar(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 25.0)).v
+        q = polar(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 25.0)).v
+        assert outcome_bits(k.hdist, p, q) == outcome_bits(_hdist_reference, p, q)
 
 
 def test_hdist_basic():

@@ -690,6 +690,23 @@ def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int)
     )
 
 
+def _builtin_calls(fn, *args) -> dict:
+    """How many times fn(*args) calls each builtin, keyed by the builtin."""
+    calls: dict = {}
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls[arg] = calls.get(arg, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 def _outcome(fn, *args):
     """fn(*args), or the class and message of the GeometryError it raises."""
     try:
@@ -765,6 +782,38 @@ class TestOnePassRoutes:
         assert len(hypercycle_points(lopsided, [0.0])) == 1
         with pytest.raises(InvalidPointError, match=r"0\.75\)$"):
             hypercycle_points_and_mirror(lopsided, [0.0])
+
+    @pytest.mark.parametrize("offset", [0.5, 300.0])
+    @pytest.mark.parametrize("where", ["-reach", "reach", "past -reach", "past reach", "nan"])
+    def test_reach_check_matches_the_abs_form(self, offset, where):
+        # The chain -reach <= s <= reach is |s| <= reach: both hold at the
+        # reach, where the point is built, and fail an ulp past it or on NaN.
+        hc = Hypercycle((0.0, 0.0, 1.0), offset)
+        reach = hc._axis_frame[4]
+        s = {
+            "-reach": -reach,
+            "reach": reach,
+            "past -reach": math.nextafter(-reach, -math.inf),
+            "past reach": math.nextafter(reach, math.inf),
+            "nan": math.nan,
+        }[where]
+        got = _outcome(hypercycle_points, hc, [s])
+        assert got == _outcome(lambda: [k.on_sheet(_reference_point(hc, s))])
+        assert isinstance(got, list) == (abs(s) <= reach)
+
+    def test_a_curve_pass_calls_no_abs(self):
+        # The reach check and the sheet check are comparison chains: per
+        # position, a builtin call would cost more than the comparisons.
+        locus = _seeded_locus(0)
+        calls = _builtin_calls(hypercycle_points_and_mirror, locus.carrier, sample_positions(65))
+        assert calls.get(abs, 0) == 0
+
+    def test_subarc_check_folds_its_maximum_inline(self):
+        # Per chord: the two weights |s2| and |s1| and the imbalance.
+        n = 12
+        calls = _builtin_calls(equal_subarc_check, _seeded_locus(0), n)
+        assert calls.get(max, 0) == 0
+        assert calls.get(abs, 0) <= 3 * n
 
     @pytest.mark.parametrize(
         "skew, probe",
