@@ -44,7 +44,8 @@ def stretch_ratio(geometry: Geometry, numerator: float, denominator: float) -> f
     if not (numerator > 0.0 and denominator > 0.0):
         raise DomainError("ratio lengths must be positive")
     model = geometry.model
-    if max(numerator, denominator) > model.side_limit:
+    # Both are positive, so this is max(numerator, denominator) > limit.
+    if numerator > model.side_limit or denominator > model.side_limit:
         raise DomainError(f"ratio lengths above the working range {model.side_limit}")
     return model.t_K(numerator) / model.t_K(denominator)
 

@@ -138,21 +138,8 @@ def scross(x, y):
     )
 
 
-def snormalize(v):
-    s = math.sqrt(sdot(v, v))
-    return (v[0] / s, v[1] / s, v[2] / s)
-
-
 def sdist(p, q):
     """Great-circle distance, stable at both ends of [0, pi]."""
     c = scross(p, q)
     return math.atan2(math.sqrt(sdot(c, c)), sdot(p, q))
 
-
-def sgeo_point(p, n, t):
-    """cos(t) p + sin(t) n, renormalized onto the sphere."""
-    ct = math.cos(t)
-    st = math.sin(t)
-    return snormalize(
-        (ct * p[0] + st * n[0], ct * p[1] + st * n[1], ct * p[2] + st * n[2])
-    )

@@ -460,7 +460,7 @@ class PlaneModel:
         return 2.0 * (s * s)
 
     def corner_cosines(
-        self, polar: list[tuple[float, float]]
+        self, polar: tuple[tuple[float, float], ...]
     ) -> tuple[float, float, float] | None:
         """Cosines of the corners at the three (theta, r) vertices, in order.
 

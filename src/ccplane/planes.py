@@ -15,7 +15,6 @@ import functools
 import math
 import operator
 
-from . import corevec as vec
 from .constants import MAX_SPHERICAL_SIDE
 from .errors import GeometryError
 from .kernel import NORTH_POLE, Geometry, PlaneModel, SpherePoint, Vec3
@@ -43,13 +42,19 @@ class SphereModel(PlaneModel):
         return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), p0 * q0 + p1 * q1 + p2 * q2)
 
     def polar(self, theta: float, r: float) -> SpherePoint:
-        # (cos theta, sin theta, 0) is unit to 2 ulps and exactly tangent
-        # at the pole, so it goes to the exponential map unchecked.
-        n = (math.cos(theta), math.sin(theta), 0.0)
-        return SpherePoint(vec.sgeo_point(NORTH_POLE.v, n, r))
+        # The exponential map at the pole p = (0, 0, 1): cos(r) p + sin(r) n
+        # toward n = (cos theta, sin theta, 0), unit to 2 ulps and exactly
+        # tangent there, then normalized.  Written out on those coordinates
+        # with the zero terms kept, as 0.0 + -0.0 is 0.0: dropping one
+        # would flip the sign of a zero coordinate.
+        c = math.cos(theta)
+        s = math.sin(theta)
+        ct = math.cos(r)
+        st = math.sin(r)
+        return self.project((ct * 0.0 + st * c, ct * 0.0 + st * s, ct * 1.0 + st * 0.0))
 
     def project(self, x: Vec3) -> SpherePoint:
-        # corevec.snormalize, written out.
+        # x / |x|, written out.
         x0, x1, x2 = x
         s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
         return SpherePoint((x0 / s, x1 / s, x2 / s))

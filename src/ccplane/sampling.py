@@ -45,40 +45,55 @@ _DISK_RADIUS = {
 }
 
 
-def _polar_draw(radius, rng: random.Random) -> tuple[float, float]:
-    r = radius(rng.random())
-    return rng.random() * 2.0 * math.pi, r
-
-
 def sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
     """Random nondegenerate triangle, rejection-sampled for fat corners.
 
     Each draw takes its three vertices in polar coordinates around the
-    base point and runs the model's law of cosines on them
-    (``corner_cosines``), with no point built.  The draw is kept only
-    when no side vanishes and every corner's cosine is at most
-    cos(_MIN_ANGLE); otherwise it is rejected at once.  A kept draw is
-    then built as a validated Triangle, and redrawn when that fails or a
-    side is shorter than _MIN_SIDE.
+    base point, each vertex as two uniforms from ``rng``: first u, which
+    gives the area-uniform distance r, then the heading theta.  It runs
+    the model's law of cosines on them (``corner_cosines``), with no
+    point built.  The draw is kept only when no side vanishes and every
+    corner's cosine is at most cos(_MIN_ANGLE); otherwise it is rejected
+    at once.  A kept draw is then built as a validated Triangle, and
+    redrawn when that fails or a side is shorter than _MIN_SIDE.
 
     Raises InfeasibleGeometryError after MAX_TRIANGLE_ATTEMPTS rejected
     draws; errors other than GeometryError propagate at once.
     """
     model = geometry.model
     radius = _DISK_RADIUS[geometry]
+    random = rng.random
     for _ in range(MAX_TRIANGLE_ATTEMPTS):
-        polar = [_polar_draw(radius, rng), _polar_draw(radius, rng),
-                 _polar_draw(radius, rng)]
-        cosines = model.corner_cosines(polar)
-        if cosines is None or max(cosines) > _MAX_COS:
+        r0 = radius(random())
+        t0 = random() * 2.0 * math.pi
+        r1 = radius(random())
+        t1 = random() * 2.0 * math.pi
+        r2 = radius(random())
+        t2 = random() * 2.0 * math.pi
+        cosines = model.corner_cosines(((t0, r0), (t1, r1), (t2, r2)))
+        if cosines is None:
             continue
-        (t0, r0), (t1, r1), (t2, r2) = polar
+        # max(cosines) > _MAX_COS by max's own rule, the first kept unless
+        # a later one compares greater, so a NaN decides as it does there.
+        c, c1, c2 = cosines
+        if c1 > c:
+            c = c1
+        if c2 > c:
+            c = c2
+        if c > _MAX_COS:
+            continue
         try:
             tri = Triangle(geometry, model.polar(t0, r0), model.polar(t1, r1),
                            model.polar(t2, r2))
         except GeometryError:
             continue
-        if min(tri.side_lengths()) >= _MIN_SIDE:
+        # min(tri.side_lengths()) >= _MIN_SIDE, by min's rule likewise.
+        s, s1, s2 = tri.side_lengths()
+        if s1 < s:
+            s = s1
+        if s2 < s:
+            s = s2
+        if s >= _MIN_SIDE:
             return tri
     raise InfeasibleGeometryError(
         f"no acceptable {geometry.value} triangle in {MAX_TRIANGLE_ATTEMPTS} attempts"

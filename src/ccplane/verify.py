@@ -193,9 +193,13 @@ def run_verification(
     worst = 0.0
     for i in range(trials):
         r = measure(*draw(geometry, substream(label, seed, i)))
-        # max() would drop a NaN (max(0.0, nan) is 0.0): a residual that is
-        # not finite fails its campaign, as a failed sign test does.
-        worst = max(worst, r if math.isfinite(r) else math.inf)
+        # A residual that is not finite fails its campaign, as a failed sign
+        # test does: it counts as inf, since a NaN never compares greater
+        # and would be dropped.
+        if not math.isfinite(r):
+            r = math.inf
+        if r > worst:
+            worst = r
     return VerifyReport(
         theorem=theorem,
         geometry=geometry,

@@ -55,3 +55,11 @@ def projection_oracle(frame):
         euclid_relation_residual=r1 * r2 * r3 - (r1 + r2 + r3 + 2.0),
         collinearity_residual=collinearity,
     )
+
+
+def polar_draw(radius, rng):
+    """One vertex of a triangle draw, as ``sampling.sample_triangle`` takes
+    it: u from ``rng``, its distance ``radius(u)``, then the heading.
+    Returns the (theta, r) pair."""
+    r = radius(rng.random())
+    return rng.random() * 2.0 * math.pi, r

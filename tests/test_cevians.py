@@ -44,7 +44,7 @@ from ccplane.sampling import (
 )
 from ccplane.trig import build_right_triangle, menelaus_ratio
 from angle_oracles import point_route_angles
-from cevian_oracles import projection_oracle
+from cevian_oracles import polar_draw, projection_oracle
 from hyperboloid_oracles import direction, point_along
 
 HYP = Geometry.HYPERBOLIC
@@ -784,7 +784,7 @@ class TestSampling:
         worst, measured = 0.0, 0
         for i in range(6000):
             if i % 2:
-                polar = [sampling._polar_draw(radius, rng) for _ in range(3)]
+                polar = [polar_draw(radius, rng) for _ in range(3)]
             else:
                 t0 = 2.0 * math.pi * rng.random()
                 polar = [((t0 + spread * rng.random()) % (2.0 * math.pi),

@@ -17,6 +17,7 @@ from ccplane.errors import (
 )
 from ccplane.lexell import _bisector_mirror
 from angle_oracles import POINT_ANGLE, hyperboloid_angle
+from cevian_oracles import polar_draw
 from hyperboloid_oracles import (
     BAND_EDGE_IDS,
     EDGE_VECTORS,
@@ -729,6 +730,28 @@ def test_sphere_kernels_equal_corevec():
         assert SPHERE.dist(p, q) == vec.sdist(p.v, q.v)
 
 
+def _reference_sphere_polar(theta, r):
+    """The exponential map at the pole as composed from the vector
+    kernels: cos(r) p + sin(r) n toward n = (cos theta, sin theta, 0),
+    normalized."""
+    p, n = k.NORTH_POLE.v, (math.cos(theta), math.sin(theta), 0.0)
+    ct, st = math.cos(r), math.sin(r)
+    return k.SpherePoint(
+        _snormalize((ct * p[0] + st * n[0], ct * p[1] + st * n[1], ct * p[2] + st * n[2])))
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, 1e-300, 0.6, 1.2, SPHERE.side_limit, -0.6])
+def test_sphere_polar_equals_the_composition_to_the_bit(r):
+    # By repr, so signed zeros count: where st * c or st * s is -0.0
+    # (r = 0.0 at theta = pi, r = -0.0 at theta = 0.0), ct * 0.0 + it is 0.0.
+    for theta in (0.0, -0.0, 1.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi):
+        assert repr(SPHERE.polar(theta, r)) == repr(_reference_sphere_polar(theta, r))
+    rng = random.Random(f"sphere-polar:{r!r}")
+    for _ in range(200):
+        theta = rng.uniform(-7.0, 7.0)
+        assert repr(SPHERE.polar(theta, r)) == repr(_reference_sphere_polar(theta, r))
+
+
 # The five line operations are written once, on PlaneModel.  On the curved
 # planes each equals, to the last bit, the corevec composition it replaced:
 # the geodesic's unit normal n with l = (-n0, n1, n2) on the hyperboloid,
@@ -745,14 +768,20 @@ def _hyperbolic_reference(p, q, r, s):
     return (-n[0], n[1], n[2]), vec.minner(r.v, n), k.HPoint(vec.mfoot(r.v, n)), meet
 
 
+def _snormalize(v):
+    """v / |v|, the unit vector that ``SphereModel.project`` writes out."""
+    s = math.sqrt(vec.sdot(v, v))
+    return (v[0] / s, v[1] / s, v[2] / s)
+
+
 def _spherical_reference(p, q, r, s):
-    l = vec.snormalize(vec.scross(p.v, q.v))
-    x = vec.snormalize(vec.scross(l, vec.snormalize(vec.scross(r.v, s.v))))
+    l = _snormalize(vec.scross(p.v, q.v))
+    x = _snormalize(vec.scross(l, _snormalize(vec.scross(r.v, s.v))))
     # Of x and -x, the one on the arc [r, s].
     if vec.sdot(x, tuple(a + b for a, b in zip(r.v, s.v))) < 0.0:
         x = (-x[0], -x[1], -x[2])
     h = vec.sdot(r.v, l)
-    foot = vec.snormalize(tuple(a - h * b for a, b in zip(r.v, l)))
+    foot = _snormalize(tuple(a - h * b for a, b in zip(r.v, l)))
     return l, h, k.SpherePoint(foot), k.SpherePoint(x)
 
 
@@ -926,7 +955,7 @@ def test_corner_cosines_equal_the_versine_reference_to_the_bit(geometry):
     radius = sampling._DISK_RADIUS[geometry]
     rng = random.Random(f"pretest-reference:{geometry.value}")
     for _ in range(2500):
-        polar = [sampling._polar_draw(radius, rng) for _ in range(3)]
+        polar = [polar_draw(radius, rng) for _ in range(3)]
         got = model.corner_cosines(polar)
         assert got is not None
         assert repr(got) == repr(_reference_corner_cosines(model, polar))

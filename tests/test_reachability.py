@@ -46,6 +46,10 @@ UNREACHED = {
     "corevec.mreflect": "L0 kernel timed by perfbench; the Lexell bisector mirror is its sign flip",
     "corevec.mtangent": "L0 kernel timed by perfbench; the tangent-route angle oracle writes it out",
     "corevec.scross": "L0 kernel timed by perfbench; SphereModel writes it out inline",
+    "corevec.sdot": (
+        "L0 kernel timed by perfbench; SphereModel writes it out inline, "
+        "and its one caller, sdist, is listed here"
+    ),
     "corevec.sdist": "L0 kernel timed by perfbench; SphereModel.dist writes it out inline",
     "kernel.Record.__delattr__": "value classes are immutable; test_records holds the refusal",
     "kernel.Record.__eq__": "value equality, held by test_records; no command compares records",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ccplane import cevians, verify
+from ccplane import cevians, corevec, verify
 from ccplane.cli import json_document
 from ccplane.errors import DomainError
 from ccplane.kernel import Geometry, substream
@@ -22,6 +22,26 @@ from ccplane.verify import (
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
 EUC = Geometry.EUCLIDEAN
+
+
+def _calls(fn, *args) -> list:
+    """What fn(*args) calls, in order, under a profile hook: the code
+    object of each Python function it enters and each builtin itself."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+        elif event == "c_call":
+            calls.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
 class TestSupportMap:
@@ -127,27 +147,47 @@ class TestCampaigns:
         # A generator's frame is entered once per item it yields, and a
         # comprehension is a function call of its own: on a per-trial path
         # both cost more than the statements they stand for.  One trial is
-        # the campaign's draw, then its measure, under a profile hook.
+        # the campaign's draw, then its measure.
         src = str(Path(cevians.__file__).parent)
         kinds = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
-        entered = []
-
-        def profile(frame, event, arg):
-            code = frame.f_code
-            if (event == "call" and code.co_name in kinds
-                    and code.co_filename.startswith(src)):
-                entered.append(f"{Path(code.co_filename).name}:{code.co_firstlineno} "
-                               f"{code.co_name}")
-
         draw, measure = verify._CAMPAIGNS[theorem]()
         rng = substream(f"verify-{theorem}-{geometry.value}", 0, 0)
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            measure(*draw(geometry, rng))
-        finally:
-            sys.setprofile(previous)
+        entered = [
+            f"{Path(code.co_filename).name}:{code.co_firstlineno} {code.co_name}"
+            for code in _calls(lambda: measure(*draw(geometry, rng)))
+            if getattr(code, "co_name", None) in kinds and code.co_filename.startswith(src)
+        ]
         assert entered == []
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_a_frame_draw_calls_no_max_or_min(self, geometry):
+        # The sampler folds its three cosines and its three sides by max's
+        # and min's own rules inline, with no builtin call per draw.  The
+        # frame campaigns share this draw.
+        draw, _ = verify._CAMPAIGNS["euler-ratio"]()
+        for i in range(5):
+            rng = substream(f"verify-euler-ratio-{geometry.value}", 0, i)
+            calls = _calls(draw, geometry, rng)
+            assert [f for f in calls if f is max or f is min] == []
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_cevian_frame_calls_no_max(self, geometry):
+        # The stretch ratio's range check tests both lengths, not their max.
+        draw, _ = verify._CAMPAIGNS["euler-ratio"]()
+        tri, o = draw(geometry, substream("cevian-frame-max", 0, 0))
+        assert [f for f in _calls(cevians.cevian_frame, tri, o) if f is max] == []
+
+    def test_a_sphere_draw_enters_no_corevec_function(self):
+        # SphereModel.polar writes out the exponential map at the pole and
+        # returns through project, with no vector kernel on the way.
+        draw, _ = verify._CAMPAIGNS["euler-ratio"]()
+        for i in range(5):
+            rng = substream("verify-euler-ratio-spherical", 0, i)
+            entered = [
+                code.co_name for code in _calls(draw, SPH, rng)
+                if getattr(code, "co_filename", None) == corevec.__file__
+            ]
+            assert entered == []
 
     def test_same_seed_reproduces_exactly(self):
         a = run_verification("euler-ratio", HYP, trials=30, seed=11)
