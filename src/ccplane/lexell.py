@@ -57,11 +57,20 @@ midpoints and chord crossings pass the same check.  The locus probe
 measures each sample by its Fermi coordinates over the base line, the
 signed height t and the foot's arclength s, and adds the two right
 pieces the perpendicular cuts off: _right_area(sa - s, t) +
-_right_area(s - sb, t), with the vertices at sa and sb.  Over a standard
-base of half-length x one such area is within eps * (7 pi + 9 + 6x) of
-exact, and a locus's area spread within twice that (``_base_areas``
-derives it); ``lexell_locus`` still measures the locus's own area as
-the angle deficit, an independent route.
+_right_area(s - sb, t), with the vertices at sa and sb.  Over a base of
+half-length x one such area is within eps * (7 pi + 9 + 6x) of exact,
+and a locus's area spread within twice that (``_base_areas`` derives
+it); ``lexell_locus`` still measures the locus's own area as the angle
+deficit, an independent route.
+
+Every base is the standard one, and the records hold it exactly.
+``BaseConfig`` accepts only A = polar(0, x) and B its bisector mirror,
+so the base line is x2 = 0, its midpoint the origin and its bisector
+x1 = 0.  A locus axis joins mirror images across that bisector, so its
+covector has l1 = 0 exactly, and ``Hypercycle`` accepts no other axis;
+the axis foot of the origin then has g0[1] = +0.0 and the axis tangent
+is (+-0, u01, +-0).  The loops compute in that frame and drop every
+term it makes zero, to the last bit of every output.
 """
 
 from __future__ import annotations
@@ -112,7 +121,11 @@ _MODEL = Geometry.HYPERBOLIC.model
 
 class Hypercycle(Record):
     """Points at constant signed distance ``offset`` from ``axis``, a
-    line covector of the hyperbolic model (``PlaneModel.line``)."""
+    line covector of the hyperbolic model (``PlaneModel.line``).
+
+    The axis is perpendicular to the standard base's bisector x1 = 0, as
+    every locus axis is (``lexell_locus``): its l1 is zero, and the curve
+    formula leaves that term out.  Any other axis raises DomainError."""
 
     # ``__dict__`` holds the cached ``_axis_frame`` and ``samples``; a
     # curve made by ``at_offset`` holds its frame from the start, on its
@@ -120,6 +133,8 @@ class Hypercycle(Record):
     __slots__ = ("axis", "offset", "__dict__")
 
     def __post_init__(self) -> None:
+        if self.axis[1]:
+            raise DomainError(f"axis {self.axis} is not perpendicular to the base's bisector")
         if not abs(self.offset) <= _LOG_COORD_MAX:
             raise DomainError(f"offset {self.offset} puts the curve beyond float range")
 
@@ -200,12 +215,15 @@ def hypercycle_points_and_mirror(
 
 def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> list[Vec3]:
     # The curve formula of ``hypercycle_points``; with ``mirrored`` a
-    # list, the mirror's points are appended to it.
+    # list, the mirror's points are appended to it.  The axis has l1 = 0,
+    # so g0[1] is +0.0 and u0[0], u0[2] and the normal's n1 are +-0: a
+    # point is co*(ch*g00) + t0, co*(sh*u01) and co*(ch*g02) + t2.  At
+    # s = 0, ``or 0.0`` gives v1 the +0.0 that ch*g01 + sh*u01 gives it.
     g0, u0, co, so, reach = hc._axis_frame
-    g00, g01, g02 = g0
-    u00, u01, u02 = u0
-    l0, l1, l2 = hc.axis
-    t0, t1, t2 = so * -l0, so * l1, so * l2
+    g00, _, g02 = g0
+    u01 = u0[1]
+    l0, _, l2 = hc.axis
+    t0, t2 = so * -l0, so * l2
     cosh, sinh, check = math.cosh, math.sinh, k.on_sheet
     pts = []
     append = pts.append
@@ -213,13 +231,12 @@ def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> lis
         if not -reach <= s <= reach:
             raise DomainError(f"axis position {s} puts the point beyond float range")
         ch = cosh(s)
-        sh = sinh(s)
-        x0 = co * (ch * g00 + sh * u00)
-        x1 = co * (ch * g01 + sh * u01)
-        x2 = co * (ch * g02 + sh * u02)
-        append(check((x0 + t0, x1 + t1, x2 + t2)))
+        x0 = co * (ch * g00)
+        x1 = co * (sinh(s) * u01) or 0.0
+        x2 = co * (ch * g02)
+        append(check((x0 + t0, x1, x2 + t2)))
         if mirrored is not None:
-            mirrored.append(check((x0 - t0, x1 - t1, x2 - t2)))
+            mirrored.append(check((x0 - t0, x1, x2 - t2)))
     return pts
 
 
@@ -237,24 +254,27 @@ def hypercycle_samples(hc: Hypercycle, n: int) -> list[Vec3]:
 
 
 class BaseConfig(Record):
-    """Base segment placed symmetrically on the disk's real axis."""
+    """The standard base of half-length x = ``half_distance`` on the disk's
+    real axis: ``a`` is exactly polar(0, x) and ``b`` exactly its bisector
+    mirror (``_bisector_mirror``), which is polar(0, -x) to the last bit.
+    Any other pair raises DomainError, so every Lexell computation may
+    take the base's exact frame (see the module docstring)."""
 
     __slots__ = ("a", "b", "half_distance")
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.half_distance <= MAX_HALF_BASE:
-            raise DomainError(f"half-distance {self.half_distance} outside (0, {MAX_HALF_BASE}]")
-        da, db = k.hpoint_to_disk(self.a), k.hpoint_to_disk(self.b)
-        if max(abs(da.w), abs(db.w)) > TOL_ID or abs(da.u + db.u) > TOL_ID:
-            raise DomainError("base vertices are not symmetric on the real axis")
-        if abs(_MODEL.dist(self.a, self.b) - 2.0 * self.half_distance) > TOL_ID:
-            raise DomainError("half-distance does not match the vertex separation")
+        x = self.half_distance
+        if not 0.0 < x <= MAX_HALF_BASE:
+            raise DomainError(f"half-distance {x} outside (0, {MAX_HALF_BASE}]")
+        if self.a.v != _MODEL.polar(0.0, x).v or self.b.v != _bisector_mirror(self.a).v:
+            raise DomainError("base vertices are not the standard pair at +-half-distance")
 
     @classmethod
     def from_half_distance(cls, x: float) -> "BaseConfig":
         if not 0.0 < x <= MAX_HALF_BASE:
             raise DomainError(f"half-distance {x} outside (0, {MAX_HALF_BASE}]")
-        return cls(a=_MODEL.polar(0.0, x), b=_MODEL.polar(0.0, -x), half_distance=x)
+        a = _MODEL.polar(0.0, x)
+        return cls(a=a, b=_bisector_mirror(a), half_distance=x)
 
     def base_line(self) -> Vec3:
         return _MODEL.line(self.a, self.b)
@@ -287,28 +307,25 @@ def _deficit(p: HPoint, q: HPoint, r: HPoint) -> float:
 
 def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
     """Area of each triangle z a b, from z's Fermi coordinates over line ab,
-    for each hyperboloid vector z of pts.
+    for each hyperboloid vector z of pts; a and b are a ``BaseConfig``'s
+    vertices.
 
-    l is the covector of the base line, n = (-l0, l1, l2) its unit
-    normal, and e its unit tangent at the base midpoint m, turned toward
-    a; the vertices sit at arclengths sa = asinh <a, e> and
-    sb = asinh <b, e> from m.  For a sample z, h = l . z = <z, n> is the
-    sinh of its signed height and t = |asinh h|; its
-    foot on the line sits at s = asinh(<z, e> / hypot(1, h)).  The
-    perpendicular from z cuts the triangle into right triangles with
-    legs (sa - s, t) and (s - sb, t); ``_right_area`` is odd in its first
-    leg, so the sum holds with the foot beyond a vertex too, where one
-    piece counts negative.  The frame is taken once per call: e is
-    ``mcross(m, n)``, which needs no distance check between m and a.
-    Coincident a and b raise DegenerateInputError from the base line.  No
-    sample is checked against the vertices: a carrier sample lies at
-    offset o > 0 from the locus axis and the vertices at -o.
+    The base's frame is exact: the base line x2 = 0 has unit normal
+    n = (0, 0, -1), its midpoint m is the origin, and its unit tangent
+    there, turned toward a, is e = (0, 1, 0).  The vertices sit at
+    arclengths sa = asinh <a, e> = asinh a1 and sb = asinh b1 from m.
+    For a sample z, h = <z, n> = -z2 is the sinh of its signed height and
+    t = |asinh h|; its foot on the line sits at s = asinh(<z, e> /
+    hypot(1, h)), with <z, e> = z1.  The perpendicular from z cuts the
+    triangle into right triangles with legs (sa - s, t) and (s - sb, t);
+    ``_right_area`` is odd in its first leg, so the sum holds with the
+    foot beyond a vertex too, where one piece counts negative.  No sample
+    is checked against the vertices: a carrier sample lies at offset
+    o > 0 from the locus axis and the vertices at -o.
 
-    Rounding band.  A standard base (``BaseConfig.from_half_distance``)
-    has the exact frame n = (0, 0, -1), m = (1, 0, 0), e = (0, 1, 0), so
-    h = -z2 and <z, e> = z1 carry no rounding.  Take each library call
-    within 2 ulps (2 eps relative) and each operation within eps/2, and
-    write P, Q, T for tanh of half the legs p = sa - s, q = s - sb and t.
+    Rounding band.  h = -z2 and <z, e> = z1 carry no rounding.  Take
+    each library call within 2 ulps (2 eps relative) and each operation
+    within eps/2, and write P, Q, T for tanh of half the legs p = sa - s, q = s - sb and t.
     One right piece takes two tanh, a product and atan: u = P T is off by
     4.5 eps relative, which moves 2 atan(u) by at most 4.5 eps |R| since
     2u/(1 + u^2) <= 2 atan(u); atan adds 2 eps |R|.  With the final sum
@@ -328,21 +345,13 @@ def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
     area spread by at most twice that: 2 eps (7 pi + 9 + 6X).  The
     samples' own rounding, from ``hypercycle_points``, is not in it.
     """
-    l0, l1, l2 = _MODEL.line(a, b)
-    e0, e1, e2 = vec.mcross(_MODEL.mid(a, b).v, (-l0, l1, l2))
-    a0, a1, a2 = a.v
-    b0, b1, b2 = b.v
-    ga = -a0 * e0 + a1 * e1 + a2 * e2
-    gb = -b0 * e0 + b1 * e1 + b2 * e2
-    if ga < 0.0:
-        e0, e1, e2, ga, gb = -e0, -e1, -e2, -ga, -gb
     asinh, hypot, right = math.asinh, math.hypot, _right_area
-    sa, sb = asinh(ga), asinh(gb)
+    sa, sb = asinh(a.v[1]), asinh(b.v[1])
     areas = []
-    for z0, z1, z2 in pts:
-        h = z0 * l0 + z1 * l1 + z2 * l2
+    for _, z1, z2 in pts:
+        h = -z2
         t = abs(asinh(h))
-        s = asinh((-z0 * e0 + z1 * e1 + z2 * e2) / hypot(1.0, h))
+        s = asinh(z1 / hypot(1.0, h))
         areas.append(right(sa - s, t) + right(s - sb, t))
     return areas
 
@@ -364,7 +373,10 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     """Constant-area hypercycle pair through the apex p over the base.
 
     The axis passes through the midpoints of PA and P'B, where P' is
-    the mirror of P across the base's perpendicular bisector.  Only O(1)
+    the mirror of P across the base's perpendicular bisector.  A and B
+    are exact mirror images, so the midpoint of P'B is the exact mirror
+    of the midpoint of PA, and the axis through them has l1 = 0 exactly,
+    as ``Hypercycle`` requires.  Only O(1)
     conditions are checked (P off the base line, distinct midpoints, A
     and B on the mirror, P on the carrier); area constancy is the theorem
     itself, and ``locus_residuals`` alone samples and measures it.
@@ -372,7 +384,7 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     if _MODEL.line_residual(base.base_line(), p) <= BASE_LINE_TOL:
         raise DegenerateInputError("apex lies on the base line")
     m1 = _MODEL.mid(p, base.a)
-    m2 = _MODEL.mid(_bisector_mirror(p), base.b)
+    m2 = _bisector_mirror(m1)
     # Coincident midpoints span no line: ``line`` raises DegenerateInputError.
     axis = _MODEL.line(m1, m2)
     # Measure the offset against the base vertices rather than the apex:
@@ -421,20 +433,20 @@ def locus_residuals(
     pts = hypercycle_samples(locus.carrier, samples)
     areas = _base_areas(pts, a, b)
     # The midpoints of z a and z b lie on the axis: ``line_residual``
-    # written out, on midpoints built and checked as the model's ``mid``
-    # builds them.
+    # written out with the axis's l1 = 0, on midpoints built and checked
+    # as the model's ``mid`` builds them.
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
-    l0, l1, l2 = locus.carrier.axis
+    l0, _, l2 = locus.carrier.axis
     normalize, check = vec.mnormalize_point, k.on_sheet
     midline = 0.0
     for z0, z1, z2 in pts:
-        ma0, ma1, ma2 = check(normalize((z0 + a0, z1 + a1, z2 + a2)))
-        mb0, mb1, mb2 = check(normalize((z0 + b0, z1 + b1, z2 + b2)))
-        d = abs(ma0 * l0 + ma1 * l1 + ma2 * l2)
+        ma0, _, ma2 = check(normalize((z0 + a0, z1 + a1, z2 + a2)))
+        mb0, _, mb2 = check(normalize((z0 + b0, z1 + b1, z2 + b2)))
+        d = abs(ma0 * l0 + ma2 * l2)
         if d > midline:
             midline = d
-        d = abs(mb0 * l0 + mb1 * l1 + mb2 * l2)
+        d = abs(mb0 * l0 + mb2 * l2)
         if d > midline:
             midline = d
     subarc = equal_subarc_check(locus, chords, seed=seed) if chords else 0.0
@@ -461,7 +473,7 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     raises DomainError.
 
     The chord z1 z2 crosses the axis l in closed form: with
-    s_i = l . z_i (``side_value``) of opposite signs, w = |s2| z1 + |s1| z2
+    s_i = l . z_i (``side_value``, with l1 = 0) of opposite signs, w = |s2| z1 + |s1| z2
     has l . w = |s2| s1 + |s1| s2 = 0 and lies in span(z1, z2), so it is
     on both lines.  A positive combination of two future-timelike
     vectors is future-timelike, so w always normalizes onto the sheet,
@@ -474,14 +486,14 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     draws = [-SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random() for _ in range(2 * n)]
     carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
     mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
-    l0, l1, l2 = locus.carrier.axis
+    l0, _, l2 = locus.carrier.axis
     normalize, check, hdist = vec.mnormalize_point, k.on_sheet, k.hdist
     worst = 0.0
     for z1, z2 in zip(carrier_pts, mirror_pts):
         p0, p1, p2 = z1
         q0, q1, q2 = z2
-        s1 = p0 * l0 + p1 * l1 + p2 * l2
-        s2 = q0 * l0 + q1 * l1 + q2 * l2
+        s1 = p0 * l0 + p2 * l2
+        s2 = q0 * l0 + q2 * l2
         if s1 * s2 >= 0.0:
             raise DomainError("chord endpoints must straddle the axis")
         w1, w2 = abs(s2), abs(s1)
@@ -555,12 +567,12 @@ def foliation(base: BaseConfig, areas: list[float]) -> list[AreaLocus]:
         if not leaves[i].carrier.offset > leaves[i - 1].carrier.offset:
             raise GeometryError("leaf offsets fail to grow with area")
     # A sample z of one leaf lies on another when |l . z - sinh(offset)|,
-    # ``hypercycle_residual``, is within TOL_ID.
+    # ``hypercycle_residual``, is within TOL_ID; every axis has l1 = 0.
     curves = [(leaf.carrier.axis, leaf.carrier._axis_frame[3]) for leaf in leaves]
     for i, leaf in enumerate(leaves):
         others = curves[:i] + curves[i + 1:]
-        for z0, z1, z2 in leaf.carrier.samples:
-            for (l0, l1, l2), so in others:
-                if -TOL_ID <= z0 * l0 + z1 * l1 + z2 * l2 - so <= TOL_ID:
+        for z0, _, z2 in leaf.carrier.samples:
+            for (l0, _, l2), so in others:
+                if -TOL_ID <= z0 * l0 + z2 * l2 - so <= TOL_ID:
                     raise GeometryError("distinct leaves intersect")
     return leaves

@@ -855,18 +855,13 @@ class TestSampling:
             sample_triangle(HYP, substream("bug", 1, 0))
 
 
-def _reference_disk_point(geometry: Geometry, rng: random.Random):
-    r = sampling._DISK_RADIUS[geometry](rng.random())
-    theta = rng.random() * 2.0 * math.pi
-    return geometry.model.polar(theta, r)
-
-
 def reference_sample_triangle(geometry: Geometry, rng: random.Random) -> Triangle:
     """The rejection loop with no pre-test: every draw is built, then
     checked against the side floor and the exact angle floor."""
-    angle = geometry.model.angle
+    model = geometry.model
+    angle, radius = model.angle, sampling._DISK_RADIUS[geometry]
     for _ in range(MAX_TRIANGLE_ATTEMPTS):
-        verts = [_reference_disk_point(geometry, rng) for _ in range(3)]
+        verts = [model.polar(*polar_draw(radius, rng)) for _ in range(3)]
         try:
             tri = Triangle(geometry, *verts)
         except GeometryError:

@@ -55,7 +55,7 @@ from ccplane.lexell import (
     _right_area,
 )
 from ccplane.sampling import substream
-from hyperboloid_oracles import point_along, polar, reflect_across, tangent_direction
+from hyperboloid_oracles import polar, reflect_across
 from lexell_oracles import (
     apex_triangle,
     area_profile,
@@ -84,6 +84,14 @@ def _spread_band(base: BaseConfig) -> float:
     2 eps (7 pi + 9 + 6X), X the larger vertex arclength from the midpoint."""
     x = max(abs(math.asinh(base.a.v[1])), abs(math.asinh(base.b.v[1])))
     return 2.0 * sys.float_info.epsilon * (7.0 * math.pi + 9.0 + 6.0 * x)
+
+
+def _bisector_perpendicular(rng):
+    """A random line perpendicular to the standard base's bisector, the
+    only axis a ``Hypercycle`` takes: the line through a point and its
+    mirror image across the bisector, whose l1 is exactly 0."""
+    p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 3.0))
+    return HYP.line(p, _bisector_mirror(p))
 
 
 def _disk_apex(radius: float, angle: float):
@@ -269,11 +277,7 @@ class TestHypercycle:
         monkeypatch.setattr(PlaneModel, "foot", counted_foot)
         rng = random.Random(2024)
         for _ in range(200):
-            p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 3.0))
-            axis = HYP.line(
-                p, point_along(p, tangent_direction(p, rng.uniform(0.0, 2.0 * math.pi)),
-                               rng.uniform(0.5, 3.0)),
-            )
+            axis = _bisector_perpendicular(rng)
             n = _normal(axis)
             g0 = HPoint(mfoot(ORIGIN.v, n)).v
             u0 = mcross(g0, n)
@@ -304,9 +308,7 @@ class TestHypercycle:
         # takes its source's frame but never its samples.
         rng = random.Random(32)
         for _ in range(50):
-            p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 3.0))
-            axis = HYP.line(p, HYP.polar(rng.uniform(0.0, 2.0 * math.pi), 1.0))
-            hc = Hypercycle(axis, rng.uniform(-5.0, 5.0))
+            hc = Hypercycle(_bisector_perpendicular(rng), rng.uniform(-5.0, 5.0))
             want = hypercycle_samples(hc, lexell.HYPERCYCLE_SEGMENTS + 1)
             assert repr(hc.samples) == repr(tuple(want))
             assert hc.samples is hc.samples
@@ -354,6 +356,16 @@ class TestHypercycle:
         with pytest.raises(DomainError):
             hypercycle_samples(hc, 1)
 
+    @pytest.mark.parametrize("l1", [1.0, -0.25, 1e-300, 5e-324, math.nan])
+    def test_axis_off_the_bisector_normal_rejected(self, l1):
+        # An axis not perpendicular to the base's bisector has l1 != 0;
+        # the curve formula drops that term, so the record refuses it.
+        m = 0.7
+        with pytest.raises(DomainError, match="not perpendicular to the base's bisector"):
+            Hypercycle((-math.sinh(m), l1, math.cosh(m)), 0.5)
+        for zero in (0.0, -0.0):
+            Hypercycle((-math.sinh(m), zero, math.cosh(m)), 0.5)
+
 
 class TestBaseConfig:
     def test_factory_round_trip(self):
@@ -372,6 +384,30 @@ class TestBaseConfig:
         b = HYP.polar(0.3, 1.0)
         with pytest.raises(DomainError):
             BaseConfig(a, b, 1.0)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 0.8, 1.5, 5.0])
+    def test_vertex_one_ulp_off_rejected(self, x):
+        # The base is the exact standard pair, not one within a tolerance:
+        # a vertex one ulp off, still on the sheet, is refused.
+        base = BaseConfig.from_half_distance(x)
+        assert BaseConfig(base.a, base.b, x) == base
+        for vertex in ("a", "b"):
+            for i in range(3):
+                for way in (-math.inf, math.inf):
+                    v = list(getattr(base, vertex).v)
+                    v[i] = math.nextafter(v[i], way)
+                    moved = HPoint(tuple(v))
+                    a, b = (moved, base.b) if vertex == "a" else (base.a, moved)
+                    with pytest.raises(DomainError, match="standard pair"):
+                        BaseConfig(a, b, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, MAX_HALF_BASE, exclude_min=True))
+    @example(x=5e-324)
+    @example(x=MAX_HALF_BASE)
+    def test_mirror_vertex_is_the_polar_one(self, x):
+        # B is built as A's bisector mirror; it is polar(0, -x) to the bit.
+        assert repr(BaseConfig.from_half_distance(x).b) == repr(HYP.polar(0.0, -x))
 
 
 class TestLexellLocus:
@@ -492,6 +528,27 @@ class TestLexellLocus:
         assert HYP.mid(apex, base.a) == HYP.mid(_bisector_mirror(apex), base.b)
         with pytest.raises(DegenerateInputError):
             lexell_locus(base, apex)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(1e-3, 5.0), apex=_APEXES)
+    def test_axis_frame_has_the_zeros_the_loops_drop(self, x, apex):
+        # Every locus axis has l1 = 0, and its frame g0[1] = +0.0 and
+        # u0[0] = u0[2] = 0: the terms ``_curve_points`` and the probes
+        # leave out.  Their points equal the full formula's, signed zero
+        # at s = 0 included, or both fail the sheet check alike.
+        try:
+            locus = lexell_locus(BaseConfig.from_half_distance(x), apex)
+        except GeometryError:
+            return
+        for hc in (locus.carrier, locus.mirror, locus.carrier.at_offset(0.0)):
+            g0, u0 = hc._axis_frame[:2]
+            assert hc.axis[1] == 0.0
+            assert g0[1] == u0[0] == u0[2] == 0.0
+            assert math.copysign(1.0, g0[1]) == 1.0
+            ss = [0.0, -0.0, 0.5, -SAMPLE_RANGE]
+            assert repr(_outcome(hypercycle_points, hc, ss)) == repr(
+                _outcome(lambda: [k.on_sheet(_reference_point(hc, s)) for s in ss])
+            )
 
     def test_tall_apexes_fail_only_as_geometry_errors(self):
         # Heights up to MAX_APEX_HEIGHT are accepted input; where the axis
@@ -920,11 +977,6 @@ class TestOnePassRoutes:
                     )
                     band = eps * (7.0 * float(abs(r1) + abs(r2)) + 9.0 + 6.0 * x)
                     assert abs(area - float(r1 + r2)) <= band
-
-    def test_base_areas_reject_coincident_vertices(self):
-        base = BaseConfig.from_half_distance(0.8)
-        with pytest.raises(DegenerateInputError):
-            _base_areas([_perp_apex(1.0).v], base.a, base.a)
 
     def test_residuals_equal_the_per_sample_route(self):
         for i in range(20):

@@ -40,7 +40,7 @@ FRAME = CevianFrame(
     TRI, (0.25, 0.25), (0.5, 0.5), (0.0, 0.5), (0.5, 0.0),
     1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.25, 0.5, 0.75, 1.0, 1.0, math.pi - 2.0,
 )
-AXIS = (0.0, 1.0, 0.0)
+AXIS = (0.0, 0.0, 1.0)
 BASE = BaseConfig.from_half_distance(0.5)
 POINT = ScenePoint(0.25, 0.5, "A")
 
@@ -133,12 +133,12 @@ EXPECTED_REPR = {
         "LambertReport(geometry=<Geometry.HYPERBOLIC: 'hyperbolic'>, side=1.0, "
         "alpha=2.0, ad_over_od=3.0, median_residual=0.0)"
     ),
-    Hypercycle: "Hypercycle(axis=(0.0, 1.0, 0.0), offset=0.5)",
+    Hypercycle: "Hypercycle(axis=(0.0, 0.0, 1.0), offset=0.5)",
     BaseConfig: _BASE_REPR,
     AreaLocus: (
         f"AreaLocus(base={_BASE_REPR}, "
-        "carrier=Hypercycle(axis=(0.0, 1.0, 0.0), offset=0.5), "
-        "mirror=Hypercycle(axis=(0.0, 1.0, 0.0), offset=-0.5), "
+        "carrier=Hypercycle(axis=(0.0, 0.0, 1.0), offset=0.5), "
+        "mirror=Hypercycle(axis=(0.0, 0.0, 1.0), offset=-0.5), "
         "area=0.75)"
     ),
     LocusResiduals: (

@@ -17,6 +17,7 @@ from ccplane.lexell import (
     foliation,
     hypercycle_samples,
     lexell_locus,
+    _bisector_mirror,
 )
 from ccplane.render import (
     RenderScene,
@@ -124,10 +125,12 @@ class TestHypercyclePolyline:
             assert x * x + y * y < 1.0
 
     def test_points_are_the_disk_images_of_the_samples(self):
+        # Every curve's axis is perpendicular to the base's bisector: here
+        # the line through a point and its mirror image across it.
         rng = random.Random(12)
         for _ in range(20):
-            g, _, _ = _random_geodesic(rng)
-            hc = Hypercycle(g, rng.uniform(-4.0, 4.0))
+            p = HYP.polar(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.2, 2.5))
+            hc = Hypercycle(HYP.line(p, _bisector_mirror(p)), rng.uniform(-4.0, 4.0))
             want = [
                 disk_xy(HPoint(z))
                 for z in hypercycle_samples(hc, HYPERCYCLE_SEGMENTS + 1)
