@@ -22,6 +22,15 @@ planes.  The second route is a test oracle, also on all three
 planes: a central projection onto the tangent plane at O maps the frame
 to a euclidean one with the same ratios.
 
+A frame is measured in three stages, each with its checks:
+``cevian_feet`` (the inside test, the cevian lines, the feet and their
+legs, checked to lie within their sides), ``cevian_lengths`` (the six
+cevian segments and the three stretch ratios) and ``cevian_angles`` (p,
+q and r, checked to close up).  ``cevian_frame`` runs all three and
+keeps them in a ``CevianFrame`` for ``render frame`` and ``construct``;
+each campaign calls only the stages its residual reads, and the
+residual functions take the values they read, not a frame.
+
 The converse, a frame rebuilt from its six lengths, is ``construct``:
 only ``ccplane construct`` runs it, so the campaigns and ``render
 frame``, which load this module, never compile it.
@@ -62,7 +71,7 @@ class Triangle(Record):
             if not isinstance(v, model.point_type):
                 raise DomainError(f"vertex type does not match {self.geometry.value}: {v!r}")
         # Measured once: the sampler's side floor and the between-checks of
-        # cevian_frame and ceva_product read these same values.
+        # cevian_feet and ceva_product read these same values.
         sides = (model.dist(b, c), model.dist(c, a), model.dist(a, b))
         object.__setattr__(self, "_sides", sides)
         for s in sides:
@@ -71,7 +80,7 @@ class Triangle(Record):
             if s > model.side_limit:
                 raise DomainError(f"side {s} above the working range {model.side_limit}")
         # Built once, each oriented as its side is listed: the inside test
-        # and the meets of cevian_frame and the on-side checks of
+        # and the meets of cevian_feet and the on-side checks of
         # ceva_product read these same lines.
         lines = (model.line(b, c), model.line(c, a), model.line(a, b))
         object.__setattr__(self, "_lines", lines)
@@ -79,7 +88,7 @@ class Triangle(Record):
         # value on its opposite line is det(A, B, C) over that line's
         # positive norm, so all three share this sign; the collinearity
         # floor holds this one away from zero, and the inside test of
-        # cevian_frame reads it in place of the other two.
+        # cevian_feet reads it in place of the other two.
         orientation = model.side_value(lines[2], c)
         object.__setattr__(self, "_orientation", orientation)
         if abs(orientation) <= 1e-12:
@@ -101,18 +110,18 @@ class CevianFrame(Record):
 
     __slots__ = (
         "tri", "o", "d", "e", "f", "ao", "bo", "co", "od", "oe", "of",
-        "alpha", "beta", "gamma", "p", "q", "r", "_legs",
+        "alpha", "beta", "gamma", "p", "q", "r",
     )
 
     def __post_init__(self) -> None:
-        # Written as ``not x <= y`` so that a NaN angle fails it.
-        if not abs(self.p + self.q + self.r - math.pi) <= TOL_ID:
-            raise GeometryError("angles at the interior point do not close up")
+        _check_close_up(self.p, self.q, self.r)
 
-    def legs(self) -> tuple[float, ...]:
-        """(|BD|, |DC|, |CE|, |EA|, |AF|, |FB|), as ``cevian_frame``
-        measured them for its between-check; ``ceva_product`` takes them."""
-        return self._legs
+
+def _check_close_up(p: float, q: float, r: float) -> None:
+    """Raise unless the angles at o close up to a straight angle."""
+    # Written as ``not x <= y`` so that a NaN angle fails it.
+    if not abs(p + q + r - math.pi) <= TOL_ID:
+        raise GeometryError("angles at the interior point do not close up")
 
 
 def _foot_legs(tri: Triangle, d, e, f) -> tuple[float, ...] | None:
@@ -129,14 +138,16 @@ def _foot_legs(tri: Triangle, d, e, f) -> tuple[float, ...] | None:
     return None
 
 
-def cevian_frame(tri: Triangle, o) -> CevianFrame:
-    """Measure the cevian frame of tri with interior point o.
+def cevian_feet(tri: Triangle, o) -> tuple:
+    """Stage 1 of a frame: the feet of the cevians through o.
 
     o must be strictly inside the triangle: a point on a side or at a
-    vertex is degenerate, an exterior point is out of scope.
+    vertex is degenerate, an exterior point is out of scope.  Returns
+    (d, e, f, la, lb, lc, legs): the feet on BC, CA and AB, the cevian
+    lines AO, BO and CO whose meets with the sides they are, and the
+    feet's legs (``_foot_legs``), checked to lie within their sides.
     """
-    geometry = tri.geometry
-    model = geometry.model
+    model = tri.geometry.model
     a, b, c = tri.a, tri.b, tri.c
     bc, ca, ab = tri._lines
     orientation = tri._orientation
@@ -157,49 +168,60 @@ def cevian_frame(tri: Triangle, o) -> CevianFrame:
     legs = _foot_legs(tri, d, e, f)
     if legs is None:
         raise GeometryError("computed foot left its side segment")
-    ao = model.dist(a, o)
-    bo = model.dist(b, o)
-    co = model.dist(c, o)
-    od = model.dist(o, d)
-    oe = model.dist(o, e)
-    of = model.dist(o, f)
-    frame = CevianFrame(
-        tri=tri,
-        o=o,
-        d=d,
-        e=e,
-        f=f,
-        ao=ao,
-        bo=bo,
-        co=co,
-        od=od,
-        oe=oe,
-        of=of,
-        alpha=stretch_ratio(geometry, ao, od),
-        beta=stretch_ratio(geometry, bo, oe),
-        gamma=stretch_ratio(geometry, co, of),
-        p=math.pi - model.line_angle(lb, lc),
-        q=math.pi - model.line_angle(la, lc),
-        r=math.pi - model.line_angle(lb, la),
-    )
-    object.__setattr__(frame, "_legs", legs)
-    return frame
+    return d, e, f, la, lb, lc, legs
 
 
-def euler_relation_residual(frame: CevianFrame) -> float:
-    """alpha*beta*gamma - (alpha + beta + gamma + 2) for the frame."""
-    a, b, g = frame.alpha, frame.beta, frame.gamma
-    return a * b * g - (a + b + g + 2.0)
-
-
-def unit_sum_residual(frame: CevianFrame) -> float:
-    """1/(alpha+1) + 1/(beta+1) + 1/(gamma+1) - 1 for the frame."""
+def cevian_lengths(tri: Triangle, o, d, e, f) -> tuple[float, ...]:
+    """Stage 2 of a frame: the six cevian segments around o and their
+    stretch ratios, (ao, bo, co, od, oe, of, alpha, beta, gamma)."""
+    geometry = tri.geometry
+    dist = geometry.model.dist
+    ao = dist(tri.a, o)
+    bo = dist(tri.b, o)
+    co = dist(tri.c, o)
+    od = dist(o, d)
+    oe = dist(o, e)
+    of = dist(o, f)
     return (
-        1.0 / (frame.alpha + 1.0)
-        + 1.0 / (frame.beta + 1.0)
-        + 1.0 / (frame.gamma + 1.0)
-        - 1.0
+        ao, bo, co, od, oe, of,
+        stretch_ratio(geometry, ao, od),
+        stretch_ratio(geometry, bo, oe),
+        stretch_ratio(geometry, co, of),
     )
+
+
+def cevian_angles(tri: Triangle, la, lb, lc) -> tuple[float, float, float]:
+    """Stage 3 of a frame: the angles p = BOF, q = AOF and r = BOD at o,
+    measured between the cevian lines of ``cevian_feet`` and checked to
+    close up to a straight angle."""
+    line_angle = tri.geometry.model.line_angle
+    p = math.pi - line_angle(lb, lc)
+    q = math.pi - line_angle(la, lc)
+    r = math.pi - line_angle(lb, la)
+    _check_close_up(p, q, r)
+    return p, q, r
+
+
+def cevian_frame(tri: Triangle, o) -> CevianFrame:
+    """Measure the cevian frame of tri with interior point o: its three
+    stages (feet, lengths, angles), kept in one record."""
+    d, e, f, la, lb, lc, _ = cevian_feet(tri, o)
+    ao, bo, co, od, oe, of, alpha, beta, gamma = cevian_lengths(tri, o, d, e, f)
+    p, q, r = cevian_angles(tri, la, lb, lc)
+    return CevianFrame(
+        tri=tri, o=o, d=d, e=e, f=f, ao=ao, bo=bo, co=co, od=od, oe=oe, of=of,
+        alpha=alpha, beta=beta, gamma=gamma, p=p, q=q, r=r,
+    )
+
+
+def euler_relation_residual(alpha: float, beta: float, gamma: float) -> float:
+    """alpha*beta*gamma - (alpha + beta + gamma + 2) for a frame's ratios."""
+    return alpha * beta * gamma - (alpha + beta + gamma + 2.0)
+
+
+def unit_sum_residual(alpha: float, beta: float, gamma: float) -> float:
+    """1/(alpha+1) + 1/(beta+1) + 1/(gamma+1) - 1 for a frame's ratios."""
+    return 1.0 / (alpha + 1.0) + 1.0 / (beta + 1.0) + 1.0 / (gamma + 1.0) - 1.0
 
 
 class PqrSystem(Record):
@@ -213,20 +235,24 @@ class PqrSystem(Record):
     __slots__ = ("P", "Q", "R", "residuals")
 
 
-def pqr_system(frame: CevianFrame) -> PqrSystem:
-    """Evaluate the sine-weighted system of a frame in any of the three planes."""
-    th = frame.tri.geometry.model.t_K
-    big_p = math.sin(frame.p) / th(frame.ao)
-    big_q = math.sin(frame.q) / th(frame.bo)
-    big_r = math.sin(frame.r) / th(frame.co)
+def pqr_system(
+    geometry: Geometry, p: float, q: float, r: float, ao: float, bo: float, co: float,
+    alpha: float, beta: float, gamma: float,
+) -> PqrSystem:
+    """Evaluate the sine-weighted system of a frame's angles, vertex
+    segments and ratios in any of the three planes."""
+    th = geometry.model.t_K
+    big_p = math.sin(p) / th(ao)
+    big_q = math.sin(q) / th(bo)
+    big_r = math.sin(r) / th(co)
     return PqrSystem(
         P=big_p,
         Q=big_q,
         R=big_r,
         residuals=(
-            abs(frame.alpha * big_p - (big_q + big_r)),
-            abs(frame.beta * big_q - (big_r + big_p)),
-            abs(frame.gamma * big_r - (big_p + big_q)),
+            abs(alpha * big_p - (big_q + big_r)),
+            abs(beta * big_q - (big_r + big_p)),
+            abs(gamma * big_r - (big_p + big_q)),
         ),
     )
 
@@ -238,8 +264,8 @@ def ceva_product(tri: Triangle, d, e, f, legs=None) -> float:
     their side segments, and the three cevians must meet in one point,
     verified by pairwise intersection agreement.
     ``legs`` are the feet's distances to their sides' ends when they are
-    measured and checked already: ``frame.legs()`` for a cevian frame's
-    feet.  Otherwise they are measured here.
+    measured and checked already, as ``cevian_feet`` returns them.
+    Otherwise they are measured here.
     """
     model = tri.geometry.model
     a, b, c = tri.a, tri.b, tri.c

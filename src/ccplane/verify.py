@@ -5,7 +5,11 @@ figure, the inputs of its construction, from the trial's seed-split
 substream; the measure builds that figure and returns the worst residual
 of one identity, and draws nothing, so trial i can be drawn again from
 ``substream(f"verify-{theorem}-{geometry.value}", seed, i)`` and
-measured alone.  The worst trial folds into a report, and
+measured alone.  The euler-ratio, ceva and pqr measures build only the
+stages of a cevian frame their residuals read (``cevians.cevian_feet``,
+``cevian_lengths``, ``cevian_angles``), never the frame record, and
+every check of a stage they run fires as it does in ``cevian_frame``.
+The worst trial folds into a report, and
 ``report_record`` flattens it into the record whose JSON form the CLI
 writes (``cli.json_document``), byte-identical across runs.  Only
 ``ccplane verify`` imports this module: the theorem ids and the units
@@ -73,42 +77,50 @@ def _menelaus_campaign() -> _Campaign:
     return draw, measure
 
 
-# Euler, Ceva and P/Q/R share one campaign, ``_frame_campaign``: one draw,
-# a sampled triangle and interior point, and one measure through
-# ``cevian_frame``.  Each reads its residual off the frame through the
-# ``cevians`` module that the campaign imported when it started.
+# Euler, Ceva and P/Q/R share one draw, a sampled triangle and interior
+# point, and each measures it through the stages of ``cevian_frame`` that
+# it needs, never the frame record: euler-ratio the feet, the lengths and
+# ratios, and the angles for their close-up check; pqr all three; ceva the
+# feet, the angles for their check, and the product of the feet's legs.
 
-def _euler_residual(cevians, frame) -> float:
-    scale = 1.0 + abs(frame.alpha * frame.beta * frame.gamma)
-    return max(abs(cevians.euler_relation_residual(frame)) / scale,
-               cevians.unit_sum_residual(frame))
-
-
-def _pqr_residual(cevians, frame) -> float:
-    sys_ = cevians.pqr_system(frame)
-    scale = 1.0 + max(
-        abs(frame.alpha * sys_.P), abs(frame.beta * sys_.Q), abs(frame.gamma * sys_.R)
+def _frame_campaign(theorem: str) -> _Campaign:
+    from .cevians import (
+        ceva_product,
+        cevian_angles,
+        cevian_feet,
+        cevian_lengths,
+        euler_relation_residual,
+        pqr_system,
+        unit_sum_residual,
     )
-    return max(sys_.residuals) / scale
-
-
-def _ceva_residual(cevians, frame) -> float:
-    product = cevians.ceva_product(frame.tri, frame.d, frame.e, frame.f, legs=frame.legs())
-    return abs(product - 1.0)
-
-
-def _frame_campaign(residual: Callable[..., float]) -> _Campaign:
-    from . import cevians
     from .sampling import sample_interior_point, sample_triangle
 
     def draw(geometry: Geometry, rng) -> tuple:
         tri = sample_triangle(geometry, rng)
         return tri, sample_interior_point(tri, rng)
 
-    def measure(tri, o) -> float:
-        return residual(cevians, cevians.cevian_frame(tri, o))
+    def euler(tri, o) -> float:
+        d, e, f, la, lb, lc, _ = cevian_feet(tri, o)
+        _, _, _, _, _, _, alpha, beta, gamma = cevian_lengths(tri, o, d, e, f)
+        cevian_angles(tri, la, lb, lc)
+        scale = 1.0 + abs(alpha * beta * gamma)
+        return max(abs(euler_relation_residual(alpha, beta, gamma)) / scale,
+                   abs(unit_sum_residual(alpha, beta, gamma)))
 
-    return draw, measure
+    def pqr(tri, o) -> float:
+        d, e, f, la, lb, lc, _ = cevian_feet(tri, o)
+        ao, bo, co, _, _, _, alpha, beta, gamma = cevian_lengths(tri, o, d, e, f)
+        p, q, r = cevian_angles(tri, la, lb, lc)
+        sys_ = pqr_system(tri.geometry, p, q, r, ao, bo, co, alpha, beta, gamma)
+        scale = 1.0 + max(abs(alpha * sys_.P), abs(beta * sys_.Q), abs(gamma * sys_.R))
+        return max(sys_.residuals) / scale
+
+    def ceva(tri, o) -> float:
+        d, e, f, la, lb, lc, legs = cevian_feet(tri, o)
+        cevian_angles(tri, la, lb, lc)
+        return abs(ceva_product(tri, d, e, f, legs=legs) - 1.0)
+
+    return draw, {"euler-ratio": euler, "pqr": pqr, "ceva": ceva}[theorem]
 
 
 def _lambert_campaign() -> _Campaign:
@@ -119,7 +131,8 @@ def _lambert_campaign() -> _Campaign:
 
     def measure(side: float, geometry: Geometry) -> float:
         rep = lambert_median_report(side, geometry)
-        residual = abs(rep.alpha - 2.0)
+        # The third median must pass through the meet of the first two.
+        residual = max(abs(rep.alpha - 2.0), rep.median_residual)
         kappa = geometry.model.kappa
         if kappa == 0.0:
             return max(residual, abs(rep.ad_over_od - 3.0))
@@ -149,10 +162,10 @@ def _lexell_campaign() -> _Campaign:
 
 _CAMPAIGNS: dict[str, Callable[[], _Campaign]] = {
     "menelaus": _menelaus_campaign,
-    "euler-ratio": lambda: _frame_campaign(_euler_residual),
-    "ceva": lambda: _frame_campaign(_ceva_residual),
+    "euler-ratio": lambda: _frame_campaign("euler-ratio"),
+    "ceva": lambda: _frame_campaign("ceva"),
     "lambert": _lambert_campaign,
-    "pqr": lambda: _frame_campaign(_pqr_residual),
+    "pqr": lambda: _frame_campaign("pqr"),
     "lexell": _lexell_campaign,
 }
 

@@ -89,8 +89,9 @@ def test_criterion_02_euler_ratio_sum(frames):
     for geo in GEOMETRIES:
         for frame in frames[geo]:
             scale = 1.0 + abs(frame.alpha * frame.beta * frame.gamma)
-            worst_rel = max(worst_rel, abs(euler_relation_residual(frame)) / scale)
-            worst_unit = max(worst_unit, unit_sum_residual(frame))
+            ratios = frame.alpha, frame.beta, frame.gamma
+            worst_rel = max(worst_rel, abs(euler_relation_residual(*ratios)) / scale)
+            worst_unit = max(worst_unit, abs(unit_sum_residual(*ratios)))
     ok = worst_rel <= 1e-9 and worst_unit <= 1e-9
     _report("criterion-02", "euler-ratio-sum", ok,
             f"relation {worst_rel:.3e}, unit-sum {worst_unit:.3e} <= 1e-09, "
@@ -101,7 +102,10 @@ def test_criterion_03_pqr_system(frames):
     worst = 0.0
     for geo in (HYP, SPH):
         for frame in frames[geo]:
-            sys_ = pqr_system(frame)
+            sys_ = pqr_system(
+                geo, frame.p, frame.q, frame.r, frame.ao, frame.bo, frame.co,
+                frame.alpha, frame.beta, frame.gamma,
+            )
             scale = 1.0 + max(
                 abs(frame.alpha * sys_.P),
                 abs(frame.beta * sys_.Q),

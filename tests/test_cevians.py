@@ -12,6 +12,7 @@ from ccplane.cevians import (
     Triangle,
     _foot_legs,
     ceva_product,
+    cevian_feet,
     cevian_frame,
     equilateral_triangle,
     euler_relation_residual,
@@ -342,7 +343,7 @@ class TestRatioSumRelation:
         for i in range(200):
             fr = sample_frame(geometry, substream("euler", 11, i))
             scale = 1.0 + abs(fr.alpha * fr.beta * fr.gamma)
-            worst = max(worst, abs(euler_relation_residual(fr)) / scale)
+            worst = max(worst, abs(euler_relation_residual(fr.alpha, fr.beta, fr.gamma)) / scale)
         assert worst < 1e-12
 
     @pytest.mark.parametrize("geometry", [HYP, SPH, EUC])
@@ -350,7 +351,7 @@ class TestRatioSumRelation:
         worst = 0.0
         for i in range(200):
             fr = sample_frame(geometry, substream("unitsum", 11, i))
-            worst = max(worst, abs(unit_sum_residual(fr)))
+            worst = max(worst, abs(unit_sum_residual(fr.alpha, fr.beta, fr.gamma)))
         assert worst < 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -361,7 +362,12 @@ class TestRatioSumRelation:
     def test_relation_property(self, geometry, index):
         fr = sample_frame(geometry, substream("euler-prop", 3, index))
         scale = 1.0 + abs(fr.alpha * fr.beta * fr.gamma)
-        assert abs(euler_relation_residual(fr)) < 1e-11 * scale
+        assert abs(euler_relation_residual(fr.alpha, fr.beta, fr.gamma)) < 1e-11 * scale
+
+
+def _frame_pqr(fr: CevianFrame):
+    return pqr_system(fr.tri.geometry, fr.p, fr.q, fr.r, fr.ao, fr.bo, fr.co,
+                      fr.alpha, fr.beta, fr.gamma)
 
 
 class TestPqrSystem:
@@ -370,7 +376,7 @@ class TestPqrSystem:
         worst = 0.0
         for i in range(100):
             fr = sample_frame(geometry, substream("pqr", 11, i))
-            sys_ = pqr_system(fr)
+            sys_ = _frame_pqr(fr)
             scale = 1.0 + max(
                 abs(fr.alpha * sys_.P), abs(fr.beta * sys_.Q), abs(fr.gamma * sys_.R)
             )
@@ -379,7 +385,7 @@ class TestPqrSystem:
 
     def test_quantities_match_definition(self):
         fr = fixture_frame()
-        sys_ = pqr_system(fr)
+        sys_ = _frame_pqr(fr)
         assert sys_.P == pytest.approx(math.sin(fr.p) / math.tanh(fr.ao), abs=0)
         assert sys_.Q == pytest.approx(math.sin(fr.q) / math.tanh(fr.bo), abs=0)
         assert sys_.R == pytest.approx(math.sin(fr.r) / math.tanh(fr.co), abs=0)
@@ -535,16 +541,18 @@ class TestCevaProduct:
         for i in range(50):
             fr = sample_frame(geometry, substream("ceva-legs", 3, i))
             measured = ceva_product(fr.tri, fr.d, fr.e, fr.f)
-            kept = ceva_product(fr.tri, fr.d, fr.e, fr.f, legs=fr.legs())
+            legs = cevian_feet(fr.tri, fr.o)[6]
+            kept = ceva_product(fr.tri, fr.d, fr.e, fr.f, legs=legs)
             assert kept == measured
 
     def test_frame_legs_are_not_measured_again(self, monkeypatch):
-        # cevian_frame measured the six legs for its between-check, so
+        # cevian_feet measured the six legs for its between-check, so
         # with them the product measures six distances fewer.
         fr = sample_frame(HYP, substream("ceva-legs", 4, 0))
+        legs = cevian_feet(fr.tri, fr.o)[6]
         kept, measured = [], []
         monkeypatch.setattr(kernel, "hdist", _counting(kept, kernel.hdist))
-        ceva_product(fr.tri, fr.d, fr.e, fr.f, legs=fr.legs())
+        ceva_product(fr.tri, fr.d, fr.e, fr.f, legs=legs)
         monkeypatch.undo()
         monkeypatch.setattr(kernel, "hdist", _counting(measured, kernel.hdist))
         ceva_product(fr.tri, fr.d, fr.e, fr.f)

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ccplane import cevians, corevec, verify
+from ccplane import cevians, corevec, kernel, verify
 from ccplane.cli import json_document
-from ccplane.errors import DomainError
+from ccplane.errors import DomainError, GeometryError
 from ccplane.kernel import Geometry, substream
 from ccplane.verify import (
     SUPPORTED,
@@ -22,6 +22,7 @@ from ccplane.verify import (
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL
 EUC = Geometry.EUCLIDEAN
+FRAME_THEOREMS = ["euler-ratio", "ceva", "pqr"]
 
 
 def _calls(fn, *args) -> list:
@@ -232,6 +233,117 @@ class TestCampaigns:
         rep = run_verification("ceva", HYP, trials=5)
         assert rep.max_residual == math.inf
         assert not rep.passed
+
+
+def _along(model, p, q, t: float):
+    """The point of line pq at t |pq| from p toward q, past q for t > 1:
+    s_K((1 - t) d) P + s_K(t d) Q for d = |pq|, back through ``project``."""
+    d = model.dist(p, q)
+    a, b = model.s_K((1.0 - t) * d), model.s_K(t * d)
+    return model.project(tuple(a * x + b * y for x, y in zip(model.lift(p), model.lift(q))))
+
+
+def _first_foot_moved(monkeypatch, move) -> None:
+    """Patch ``meet`` so that a trial's first foot, d on BC, is
+    ``move(model, d, b, c)``; every later meet is left as it is."""
+    meet = kernel.PlaneModel.meet
+    moved = []
+
+    def patched(self, l, m, s1, s2):
+        x = meet(self, l, m, s1, s2)
+        if moved:
+            return x
+        moved.append(x)
+        return move(self, x, s1, s2)
+
+    monkeypatch.setattr(kernel.PlaneModel, "meet", patched)
+
+
+class TestFrameChecks:
+    # A frame campaign measures only the stages of cevian_frame it reads,
+    # and builds no frame record; every check of those stages still fires
+    # in each campaign on each plane.
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    @pytest.mark.parametrize("theorem", FRAME_THEOREMS)
+    def test_angles_that_do_not_close_up_fail(self, theorem, geometry, monkeypatch):
+        monkeypatch.setattr(kernel.PlaneModel, "line_angle", lambda self, l, m: math.nan)
+        with pytest.raises(GeometryError, match="do not close up"):
+            run_verification(theorem, geometry, trials=1)
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    @pytest.mark.parametrize("theorem", FRAME_THEOREMS)
+    def test_a_foot_past_its_side_end_fails(self, theorem, geometry, monkeypatch):
+        # d a tenth of |BC| beyond c, on the side line.
+        _first_foot_moved(monkeypatch, lambda model, d, b, c: _along(model, b, c, 1.1))
+        with pytest.raises(GeometryError, match="computed foot left its side segment"):
+            run_verification(theorem, geometry, trials=1)
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_a_foot_off_its_cevian_fails_ceva(self, geometry, monkeypatch):
+        # d moved along BC toward b, a hundredth of |DB|: still on its side
+        # segment, but no longer on the cevian AO.
+        _first_foot_moved(monkeypatch, lambda model, d, b, c: _along(model, d, b, 0.01))
+        with pytest.raises(DomainError, match="cevians are not concurrent"):
+            run_verification("ceva", geometry, trials=1)
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_a_measured_foot_outside_its_segment_fails_ceva_product(self, geometry):
+        draw, _ = verify._CAMPAIGNS["ceva"]()
+        tri, o = draw(geometry, substream(f"verify-ceva-{geometry.value}", 0, 0))
+        _, e, f, _, _, _, _ = cevians.cevian_feet(tri, o)
+        beyond = _along(geometry.model, tri.b, tri.c, 1.1)
+        with pytest.raises(DomainError, match="a foot lies outside its side segment"):
+            cevians.ceva_product(tri, beyond, e, f, legs=None)
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    @pytest.mark.parametrize("theorem", FRAME_THEOREMS)
+    def test_a_frame_trial_builds_no_frame_record(self, theorem, geometry):
+        draw, measure = verify._CAMPAIGNS[theorem]()
+        record = {cevians.CevianFrame.__init__.__code__,
+                  cevians.CevianFrame.__post_init__.__code__}
+        for i in range(5):
+            rng = substream(f"verify-{theorem}-{geometry.value}", 0, i)
+            assert record.isdisjoint(_calls(lambda: measure(*draw(geometry, rng))))
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_a_ceva_measure_makes_nine_distances_and_no_ratio(self, geometry):
+        # Six legs for the between-check and the product, three for the
+        # concurrency spread; no cevian length and no stretch ratio.
+        draw, measure = verify._CAMPAIGNS["ceva"]()
+        dist = type(geometry.model).dist.__code__
+        for i in range(5):
+            figure = draw(geometry, substream(f"verify-ceva-{geometry.value}", 0, i))
+            calls = _calls(measure, *figure)
+            assert calls.count(dist) == 9
+            assert calls.count(cevians.stretch_ratio.__code__) == 0
+
+
+class TestResidualGates:
+    # Each residual a campaign measures decides its report.
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_a_unit_sum_below_one_fails_euler_ratio(self, geometry, monkeypatch):
+        # The unit sum is a residual by its size, below one as above.
+        unit_sum = cevians.unit_sum_residual
+        monkeypatch.setattr(cevians, "unit_sum_residual", lambda *args: unit_sum(*args) - 1e-3)
+        assert not run_verification("euler-ratio", geometry, 300, 0).passed
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_a_displaced_third_median_fails_lambert(self, geometry, monkeypatch):
+        # lambert_median_report takes its feet as mid(b, c), mid(c, a) and
+        # mid(a, b), in that order; every third midpoint becomes
+        # mid(a, mid(a, b)), a quarter of the way along AB, so the third
+        # median misses the meet of the first two.
+        mid = kernel.PlaneModel.mid
+        calls = []
+
+        def third_displaced(self, p, q):
+            calls.append(p)
+            return mid(self, p, mid(self, p, q)) if len(calls) % 3 == 0 else mid(self, p, q)
+
+        monkeypatch.setattr(kernel.PlaneModel, "mid", third_displaced)
+        assert not run_verification("lambert", geometry, 300, 0).passed
 
 
 class TestJson:
