@@ -17,10 +17,12 @@ the Lexell base read.
 
 Composite results are renormalized onto their surface, so drift stays
 below TOL_POINT and constructions compose safely.  ``on_sheet`` holds
-the hyperboloid's acceptance band, the one check behind every HPoint,
-and ``hdist`` the one hyperbolic distance: code that reads points only
-as coordinates, such as the Lexell probe, passes its vectors through
-both and builds no HPoint.
+the hyperboloid's acceptance band, the check behind every HPoint, and
+``hdist`` the hyperbolic distance: code that reads points only as
+coordinates passes its vectors through both and builds no HPoint.  The
+Lexell probe's loops write both out instead, and ``test_lexell`` holds
+those copies to these two to the last bit, messages included (see
+``on_sheet`` and ``hdist``).
 
 The checks and distances that every sampled figure runs are written
 out on unpacked coordinates rather than composed from ``corevec`` calls:
@@ -192,11 +194,21 @@ def substream(label: str, seed: int, index: int = 0) -> random.Random:
 def on_sheet(v: Vec3) -> Vec3:
     """v itself when it lies on the upper hyperboloid sheet.
 
-    HPoint's check, and the one place its band is written: code that
-    reads a point only as its coordinates checks them here without
-    building an HPoint.  Anything else raises InvalidPointError.  The
-    band is one comparison chain, -band <= q + 1 <= band < inf, which
-    is |q + 1| <= band < inf with no call: both are false for a NaN.
+    HPoint's check, and the reference for its band: code that reads a
+    point only as its coordinates checks them here without building an
+    HPoint.  Anything else raises InvalidPointError.  The band is one
+    comparison chain, -band <= q + 1 <= band < inf, which is
+    |q + 1| <= band < inf with no call: both are false for a NaN.
+
+    The Lexell probe's loops write these lines out on each vector they
+    build: ``lexell._curve_points`` (each carrier point, then its
+    mirror), the midpoints of ``locus_residuals`` and the chord
+    crossings of ``equal_subarc_check``.  ``test_lexell`` holds each
+    copy to this check, message included
+    (``test_probe_points_pass_the_sheet_check``,
+    ``test_written_out_sheet_checks_refuse_as_on_sheet``,
+    ``test_curve_sheet_checks_refuse_as_on_sheet`` and
+    ``test_points_check_every_position_and_point``).
     """
     # The quadratic form carries rounding noise of order eps * v0^2,
     # so the acceptance band must widen with the point's height.  Once
@@ -255,6 +267,11 @@ def hdist(p: Vec3, q: Vec3) -> float:
 
     Near coincidence acosh(-<p,q>) loses half the digits, so the chord
     form 2*asinh(|p - q|/2) is used there instead.
+
+    ``lexell.equal_subarc_check`` writes these lines out for each
+    chord's two pieces; ``test_subarc_check_equals_the_per_chord_loop``
+    (which reaches both branches) and
+    ``test_chords_keep_the_separation_check`` hold that copy to this one.
     """
     p0, p1, p2 = p
     q0, q1, q2 = q

@@ -50,13 +50,28 @@ sample set, ``Hypercycle.samples`` (HYPERCYCLE_SEGMENTS + 1 points over
 the sample range, evaluated on first read): the foliation's leaf scan
 and the leaf's polyline read the same points, so a drawn foliation
 evaluates each leaf once.  Points come back as plain
-3-vectors, each passed through HPoint's sheet check (``k.on_sheet``):
-the locus probe, the foliation's leaf scan and the render polylines
-read only coordinates, so they build no HPoint, and the probe's
-midpoints and chord crossings pass the same check.  The locus probe
-measures each sample by its Fermi coordinates over the base line, the
-signed height t and the foot's arclength s, and adds the two right
-pieces the perpendicular cuts off: _right_area(sa - s, t) +
+3-vectors, each passed through HPoint's sheet check: the locus probe,
+the foliation's leaf scan and the render polylines read only
+coordinates, so they build no HPoint, and the probe's midpoints and
+chord crossings pass the same check.
+
+The probe loops write their per-vector work out, with the same
+operations in the same order, messages included: the sheet check
+(``k.on_sheet``) in ``_curve_points`` and after each normalization of
+the midline and chord loops, the distance (``k.hdist``) for each
+chord's two pieces, and ``_right_area`` in ``_base_areas``, with the
+tanh(t/2) its two pieces share computed once.  Those three stay the
+references, and the tests hold each copy to its reference bit for bit
+(``test_probe_points_pass_the_sheet_check``,
+``test_written_out_sheet_checks_refuse_as_on_sheet``,
+``test_curve_sheet_checks_refuse_as_on_sheet``,
+``test_subarc_check_equals_the_per_chord_loop``,
+``test_chords_keep_the_separation_check``,
+``test_base_areas_equal_the_per_sample_right_pieces``).
+
+The locus probe measures each sample by its Fermi coordinates over the
+base line, the signed height t and the foot's arclength s, and adds the
+two right pieces the perpendicular cuts off: _right_area(sa - s, t) +
 _right_area(s - sb, t), with the vertices at sa and sb.  Over a base of
 half-length x one such area is within eps * (7 pi + 9 + 6x) of exact,
 and a locus's area spread within twice that (``_base_areas`` derives
@@ -81,12 +96,13 @@ from functools import cached_property
 
 from . import corevec as vec
 from . import kernel as k
-from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_ID
+from .constants import MAX_HYPERBOLIC_SIDE, TOL_AREA, TOL_CLAMP, TOL_ID, TOL_POINT
 from .errors import (
     DegenerateInputError,
     DomainError,
     GeometryError,
     InfeasibleAreaError,
+    InvalidPointError,
 )
 from .kernel import Geometry, HPoint, Record, Vec3
 
@@ -106,8 +122,8 @@ HYPERCYCLE_SEGMENTS = 64
 # inverse (``max_apex_area``, ``_invert_apex_area``) alike.
 MAX_HALF_BASE = MAX_HYPERBOLIC_SIDE / 2.0
 
-# An apex whose ``line_residual`` against the base line is at most this
-# lies on the line.  For an apex at height y on the bisector it is sinh(y).
+# An apex whose ``line_residual`` against the base line, |p2|, is at most
+# this lies on the line.  For an apex at height y on the bisector it is sinh(y).
 BASE_LINE_TOL = 1e-9
 
 # HPoint's check sums squares of two coordinates, so none may exceed
@@ -191,8 +207,8 @@ def hypercycle_points(hc: Hypercycle, positions) -> list[Vec3]:
     sinh(s) in closed form: gamma(s) = cosh(s) * g0 + sinh(s) * u0.  A
     position whose point has coordinates no float holds raises
     DomainError before it is built, and every point goes through
-    HPoint's sheet check, ``k.on_sheet``, so each vector is one that
-    ``HPoint`` accepts.
+    HPoint's sheet check, ``k.on_sheet`` written out, so each vector is
+    one that ``HPoint`` accepts.
     """
     return _curve_points(hc, positions, None)
 
@@ -214,8 +230,9 @@ def hypercycle_points_and_mirror(
 
 
 def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> list[Vec3]:
-    # The curve formula of ``hypercycle_points``; with ``mirrored`` a
-    # list, the mirror's points are appended to it.  The axis has l1 = 0,
+    # The curve formula of ``hypercycle_points``, and the one copy of
+    # ``k.on_sheet`` that checks curve points; with ``mirrored`` a list,
+    # the mirror's points are appended to it.  The axis has l1 = 0,
     # so g0[1] is +0.0 and u0[0], u0[2] and the normal's n1 are +-0: a
     # point is co*(ch*g00) + t0, co*(sh*u01) and co*(ch*g02) + t2.  At
     # s = 0, ``or 0.0`` gives v1 the +0.0 that ch*g01 + sh*u01 gives it.
@@ -224,7 +241,7 @@ def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> lis
     u01 = u0[1]
     l0, _, l2 = hc.axis
     t0, t2 = so * -l0, so * l2
-    cosh, sinh, check = math.cosh, math.sinh, k.on_sheet
+    cosh, sinh, inf = math.cosh, math.sinh, math.inf
     pts = []
     append = pts.append
     for s in positions:
@@ -234,9 +251,21 @@ def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> lis
         x0 = co * (ch * g00)
         x1 = co * (sinh(s) * u01) or 0.0
         x2 = co * (ch * g02)
-        append(check((x0 + t0, x1, x2 + t2)))
+        # ``k.on_sheet`` written out on each point, its v1 * v1 shared.
+        n1 = x1 * x1
+        v0, v2 = x0 + t0, x2 + t2
+        n = -v0 * v0
+        band = TOL_POINT * (1.0 - n)
+        if not (-band <= n + n1 + v2 * v2 + 1.0 <= band < inf) or v0 <= 0.0:
+            raise InvalidPointError(f"not on the upper hyperboloid sheet: {(v0, x1, v2)}")
+        append((v0, x1, v2))
         if mirrored is not None:
-            mirrored.append(check((x0 - t0, x1, x2 - t2)))
+            v0, v2 = x0 - t0, x2 - t2
+            n = -v0 * v0
+            band = TOL_POINT * (1.0 - n)
+            if not (-band <= n + n1 + v2 * v2 + 1.0 <= band < inf) or v0 <= 0.0:
+                raise InvalidPointError(f"not on the upper hyperboloid sheet: {(v0, x1, v2)}")
+            mirrored.append((v0, x1, v2))
     return pts
 
 
@@ -258,7 +287,14 @@ class BaseConfig(Record):
     real axis: ``a`` is exactly polar(0, x) and ``b`` exactly its bisector
     mirror (``_bisector_mirror``), which is polar(0, -x) to the last bit.
     Any other pair raises DomainError, so every Lexell computation may
-    take the base's exact frame (see the module docstring)."""
+    take the base's exact frame (see the module docstring).  So does an x
+    too short for the vertices to span a line (``line`` refuses them, for
+    x up to about 5e-11): every locus stands on the base line.
+
+    On every base accepted, that line is exactly (0.0, 0.0, -1.0): with
+    a = (a0, a1, 0) and b = (a0, -a1, 0), ``line``'s cross product is
+    (0, 0, l2) with l2 = -2 (a0 a1) exactly, and sqrt(l2^2) = |l2|.
+    ``lexell_locus`` reads an apex's residual against it as |p2|."""
 
     __slots__ = ("a", "b", "half_distance")
 
@@ -268,6 +304,12 @@ class BaseConfig(Record):
             raise DomainError(f"half-distance {x} outside (0, {MAX_HALF_BASE}]")
         if self.a.v != _MODEL.polar(0.0, x).v or self.b.v != _bisector_mirror(self.a).v:
             raise DomainError("base vertices are not the standard pair at +-half-distance")
+        try:
+            _MODEL.line(self.a, self.b)
+        except DegenerateInputError:
+            raise DomainError(
+                f"half-distance {x} is too short for the base to span a line"
+            ) from None
 
     @classmethod
     def from_half_distance(cls, x: float) -> "BaseConfig":
@@ -345,14 +387,16 @@ def _base_areas(pts: list[Vec3], a: HPoint, b: HPoint) -> list[float]:
     area spread by at most twice that: 2 eps (7 pi + 9 + 6X).  The
     samples' own rounding, from ``hypercycle_points``, is not in it.
     """
-    asinh, hypot, right = math.asinh, math.hypot, _right_area
+    asinh, hypot, atan, tanh = math.asinh, math.hypot, math.atan, math.tanh
     sa, sb = asinh(a.v[1]), asinh(b.v[1])
     areas = []
     for _, z1, z2 in pts:
         h = -z2
         t = abs(asinh(h))
         s = asinh(z1 / hypot(1.0, h))
-        areas.append(right(sa - s, t) + right(s - sb, t))
+        # _right_area(sa - s, t) + _right_area(s - sb, t), tanh(t/2) once.
+        tt = tanh(0.5 * t)
+        areas.append(2.0 * atan(tanh(0.5 * (sa - s)) * tt) + 2.0 * atan(tanh(0.5 * (s - sb)) * tt))
     return areas
 
 
@@ -381,7 +425,8 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     and B on the mirror, P on the carrier); area constancy is the theorem
     itself, and ``locus_residuals`` alone samples and measures it.
     """
-    if _MODEL.line_residual(base.base_line(), p) <= BASE_LINE_TOL:
+    # |p2| is p's ``line_residual`` against the base line (0, 0, -1).
+    if abs(p.v[2]) <= BASE_LINE_TOL:
         raise DegenerateInputError("apex lies on the base line")
     m1 = _MODEL.mid(p, base.a)
     m2 = _bisector_mirror(m1)
@@ -438,11 +483,22 @@ def locus_residuals(
     a0, a1, a2 = a.v
     b0, b1, b2 = b.v
     l0, _, l2 = locus.carrier.axis
-    normalize, check = vec.mnormalize_point, k.on_sheet
+    normalize, inf = vec.mnormalize_point, math.inf
     midline = 0.0
     for z0, z1, z2 in pts:
-        ma0, _, ma2 = check(normalize((z0 + a0, z1 + a1, z2 + a2)))
-        mb0, _, mb2 = check(normalize((z0 + b0, z1 + b1, z2 + b2)))
+        # Each midpoint through ``k.on_sheet`` written out.
+        ma = normalize((z0 + a0, z1 + a1, z2 + a2))
+        ma0, ma1, ma2 = ma
+        n = -ma0 * ma0
+        band = TOL_POINT * (1.0 - n)
+        if not (-band <= n + ma1 * ma1 + ma2 * ma2 + 1.0 <= band < inf) or ma0 <= 0.0:
+            raise InvalidPointError(f"not on the upper hyperboloid sheet: {ma}")
+        mb = normalize((z0 + b0, z1 + b1, z2 + b2))
+        mb0, mb1, mb2 = mb
+        n = -mb0 * mb0
+        band = TOL_POINT * (1.0 - n)
+        if not (-band <= n + mb1 * mb1 + mb2 * mb2 + 1.0 <= band < inf) or mb0 <= 0.0:
+            raise InvalidPointError(f"not on the upper hyperboloid sheet: {mb}")
         d = abs(ma0 * l0 + ma2 * l2)
         if d > midline:
             midline = d
@@ -477,8 +533,8 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     has l . w = |s2| s1 + |s1| s2 = 0 and lies in span(z1, z2), so it is
     on both lines.  A positive combination of two future-timelike
     vectors is future-timelike, so w always normalizes onto the sheet,
-    and the crossing goes through HPoint's sheet check.  ``kernel.hdist``
-    measures both pieces on the vectors.
+    and the crossing goes through HPoint's sheet check.  Both pieces are
+    measured on the vectors by ``kernel.hdist``, written out.
     """
     if n < 0:
         raise DomainError(f"chord count must be nonnegative: {n}")
@@ -487,7 +543,8 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
     mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
     l0, _, l2 = locus.carrier.axis
-    normalize, check, hdist = vec.mnormalize_point, k.on_sheet, k.hdist
+    normalize, inf = vec.mnormalize_point, math.inf
+    asinh, acosh, sqrt = math.asinh, math.acosh, math.sqrt
     worst = 0.0
     for z1, z2 in zip(carrier_pts, mirror_pts):
         p0, p1, p2 = z1
@@ -497,8 +554,34 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
         if s1 * s2 >= 0.0:
             raise DomainError("chord endpoints must straddle the axis")
         w1, w2 = abs(s2), abs(s1)
-        x = check(normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2)))
-        d = abs(hdist(z1, x) - hdist(x, z2))
+        x = normalize((w1 * p0 + w2 * q0, w1 * p1 + w2 * q1, w1 * p2 + w2 * q2))
+        x0, x1, x2 = x
+        nx = -x0 * x0
+        band = TOL_POINT * (1.0 - nx)
+        if not (-band <= nx + x1 * x1 + x2 * x2 + 1.0 <= band < inf) or x0 <= 0.0:
+            raise InvalidPointError(f"not on the upper hyperboloid sheet: {x}")
+        # hdist(z1, x), then hdist(x, z2).
+        t = -p0 * x0
+        m = -(t + p1 * x1 + p2 * x2)
+        if m < 1.0 - TOL_CLAMP * (1.0 - t):
+            raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
+        if m < 1.5:
+            d0, d1, d2 = p0 - x0, p1 - x1, p2 - x2
+            c = -d0 * d0 + d1 * d1 + d2 * d2
+            da = 0.0 if c <= 0.0 else 2.0 * asinh(0.5 * sqrt(c))
+        else:
+            da = acosh(m)
+        t = -x0 * q0
+        m = -(t + x1 * q1 + x2 * q2)
+        if m < 1.0 - TOL_CLAMP * (1.0 - t):
+            raise InvalidPointError(f"separation invariant violated: -<p,q> = {m}")
+        if m < 1.5:
+            d0, d1, d2 = x0 - q0, x1 - q1, x2 - q2
+            c = -d0 * d0 + d1 * d1 + d2 * d2
+            db = 0.0 if c <= 0.0 else 2.0 * asinh(0.5 * sqrt(c))
+        else:
+            db = acosh(m)
+        d = abs(da - db)
         # The fold ``max`` makes: a NaN never replaces the worst so far.
         if d > worst:
             worst = d

@@ -98,6 +98,19 @@ def _disk_apex(radius: float, angle: float):
     return k.disk_to_hpoint(k.DiskPoint(radius * math.cos(angle), radius * math.sin(angle)))
 
 
+# The shortest half-base ``BaseConfig`` accepts: the vertices of x span a
+# line when 4 (cosh x sinh x)^2 passes ``line``'s floor of 1e-20, first
+# one ulp above 5e-11.
+_SHORTEST_HALF_BASE = math.nextafter(5e-11, math.inf)
+
+
+def _vertex_line(x: float):
+    """The line through the standard vertices at +-x, built without
+    ``BaseConfig``."""
+    a = HYP.polar(0.0, x)
+    return HYP.line(a, _bisector_mirror(a))
+
+
 # Apexes across the CLI's input range: anywhere in the disk of radius
 # 0.999, or on the bisector up to MAX_APEX_HEIGHT.  An apex on the base
 # line raises DegenerateInputError, a GeometryError.
@@ -402,12 +415,51 @@ class TestBaseConfig:
                         BaseConfig(a, b, x)
 
     @settings(max_examples=300, deadline=None)
-    @given(x=st.floats(0.0, MAX_HALF_BASE, exclude_min=True))
-    @example(x=5e-324)
+    @given(x=st.floats(_SHORTEST_HALF_BASE, MAX_HALF_BASE))
+    @example(x=_SHORTEST_HALF_BASE)
     @example(x=MAX_HALF_BASE)
     def test_mirror_vertex_is_the_polar_one(self, x):
         # B is built as A's bisector mirror; it is polar(0, -x) to the bit.
         assert repr(BaseConfig.from_half_distance(x).b) == repr(HYP.polar(0.0, -x))
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-11, 5e-11])
+    def test_base_too_short_to_span_a_line_rejected(self, x):
+        # Every locus stands on the base line, so a base whose vertices
+        # span none is refused where it is built, naming its half-distance.
+        with pytest.raises(DomainError, match=f"^half-distance {x} is too short"):
+            BaseConfig.from_half_distance(x)
+
+    def test_the_shortest_base_builds_a_locus(self):
+        # The refusal stops one ulp short of the first x whose vertices
+        # span a line, and that base still carries a locus.
+        assert _outcome(_vertex_line, _SHORTEST_HALF_BASE) == (0.0, 0.0, -1.0)
+        below = math.nextafter(_SHORTEST_HALF_BASE, 0.0)
+        assert _outcome(_vertex_line, below) == (
+            DegenerateInputError,
+            "points coincide, are antipodal or are too far apart to span a line",
+        )
+        base = BaseConfig.from_half_distance(_SHORTEST_HALF_BASE)
+        locus = lexell_locus(base, _disk_apex(0.6, 0.5))
+        assert locus.carrier.offset > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, 1e-9, exclude_min=True))
+    @example(x=_SHORTEST_HALF_BASE)
+    @example(x=math.nextafter(_SHORTEST_HALF_BASE, 0.0))
+    def test_refused_exactly_where_the_vertices_span_no_line(self, x):
+        built = isinstance(_outcome(BaseConfig.from_half_distance, x), BaseConfig)
+        assert built == (_outcome(_vertex_line, x) == (0.0, 0.0, -1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(_SHORTEST_HALF_BASE, MAX_HALF_BASE), apex=_APEXES)
+    @example(x=_SHORTEST_HALF_BASE, apex=_perp_apex(1.0))
+    @example(x=MAX_HALF_BASE, apex=_perp_apex(MAX_APEX_HEIGHT))
+    def test_base_line_is_exactly_the_axis_of_x2(self, x, apex):
+        # The line of every accepted base is (0, 0, -1), so an apex's
+        # residual against it, the one ``lexell_locus`` reads, is |p2|.
+        line = BaseConfig.from_half_distance(x).base_line()
+        assert repr(line) == "(0.0, 0.0, -1.0)"
+        assert HYP.line_residual(line, apex) == abs(apex.v[2])
 
 
 class TestLexellLocus:
@@ -416,6 +468,21 @@ class TestLexellLocus:
         locus = lexell_locus(base, _perp_apex(1.0))
         assert locus.area == pytest.approx(2.0 * _right_area(0.8, 1.0), abs=1e-12)
         assert locus.carrier.offset == pytest.approx(0.5668110250377684, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_apex_on_the_base_line_up_to_its_tolerance(self, sign):
+        # An apex with |p2| = BASE_LINE_TOL lies on the base line; one ulp
+        # further off it builds a locus.
+        base = BaseConfig.from_half_distance(0.8)
+        for p2, on_line in ((BASE_LINE_TOL, True), (math.nextafter(BASE_LINE_TOL, 1.0), False)):
+            p2 *= sign
+            apex = HPoint((math.sqrt(1.25 + p2 * p2), 0.5, p2))
+            assert HYP.line_residual(base.base_line(), apex) == abs(p2)
+            got = _outcome(lexell_locus, base, apex)
+            if on_line:
+                assert got == (DegenerateInputError, "apex lies on the base line")
+            else:
+                assert got.carrier.offset > 0.0
 
     def test_apex_lies_on_its_carrier(self):
         base = BaseConfig.from_half_distance(1.1)
@@ -633,6 +700,40 @@ class TestChordSplit:
         with pytest.raises(DomainError, match="chord endpoints must straddle the axis"):
             equal_subarc_check(same_side, 5)
 
+    @pytest.mark.parametrize("near", ["carrier", "mirror"])
+    def test_chords_keep_the_separation_check(self, near, monkeypatch):
+        # The subarc probe writes ``k.hdist`` out, the separation check of
+        # each piece included.  Every draw lands at the middle, so the chord
+        # runs straight across the axis; the ``near`` curve lies 1e-6 from
+        # it and the other 0.5.  The crossing, shrunk into the sheet band,
+        # fails the check on the near piece with hdist's message.
+        locus = _seeded_locus(0)
+        o1, o2 = (1e-6, 0.5) if near == "carrier" else (0.5, 1e-6)
+        axis = locus.carrier.axis
+        probed = AreaLocus(locus.base, Hypercycle(axis, o1), Hypercycle(axis, -o2), locus.area)
+        crossings = []
+
+        class Middle:
+            @staticmethod
+            def random():
+                return 0.5
+
+        class Shrunk(_OffSheetNormalize):
+            @staticmethod
+            def mnormalize_point(x):
+                crossings.append(tuple((1.0 - 5e-11) * c for c in vec.mnormalize_point(x)))
+                return crossings[-1]
+
+        monkeypatch.setattr(k, "substream", lambda *args: Middle())
+        monkeypatch.setattr(lexell, "vec", Shrunk())
+        got = _outcome(equal_subarc_check, probed, 1)
+        (z1,), (z2,) = hypercycle_points(probed.carrier, [0.0]), hypercycle_points(probed.mirror, [0.0])
+        (x,) = crossings
+        assert got == _outcome(lambda: (k.hdist(z1, x), k.hdist(x, z2)))
+        assert got[0] is InvalidPointError
+        assert got[1].startswith("separation invariant violated: -<p,q> = ")
+        assert isinstance(_outcome(k.hdist, z1, x), float) == (near == "mirror")
+
     def test_negative_chord_count_rejected(self):
         # A negative count measures no chord; it must not read as a
         # subarc residual of 0.
@@ -747,13 +848,16 @@ def _reference_residuals(locus: AreaLocus, samples: int, chords: int, seed: int)
     )
 
 
-def _builtin_calls(fn, *args) -> dict:
-    """How many times fn(*args) calls each builtin, keyed by the builtin."""
+def _calls(fn, *args) -> dict:
+    """How many times fn(*args) calls each builtin, keyed by the builtin,
+    and enters each Python function, keyed by its code object."""
     calls: dict = {}
 
     def profile(frame, event, arg):
         if event == "c_call":
             calls[arg] = calls.get(arg, 0) + 1
+        elif event == "call":
+            calls[frame.f_code] = calls.get(frame.f_code, 0) + 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -862,13 +966,28 @@ class TestOnePassRoutes:
         # The reach check and the sheet check are comparison chains: per
         # position, a builtin call would cost more than the comparisons.
         locus = _seeded_locus(0)
-        calls = _builtin_calls(hypercycle_points_and_mirror, locus.carrier, sample_positions(65))
+        calls = _calls(hypercycle_points_and_mirror, locus.carrier, sample_positions(65))
         assert calls.get(abs, 0) == 0
+
+    def test_the_probes_call_no_sheet_check_or_distance(self):
+        # A curve pass, the locus probe and the subarc probe write out
+        # ``k.on_sheet`` and ``k.hdist`` on their vectors; the tests above
+        # and test_probe_points_pass_the_sheet_check hold them to both.
+        locus = _seeded_locus(0)
+        written_out = {k.on_sheet.__code__, k.hdist.__code__}
+        for fn, args in (
+            (hypercycle_points_and_mirror, (locus.carrier, sample_positions(65))),
+            (locus_residuals, (locus,)),
+            (equal_subarc_check, (locus, 12)),
+        ):
+            calls = _calls(fn, *args)
+            assert lexell._curve_points.__code__ in calls
+            assert written_out & calls.keys() == set()
 
     def test_subarc_check_folds_its_maximum_inline(self):
         # Per chord: the two weights |s2| and |s1| and the imbalance.
         n = 12
-        calls = _builtin_calls(equal_subarc_check, _seeded_locus(0), n)
+        calls = _calls(equal_subarc_check, _seeded_locus(0), n)
         assert calls.get(max, 0) == 0
         assert calls.get(abs, 0) <= 3 * n
 
@@ -921,6 +1040,63 @@ class TestOnePassRoutes:
             HPoint(ast.literal_eval(message[len(_OFF_SHEET):]))
         assert str(built.value) == message
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(2.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1e160, 0.0, 0.0), (math.nan, 0.0, 0.0)],
+        ids=["off the band", "lower sheet", "band overflows", "nan"],
+    )
+    @pytest.mark.parametrize("probe, call", [("midline", 1), ("midline", 2), ("chords", 1)])
+    def test_written_out_sheet_checks_refuse_as_on_sheet(self, bad, probe, call, monkeypatch):
+        # The normalization's ``call``-th vector is ``bad``: the midpoint
+        # with a, or with b, of the first sample, or the first chord's
+        # crossing.  Each copy of the check refuses it as ``k.on_sheet``
+        # does, on the edges of its chain: past the band, v0 <= 0, the
+        # band no longer finite, and NaN.
+        calls = []
+
+        class Bad(_OffSheetNormalize):
+            @staticmethod
+            def mnormalize_point(x):
+                calls.append(x)
+                return bad if len(calls) == call else vec.mnormalize_point(x)
+
+        monkeypatch.setattr(lexell, "vec", Bad())
+        locus = _seeded_locus(0)
+        run = {
+            "midline": lambda: locus_residuals(locus, samples=20, chords=0),
+            "chords": lambda: equal_subarc_check(locus, 10),
+        }[probe]
+        got = _outcome(run)
+        assert got == _outcome(k.on_sheet, bad)
+        assert got[0] is InvalidPointError
+
+    @pytest.mark.parametrize(
+        "axis, g00, so, bad",
+        [
+            ((0.0, 0.0, 1.0), -1.0, 0.0, (-1.0, 0.0, 0.0)),
+            ((-1.0, 0.0, 0.0), 0.0, 1.0, (-1.0, 0.0, 0.0)),
+            ((0.0, 0.0, 1.0), 1e160, 0.0, (1e160, 0.0, 0.0)),
+            ((0.0, 0.0, 1.0), math.nan, 0.0, (math.nan, 0.0, 0.0)),
+        ],
+        ids=["carrier on the lower sheet", "mirror on the lower sheet",
+             "carrier's band overflows", "nan carrier"],
+    )
+    def test_curve_sheet_checks_refuse_as_on_sheet(self, axis, g00, so, bad):
+        # A frame whose point at s = 0 is ``bad`` on the carrier or, the
+        # carrier (1, 0, 0) kept on the sheet, on the mirror; the written-out
+        # check refuses it with ``k.on_sheet``'s outcome, the carrier's in
+        # a pass over the carrier alone.
+        hc = Hypercycle(axis, 0.5)
+        hc.__dict__["_axis_frame"] = ((g00, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, so, 100.0)
+        carrier = _outcome(hypercycle_points, hc, [0.0])
+        if so:
+            assert carrier == [(1.0, 0.0, 0.0)]
+            got = _outcome(hypercycle_points_and_mirror, hc, [0.0])
+        else:
+            got = carrier
+        assert got == _outcome(k.on_sheet, bad)
+        assert got[0] is InvalidPointError
+
     def test_base_areas_match_the_per_sample_deficit(self):
         # Both routes measure the same triangles; on these points the
         # deficit's own rounding stays far below the closed-form bound.
@@ -935,6 +1111,23 @@ class TestOnePassRoutes:
             )
             for area, z in zip(_base_areas(pts, a, b), pts):
                 assert abs(area - _deficit(HPoint(z), a, b)) <= 1e-12
+
+    def test_base_areas_equal_the_per_sample_right_pieces(self):
+        # ``_base_areas`` writes ``_right_area`` out with tanh(t/2) shared
+        # by the two pieces; each area equals the two calls, bit for bit,
+        # on and off the carrier, and on the base line itself.
+        for i in range(30):
+            locus = _seeded_locus(i)
+            a, b = locus.base.a, locus.base.b
+            rng = random.Random(300 + i)
+            pts = (
+                hypercycle_samples(locus.carrier, 20)
+                + hypercycle_samples(locus.mirror, 7)
+                + [_random_point(rng, 3.0).v for _ in range(20)]
+                + [HYP.polar(0.0, rng.uniform(-3.0, 3.0)).v, ORIGIN.v]
+            )
+            want = [_reference_area(HPoint(z), a, b) for z in pts]
+            assert repr(_base_areas(pts, a, b)) == repr(want)
 
     def test_base_areas_past_the_recentring_limit(self):
         # Tall apexes put samples past the kernel's recentring limit, where
@@ -991,12 +1184,19 @@ class TestOnePassRoutes:
                 ) == _reference_residuals(locus, samples, chords, i)
 
     def test_subarc_check_equals_the_per_chord_loop(self):
+        # The chords reach both of ``hdist``'s branches, the chord form
+        # (asinh) and acosh, that ``equal_subarc_check`` writes out.
+        branches = {math.asinh: 0, math.acosh: 0}
         for i in range(20):
             locus = _seeded_locus(i)
             for n in (0, 1, 7, 100):
                 assert equal_subarc_check(locus, n, seed=i) == _reference_subarc(
                     locus, n, i
                 )
+                calls = _calls(equal_subarc_check, locus, n, i)
+                for f in branches:
+                    branches[f] += calls.get(f, 0)
+        assert min(branches.values()) > 0
 
     @staticmethod
     def _inverse_targets():
