@@ -241,6 +241,10 @@ def _lexell_apex(args):
 def _cmd_lexell(args, parser) -> int:
     from .lexell import BaseConfig, foliation, lexell_locus, locus_residuals
 
+    # The flags are checked before the base, so that a half-distance the
+    # base refuses does not hide the usage error, as in ``_cmd_render``.
+    if args.foliate is None and args.apex_y is None and args.apex is None:
+        parser.error("need an apex: --apex-y or --apex (or --foliate)")
     base = BaseConfig.from_half_distance(args.x)
     if args.foliate is not None:
         leaves = foliation(base, list(args.foliate))
@@ -253,8 +257,6 @@ def _cmd_lexell(args, parser) -> int:
         }
         _report(record, args, lambda render: render.scene_for_foliation(base, tuple(leaves)))
         return 0
-    if args.apex_y is None and args.apex is None:
-        parser.error("need an apex: --apex-y or --apex (or --foliate)")
     apex = _lexell_apex(args)
     locus = lexell_locus(base, apex)
     residuals = locus_residuals(locus, samples=args.samples, chords=0)

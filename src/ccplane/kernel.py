@@ -202,13 +202,14 @@ def on_sheet(v: Vec3) -> Vec3:
 
     The Lexell probe's loops write these lines out on each vector they
     build: ``lexell._curve_points`` (each carrier point, then its
-    mirror), the midpoints of ``locus_residuals`` and the chord
-    crossings of ``equal_subarc_check``.  ``test_lexell`` holds each
-    copy to this check, message included
-    (``test_probe_points_pass_the_sheet_check``,
+    mirror), the midpoints of ``locus_residuals``, and in
+    ``equal_subarc_check`` each chord's carrier endpoint, mirror
+    endpoint and crossing.  ``test_lexell`` holds each copy to this
+    check, message included (``test_probe_points_pass_the_sheet_check``,
     ``test_written_out_sheet_checks_refuse_as_on_sheet``,
     ``test_curve_sheet_checks_refuse_as_on_sheet`` and
-    ``test_points_check_every_position_and_point``).
+    ``test_points_check_every_position_and_point``, the last two on the
+    chord endpoints too).
     """
     # The quadratic form carries rounding noise of order eps * v0^2,
     # so the acceptance band must widen with the point's height.  Once

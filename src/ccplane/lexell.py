@@ -39,9 +39,11 @@ asymptotic to the base line, and the area at distance c is
 2 * _right_area(inf, c) = pi - 2*arctan(1/sinh c).
 
 Each curve is evaluated in one pass: ``hypercycle_points`` reads the
-curve's cached frame once and builds every point a caller asks for, and
-its loop, ``_curve_points``, is the only place the curve formula is
-written.  A locus's
+curve's cached frame once and builds every point a caller asks for in
+its loop, ``_curve_points``.  The subarc probe, ``equal_subarc_check``,
+writes that formula out once more: its one chord loop builds each
+chord's carrier and mirror endpoints, each on its own curve's frame and
+axis, and keeps no list of draws or points.  A locus's
 axis frame is built once: the mirror, and the axis curve a figure
 labels, take the carrier's axis foot and tangent (``at_offset``), and
 ``hypercycle_points_and_mirror`` evaluates the carrier and its mirror
@@ -57,14 +59,18 @@ chord crossings pass the same check.
 
 The probe loops write their per-vector work out, with the same
 operations in the same order, messages included: the sheet check
-(``k.on_sheet``) in ``_curve_points`` and after each normalization of
-the midline and chord loops, the distance (``k.hdist``) for each
-chord's two pieces, and ``_right_area`` in ``_base_areas``, with the
-tanh(t/2) its two pieces share computed once.  Those three stay the
-references, and the tests hold each copy to its reference bit for bit
-(``test_probe_points_pass_the_sheet_check``,
+(``k.on_sheet``) in ``_curve_points``, on each chord endpoint and after
+each normalization of the midline and chord loops, the curve formula
+(``_curve_points``) for each chord endpoint, the distance (``k.hdist``)
+for each chord's two pieces, and ``_right_area`` in ``_base_areas``,
+with the tanh(t/2) its two pieces share computed once.  Those four stay
+the references, and the tests hold each copy to its reference bit for
+bit (``test_probe_points_pass_the_sheet_check``,
 ``test_written_out_sheet_checks_refuse_as_on_sheet``,
 ``test_curve_sheet_checks_refuse_as_on_sheet``,
+``test_points_check_every_position_and_point``,
+``test_reach_check_matches_the_abs_form``,
+``test_subarc_check_reads_each_curve_own_frame``,
 ``test_subarc_check_equals_the_per_chord_loop``,
 ``test_chords_keep_the_separation_check``,
 ``test_base_areas_equal_the_per_sample_right_pieces``).
@@ -229,18 +235,24 @@ def hypercycle_points_and_mirror(
     return _curve_points(hc, positions, mirrored), mirrored
 
 
-def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> list[Vec3]:
-    # The curve formula of ``hypercycle_points``, and the one copy of
-    # ``k.on_sheet`` that checks curve points; with ``mirrored`` a list,
-    # the mirror's points are appended to it.  The axis has l1 = 0,
-    # so g0[1] is +0.0 and u0[0], u0[2] and the normal's n1 are +-0: a
-    # point is co*(ch*g00) + t0, co*(sh*u01) and co*(ch*g02) + t2.  At
-    # s = 0, ``or 0.0`` gives v1 the +0.0 that ch*g01 + sh*u01 gives it.
+def _curve_terms(hc: Hypercycle) -> tuple[float, ...]:
+    # The terms of the curve formula its frame and axis do not zero,
+    # (g00, g02, u01, co, t0, t2, reach).  The axis has l1 = 0, so g0[1]
+    # is +0.0 and u0[0], u0[2] and the normal's n1 are +-0: a point is
+    # co*(ch*g00) + t0, co*(sh*u01) and co*(ch*g02) + t2.  At s = 0,
+    # ``or 0.0`` gives v1 the +0.0 that ch*g01 + sh*u01 gives it.
     g0, u0, co, so, reach = hc._axis_frame
-    g00, _, g02 = g0
-    u01 = u0[1]
     l0, _, l2 = hc.axis
-    t0, t2 = so * -l0, so * l2
+    return g0[0], g0[2], u0[1], co, so * -l0, so * l2, reach
+
+
+def _curve_points(hc: Hypercycle, positions, mirrored: list[Vec3] | None) -> list[Vec3]:
+    # The curve formula of ``hypercycle_points`` on ``_curve_terms``, with
+    # ``k.on_sheet`` written out on each point; with ``mirrored`` a list,
+    # the mirror's points are appended to it.  ``equal_subarc_check``
+    # copies the formula and the checks for its chord endpoints, one curve
+    # at a time.
+    g00, g02, u01, co, t0, t2, reach = _curve_terms(hc)
     cosh, sinh, inf = math.cosh, math.sinh, math.inf
     pts = []
     append = pts.append
@@ -524,9 +536,13 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     the axis bisects every such chord, so the imbalance is pure
     rounding.  One substream ("subarc", seed) serves the whole check:
     its draws give the carrier and then the mirror position of each
-    chord in turn.  All 2n positions are drawn first, and each curve's
-    points are built in one ``hypercycle_points`` pass.  A negative n
-    raises DomainError.
+    chord in turn.  One loop runs over the chords: it draws each chord's
+    carrier position and builds and checks that endpoint, then the
+    mirror's, each with ``_curve_points``' formula, reach check and
+    sheet check on its own curve's frame and axis, then cuts and
+    measures the chord.  So the first failure in chord order is raised:
+    chord i's carrier endpoint, its mirror endpoint, its crossing.  A
+    negative n raises DomainError.
 
     The chord z1 z2 crosses the axis l in closed form: with
     s_i = l . z_i (``side_value``, with l1 = 0) of opposite signs, w = |s2| z1 + |s1| z2
@@ -538,17 +554,40 @@ def equal_subarc_check(locus: AreaLocus, n: int, seed: int = 0) -> float:
     """
     if n < 0:
         raise DomainError(f"chord count must be nonnegative: {n}")
-    rng = k.substream("subarc", seed)
-    draws = [-SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random() for _ in range(2 * n)]
-    carrier_pts = hypercycle_points(locus.carrier, draws[0::2])
-    mirror_pts = hypercycle_points(locus.mirror, draws[1::2])
+    random = k.substream("subarc", seed).random
+    lo, span = -SAMPLE_RANGE, 2.0 * SAMPLE_RANGE
+    # Each endpoint is ``_curve_points``' point on its own curve's frame
+    # and axis, with its reach and sheet checks and messages.
+    g00, g02, u01, co, t0, t2, reach = _curve_terms(locus.carrier)
+    mg00, mg02, mu01, mco, mt0, mt2, mreach = _curve_terms(locus.mirror)
     l0, _, l2 = locus.carrier.axis
     normalize, inf = vec.mnormalize_point, math.inf
+    cosh, sinh = math.cosh, math.sinh
     asinh, acosh, sqrt = math.asinh, math.acosh, math.sqrt
     worst = 0.0
-    for z1, z2 in zip(carrier_pts, mirror_pts):
-        p0, p1, p2 = z1
-        q0, q1, q2 = z2
+    for _ in range(n):
+        s = lo + span * random()
+        if not -reach <= s <= reach:
+            raise DomainError(f"axis position {s} puts the point beyond float range")
+        ch = cosh(s)
+        p0 = co * (ch * g00) + t0
+        p1 = co * (sinh(s) * u01) or 0.0
+        p2 = co * (ch * g02) + t2
+        n0 = -p0 * p0
+        band = TOL_POINT * (1.0 - n0)
+        if not (-band <= n0 + p1 * p1 + p2 * p2 + 1.0 <= band < inf) or p0 <= 0.0:
+            raise InvalidPointError(f"not on the upper hyperboloid sheet: {(p0, p1, p2)}")
+        s = lo + span * random()
+        if not -mreach <= s <= mreach:
+            raise DomainError(f"axis position {s} puts the point beyond float range")
+        ch = cosh(s)
+        q0 = mco * (ch * mg00) + mt0
+        q1 = mco * (sinh(s) * mu01) or 0.0
+        q2 = mco * (ch * mg02) + mt2
+        n0 = -q0 * q0
+        band = TOL_POINT * (1.0 - n0)
+        if not (-band <= n0 + q1 * q1 + q2 * q2 + 1.0 <= band < inf) or q0 <= 0.0:
+            raise InvalidPointError(f"not on the upper hyperboloid sheet: {(q0, q1, q2)}")
         s1 = p0 * l0 + p2 * l2
         s2 = q0 * l0 + q2 * l2
         if s1 * s2 >= 0.0:

@@ -230,6 +230,24 @@ class TestLexellCommand:
     def test_missing_apex_is_usage_error(self):
         assert run_cli("lexell", "0.8").returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["lexell", "0"], "need an apex"),
+        (["lexell", "1e-11"], "need an apex"),
+        (["lexell", "9"], "need an apex"),
+        (["render", "locus", "--x", "0", "--svg", "x.svg"], "the flags name a frame"),
+        (["render", "locus", "--x", "1e-11", "--svg", "x.svg"], "the flags name a frame"),
+    ], ids=["lexell 0", "lexell 1e-11", "lexell 9", "render 0", "render 1e-11"])
+    def test_missing_apex_is_usage_error_on_any_base(self, argv, message, capsys):
+        # The flags are checked before the base: a half-distance the base
+        # refuses (0, 1e-11 too short to span a line, 9 too long) does not
+        # turn the usage error into the base's DomainError.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+
     def test_foliate_leaves_ordered(self, tmp_path):
         path = tmp_path / "foliation.svg"
         out = run_cli("lexell", "0.8", "--foliate", "0.3,0.8,1.2",

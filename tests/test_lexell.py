@@ -800,19 +800,53 @@ def _reference_point(hc: Hypercycle, s: float) -> tuple:
     return tuple(co * (ch * g0[i] + sh * u0[i]) + so * n[i] for i in range(3))
 
 
-def _reference_subarc(locus: AreaLocus, n: int, seed: int) -> float:
-    rng = substream("subarc", seed)
+def _draw(r: float) -> float:
+    """The axis position the subarc probe makes of the draw r."""
+    return -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * r
+
+
+def _reference_chords(locus: AreaLocus, draws) -> float:
+    # One chord per (carrier draw, mirror draw) pair, each endpoint from
+    # its own curve's ``hypercycle_points`` pass, in chord order.
     worst = 0.0
-    for _ in range(n):
-        z1 = hypercycle_point(
-            locus.carrier, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random()
-        )
-        z2 = hypercycle_point(
-            locus.mirror, -SAMPLE_RANGE + 2.0 * SAMPLE_RANGE * rng.random()
-        )
+    for r1, r2 in draws:
+        z1 = hypercycle_point(locus.carrier, _draw(r1))
+        z2 = hypercycle_point(locus.mirror, _draw(r2))
         d1, d2 = chord_split(z1, z2, locus.carrier.axis)
         worst = max(worst, abs(d1 - d2))
     return worst
+
+
+def _reference_subarc(locus: AreaLocus, n: int, seed: int) -> float:
+    rng = substream("subarc", seed)
+    return _reference_chords(locus, [(rng.random(), rng.random()) for _ in range(n)])
+
+
+class _Scripted:
+    """A substream whose draws are the given values, in order."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
+def _probe(monkeypatch, carrier: Hypercycle, mirror: Hypercycle, draws) -> tuple:
+    """Outcomes of ``equal_subarc_check`` over the (carrier, mirror) draw
+    pairs ``draws`` on the two curves, and of the per-chord reference."""
+    base = BaseConfig.from_half_distance(0.8)
+    locus = AreaLocus(base, carrier, mirror, 1.0)
+    flat = [r for pair in draws for r in pair]
+    monkeypatch.setattr(k, "substream", lambda *args: _Scripted(flat))
+    return (
+        _outcome(equal_subarc_check, locus, len(draws)),
+        _outcome(_reference_chords, locus, draws),
+    )
+
+
+def _with_frame(hc: Hypercycle, frame) -> Hypercycle:
+    """A fresh curve on hc's axis and offset holding ``frame``."""
+    curve = Hypercycle(hc.axis, hc.offset)
+    curve.__dict__["_axis_frame"] = frame
+    return curve
 
 
 def _reference_area(z, a, b) -> float:
@@ -921,7 +955,7 @@ class TestOnePassRoutes:
         assert hypercycle_points(locus.carrier, []) == []
         assert hypercycle_points_and_mirror(locus.carrier, []) == ([], [])
 
-    def test_points_check_every_position_and_point(self):
+    def test_points_check_every_position_and_point(self, monkeypatch):
         hc = Hypercycle((0.0, 0.0, 1.0), 300.0)
         with pytest.raises(DomainError):
             hypercycle_points(hc, [0.0, 1.0, 700.0])
@@ -943,10 +977,29 @@ class TestOnePassRoutes:
         assert len(hypercycle_points(lopsided, [0.0])) == 1
         with pytest.raises(InvalidPointError, match=r"0\.75\)$"):
             hypercycle_points_and_mirror(lopsided, [0.0])
+        # The subarc probe builds each chord endpoint on its own curve and
+        # checks it as that curve's pass does: a position past the reach,
+        # a NaN and a skewed frame, on the carrier and on the mirror, the
+        # other endpoint drawn at s = 0 on the locus's own curve.  With the
+        # tangent turned back, v1 at s = 0 is -0.0 before ``or 0.0`` makes
+        # it the +0.0 the message shows.
+        turned = Hypercycle((0.0, 0.0, 1.0), 0.5)
+        turned.__dict__["_axis_frame"] = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), 2.0, 0.5, 100.0)
+        assert _outcome(hypercycle_points, turned, [0.0])[1].endswith("(2.0, 0.0, 0.5)")
+        locus = _seeded_locus(0)
+        for bad, r in (
+            (hc, (700.0 + SAMPLE_RANGE) / 6.0), (hc, math.nan), (skewed, 0.5), (turned, 0.5)
+        ):
+            want = _outcome(hypercycle_points, bad, [_draw(r)])
+            assert want[0] in (DomainError, InvalidPointError)
+            got, reference = _probe(monkeypatch, bad, locus.mirror, [(r, 0.5)])
+            assert got == reference == want
+            got, reference = _probe(monkeypatch, locus.carrier, bad, [(0.5, r)])
+            assert got == reference == want
 
     @pytest.mark.parametrize("offset", [0.5, 300.0])
     @pytest.mark.parametrize("where", ["-reach", "reach", "past -reach", "past reach", "nan"])
-    def test_reach_check_matches_the_abs_form(self, offset, where):
+    def test_reach_check_matches_the_abs_form(self, offset, where, monkeypatch):
         # The chain -reach <= s <= reach is |s| <= reach: both hold at the
         # reach, where the point is built, and fail an ulp past it or on NaN.
         hc = Hypercycle((0.0, 0.0, 1.0), offset)
@@ -961,6 +1014,29 @@ class TestOnePassRoutes:
         got = _outcome(hypercycle_points, hc, [s])
         assert got == _outcome(lambda: [k.on_sheet(_reference_point(hc, s))])
         assert isinstance(got, list) == (abs(s) <= reach)
+        # The subarc probe's copy on the carrier and on the mirror: the
+        # curve's frame takes the reach 1.5, or an ulp less, so that the
+        # draw lands on it, past it or on NaN; the endpoint's outcome is its
+        # curve's pass, and a chord built is measured as the reference does.
+        r, edge = {
+            "-reach": (0.25, 1.5),
+            "reach": (0.75, 1.5),
+            "past -reach": (0.25, math.nextafter(1.5, 0.0)),
+            "past reach": (0.75, math.nextafter(1.5, 0.0)),
+            "nan": (math.nan, 1.5),
+        }[where]
+        s = _draw(r)
+        for side in (1.0, -1.0):
+            curve = Hypercycle(hc.axis, side * offset)
+            edged = _with_frame(curve, curve._axis_frame[:4] + (edge,))
+            point = _outcome(hypercycle_points, edged, [s])
+            assert isinstance(point, list) == (abs(s) <= edge)
+            pair = (edged, curve) if side > 0.0 else (curve, edged)
+            draws = [(r, 0.5)] if side > 0.0 else [(0.5, r)]
+            got, reference = _probe(monkeypatch, *pair, draws)
+            assert got == reference
+            if not isinstance(point, list):
+                assert got == point
 
     def test_a_curve_pass_calls_no_abs(self):
         # The reach check and the sheet check are comparison chains: per
@@ -973,16 +1049,61 @@ class TestOnePassRoutes:
         # A curve pass, the locus probe and the subarc probe write out
         # ``k.on_sheet`` and ``k.hdist`` on their vectors; the tests above
         # and test_probe_points_pass_the_sheet_check hold them to both.
+        # The subarc probe builds its chord endpoints in its own loop, so
+        # it enters no curve pass either, and it normalizes one crossing
+        # per chord through the ``vec.mnormalize_point`` the tests patch.
         locus = _seeded_locus(0)
         written_out = {k.on_sheet.__code__, k.hdist.__code__}
         for fn, args in (
             (hypercycle_points_and_mirror, (locus.carrier, sample_positions(65))),
             (locus_residuals, (locus,)),
-            (equal_subarc_check, (locus, 12)),
         ):
             calls = _calls(fn, *args)
             assert lexell._curve_points.__code__ in calls
             assert written_out & calls.keys() == set()
+        n = 12
+        calls = _calls(equal_subarc_check, locus, n)
+        curve_pass = {lexell._curve_points.__code__, hypercycle_points.__code__}
+        assert (written_out | curve_pass) & calls.keys() == set()
+        assert calls[vec.mnormalize_point.__code__] == n
+
+    def test_subarc_check_raises_the_first_failure_in_chord_order(self, monkeypatch):
+        # Chord 0's mirror endpoint (s = 1.5) and chord 1's carrier
+        # endpoint (s = -1.5) both lie past a reach of 1: the probe checks
+        # chord 0's endpoints before it draws chord 1, so the mirror's
+        # message is the one raised.
+        locus = _seeded_locus(0)
+        carrier, mirror = (
+            _with_frame(hc, hc._axis_frame[:4] + (1.0,)) for hc in (locus.carrier, locus.mirror)
+        )
+        assert _outcome(hypercycle_points, carrier, [-1.5]) == (
+            DomainError, "axis position -1.5 puts the point beyond float range"
+        )
+        got, reference = _probe(monkeypatch, carrier, mirror, [(0.5, 0.75), (0.25, 0.5)])
+        assert got == reference == (
+            DomainError, "axis position 1.5 puts the point beyond float range"
+        )
+
+    def test_subarc_check_reads_each_curve_own_frame(self):
+        # A mirror built on its own axis covector, not through
+        # ``at_offset``: the carrier's axis negated, at +offset, is the same
+        # curve traversed the other way, with its own frame.  A loop that
+        # read the carrier's axis or frame for the mirror would build other
+        # endpoints, and the probe must equal the per-chord reference.
+        differs = 0
+        for i in range(20):
+            locus = _seeded_locus(i)
+            axis, o = locus.carrier.axis, locus.carrier.offset
+            mirror = Hypercycle(tuple(-c for c in axis), o)
+            assert mirror._axis_frame[1] != locus.mirror._axis_frame[1]
+            (z,) = hypercycle_points(mirror, [1.0])
+            (w,) = hypercycle_points(locus.mirror, [-1.0])
+            assert z == pytest.approx(w, rel=1e-12, abs=1e-12)
+            flipped = AreaLocus(locus.base, locus.carrier, mirror, locus.area)
+            got = equal_subarc_check(flipped, 20, seed=i)
+            assert got == _reference_subarc(flipped, 20, i)
+            differs += got != equal_subarc_check(locus, 20, seed=i)
+        assert differs > 0
 
     def test_subarc_check_folds_its_maximum_inline(self):
         # Per chord: the two weights |s2| and |s1| and the imbalance.
@@ -1081,7 +1202,7 @@ class TestOnePassRoutes:
         ids=["carrier on the lower sheet", "mirror on the lower sheet",
              "carrier's band overflows", "nan carrier"],
     )
-    def test_curve_sheet_checks_refuse_as_on_sheet(self, axis, g00, so, bad):
+    def test_curve_sheet_checks_refuse_as_on_sheet(self, axis, g00, so, bad, monkeypatch):
         # A frame whose point at s = 0 is ``bad`` on the carrier or, the
         # carrier (1, 0, 0) kept on the sheet, on the mirror; the written-out
         # check refuses it with ``k.on_sheet``'s outcome, the carrier's in
@@ -1096,6 +1217,19 @@ class TestOnePassRoutes:
             got = carrier
         assert got == _outcome(k.on_sheet, bad)
         assert got[0] is InvalidPointError
+        # The subarc probe builds each endpoint on its own curve's frame:
+        # the curve whose point at s = 0 is ``bad`` (the mirror of hc, on
+        # its own frame, where hc keeps its point on the sheet) is refused
+        # as carrier and as mirror, opposite the seeded locus's other curve.
+        off = hc
+        if so:
+            off = _with_frame(
+                Hypercycle(axis, -0.5), ((g00, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, -so, 100.0)
+            )
+        assert _outcome(hypercycle_points, off, [0.0]) == got
+        locus = _seeded_locus(0)
+        for pair in ((off, locus.mirror), (locus.carrier, off)):
+            assert _probe(monkeypatch, *pair, [(0.5, 0.5)]) == (got, got)
 
     def test_base_areas_match_the_per_sample_deficit(self):
         # Both routes measure the same triangles; on these points the
