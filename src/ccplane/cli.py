@@ -278,23 +278,29 @@ def _cmd_lexell(args, parser) -> int:
 def _cmd_render(args, parser) -> int:
     # The apex and --foliate flags name a figure too: an apex a locus,
     # areas a foliation, neither a frame.  Naming another figure is a
-    # usage error, so neither kind of flag is dropped without a word.
+    # usage error, and so is --x on a frame or --seed on a locus or a
+    # foliation, so no flag is dropped without a word.
     flagged = ("foliation" if args.foliate is not None else
                "frame" if args.apex_y is None and args.apex is None else "locus")
     if args.figure != flagged:
         parser.error(f"the flags name a {flagged}, not a {args.figure}: a locus takes "
                      "--apex-y or --apex, a foliation --foliate AREAS, a frame neither")
+    if args.figure == "frame" and args.x is not None:
+        parser.error("--x sets the base of a locus or a foliation, not a frame")
+    if args.figure != "frame" and args.seed is not None:
+        parser.error(f"--seed draws a frame, not a {args.figure}")
     from .render import scene_for_foliation, scene_for_frame, scene_for_locus, scene_to_svg
 
     if args.figure == "frame":
         from .sampling import sample_frame
 
-        frame = sample_frame(Geometry.HYPERBOLIC, k.substream("render-frame", args.seed))
+        seed = 0 if args.seed is None else args.seed
+        frame = sample_frame(Geometry.HYPERBOLIC, k.substream("render-frame", seed))
         scene = scene_for_frame(frame)
     else:
         from .lexell import BaseConfig, foliation, lexell_locus
 
-        base = BaseConfig.from_half_distance(args.x)
+        base = BaseConfig.from_half_distance(0.8 if args.x is None else args.x)
         if args.figure == "locus":
             apex = _lexell_apex(args)
             scene = scene_for_locus(lexell_locus(base, apex), apex)
@@ -357,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_render = subs.add_parser("render", help="write a disk figure as SVG")
     p_render.add_argument("figure", choices=("frame", "locus", "foliation"))
-    p_render.add_argument("--seed", type=int, default=0)
-    p_render.add_argument("--x", type=_parse_finite, default=0.8,
-                          help="base half-distance")
+    p_render.add_argument("--seed", type=int, default=None,
+                          help="frame seed (default 0)")
+    p_render.add_argument("--x", type=_parse_finite, default=None,
+                          help="base half-distance of a locus or foliation (default 0.8)")
     _add_apex_flags(p_render)
     p_render.add_argument("--svg", metavar="PATH", required=True)
     p_render.set_defaults(func=_cmd_render)

@@ -84,14 +84,17 @@ and a locus's area spread within twice that (``_base_areas`` derives
 it); ``lexell_locus`` still measures the locus's own area as the angle
 deficit, an independent route.
 
-Every base is the standard one, and the records hold it exactly.
-``BaseConfig`` accepts only A = polar(0, x) and B its bisector mirror,
-so the base line is x2 = 0, its midpoint the origin and its bisector
-x1 = 0.  A locus axis joins mirror images across that bisector, so its
-covector has l1 = 0 exactly, and ``Hypercycle`` accepts no other axis;
-the axis foot of the origin then has g0[1] = +0.0 and the axis tangent
-is (+-0, u01, +-0).  The loops compute in that frame and drop every
-term it makes zero, to the last bit of every output.
+Every base is the standard one: up to isometry a base is its
+half-length x, and ``BaseConfig`` holds x alone and builds A = polar(0, x)
+and B, A's bisector mirror, itself.  So the base line is x2 = 0, its
+midpoint the origin and its bisector x1 = 0.  A locus axis joins mirror
+images across that bisector, so its covector has l1 = 0 exactly, and
+``Hypercycle`` accepts no other axis; the axis foot of the origin then
+has g0[1] = +0.0 and the axis tangent is (+-0, u01, +-0).  The loops
+compute in that frame and drop every term it makes zero, to the last bit
+of every output.  On such an axis B = (a0, -a1, 0) has A's side value
+to the bit, so the locus offset and the mirror residual read A alone
+(``test_base_vertices_are_twins_on_every_locus_axis``).
 """
 
 from __future__ import annotations
@@ -127,6 +130,11 @@ HYPERCYCLE_SEGMENTS = 64
 # long.  It bounds ``BaseConfig`` and the apex-area supremum and its
 # inverse (``max_apex_area``, ``_invert_apex_area``) alike.
 MAX_HALF_BASE = MAX_HYPERBOLIC_SIDE / 2.0
+
+# The shortest half-base: the vertices polar(0, +-x) span a line when
+# 4 (cosh x sinh x)^2 passes ``line``'s floor of 1e-20, first one ulp
+# above 5e-11.  The tests hold this bound to ``line`` itself.
+MIN_HALF_BASE = math.nextafter(5e-11, math.inf)
 
 # An apex whose ``line_residual`` against the base line, |p2|, is at most
 # this lies on the line.  For an apex at height y on the bisector it is sinh(y).
@@ -296,42 +304,38 @@ def hypercycle_samples(hc: Hypercycle, n: int) -> list[Vec3]:
 
 class BaseConfig(Record):
     """The standard base of half-length x = ``half_distance`` on the disk's
-    real axis: ``a`` is exactly polar(0, x) and ``b`` exactly its bisector
-    mirror (``_bisector_mirror``), which is polar(0, -x) to the last bit.
-    Any other pair raises DomainError, so every Lexell computation may
-    take the base's exact frame (see the module docstring).  So does an x
-    too short for the vertices to span a line (``line`` refuses them, for
-    x up to about 5e-11): every locus stands on the base line.
+    real axis, its one field: up to isometry a base is its half-length.
+    ``a`` is exactly polar(0, x) and ``b`` exactly its bisector mirror
+    (``_bisector_mirror``), which is polar(0, -x) to the last bit; both
+    are built once, with the record, and every Lexell computation may
+    take the base's exact frame (see the module docstring).  An x below
+    ``MIN_HALF_BASE``, too short for the vertices to span a line, raises
+    DomainError: every locus stands on the base line.
 
     On every base accepted, that line is exactly (0.0, 0.0, -1.0): with
     a = (a0, a1, 0) and b = (a0, -a1, 0), ``line``'s cross product is
     (0, 0, l2) with l2 = -2 (a0 a1) exactly, and sqrt(l2^2) = |l2|.
     ``lexell_locus`` reads an apex's residual against it as |p2|."""
 
-    __slots__ = ("a", "b", "half_distance")
+    # ``__dict__`` holds the vertices ``a`` and ``b``; they are not fields,
+    # so equality, hashing and repr read x alone.
+    __slots__ = ("half_distance", "__dict__")
 
     def __post_init__(self) -> None:
         x = self.half_distance
         if not 0.0 < x <= MAX_HALF_BASE:
             raise DomainError(f"half-distance {x} outside (0, {MAX_HALF_BASE}]")
-        if self.a.v != _MODEL.polar(0.0, x).v or self.b.v != _bisector_mirror(self.a).v:
-            raise DomainError("base vertices are not the standard pair at +-half-distance")
-        try:
-            _MODEL.line(self.a, self.b)
-        except DegenerateInputError:
-            raise DomainError(
-                f"half-distance {x} is too short for the base to span a line"
-            ) from None
+        if x < MIN_HALF_BASE:
+            raise DomainError(f"half-distance {x} is too short for the base to span a line")
+        a = _MODEL.polar(0.0, x)
+        self.__dict__.update(a=a, b=_bisector_mirror(a))
 
     @classmethod
     def from_half_distance(cls, x: float) -> "BaseConfig":
-        if not 0.0 < x <= MAX_HALF_BASE:
-            raise DomainError(f"half-distance {x} outside (0, {MAX_HALF_BASE}]")
-        a = _MODEL.polar(0.0, x)
-        return cls(a=a, b=_bisector_mirror(a), half_distance=x)
+        return cls(x)
 
     def base_line(self) -> Vec3:
-        return _MODEL.line(self.a, self.b)
+        return (0.0, 0.0, -1.0)
 
 
 def _bisector_mirror(p: HPoint) -> HPoint:
@@ -432,10 +436,11 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     the mirror of P across the base's perpendicular bisector.  A and B
     are exact mirror images, so the midpoint of P'B is the exact mirror
     of the midpoint of PA, and the axis through them has l1 = 0 exactly,
-    as ``Hypercycle`` requires.  Only O(1)
-    conditions are checked (P off the base line, distinct midpoints, A
-    and B on the mirror, P on the carrier); area constancy is the theorem
-    itself, and ``locus_residuals`` alone samples and measures it.
+    as ``Hypercycle`` requires.  On such an axis A and B have the same
+    side value to the bit, so both lie on the mirror by construction.
+    Only O(1) conditions are checked (P off the base line, distinct
+    midpoints, P on the carrier); area constancy is the theorem itself,
+    and ``locus_residuals`` alone samples and measures it.
     """
     # |p2| is p's ``line_residual`` against the base line (0, 0, -1).
     if abs(p.v[2]) <= BASE_LINE_TOL:
@@ -444,15 +449,13 @@ def lexell_locus(base: BaseConfig, p: HPoint) -> AreaLocus:
     m2 = _bisector_mirror(m1)
     # Coincident midpoints span no line: ``line`` raises DegenerateInputError.
     axis = _MODEL.line(m1, m2)
-    # Measure the offset against the base vertices rather than the apex:
-    # l . p cancels catastrophically for a far apex, while a and b stay
-    # near the origin and keep full precision.  The mirror holds both,
-    # so their signed distances must agree.
-    sa = math.asinh(_MODEL.side_value(axis, base.a))
-    sb = math.asinh(_MODEL.side_value(axis, base.b))
-    if abs(sa - sb) > TOL_ID:
-        raise GeometryError("base vertex misses the mirror hypercycle")
-    offset = -0.5 * (sa + sb)
+    # Measure the offset against a base vertex rather than the apex:
+    # l . p cancels catastrophically for a far apex, while a stays near
+    # the origin and keeps full precision.  The mirror holds both
+    # vertices, and b = (a0, -a1, 0) has a's side value to the bit: the
+    # axis has l1 = +-0, and l0 != 0 for an apex off the base line.  So
+    # a alone gives the offset.
+    offset = -math.asinh(_MODEL.side_value(axis, base.a))
     if offset < 0.0:
         # Orient the axis so its normal points at the apex side; the
         # carrier offset is then always positive.
@@ -518,12 +521,10 @@ def locus_residuals(
         if d > midline:
             midline = d
     subarc = equal_subarc_check(locus, chords, seed=seed) if chords else 0.0
+    # b's mirror residual is a's to the bit, as its side value is.
     return LocusResiduals(
         area_spread=max(areas) - min(areas),
-        mirror_residual=max(
-            hypercycle_residual(locus.mirror, locus.base.a),
-            hypercycle_residual(locus.mirror, locus.base.b),
-        ),
+        mirror_residual=hypercycle_residual(locus.mirror, a),
         midline_residual=midline,
         subarc_residual=subarc,
     )

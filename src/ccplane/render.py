@@ -200,9 +200,9 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
         sample_positions,
     )
 
+    # The base line (0, 0, -1) has l0 = 0, so it is always a chord.
     base_line = arc_for_geodesic(locus.base.base_line(), style="base")
     axis = arc_for_geodesic(locus.carrier.axis, style="axis")
-    elements = (base_line, axis)
     label_at = (0.85 * SAMPLE_RANGE,)
     a, b, p = _point(locus.base.a, "A"), _point(locus.base.b, "B"), _point(apex, "P")
     points = (
@@ -216,20 +216,18 @@ def scene_for_locus(locus: AreaLocus, apex: HPoint) -> RenderScene:
     )
     return RenderScene(
         points=points,
-        arcs=tuple(e for e in elements if isinstance(e, SceneArc)),
-        chords=tuple(e for e in elements if isinstance(e, SceneChord)),
+        arcs=(axis,) if isinstance(axis, SceneArc) else (),
+        chords=(base_line,) if isinstance(axis, SceneArc) else (base_line, axis),
         polylines=(_polyline(carrier, "carrier"), _polyline(mirror, "mirror")),
         triangles=(SceneTriangle(((a.x, a.y), (b.x, b.y), (p.x, p.y))),),
     )
 
 
 def scene_for_foliation(base: BaseConfig, leaves: tuple[AreaLocus, ...]) -> RenderScene:
-    """Nested constant-area leaves over one base."""
-    base_line = arc_for_geodesic(base.base_line(), style="base")
+    """Nested constant-area leaves over one base, whose line is a chord."""
     return RenderScene(
         points=(_point(base.a, "A"), _point(base.b, "B")),
-        arcs=(base_line,) if isinstance(base_line, SceneArc) else (),
-        chords=(base_line,) if isinstance(base_line, SceneChord) else (),
+        chords=(arc_for_geodesic(base.base_line(), style="base"),),
         polylines=tuple(
             polyline_for_hypercycle(leaf.carrier, style="carrier") for leaf in leaves
         ),

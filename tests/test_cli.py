@@ -321,6 +321,19 @@ class TestRenderCommand:
     def test_missing_svg_is_usage_error(self):
         assert run_cli("render", "frame").returncode == 2
 
+    @pytest.mark.parametrize("figure, default, given", [
+        ("frame", [], ["--seed", "0"]),
+        ("locus", ["--apex-y", "1.0"], ["--apex-y", "1.0", "--x", "0.8"]),
+        ("foliation", ["--foliate", "0.5"], ["--foliate", "0.5", "--x", "0.8"]),
+    ])
+    def test_unflagged_seed_and_x_are_their_defaults(self, figure, default, given, tmp_path):
+        # A frame without --seed is seed 0, a locus or foliation without
+        # --x stands on x = 0.8: the same figure, byte for byte.
+        svgs = [tmp_path / "default.svg", tmp_path / "given.svg"]
+        for flags, svg in zip((default, given), svgs):
+            assert main(["render", figure, *flags, "--svg", str(svg)]) == 0
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
+
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2
 
@@ -361,11 +374,17 @@ def test_bad_values_are_usage_errors(argv, option, capsys):
         ["render", "locus", "--foliate", "0.5", "--svg", "f.svg"],
         ["render", "foliation", "--apex-y", "1.0", "--svg", "f.svg"],
         ["render", "foliation", "--svg", "f.svg"],
+        ["render", "frame", "--x", "3", "--svg", "f.svg"],
+        ["render", "frame", "--seed", "5", "--x", "0.8", "--svg", "f.svg"],
+        ["render", "locus", "--apex-y", "1.0", "--seed", "5", "--svg", "f.svg"],
+        ["render", "locus", "--apex-y", "1.0", "--seed", "0", "--svg", "f.svg"],
+        ["render", "foliation", "--foliate", "0.5", "--seed", "5", "--svg", "f.svg"],
     ],
 )
 def test_render_flags_must_name_its_figure(argv, capsys, tmp_path, monkeypatch):
-    # An apex names a locus, --foliate a foliation and neither a frame; a
-    # figure drawn from other flags would drop them without a word.
+    # An apex names a locus, --foliate a foliation and neither a frame;
+    # --x sets a locus's or a foliation's base and --seed draws a frame.
+    # A figure drawn from other flags would drop them without a word.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

@@ -392,27 +392,19 @@ class TestBaseConfig:
         with pytest.raises(DomainError):
             BaseConfig.from_half_distance(5.5)
 
-    def test_asymmetric_vertices_rejected(self):
+    def test_the_half_distance_is_the_one_field(self):
+        # A base is its half-length: the vertices are built with the
+        # record, not passed to it, and cannot be assigned.
         a = HYP.polar(0.0, 1.0)
-        b = HYP.polar(0.3, 1.0)
-        with pytest.raises(DomainError):
-            BaseConfig(a, b, 1.0)
-
-    @pytest.mark.parametrize("x", [1e-3, 0.3, 0.8, 1.5, 5.0])
-    def test_vertex_one_ulp_off_rejected(self, x):
-        # The base is the exact standard pair, not one within a tolerance:
-        # a vertex one ulp off, still on the sheet, is refused.
-        base = BaseConfig.from_half_distance(x)
-        assert BaseConfig(base.a, base.b, x) == base
+        with pytest.raises(TypeError):
+            BaseConfig(a, _bisector_mirror(a), 1.0)
+        base = BaseConfig(1.0)
+        assert BaseConfig._fields == ("half_distance",)
+        assert base.a is base.a and base.b is base.b
         for vertex in ("a", "b"):
-            for i in range(3):
-                for way in (-math.inf, math.inf):
-                    v = list(getattr(base, vertex).v)
-                    v[i] = math.nextafter(v[i], way)
-                    moved = HPoint(tuple(v))
-                    a, b = (moved, base.b) if vertex == "a" else (base.a, moved)
-                    with pytest.raises(DomainError, match="standard pair"):
-                        BaseConfig(a, b, x)
+            with pytest.raises(AttributeError):
+                setattr(base, vertex, HYP.polar(0.3, 1.0))
+        assert (repr(base.a), repr(base.b)) == (repr(a), repr(_bisector_mirror(a)))
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(_SHORTEST_HALF_BASE, MAX_HALF_BASE))
@@ -449,6 +441,61 @@ class TestBaseConfig:
     def test_refused_exactly_where_the_vertices_span_no_line(self, x):
         built = isinstance(_outcome(BaseConfig.from_half_distance, x), BaseConfig)
         assert built == (_outcome(_vertex_line, x) == (0.0, 0.0, -1.0))
+
+    def test_the_bound_is_the_line_route_near_its_edge(self):
+        # Every x within 2**16 ulps of 5e-11, either way (one binade, so
+        # the grid is exact): a base is built exactly where its vertices
+        # span a line, from one ulp above 5e-11 on.
+        u = math.ulp(5e-11)
+        xs = [5e-11 + i * u for i in range(-(1 << 16), (1 << 16) + 1)]
+        built = [isinstance(_outcome(BaseConfig.from_half_distance, x), BaseConfig) for x in xs]
+        spans = [_outcome(_vertex_line, x) == (0.0, 0.0, -1.0) for x in xs]
+        assert built == spans
+        assert built == [x > 5e-11 for x in xs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(_SHORTEST_HALF_BASE, MAX_HALF_BASE), apex=_APEXES)
+    @example(x=_SHORTEST_HALF_BASE, apex=_perp_apex(1.0))
+    @example(x=MAX_HALF_BASE, apex=_perp_apex(MAX_APEX_HEIGHT))
+    @example(x=1.0, apex=_perp_apex(-5e-324))
+    @example(x=1.0, apex=HPoint((math.sqrt(1.25 + 1.0000000000000002e-09**2), 0.5,
+                                 1.0000000000000002e-09)))
+    def test_base_vertices_are_twins_on_every_locus_axis(self, x, apex):
+        # B = (a0, -a1, 0), and a locus axis joins mirror images, so its
+        # l1 is +-0: B's side value on the axis is A's to the bit, and so
+        # is its residual against the mirror.  So ``lexell_locus`` takes
+        # the offset from A alone, and ``locus_residuals`` the mirror
+        # residual: B's copies could never differ.
+        base = BaseConfig.from_half_distance(x)
+        a, b = base.a, base.b
+        assert b.v == (a.v[0], -a.v[1], a.v[2]) and repr(a.v[2]) == "0.0"
+        if abs(apex.v[2]) <= BASE_LINE_TOL:
+            # ``lexell_locus`` refuses this apex before it builds an axis.
+            # Such an axis may have l0 = +-0 too (p2 = -5e-324), and then
+            # the twins' side values are zeros of opposite sign.  Off the
+            # line, l0 is twice the product of the midpoint's v1 and v2,
+            # far from underflow.
+            assert _outcome(lexell_locus, base, apex) == (
+                DegenerateInputError, "apex lies on the base line"
+            )
+            return
+
+        def raw_axis():
+            # The axis ``lexell_locus`` measures the offset on, before
+            # any check of the locus.
+            m1 = HYP.mid(apex, a)
+            return HYP.line(m1, _bisector_mirror(m1))
+
+        axis = _outcome(raw_axis)
+        if len(axis) == 3:
+            assert repr(HYP.side_value(axis, b)) == repr(HYP.side_value(axis, a))
+        locus = _outcome(lexell_locus, base, apex)
+        if isinstance(locus, AreaLocus):
+            axis = locus.carrier.axis
+            assert repr(HYP.side_value(axis, b)) == repr(HYP.side_value(axis, a))
+            assert repr(hypercycle_residual(locus.mirror, b)) == repr(
+                hypercycle_residual(locus.mirror, a)
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(_SHORTEST_HALF_BASE, MAX_HALF_BASE), apex=_APEXES)

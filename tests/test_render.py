@@ -179,6 +179,26 @@ class TestSceneBuilders:
         styles = {pl.style for pl in scene.polylines}
         assert styles == {"carrier", "mirror"}
 
+    @pytest.mark.parametrize("p2", [1e-8, 1e-3, 0.4])
+    def test_the_base_line_is_always_the_chord_and_the_axis_either(self, p2):
+        # Every base line is (0, 0, -1), the chord from (1, 0) to (-1, 0);
+        # the axis is drawn straight only within the drawing resolution
+        # of the center (here for p2 = 1e-8), and comes after the base.
+        base = BaseConfig.from_half_distance(0.8)
+        chord = SceneChord(1.0, 0.0, -1.0, 0.0, style="base")
+        assert arc_for_geodesic(base.base_line(), style="base") == chord
+        apex = HPoint((math.sqrt(1.25 + p2 * p2), 0.5, p2))
+        locus = lexell_locus(base, apex)
+        scene = scene_for_locus(locus, apex)
+        axis = arc_for_geodesic(locus.carrier.axis, style="axis")
+        straight = p2 == 1e-8
+        assert isinstance(axis, SceneChord) == straight
+        assert (scene.arcs, scene.chords) == (
+            ((), (chord, axis)) if straight else ((axis,), (chord,))
+        )
+        scene = scene_for_foliation(base, (locus,))
+        assert (scene.arcs, scene.chords) == ((), (chord,))
+
     def test_foliation_scene_validates(self):
         base = BaseConfig.from_half_distance(0.8)
         leaves = tuple(foliation(base, [0.3, 0.8, 1.2]))
