@@ -394,16 +394,41 @@ class TestBaseConfig:
 
     def test_the_half_distance_is_the_one_field(self):
         # A base is its half-length: the vertices are built with the
-        # record, not passed to it, and cannot be assigned.
-        a = HYP.polar(0.0, 1.0)
-        with pytest.raises(TypeError):
-            BaseConfig(a, _bisector_mirror(a), 1.0)
+        # record, once, and are not fields.
         base = BaseConfig(1.0)
         assert BaseConfig._fields == ("half_distance",)
         assert base.a is base.a and base.b is base.b
+        a = HYP.polar(0.0, 1.0)
+        assert (repr(base.a), repr(base.b)) == (repr(a), repr(_bisector_mirror(a)))
+
+    def test_asymmetric_vertices_rejected(self):
+        # Vertices are not passed to a base, so no asymmetric pair can be.
+        a = HYP.polar(0.0, 1.0)
+        b = HYP.polar(0.3, 1.0)
+        with pytest.raises(TypeError):
+            BaseConfig(a, b, 1.0)
+        with pytest.raises(TypeError):
+            BaseConfig(a, b)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 0.8, 1.5, 5.0])
+    def test_vertex_one_ulp_off_rejected(self, x):
+        # The base is the exact standard pair, not one within a tolerance:
+        # a vertex one ulp off, still on the sheet, can be neither passed
+        # to a base nor assigned to one, and the base keeps its pair.
+        base = BaseConfig.from_half_distance(x)
+        assert BaseConfig(x) == base
         for vertex in ("a", "b"):
-            with pytest.raises(AttributeError):
-                setattr(base, vertex, HYP.polar(0.3, 1.0))
+            for i in range(3):
+                for way in (-math.inf, math.inf):
+                    v = list(getattr(base, vertex).v)
+                    v[i] = math.nextafter(v[i], way)
+                    moved = HPoint(tuple(v))
+                    a, b = (moved, base.b) if vertex == "a" else (base.a, moved)
+                    with pytest.raises(TypeError):
+                        BaseConfig(a, b, x)
+                    with pytest.raises(AttributeError):
+                        setattr(base, vertex, moved)
+        a = HYP.polar(0.0, x)
         assert (repr(base.a), repr(base.b)) == (repr(a), repr(_bisector_mirror(a)))
 
     @settings(max_examples=300, deadline=None)
